@@ -26,12 +26,11 @@ from .runner import (
     extract_tensors,
     pipeline_run,
     run_config_from_json,
-    study_windows,
+    study_recordings,
+    validate_synth_config,
 )
 from .signal_io import (
-    SynthSpec,
     extract_labeled_windows,
-    generate_synthetic,
     has_nonseizure_span,
     load_annotations,
     load_recording,
@@ -78,32 +77,17 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_run_config(args.config), args)
-    s = cfg.synth
+    validate_synth_config(cfg.synth)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index = []
-    for class_idx, kind in ((0, "uncoupled"), (1, "coupled")):
-        for i in range(s.n_per_class):
-            spec = SynthSpec(
-                kind=kind,
-                n_channels=s.n_channels,
-                fs=s.fs,
-                duration_s=s.duration_s,
-                coupling_strength=s.coupling_strength if kind == "coupled" else 0.0,
-                seed=derive_seed(cfg.seed, class_idx, i),
-                ar_pole_radius=s.ar_pole_radius,
-                ar_freq_hz=s.ar_freq_hz,
-                noise_std=s.noise_std,
-                match_power=s.match_power,
-                rec_id=f"{kind}-{i:02d}",
-            )
-            rec, ann = generate_synthetic(spec)
-            save_recording(rec, out / f"{rec.id}.csv")
-            save_annotations(ann, out / f"{rec.id}.json")
-            index.append(
-                {"id": rec.id, "csv": f"{rec.id}.csv", "annotations": f"{rec.id}.json",
-                 "fs": rec.fs, "kind": kind}
-            )
+    for kind, rec, ann in study_recordings(cfg):
+        save_recording(rec, out / f"{rec.id}.csv")
+        save_annotations(ann, out / f"{rec.id}.json")
+        index.append(
+            {"id": rec.id, "csv": f"{rec.id}.csv", "annotations": f"{rec.id}.json",
+             "fs": rec.fs, "kind": kind}
+        )
     atomic_write_text(out / "recordings.json", json.dumps({"recordings": index}, indent=2) + "\n")
     print(f"wrote {len(index)} recordings to {out}")
     return 0

@@ -37,12 +37,9 @@ from .signal_io import LabeledWindow, split_subwindows
 
 __all__ = [
     "FEATURE_ORDER",
-    "BandMatrixSet",
     "PipelineConfig",
     "WindowTensor",
     "NormStats",
-    "pipeline_config_to_json",
-    "pipeline_config_from_json",
     "coherence",
     "partial_coherence",
     "directed_coherence",
@@ -150,22 +147,13 @@ def plv_matrix(
     return out
 
 
-@dataclass(frozen=True)
-class BandMatrixSet:
-    """Band-averaged C x C matrices for one measure: values is (B, C, C)."""
-
-    values: np.ndarray
-    band_names: tuple[str, ...]
-    measure: str
-
-
 def band_aggregate(
     values: np.ndarray,
     bands: tuple[BandSpec, ...],
     freqs: np.ndarray,
     measure: str,
-) -> BandMatrixSet:
-    """Average |M(f)|^2 over the grid frequencies inside each band.
+) -> np.ndarray:
+    """Average |M(f)|^2 over the grid frequencies inside each band: (B, C, C).
 
     Band membership is half-open, [low_hz, high_hz). SM and ISM are
     compressed with ln(1 + x) after averaging. A band holding no grid
@@ -184,9 +172,7 @@ def band_aggregate(
             )
         avg = power[mask].mean(axis=0)
         out[b] = np.log1p(avg) if measure in _LOG_COMPRESSED else avg
-    return BandMatrixSet(
-        values=out, band_names=tuple(b.name for b in bands), measure=measure
-    )
+    return out
 
 
 @dataclass(frozen=True)
@@ -224,43 +210,6 @@ class PipelineConfig:
             raise ValueError(f"subwindows must be >= 1, got {self.subwindows}")
         if not self.bands:
             raise ValueError("need at least one rhythm band")
-
-
-def pipeline_config_to_json(cfg: PipelineConfig) -> dict:
-    return {
-        "mode": cfg.mode,
-        "order": cfg.order,
-        "aic": cfg.aic,
-        "aic_max": cfg.aic_max,
-        "n_freqs": cfg.n_freqs,
-        "ridge": cfg.ridge,
-        "filter_order": cfg.filter_order,
-        "subwindows": cfg.subwindows,
-        "bands": [
-            {"name": b.name, "low_hz": b.low_hz, "high_hz": b.high_hz} for b in cfg.bands
-        ],
-        "broadband": {
-            "name": cfg.broadband.name,
-            "low_hz": cfg.broadband.low_hz,
-            "high_hz": cfg.broadband.high_hz,
-        },
-    }
-
-
-def pipeline_config_from_json(doc: dict) -> PipelineConfig:
-    def band(d):
-        return BandSpec(name=d["name"], low_hz=d["low_hz"], high_hz=d["high_hz"])
-
-    kwargs = {
-        k: doc[k]
-        for k in ("mode", "order", "aic", "aic_max", "n_freqs", "ridge", "filter_order", "subwindows")
-        if k in doc
-    }
-    if "bands" in doc:
-        kwargs["bands"] = tuple(band(d) for d in doc["bands"])
-    if "broadband" in doc:
-        kwargs["broadband"] = band(doc["broadband"])
-    return PipelineConfig(**kwargs)
 
 
 @dataclass
@@ -318,26 +267,26 @@ def build_feature_tensor(
     if cfg.mode == "broadband":
         filt = design_bandpass(cfg.broadband, window.fs, cfg.filter_order)
         clean = replace(window, samples=filtfilt(filt, window.samples))
-        subs = split_subwindows(clean, t_sub).sub_windows
+        subs = split_subwindows(clean, t_sub)
         for t, sub in enumerate(subs):
             try:
                 model, sd = _fit_subwindow(sub, window.fs, cfg, diagnostics)
                 for name, vals in _spectral_measures(sd, model.Sigma).items():
                     bm = band_aggregate(vals, cfg.bands, sd.freqs, name)
-                    tensor[f_idx[name], t] = np.moveaxis(bm.values, 0, -1)
+                    tensor[f_idx[name], t] = np.moveaxis(bm, 0, -1)
             except ValueError as exc:
                 raise fail(f"sub-window {t}", exc) from exc
     else:
         for b, band in enumerate(cfg.bands):
             filt = design_bandpass(band, window.fs, cfg.filter_order)
             banded = replace(window, samples=filtfilt(filt, window.samples))
-            subs = split_subwindows(banded, t_sub).sub_windows
+            subs = split_subwindows(banded, t_sub)
             for t, sub in enumerate(subs):
                 try:
                     model, sd = _fit_subwindow(sub, window.fs, cfg, diagnostics)
                     for name, vals in _spectral_measures(sd, model.Sigma).items():
                         bm = band_aggregate(vals, (band,), sd.freqs, name)
-                        tensor[f_idx[name], t, :, :, b] = bm.values[0]
+                        tensor[f_idx[name], t, :, :, b] = bm[0]
                 except ValueError as exc:
                     raise fail(f"band {band.name!r}, sub-window {t}", exc) from exc
 

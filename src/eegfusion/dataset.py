@@ -13,13 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .connectivity import (
-    FEATURE_ORDER,
-    PipelineConfig,
-    WindowTensor,
-    pipeline_config_to_json,
-)
-from .util import atomic_write_text, config_hash
+from .connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
+from .util import atomic_write_text, config_hash, to_json
 
 __all__ = ["MANIFEST_NAME", "write_dataset", "read_dataset"]
 
@@ -58,7 +53,7 @@ def write_dataset(
             np.ascontiguousarray(t.values, dtype="<f4").tobytes()
         )
         windows.append({"file": fname, "label": int(t.label), "source_id": t.source_id})
-    cfg_doc = pipeline_config_to_json(pipeline_cfg)
+    cfg_doc = to_json(pipeline_cfg)
     manifest = {
         "format": _DATASET_FORMAT,
         "format_version": _DATASET_VERSION,

@@ -38,6 +38,7 @@ from .layers import (
     ParamRegistry,
     Slot,
 )
+from .util import ConfigError, from_json, to_json
 
 __all__ = [
     "ModelConfig",
@@ -99,7 +100,6 @@ class FusionModel:
         self.cfg = cfg
         reg = ParamRegistry()
         self.registry = reg
-        self.nodes: list[dict] = []
         c, b, f = cfg.n_channels, cfg.n_bands, cfg.n_features
         d1, h = cfg.embed_dim, cfg.lstm_hidden
 
@@ -190,27 +190,8 @@ class FusionModel:
             n_in = width
         self.head.append(Dense(reg, "head.out", n_in, 1, relu=False))
         self.dropout = Dropout(cfg.dropout_rate)
-
-        for br in self.branches:
-            for lname, layer in br["layers"].items():
-                self._describe(layer, f"branch{self.branches.index(br)}.{lname}")
-        if self.trunk is not None:
-            for lname, layer in self.trunk.items():
-                self._describe(layer, f"trunk.{lname}")
-        for li, layer in enumerate(self.head):
-            self._describe(layer, f"head.{li}")
-
         self.params = reg.init_params(cfg.seed)
         self._cache: dict | None = None
-
-    def _describe(self, layer, name: str) -> None:
-        self.nodes.append(
-            {
-                "name": name,
-                "kind": type(layer).__name__,
-                "n_params": int(sum(s.size for s in layer.slots)),
-            }
-        )
 
     # -- structure helpers ------------------------------------------------
 
@@ -276,9 +257,14 @@ class FusionModel:
     ) -> np.ndarray:
         """Probabilities for a batch (M, F, T, C, C, B); train mode caches
         activations for a following backward() and enables dropout."""
-        x = self._check_input(x)
         if train and self.cfg.dropout_rate > 0 and rng is None:
             raise ValueError("training-mode forward with dropout needs an rng")
+        return self._forward(x, train, rng)[0]
+
+    def _forward(self, x, train: bool, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Probabilities and the head's input vector (the concat embedding for
+        schemes 1-2); train mode caches activations for backward()."""
+        x = self._check_input(x)
         theta = self.params
         cache: dict | None = (
             {"branches": [], "trunk": {}, "head": [], "drop": []} if train else None
@@ -335,7 +321,7 @@ class FusionModel:
             cache["probs"] = probs
             cache["m"] = x.shape[0]
             self._cache = cache
-        return probs
+        return probs, v
 
     def forward(self, x, mode: str = "eval", rng: np.random.Generator | None = None):
         """Single-sample (F, T, C, C, B) or batched probability."""
@@ -353,21 +339,7 @@ class FusionModel:
                 f"scheme {self.cfg.scheme} fuses features before the trunk and has "
                 f"no concat embedding; feature relevance needs scheme 1 or 2"
             )
-        x = self._check_input(x)
-        theta = self.params
-        branch_out = []
-        for br in self.branches:
-            fi, bi = br["feature"], br["band"]
-            y = x[:, fi, :, :, :, bi] if self.cfg.scheme == 1 else x[:, fi]
-            for layer in br["layers"].values():
-                y = layer.forward(theta, y, None)
-            branch_out.append(y)
-        v = np.concatenate(branch_out, axis=1)
-        y = v
-        for layer in self.head[:-1]:
-            y = layer.forward(theta, y, None)
-        z = self.head[-1].forward(theta, y, None)[:, 0]
-        return _sigmoid(z), v
+        return self._forward(x, False, None)
 
     def backward(self, labels: np.ndarray) -> np.ndarray:
         """Gradient of mean binary cross-entropy w.r.t. the flat parameters.
@@ -542,17 +514,7 @@ class Metrics:
     undefined: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "precision": self.precision,
-            "accuracy": self.accuracy,
-            "undefined": list(self.undefined),
-        }
+        return to_json(self)
 
 
 def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> Metrics:
@@ -599,18 +561,12 @@ def evaluate(m: FusionModel, ds, threshold: float = 0.5) -> Metrics:
     return metrics_from_counts(tp, fp, fn, tn)
 
 
-def _config_to_json(cfg: ModelConfig) -> dict:
-    d = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-    d["dense_sizes"] = list(cfg.dense_sizes)
-    return d
-
-
 def save_model(m: FusionModel, path, norm_stats: NormStats | None = None) -> None:
     """One JSON header line, then the flat parameters as little-endian f32."""
     header = {
         "format": _MODEL_FORMAT,
         "format_version": _MODEL_VERSION,
-        "model_config": _config_to_json(m.cfg),
+        "model_config": to_json(m.cfg),
         "feature_order": list(FEATURE_ORDER),
         "param_count": m.param_count,
         "norm_stats": None
@@ -638,9 +594,11 @@ def load_model(path) -> tuple[FusionModel, NormStats | None]:
         raise ValueError(f"{path}: not a model file (format {header.get('format')!r})")
     if header.get("format_version") != _MODEL_VERSION:
         raise ValueError(f"{path}: unsupported format version {header.get('format_version')!r}")
-    raw_cfg = dict(header["model_config"])
-    raw_cfg["dense_sizes"] = tuple(raw_cfg.get("dense_sizes", ()))
-    m = build_fusion_model(ModelConfig(**raw_cfg))
+    try:
+        cfg = from_json(ModelConfig, header.get("model_config"), "model_config")
+    except ConfigError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    m = build_fusion_model(cfg)
     params = np.frombuffer(data[nl + 1 :], dtype="<f4")
     if params.size != header["param_count"] or params.size != m.param_count:
         raise ValueError(

@@ -26,6 +26,7 @@ __all__ = [
     "select_order",
     "is_stable",
     "companion_matrix",
+    "frequency_grid",
     "spectral_decomposition",
     "simulate_var",
 ]
@@ -165,6 +166,11 @@ def is_stable(m: MvarModel) -> bool:
     return bool(radius < 1.0)
 
 
+def frequency_grid(fs: float, n_freqs: int) -> np.ndarray:
+    """The spectral grid ``f_k = k (fs/2) / n_freqs`` for ``k = 1..n_freqs``."""
+    return (fs / 2.0) * np.arange(1, n_freqs + 1) / n_freqs
+
+
 def spectral_decomposition(
     m: MvarModel,
     n_freqs: int = 64,
@@ -194,7 +200,7 @@ def spectral_decomposition(
             diagnostics.sigma_jitter_events += 1
     sigma_inv = np.linalg.inv(sigma)
 
-    freqs = (m.fs / 2.0) * np.arange(1, n_freqs + 1) / n_freqs
+    freqs = frequency_grid(m.fs, n_freqs)
     lags = np.arange(1, m.p + 1)
     # phase[k_freq, k_lag] = exp(-2j pi f k / fs)
     phase = np.exp(-2j * np.pi * np.outer(freqs, lags) / m.fs)

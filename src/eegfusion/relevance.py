@@ -25,6 +25,7 @@ import numpy as np
 
 from .connectivity import FEATURE_ORDER
 from .model import FusionModel
+from .util import to_json
 
 __all__ = [
     "EmbeddingBatch",
@@ -156,11 +157,7 @@ class RelevanceReport:
     config_hash: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "feature_order": list(self.feature_order),
-            "config_hash": self.config_hash,
-            "classes": self.classes,
-        }
+        return to_json(self)
 
 
 def _per_sample_net(batch: EmbeddingBatch, w: DenseWeights) -> np.ndarray:

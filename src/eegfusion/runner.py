@@ -13,6 +13,7 @@ import json
 import os
 import platform
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,8 +28,6 @@ from .connectivity import (
     WindowTensor,
     build_feature_tensor,
     normalize_features,
-    pipeline_config_from_json,
-    pipeline_config_to_json,
 )
 from .dataset import write_dataset
 from .dsp import design_bandpass
@@ -40,7 +39,7 @@ from .model import (
     save_model,
     train,
 )
-from .mvar import FitDiagnostics
+from .mvar import FitDiagnostics, frequency_grid
 from .plotting import write_svg
 from .relevance import relevance_report, write_report_csv, write_report_json
 from .signal_io import (
@@ -51,7 +50,7 @@ from .signal_io import (
     synth_spectral_radius,
     train_test_split,
 )
-from .util import atomic_write_text, config_hash
+from .util import ConfigError, atomic_write_text, config_hash, from_json, to_json
 
 __all__ = [
     "ConfigError",
@@ -60,20 +59,14 @@ __all__ = [
     "RunManifest",
     "run_config_from_json",
     "run_config_to_json",
+    "validate_synth_config",
     "validate_run_config",
     "derive_seed",
+    "study_recordings",
     "study_windows",
     "extract_tensors",
     "pipeline_run",
 ]
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; ``field`` is the dotted path of the bad entry."""
-
-    def __init__(self, field_path: str, message: str) -> None:
-        self.field = field_path
-        super().__init__(f"{field_path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -110,108 +103,44 @@ class RunConfig:
     explain_svg: bool = True
 
 
-def _build_section(path: str, builder, doc: dict, names: tuple[str, ...]):
-    for key in doc:
-        if key not in names:
-            raise ConfigError(f"{path}.{key}", "unknown field")
-    try:
-        return builder(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+#: RunConfig fields that the JSON layout nests in a section; inside the
+#: section each is keyed by its name without the ``<section>_`` prefix.
+_SECTION_FIELDS = {
+    "split": ("test_fraction",),
+    "explain": ("explain_per_sample", "explain_predicted_labels", "explain_svg"),
+}
 
 
-def run_config_from_json(doc: dict) -> RunConfig:
-    """Parse the nested JSON layout; unknown or invalid fields name their path."""
+def run_config_from_json(doc) -> RunConfig:
+    """Parse the nested JSON layout; unknown or ill-typed fields name their path."""
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    known = {"out_dir", "seed", "synth", "pipeline", "model", "train", "split", "explain"}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
-    for key in ("synth", "pipeline", "model", "train", "split", "explain"):
-        if key in doc and not isinstance(doc[key], dict):
-            raise ConfigError(key, "must be a JSON object")
-
-    kwargs: dict = {}
-    if "out_dir" in doc:
-        if not isinstance(doc["out_dir"], str):
-            raise ConfigError("out_dir", "must be a string")
-        kwargs["out_dir"] = doc["out_dir"]
-    if "seed" in doc:
-        if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
-            raise ConfigError("seed", "must be an integer")
-        kwargs["seed"] = doc["seed"]
-    if "synth" in doc:
-        names = tuple(SynthStudyConfig.__dataclass_fields__)
-        kwargs["synth"] = _build_section("synth", SynthStudyConfig, doc["synth"], names)
-    if "pipeline" in doc:
-        names = tuple(PipelineConfig.__dataclass_fields__)
-        for key in doc["pipeline"]:
-            if key not in names:
-                raise ConfigError(f"pipeline.{key}", "unknown field")
-        try:
-            kwargs["pipeline"] = pipeline_config_from_json(doc["pipeline"])
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError("pipeline", str(exc)) from exc
-    if "model" in doc:
-        sub = dict(doc["model"])
-        if "dense_sizes" in sub:
-            if not isinstance(sub["dense_sizes"], list):
-                raise ConfigError("model.dense_sizes", "must be a list of integers")
-            sub["dense_sizes"] = tuple(sub["dense_sizes"])
-        names = tuple(ModelConfig.__dataclass_fields__)
-        kwargs["model"] = _build_section("model", ModelConfig, sub, names)
-    if "train" in doc:
-        names = tuple(TrainConfig.__dataclass_fields__)
-        kwargs["train"] = _build_section("train", TrainConfig, doc["train"], names)
-    if "split" in doc:
-        for key in doc["split"]:
-            if key != "test_fraction":
-                raise ConfigError(f"split.{key}", "unknown field")
-        if "test_fraction" in doc["split"]:
-            kwargs["test_fraction"] = doc["split"]["test_fraction"]
-    if "explain" in doc:
-        names = {"per_sample": "explain_per_sample",
-                 "predicted_labels": "explain_predicted_labels",
-                 "svg": "explain_svg"}
-        for key, value in doc["explain"].items():
-            if key not in names:
-                raise ConfigError(f"explain.{key}", "unknown field")
-            if not isinstance(value, bool):
-                raise ConfigError(f"explain.{key}", "must be a boolean")
-            kwargs[names[key]] = value
-    try:
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("<root>", str(exc)) from exc
+    flat = {k: v for k, v in doc.items() if k not in _SECTION_FIELDS}
+    hints = typing.get_type_hints(RunConfig)
+    for section, names in _SECTION_FIELDS.items():
+        for name in names:
+            if name in flat:
+                raise ConfigError(name, "unknown field")
+        sub = doc.get(section, {})
+        if not isinstance(sub, dict):
+            raise ConfigError(section, "must be a JSON object")
+        keys = {name.removeprefix(f"{section}_"): name for name in names}
+        for key, value in sub.items():
+            if key not in keys:
+                raise ConfigError(f"{section}.{key}", "unknown field")
+            flat[keys[key]] = from_json(hints[keys[key]], value, f"{section}.{key}")
+    return from_json(RunConfig, flat)
 
 
 def run_config_to_json(cfg: RunConfig) -> dict:
-    model = {k: getattr(cfg.model, k) for k in ModelConfig.__dataclass_fields__}
-    model["dense_sizes"] = list(cfg.model.dense_sizes)
-    return {
-        "out_dir": cfg.out_dir,
-        "seed": cfg.seed,
-        "synth": {k: getattr(cfg.synth, k) for k in SynthStudyConfig.__dataclass_fields__},
-        "pipeline": pipeline_config_to_json(cfg.pipeline),
-        "model": model,
-        "train": {k: getattr(cfg.train, k) for k in TrainConfig.__dataclass_fields__},
-        "split": {"test_fraction": cfg.test_fraction},
-        "explain": {
-            "per_sample": cfg.explain_per_sample,
-            "predicted_labels": cfg.explain_predicted_labels,
-            "svg": cfg.explain_svg,
-        },
-    }
+    doc = to_json(cfg)
+    for section, names in _SECTION_FIELDS.items():
+        doc[section] = {name.removeprefix(f"{section}_"): doc.pop(name) for name in names}
+    return doc
 
 
-def validate_run_config(cfg: RunConfig) -> None:
-    """Check every stage's preconditions before any work starts.
-
-    Raises :class:`ConfigError` naming the offending field; a passing config
-    is guaranteed to reach the training stage without input-shape errors.
-    """
-    s = cfg.synth
+def validate_synth_config(s: SynthStudyConfig) -> None:
+    """Check the synth section alone, before any recording is simulated."""
     if s.n_per_class < 1:
         raise ConfigError("synth.n_per_class", f"must be >= 1, got {s.n_per_class}")
     if s.windows_per_recording < 1:
@@ -263,7 +192,28 @@ def validate_run_config(cfg: RunConfig) -> None:
             f"coupling_strength or ar_pole_radius",
         )
 
+
+def _extraction_workers() -> int:
+    """Worker processes for feature extraction, from EEGFUSION_WORKERS."""
+    raw = os.environ.get("EEGFUSION_WORKERS", "1") or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError("EEGFUSION_WORKERS", f"must be an integer, got {raw!r}") from None
+
+
+def validate_run_config(cfg: RunConfig) -> None:
+    """Check every stage's preconditions before any work starts.
+
+    Raises :class:`ConfigError` naming the offending field; a passing config
+    is guaranteed to reach the training stage without input-shape errors.
+    """
+    s = cfg.synth
+    validate_synth_config(s)
+    _extraction_workers()
+
     p = cfg.pipeline
+    freqs = frequency_grid(s.fs, p.n_freqs)
     for i, band in enumerate(p.bands):
         if band.high_hz >= s.fs / 2:
             raise ConfigError(
@@ -275,6 +225,13 @@ def validate_run_config(cfg: RunConfig) -> None:
             design_bandpass(band, s.fs, p.filter_order)
         except ValueError as exc:
             raise ConfigError(f"pipeline.bands[{i}]", str(exc)) from exc
+        if not np.any((freqs >= band.low_hz) & (freqs < band.high_hz)):
+            raise ConfigError(
+                f"pipeline.bands[{i}]",
+                f"band {band.name!r} holds no frequency of the {p.n_freqs}-point "
+                f"grid (spacing {s.fs / 2 / p.n_freqs} Hz at fs={s.fs}); increase "
+                f"pipeline.n_freqs or widen the band",
+            )
     try:
         design_bandpass(p.broadband, s.fs, p.filter_order)
     except ValueError as exc:
@@ -343,6 +300,29 @@ def derive_seed(base: int, *branch: int) -> int:
     return int(np.random.SeedSequence([base, *branch]).generate_state(1)[0])
 
 
+def study_recordings(cfg: RunConfig):
+    """Simulate the study's recordings: every uncoupled one, then every
+    coupled one, each yielded as ``(kind, recording, annotations)``."""
+    s = cfg.synth
+    for class_idx, kind in enumerate(("uncoupled", "coupled")):
+        for i in range(s.n_per_class):
+            spec = SynthSpec(
+                kind=kind,
+                n_channels=s.n_channels,
+                fs=s.fs,
+                duration_s=s.duration_s,
+                coupling_strength=s.coupling_strength if kind == "coupled" else 0.0,
+                seed=derive_seed(cfg.seed, class_idx, i),
+                ar_pole_radius=s.ar_pole_radius,
+                ar_freq_hz=s.ar_freq_hz,
+                noise_std=s.noise_std,
+                match_power=s.match_power,
+                rec_id=f"{kind}-{i:02d}",
+            )
+            rec, ann = generate_synthetic(spec)
+            yield kind, rec, ann
+
+
 def study_windows(cfg: RunConfig) -> list:
     """Simulate the study's recordings and cut the labeled windows.
 
@@ -352,35 +332,20 @@ def study_windows(cfg: RunConfig) -> list:
     """
     s = cfg.synth
     windows = []
-    for class_idx, kind in ((0, "uncoupled"), (1, "coupled")):
-        for i in range(s.n_per_class):
-            seed = derive_seed(cfg.seed, class_idx, i)
-            spec = SynthSpec(
-                kind=kind,
-                n_channels=s.n_channels,
-                fs=s.fs,
-                duration_s=s.duration_s,
-                coupling_strength=s.coupling_strength if kind == "coupled" else 0.0,
-                seed=seed,
-                ar_pole_radius=s.ar_pole_radius,
-                ar_freq_hz=s.ar_freq_hz,
-                noise_std=s.noise_std,
-                match_power=s.match_power,
-                rec_id=f"{kind}-{i:02d}",
+    # uncoupled recordings come first, so i is their index within class 0
+    for i, (kind, rec, ann) in enumerate(study_recordings(cfg)):
+        if kind == "coupled":
+            ws = extract_labeled_windows(rec, ann, n_nonseizure=0)
+            ws = ws[: s.windows_per_recording]
+        else:
+            ws = extract_labeled_windows(
+                rec,
+                ann,
+                n_nonseizure=s.windows_per_recording,
+                seed=derive_seed(cfg.seed, 0, i, 1),
+                guard_s=s.guard_s,
             )
-            rec, ann = generate_synthetic(spec)
-            if kind == "coupled":
-                ws = extract_labeled_windows(rec, ann, n_nonseizure=0)
-                ws = ws[: s.windows_per_recording]
-            else:
-                ws = extract_labeled_windows(
-                    rec,
-                    ann,
-                    n_nonseizure=s.windows_per_recording,
-                    seed=derive_seed(cfg.seed, class_idx, i, 1),
-                    guard_s=s.guard_s,
-                )
-            windows.extend(ws)
+        windows.extend(ws)
     return windows
 
 
@@ -398,7 +363,7 @@ def extract_tensors(
     Extraction is pure per window, so the EEGFUSION_WORKERS env var may fan it
     out over processes; results keep the input order either way.
     """
-    workers = int(os.environ.get("EEGFUSION_WORKERS", "1") or "1")
+    workers = _extraction_workers()
     if workers <= 1 or len(windows) < 2:
         out = []
         for w in windows:
@@ -428,16 +393,7 @@ class RunManifest:
     metrics: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "versions": self.versions,
-            "warnings": self.warnings,
-            "timing_s": self.timing_s,
-            "files": self.files,
-            "config": self.config,
-            "metrics": self.metrics,
-        }
+        return to_json(self)
 
     def write(self, path) -> None:
         path = Path(path)

@@ -22,7 +22,6 @@ __all__ = [
     "Recording",
     "AnnotationSet",
     "LabeledWindow",
-    "SubWindowSequence",
     "SynthSpec",
     "load_recording",
     "load_annotations",
@@ -132,13 +131,6 @@ class LabeledWindow:
     source_id: str
     offset_s: float
     fs: float
-
-
-@dataclass
-class SubWindowSequence:
-    """Consecutive equal-length sub-windows of one labeled window."""
-
-    sub_windows: tuple[np.ndarray, ...]
 
 
 def load_recording(path, fs: float, fmt: str = "csv") -> Recording:
@@ -314,7 +306,7 @@ def extract_labeled_windows(
     return windows
 
 
-def split_subwindows(w: LabeledWindow, n_sub: int = 10) -> SubWindowSequence:
+def split_subwindows(w: LabeledWindow, n_sub: int = 10) -> tuple[np.ndarray, ...]:
     """Split a window into ``n_sub`` equal consecutive pieces."""
     n = w.samples.shape[0]
     if n_sub < 1:
@@ -324,8 +316,7 @@ def split_subwindows(w: LabeledWindow, n_sub: int = 10) -> SubWindowSequence:
             f"window of {n} samples does not divide into {n_sub} sub-windows"
         )
     step = n // n_sub
-    subs = tuple(w.samples[t * step : (t + 1) * step] for t in range(n_sub))
-    return SubWindowSequence(sub_windows=subs)
+    return tuple(w.samples[t * step : (t + 1) * step] for t in range(n_sub))
 
 
 @dataclass(frozen=True)

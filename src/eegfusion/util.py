@@ -1,13 +1,31 @@
-"""Canonical JSON hashing and atomic file writes."""
+"""Canonical JSON hashing, atomic file writes and the config JSON codec."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
+import typing
 from pathlib import Path
 
-__all__ = ["canonical_json", "config_hash", "atomic_write_text"]
+__all__ = [
+    "ConfigError",
+    "canonical_json",
+    "config_hash",
+    "atomic_write_text",
+    "to_json",
+    "from_json",
+]
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration; ``field`` is the dotted path of the bad entry."""
+
+    def __init__(self, field_path: str, message: str) -> None:
+        self.field = field_path
+        super().__init__(f"{field_path}: {message}")
 
 
 def canonical_json(obj) -> str:
@@ -26,3 +44,60 @@ def atomic_write_text(path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def to_json(obj):
+    """JSON form of a dataclass: nested dataclasses become objects keyed by
+    field name, tuples become lists, everything else stays as it is."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [to_json(v) for v in obj]
+    return obj
+
+
+_SCALARS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def from_json(tp, doc, path: str = ""):
+    """Build a value of type ``tp`` from its JSON form, checking every type.
+
+    ``tp`` is a dataclass (absent fields take their defaults), ``tuple[X, ...]``,
+    bool, int, float or str. A bool never passes for a number; an int passes
+    for a float and is kept as given, so a config hashes the same after a
+    round trip. NaN and infinities, which Python's JSON parser
+    accepts, do not pass for a number. Each error is a :class:`ConfigError`
+    naming the dotted path below ``path``, such as ``pipeline.bands[0].low_hz``;
+    a ``ValueError`` from a dataclass's own checks names that dataclass's path.
+    """
+    where = path or "<root>"
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(doc, dict):
+            raise ConfigError(where, "must be a JSON object")
+        hints = typing.get_type_hints(tp)
+        fields = {f.name: f for f in dataclasses.fields(tp) if f.init}
+        prefix = f"{path}." if path else ""
+        for key in doc:
+            if key not in fields:
+                raise ConfigError(prefix + key, "unknown field")
+        for name, f in fields.items():
+            required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+            if required and name not in doc:
+                raise ConfigError(prefix + name, "required field is missing")
+        kwargs = {key: from_json(hints[key], value, prefix + key) for key, value in doc.items()}
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(where, str(exc)) from exc
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(doc, list):
+            raise ConfigError(where, "must be a list")
+        item = typing.get_args(tp)[0]
+        return tuple(from_json(item, v, f"{path}[{i}]") for i, v in enumerate(doc))
+    if tp not in _SCALARS:
+        raise TypeError(f"{where}: config fields of type {tp!r} are not supported")
+    allowed = (int, float) if tp is float else (tp,)
+    bad = not isinstance(doc, allowed) or (isinstance(doc, bool) and tp is not bool)
+    if bad or (tp is float and not math.isfinite(doc)):
+        raise ConfigError(where, f"must be {_SCALARS[tp]}, got {doc!r}")
+    return doc

@@ -104,6 +104,26 @@ class TestEarlyValidation:
         assert not out.exists()
 
 
+    def test_ill_typed_field_stops_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        doc = run_config_to_json(fast_config(out))
+        doc["train"]["epochs"] = 2.5
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "train.epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unstable_synth_stops_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        cfg = fast_config(out)
+        cfg = replace(cfg, synth=replace(cfg.synth, coupling_strength=0.9))
+        path = write_config(cfg, tmp_path / "cfg.json")
+        assert main(["synth", "--config", path]) == 2
+        assert "synth.coupling_strength" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOverrides:
     def test_seed_flag_beats_config_value(self, tmp_path, capsys):
         base = fast_config(tmp_path / "ignored")

@@ -5,14 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from eegfusion.connectivity import (
-    FEATURE_ORDER,
-    PipelineConfig,
-    WindowTensor,
-    pipeline_config_to_json,
-)
+from eegfusion.connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
 from eegfusion.dataset import MANIFEST_NAME, read_dataset, write_dataset
-from eegfusion.util import config_hash
+from eegfusion.util import config_hash, to_json
 
 
 def make_tensors(n=3, shape=(7, 10, 4, 4, 5), seed=0):
@@ -69,7 +64,7 @@ class TestManifest:
         assert manifest["shape"] == [7, 10, 4, 4, 5]
         assert manifest["feature_order"] == list(FEATURE_ORDER)
         assert manifest["extra"] == extra
-        cfg_doc = pipeline_config_to_json(cfg)
+        cfg_doc = to_json(cfg)
         assert manifest["config"] == cfg_doc
         assert manifest["config_hash"] == config_hash(cfg_doc)
         assert manifest["bands"] == cfg_doc["bands"]

@@ -131,7 +131,6 @@ class TestArchitecture:
             assert s.sl.start == pos
             pos = s.sl.stop
         assert pos == m.param_count
-        assert sum(n["n_params"] for n in m.nodes) == m.param_count
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="scheme"):
@@ -407,6 +406,21 @@ class TestSaveLoad:
         assert np.array_equal(back_stats.std, stats.std)
         # f32 quantization shifts probabilities only marginally
         assert np.allclose(back.forward_batch(x), m.forward_batch(x), atol=1e-4)
+
+    def test_round_trip_two_dense_layers(self, tmp_path):
+        m = build_fusion_model(ModelConfig(scheme=1, **{**SMALL, "dense_sizes": (8, 4)}))
+        save_model(m, tmp_path / "m.bin")
+        back, _ = load_model(tmp_path / "m.bin")
+        assert back.cfg == m.cfg and back.cfg.dense_sizes == (8, 4)
+        assert np.array_equal(back.params, m.params.astype(np.float32).astype(float))
+
+    def test_bad_model_config_is_a_file_error(self, tmp_path):
+        p = tmp_path / "m.bin"
+        p.write_bytes(b'{"format": "eegfusion-model", "format_version": 1, '
+                      b'"model_config": {"scheme": 2.5}}\n')
+        with pytest.raises(ValueError, match="model_config.scheme") as exc:
+            load_model(p)
+        assert type(exc.value) is ValueError
 
     def test_norm_stats_optional(self, tmp_path):
         m, _, _ = fd_setup(2, FD_SEEDS[2])

@@ -77,24 +77,38 @@ class TestConfigJson:
         assert exc.value.field == field
 
     def test_type_errors_name_their_path(self):
-        with pytest.raises(ConfigError) as exc:
-            run_config_from_json({"seed": "zero"})
-        assert exc.value.field == "seed"
-        with pytest.raises(ConfigError) as exc:
-            run_config_from_json({"seed": True})
-        assert exc.value.field == "seed"
-        with pytest.raises(ConfigError) as exc:
-            run_config_from_json({"out_dir": 3})
-        assert exc.value.field == "out_dir"
-        with pytest.raises(ConfigError) as exc:
-            run_config_from_json({"synth": [1, 2]})
-        assert exc.value.field == "synth"
-        with pytest.raises(ConfigError) as exc:
-            run_config_from_json({"explain": {"svg": "yes"}})
-        assert exc.value.field == "explain.svg"
-        with pytest.raises(ConfigError) as exc:
-            run_config_from_json([1, 2])
-        assert exc.value.field == "<root>"
+        cases = [
+            ({"seed": "zero"}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"out_dir": 3}, "out_dir"),
+            ({"synth": [1, 2]}, "synth"),
+            ({"explain": {"svg": "yes"}}, "explain.svg"),
+            ([1, 2], "<root>"),
+            ({"synth": {"fs": "128"}}, "synth.fs"),
+            ({"synth": {"coupling_strength": False}}, "synth.coupling_strength"),
+            ({"synth": {"duration_s": float("inf")}}, "synth.duration_s"),
+            ({"pipeline": {"order": 2.5}}, "pipeline.order"),
+            ({"pipeline": {"aic": "yes"}}, "pipeline.aic"),
+            ({"pipeline": {"bands": [{"name": "a", "low_hz": "1", "high_hz": 4}]}},
+             "pipeline.bands[0].low_hz"),
+            ({"pipeline": {"broadband": {"name": "b", "low_hz": 1.0}}},
+             "pipeline.broadband.high_hz"),
+            ({"model": {"embed_dim": 2.0}}, "model.embed_dim"),
+            ({"model": {"dense_sizes": [8, True]}}, "model.dense_sizes[1]"),
+            ({"train": {"epochs": 2.5}}, "train.epochs"),
+            ({"train": {"learning_rate": float("nan")}}, "train.learning_rate"),
+            ({"split": {"test_fraction": "0.2"}}, "split.test_fraction"),
+            ({"test_fraction": 0.2}, "test_fraction"),
+        ]
+        for doc, field in cases:
+            with pytest.raises(ConfigError) as exc:
+                run_config_from_json(doc)
+            assert exc.value.field == field, doc
+
+    def test_ints_pass_for_floats_unchanged(self):
+        cfg = run_config_from_json({"synth": {"fs": 128}, "split": {"test_fraction": 0}})
+        assert type(cfg.synth.fs) is int and cfg.test_fraction == 0
+        assert run_config_to_json(cfg)["synth"]["fs"] == 128
 
     def test_section_value_errors_keep_section_path(self):
         with pytest.raises(ConfigError, match="scheme") as exc:
@@ -170,6 +184,15 @@ class TestValidation:
         assert self.field_of(
             replace(cfg, model=replace(cfg.model, subwindows=5))
         ) == "model.subwindows"
+
+    def test_band_without_grid_frequency(self):
+        # at fs=128 an 8-point grid steps by 8 Hz, so delta [2, 4) holds none
+        cfg = RunConfig(pipeline=PipelineConfig(n_freqs=8))
+        assert self.field_of(cfg) == "pipeline.bands[0]"
+
+    def test_non_integer_workers(self, monkeypatch):
+        monkeypatch.setenv("EEGFUSION_WORKERS", "abc")
+        assert self.field_of(fast_config()) == "EEGFUSION_WORKERS"
 
     def test_degenerate_split(self):
         assert self.field_of(fast_config(test_fraction=0.0)) == "split.test_fraction"

@@ -178,20 +178,20 @@ class TestSplitSubwindows:
     def test_5120_at_256(self):
         w = LabeledWindow(samples=np.arange(5120 * 2, dtype=float).reshape(5120, 2),
                           label=0, source_id="w", offset_s=0.0, fs=256.0)
-        seq = split_subwindows(w, 10)
-        assert len(seq.sub_windows) == 10
-        assert all(s.shape == (512, 2) for s in seq.sub_windows)
+        subs = split_subwindows(w, 10)
+        assert len(subs) == 10
+        assert all(s.shape == (512, 2) for s in subs)
 
     def test_2560_at_128(self):
         w = LabeledWindow(samples=np.zeros((2560, 2)), label=0,
                           source_id="w", offset_s=0.0, fs=128.0)
-        assert all(s.shape == (256, 2) for s in split_subwindows(w, 10).sub_windows)
+        assert all(s.shape == (256, 2) for s in split_subwindows(w, 10))
 
     def test_reconcatenation_is_identity(self):
         rng = np.random.default_rng(3)
         w = LabeledWindow(samples=rng.standard_normal((2560, 3)), label=1,
                           source_id="w", offset_s=0.0, fs=128.0)
-        back = np.vstack(split_subwindows(w, 10).sub_windows)
+        back = np.vstack(split_subwindows(w, 10))
         assert np.array_equal(back, w.samples)
 
     def test_indivisible_rejected(self):
