@@ -13,30 +13,25 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .connectivity import normalize_features
-from .dataset import read_dataset, write_dataset
-from .model import ModelConfig, build_fusion_model, evaluate, load_model, save_model, train
+from .dataset import write_dataset
 from .mvar import FitDiagnostics
 from .plotting import write_svg
-from .relevance import load_report_json, relevance_report, write_report_csv, write_report_json
+from .relevance import load_report_json, write_report_csv, write_report_json
 from .runner import (
     ConfigError,
     RunConfig,
-    derive_seed,
+    cut_windows,
+    evaluate_stored,
+    explain_stored,
     extract_tensors,
     pipeline_run,
     run_config_from_json,
     study_recordings,
+    train_dataset,
+    validate_pipeline,
     validate_synth_config,
 )
-from .signal_io import (
-    extract_labeled_windows,
-    has_nonseizure_span,
-    load_annotations,
-    load_recording,
-    save_annotations,
-    save_recording,
-)
+from .signal_io import load_annotations, load_recording, save_annotations, save_recording
 from .util import atomic_write_text
 
 __all__ = ["main"]
@@ -67,11 +62,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             cfg = replace(cfg, pipeline=replace(cfg.pipeline, aic=True))
     except ValueError as exc:
         raise ConfigError("pipeline", str(exc)) from exc
-    try:
-        if getattr(args, "scheme", None) is not None:
-            cfg = replace(cfg, model=replace(cfg.model, scheme=args.scheme))
-    except ValueError as exc:
-        raise ConfigError("model.scheme", str(exc)) from exc
+    if getattr(args, "scheme", None) is not None:  # argparse admits valid schemes only
+        cfg = replace(cfg, model=replace(cfg.model, scheme=args.scheme))
     return cfg
 
 
@@ -93,25 +85,23 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _indexed_recordings(index_path: Path, cfg: RunConfig):
+    """Load each indexed recording, checking the pipeline against it first."""
+    for entry in json.loads(index_path.read_text())["recordings"]:
+        rec = load_recording(index_path.parent / entry["csv"], fs=entry["fs"])
+        validate_pipeline(cfg.pipeline, rec.fs, rec.n_channels)
+        yield rec, load_annotations(index_path.parent / entry["annotations"])
+
+
 def _cmd_extract(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_run_config(args.config), args)
     index_path = Path(args.recordings)
-    doc = json.loads(index_path.read_text())
-    windows = []
-    for entry in doc["recordings"]:
-        rec = load_recording(index_path.parent / entry["csv"], fs=entry["fs"])
-        ann = load_annotations(index_path.parent / entry["annotations"])
-        n_free = args.nonseizure if has_nonseizure_span(rec, ann) else 0
-        windows.extend(
-            extract_labeled_windows(
-                rec, ann, n_nonseizure=n_free, seed=derive_seed(cfg.seed, len(windows))
-            )
-        )
+    windows = cut_windows(_indexed_recordings(index_path, cfg), cfg)
     if not windows:
         raise RuntimeError(f"{index_path}: no extractable windows")
     diag = FitDiagnostics()
     tensors = extract_tensors(windows, cfg.pipeline, diag)
-    manifest = write_dataset(tensors, args.out, cfg.pipeline, extra={"source": str(index_path)})
+    manifest = write_dataset(tensors, args.out, cfg.pipeline, cfg.test_fraction, cfg.seed)
     print(f"wrote {len(tensors)} window tensors to {manifest}")
     if diag.unstable_fits or diag.sigma_jitter_events:
         print(
@@ -122,20 +112,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _model_config_for(cfg: RunConfig, shape: tuple[int, ...]) -> ModelConfig:
-    f, t, c, _, b = shape
-    return replace(cfg.model, n_features=f, subwindows=t, n_channels=c, n_bands=b)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_run_config(args.config), args)
-    tensors, _ = read_dataset(args.dataset)
-    stats, normed = normalize_features(tensors)
-    model = build_fusion_model(_model_config_for(cfg, tensors[0].shape))
-    model, history = train(model, normed, cfg.train)
-    save_model(model, args.model_out, stats)
     history_path = args.history or str(args.model_out) + ".history.json"
-    atomic_write_text(history_path, json.dumps(history, indent=2) + "\n")
+    history = train_dataset(cfg, args.dataset, args.model_out, history_path)
     print(
         json.dumps(
             {"model": str(args.model_out), "epochs": len(history),
@@ -145,18 +125,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prepared_dataset(model_path, dataset_path):
-    model, stats = load_model(model_path)
-    tensors, _ = read_dataset(dataset_path)
-    if stats is not None:
-        tensors = stats.apply_many(tensors)
-    return model, tensors
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    model, tensors = _prepared_dataset(args.model, args.dataset)
-    doc = evaluate(model, tensors).to_dict()
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(evaluate_stored(args.model, args.dataset), indent=2, sort_keys=True)
     if args.out:
         atomic_write_text(args.out, text + "\n")
     print(text)
@@ -164,9 +134,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    model, tensors = _prepared_dataset(args.model, args.dataset)
-    report = relevance_report(
-        model, tensors, per_sample=args.per_sample, predicted_labels=args.predicted_labels
+    report = explain_stored(
+        args.model, args.dataset, per_sample=args.per_sample, predicted_labels=args.predicted_labels
     )
     if args.out:
         write_report_json(report, args.out)
@@ -225,25 +194,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="recordings -> window feature tensor dataset")
     p.add_argument("--recordings", required=True, help="recordings.json index file")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument(
-        "--nonseizure", type=int, default=4,
-        help="non-seizure windows per recording with free spans (default 4)",
-    )
-    p.add_argument("--config", help="JSON run config; flags override its values")
-    p.add_argument("--seed", type=int, help="base seed override")
+    _add_config_flags(p)
     _add_pipeline_flags(p)
     p.set_defaults(handler=_cmd_extract)
 
-    p = sub.add_parser("train", help="tensor dataset -> model file + training history")
+    p = sub.add_parser("train", help="dataset training split -> model file + training history")
     p.add_argument("--dataset", required=True, help="dataset directory or manifest path")
     p.add_argument("--model-out", required=True, help="output model file")
     p.add_argument("--history", help="history JSON path (default <model>.history.json)")
     p.add_argument("--scheme", type=int, choices=(1, 2, 3, 4), help="fusion scheme")
-    p.add_argument("--config", help="JSON run config; flags override its values")
-    p.add_argument("--seed", type=int, help="base seed override")
+    _add_config_flags(p)
     p.set_defaults(handler=_cmd_train)
 
-    p = sub.add_parser("eval", help="model + dataset -> metrics JSON on stdout")
+    p = sub.add_parser("eval", help="model + dataset -> train/test metrics JSON on stdout")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", help="also write the metrics JSON here")

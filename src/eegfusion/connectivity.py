@@ -19,7 +19,7 @@ window is a (7, T, C, C, B) tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,16 +135,7 @@ def plv_matrix(
     phases = np.column_stack(
         [instantaneous_phase(analytic_signal(xb[:, c], band=band.name)) for c in range(xb.shape[1])]
     )
-    n = phases.shape[0]
-    if n % n_sub:
-        raise ValueError(
-            f"window of {n} samples does not divide into {n_sub} sub-windows"
-        )
-    step = n // n_sub
-    out = np.empty((n_sub, xb.shape[1], xb.shape[1]))
-    for t in range(n_sub):
-        out[t] = plv_from_phases(phases[t * step : (t + 1) * step])
-    return out
+    return np.stack([plv_from_phases(sub) for sub in split_subwindows(phases, n_sub)])
 
 
 def band_aggregate(
@@ -266,8 +257,7 @@ def build_feature_tensor(
 
     if cfg.mode == "broadband":
         filt = design_bandpass(cfg.broadband, window.fs, cfg.filter_order)
-        clean = replace(window, samples=filtfilt(filt, window.samples))
-        subs = split_subwindows(clean, t_sub)
+        subs = split_subwindows(filtfilt(filt, window.samples), t_sub)
         for t, sub in enumerate(subs):
             try:
                 model, sd = _fit_subwindow(sub, window.fs, cfg, diagnostics)
@@ -279,8 +269,7 @@ def build_feature_tensor(
     else:
         for b, band in enumerate(cfg.bands):
             filt = design_bandpass(band, window.fs, cfg.filter_order)
-            banded = replace(window, samples=filtfilt(filt, window.samples))
-            subs = split_subwindows(banded, t_sub)
+            subs = split_subwindows(filtfilt(filt, window.samples), t_sub)
             for t, sub in enumerate(subs):
                 try:
                     model, sd = _fit_subwindow(sub, window.fs, cfg, diagnostics)

@@ -2,8 +2,8 @@
 
 Each window file holds the (F, T, C, C, B) tensor as little-endian 32-bit
 floats in C order. The manifest records the shape, feature order, band
-table, extraction config (and its hash), and per-window label/id/file, so a
-dataset directory is self-describing.
+table, extraction config (and its hash), the train/test split record, and
+per-window label/id/file, so a dataset directory is self-describing.
 """
 
 from __future__ import annotations
@@ -14,26 +14,30 @@ from pathlib import Path
 import numpy as np
 
 from .connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
+from .signal_io import train_test_split
 from .util import atomic_write_text, config_hash, to_json
 
-__all__ = ["MANIFEST_NAME", "write_dataset", "read_dataset"]
+__all__ = ["MANIFEST_NAME", "write_dataset", "read_dataset", "split_dataset"]
 
 MANIFEST_NAME = "manifest.json"
 
 _DATASET_FORMAT = "eegfusion-dataset"
-_DATASET_VERSION = 1
+_DATASET_VERSION = 2
 
 
 def write_dataset(
     tensors: list[WindowTensor],
     out_dir,
     pipeline_cfg: PipelineConfig,
-    extra: dict | None = None,
+    test_fraction: float = 0.15,
+    seed: int = 0,
 ) -> Path:
     """Write window tensors and return the manifest path.
 
-    Window files are written first; the manifest goes last and atomically,
-    so a manifest's presence implies a complete dataset.
+    The manifest records ``test_fraction`` and ``seed`` as the train/test
+    split that :func:`split_dataset` applies. Window files are written first;
+    the manifest goes last and atomically, so its presence implies a
+    complete dataset.
     """
     if not tensors:
         raise ValueError("refusing to write an empty dataset")
@@ -62,7 +66,7 @@ def write_dataset(
         "bands": cfg_doc["bands"],
         "config": cfg_doc,
         "config_hash": config_hash(cfg_doc),
-        "extra": extra or {},
+        "split": {"test_fraction": test_fraction, "seed": seed},
         "windows": windows,
     }
     manifest_path = out_dir / MANIFEST_NAME
@@ -102,3 +106,9 @@ def read_dataset(path) -> tuple[list[WindowTensor], dict]:
             )
         )
     return tensors, manifest
+
+
+def split_dataset(tensors: list, manifest: dict) -> tuple[list, list]:
+    """The (train, test) sides of a dataset, as its manifest's split record defines."""
+    split = manifest["split"]
+    return train_test_split(tensors, split["test_fraction"], seed=split["seed"])

@@ -15,7 +15,7 @@ import platform
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,26 +29,27 @@ from .connectivity import (
     build_feature_tensor,
     normalize_features,
 )
-from .dataset import write_dataset
+from .dataset import read_dataset, split_dataset, write_dataset
 from .dsp import design_bandpass
 from .model import (
     ModelConfig,
     TrainConfig,
     build_fusion_model,
     evaluate,
+    load_model,
     save_model,
     train,
 )
 from .mvar import FitDiagnostics, frequency_grid
 from .plotting import write_svg
-from .relevance import relevance_report, write_report_csv, write_report_json
+from .relevance import RelevanceReport, relevance_report, write_report_csv, write_report_json
 from .signal_io import (
     WINDOW_S,
     SynthSpec,
     extract_labeled_windows,
     generate_synthetic,
+    has_nonseizure_span,
     synth_spectral_radius,
-    train_test_split,
 )
 from .util import ConfigError, atomic_write_text, config_hash, from_json, to_json
 
@@ -60,11 +61,16 @@ __all__ = [
     "run_config_from_json",
     "run_config_to_json",
     "validate_synth_config",
+    "validate_pipeline",
     "validate_run_config",
     "derive_seed",
     "study_recordings",
+    "cut_windows",
     "study_windows",
     "extract_tensors",
+    "train_dataset",
+    "evaluate_stored",
+    "explain_stored",
     "pipeline_run",
 ]
 
@@ -202,6 +208,54 @@ def _extraction_workers() -> int:
         raise ConfigError("EEGFUSION_WORKERS", f"must be an integer, got {raw!r}") from None
 
 
+def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
+    """Check the pipeline against recordings of rate ``fs`` with ``n_channels``
+    channels, before any window is extracted."""
+    freqs = frequency_grid(fs, p.n_freqs)
+    for i, band in enumerate(p.bands):
+        if band.high_hz >= fs / 2:
+            raise ConfigError(
+                f"pipeline.bands[{i}].high_hz",
+                f"band {band.name!r} high edge {band.high_hz} Hz must be below "
+                f"the Nyquist frequency {fs / 2} Hz",
+            )
+        try:
+            design_bandpass(band, fs, p.filter_order)
+        except ValueError as exc:
+            raise ConfigError(f"pipeline.bands[{i}]", str(exc)) from exc
+        if not np.any((freqs >= band.low_hz) & (freqs < band.high_hz)):
+            raise ConfigError(
+                f"pipeline.bands[{i}]",
+                f"band {band.name!r} holds no frequency of the {p.n_freqs}-point "
+                f"grid (spacing {fs / 2 / p.n_freqs} Hz at fs={fs}); increase "
+                f"pipeline.n_freqs or widen the band",
+            )
+    try:
+        design_bandpass(p.broadband, fs, p.filter_order)
+    except ValueError as exc:
+        raise ConfigError("pipeline.broadband", str(exc)) from exc
+
+    n_window = int(round(WINDOW_S * fs))
+    if n_window % p.subwindows != 0:
+        raise ConfigError(
+            "pipeline.subwindows",
+            f"window of {n_window} samples not divisible into {p.subwindows} parts",
+        )
+    sub_len = n_window // p.subwindows
+    order_cap = p.aic_max if p.aic else p.order
+    if sub_len - order_cap < order_cap * n_channels:
+        raise ConfigError(
+            "pipeline.order",
+            f"{sub_len}-sample sub-windows cannot support order {order_cap} "
+            f"with {n_channels} channels",
+        )
+    if sub_len <= 3 * p.filter_order:
+        raise ConfigError(
+            "pipeline.subwindows",
+            f"{sub_len}-sample sub-windows too short for zero-phase filtering",
+        )
+
+
 def validate_run_config(cfg: RunConfig) -> None:
     """Check every stage's preconditions before any work starts.
 
@@ -211,51 +265,8 @@ def validate_run_config(cfg: RunConfig) -> None:
     s = cfg.synth
     validate_synth_config(s)
     _extraction_workers()
-
     p = cfg.pipeline
-    freqs = frequency_grid(s.fs, p.n_freqs)
-    for i, band in enumerate(p.bands):
-        if band.high_hz >= s.fs / 2:
-            raise ConfigError(
-                f"pipeline.bands[{i}].high_hz",
-                f"band {band.name!r} high edge {band.high_hz} Hz must be below "
-                f"the Nyquist frequency {s.fs / 2} Hz",
-            )
-        try:
-            design_bandpass(band, s.fs, p.filter_order)
-        except ValueError as exc:
-            raise ConfigError(f"pipeline.bands[{i}]", str(exc)) from exc
-        if not np.any((freqs >= band.low_hz) & (freqs < band.high_hz)):
-            raise ConfigError(
-                f"pipeline.bands[{i}]",
-                f"band {band.name!r} holds no frequency of the {p.n_freqs}-point "
-                f"grid (spacing {s.fs / 2 / p.n_freqs} Hz at fs={s.fs}); increase "
-                f"pipeline.n_freqs or widen the band",
-            )
-    try:
-        design_bandpass(p.broadband, s.fs, p.filter_order)
-    except ValueError as exc:
-        raise ConfigError("pipeline.broadband", str(exc)) from exc
-
-    n_window = int(round(WINDOW_S * s.fs))
-    if n_window % p.subwindows != 0:
-        raise ConfigError(
-            "pipeline.subwindows",
-            f"window of {n_window} samples not divisible into {p.subwindows} parts",
-        )
-    sub_len = n_window // p.subwindows
-    order_cap = p.aic_max if p.aic else p.order
-    if sub_len - order_cap < order_cap * s.n_channels:
-        raise ConfigError(
-            "pipeline.order",
-            f"{sub_len}-sample sub-windows cannot support order {order_cap} "
-            f"with {s.n_channels} channels",
-        )
-    if sub_len <= 3 * p.filter_order:
-        raise ConfigError(
-            "pipeline.subwindows",
-            f"{sub_len}-sample sub-windows too short for zero-phase filtering",
-        )
+    validate_pipeline(p, s.fs, s.n_channels)
 
     m = cfg.model
     if m.n_channels != s.n_channels:
@@ -323,30 +334,32 @@ def study_recordings(cfg: RunConfig):
             yield kind, rec, ann
 
 
-def study_windows(cfg: RunConfig) -> list:
-    """Simulate the study's recordings and cut the labeled windows.
+def cut_windows(recordings, cfg: RunConfig) -> list:
+    """Cut labeled windows from ``(recording, annotations)`` pairs, in order.
 
-    Coupled recordings are annotated end to end, so their windows are the
-    first ``windows_per_recording`` seizure slices; uncoupled recordings have
-    no annotations and contribute guarded non-seizure samples instead.
+    Each recording gives its first ``windows_per_recording`` seizure slices
+    plus, when it has a guarded seizure-free span, ``windows_per_recording``
+    non-seizure draws seeded by the recording's position i in the sequence.
     """
     s = cfg.synth
     windows = []
-    # uncoupled recordings come first, so i is their index within class 0
-    for i, (kind, rec, ann) in enumerate(study_recordings(cfg)):
-        if kind == "coupled":
-            ws = extract_labeled_windows(rec, ann, n_nonseizure=0)
-            ws = ws[: s.windows_per_recording]
-        else:
-            ws = extract_labeled_windows(
-                rec,
-                ann,
-                n_nonseizure=s.windows_per_recording,
-                seed=derive_seed(cfg.seed, 0, i, 1),
-                guard_s=s.guard_s,
-            )
-        windows.extend(ws)
+    for i, (rec, ann) in enumerate(recordings):
+        n_free = s.windows_per_recording if has_nonseizure_span(rec, ann, s.guard_s) else 0
+        ws = extract_labeled_windows(
+            rec, ann, n_free, seed=derive_seed(cfg.seed, 0, i, 1), guard_s=s.guard_s
+        )
+        windows += [w for w in ws if w.label == 1][: s.windows_per_recording]
+        windows += [w for w in ws if w.label == 0]
     return windows
+
+
+def study_windows(cfg: RunConfig) -> list:
+    """Simulate the study's recordings and cut their windows (:func:`cut_windows`).
+
+    Coupled recordings are annotated end to end and give seizure slices;
+    uncoupled ones, which come first, give non-seizure draws.
+    """
+    return cut_windows(((rec, ann) for _, rec, ann in study_recordings(cfg)), cfg)
 
 
 def _extract_one(args):
@@ -365,18 +378,62 @@ def extract_tensors(
     """
     workers = _extraction_workers()
     if workers <= 1 or len(windows) < 2:
-        out = []
-        for w in windows:
-            out.append(build_feature_tensor(w, pcfg, diagnostics))
-        return out
+        return [build_feature_tensor(w, pcfg, diagnostics) for w in windows]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_extract_one, [(w, pcfg) for w in windows], chunksize=1))
-    tensors = []
-    for tensor, diag in results:
-        tensors.append(tensor)
+    for _, diag in results:
         if diagnostics is not None:
             diagnostics.merge(diag)
-    return tensors
+    return [tensor for tensor, _ in results]
+
+
+def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dict]:
+    """Fit ``cfg.model`` on the training side of a stored dataset.
+
+    The model dims come from the tensor shape. Writes the model file, with
+    the training side's norm stats, and the per-epoch history; returns it.
+    """
+    tensors, manifest = read_dataset(dataset)
+    train_ds, _ = split_dataset(tensors, manifest)
+    if cfg.train.batch_size > len(train_ds):
+        raise ConfigError(
+            "train.batch_size",
+            f"batch_size {cfg.train.batch_size} exceeds the {len(train_ds)}-window training set",
+        )
+    stats, normed = normalize_features(train_ds)
+    f, t, c, _, b = tensors[0].shape
+    mcfg = replace(cfg.model, n_features=f, subwindows=t, n_channels=c, n_bands=b)
+    model, history = train(build_fusion_model(mcfg), normed, cfg.train)
+    save_model(model, model_path, stats)
+    atomic_write_text(history_path, json.dumps(history, indent=2) + "\n")
+    return history
+
+
+def _stored(model_path, dataset):
+    """A model file, and a dataset z-scored with the model's norm stats."""
+    model, stats = load_model(model_path)
+    tensors, manifest = read_dataset(dataset)
+    if stats is not None:
+        tensors = stats.apply_many(tensors)
+    return model, tensors, manifest
+
+
+def evaluate_stored(model_path, dataset) -> dict:
+    """The metrics document ``{train, test, threshold}`` of a stored model."""
+    model, tensors, manifest = _stored(model_path, dataset)
+    train_ds, test_ds = split_dataset(tensors, manifest)
+    return {
+        "train": evaluate(model, train_ds).to_dict(),
+        "test": evaluate(model, test_ds).to_dict(),
+        "threshold": 0.5,
+    }
+
+
+def explain_stored(model_path, dataset, **options) -> RelevanceReport:
+    """Relevance report of a stored model over every stored window, in order;
+    ``options`` are :func:`relevance_report`'s keywords."""
+    model, tensors, _ = _stored(model_path, dataset)
+    return relevance_report(model, tensors, **options)
 
 
 @dataclass
@@ -415,9 +472,11 @@ def _versions() -> dict:
 def pipeline_run(cfg: RunConfig) -> RunManifest:
     """Run the full study under ``cfg.out_dir`` and return its manifest.
 
-    Stage failures abort with the stage name prefixed to the error message.
-    The manifest (run_manifest.json) is written last, so its presence marks a
-    completed run.
+    Training, evaluation and explanation read the stored dataset and model
+    file, so a run equals the CLI chain synth -> extract -> train -> eval ->
+    explain. Stage failures abort with the stage name prefixed to the error
+    message. The manifest (run_manifest.json) is written last, so its
+    presence marks a completed run.
     """
     validate_run_config(cfg)
     out = Path(cfg.out_dir)
@@ -442,70 +501,49 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
 
     windows = stage("synthesize", lambda: study_windows(cfg))
     tensors = stage("extract", lambda: extract_tensors(windows, cfg.pipeline, diag))
+    dataset, model_path = out / "dataset", out / "model.bin"
+    manifest_path = stage(
+        "write_dataset",
+        lambda: write_dataset(tensors, dataset, cfg.pipeline, cfg.test_fraction, cfg.seed),
+    )
+    del windows, tensors  # every later stage reads the stored dataset
+    stored = json.loads(manifest_path.read_text())["windows"]
+    files += ["dataset/" + name for name in [manifest_path.name] + [w["file"] for w in stored]]
 
-    def _write_ds():
-        manifest_path = write_dataset(
-            tensors, out / "dataset", cfg.pipeline,
-            extra={"study": "synthetic-coupling", "seed": cfg.seed},
-        )
-        doc = json.loads(Path(manifest_path).read_text())
-        files.append("dataset/" + Path(manifest_path).name)
-        files.extend("dataset/" + w["file"] for w in doc["windows"])
+    stage("train", lambda: train_dataset(cfg, dataset, model_path, out / "history.json"))
+    files += ["model.bin", "history.json"]
 
-    stage("write_dataset", _write_ds)
-
-    def _train():
-        train_ds, test_ds = train_test_split(tensors, cfg.test_fraction, seed=cfg.seed)
-        stats, train_norm = normalize_features(train_ds)
-        test_norm = stats.apply_many(test_ds)
-        model = build_fusion_model(cfg.model)
-        model, history = train(model, train_norm, cfg.train)
-        save_model(model, out / "model.bin", stats)
-        files.append("model.bin")
-        atomic_write_text(out / "history.json", json.dumps(history, indent=2) + "\n")
-        files.append("history.json")
-        return model, stats, train_norm, test_norm
-
-    model, stats, train_norm, test_norm = stage("train", _train)
-
-    def _eval():
-        doc = {
-            "train": evaluate(model, train_norm).to_dict(),
-            "test": evaluate(model, test_norm).to_dict(),
-            "threshold": 0.5,
-        }
+    def _evaluate():
+        doc = evaluate_stored(model_path, dataset)
         atomic_write_text(out / "metrics.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
         files.append("metrics.json")
         return doc
 
-    metrics = stage("evaluate", _eval)
-
-    if cfg.model.scheme in (1, 2):
-        def _explain():
-            report = relevance_report(
-                model,
-                train_norm + test_norm,
-                per_sample=cfg.explain_per_sample,
-                predicted_labels=cfg.explain_predicted_labels,
-                config_hash=cfg_hash,
-            )
-            write_report_json(report, out / "relevance.json")
-            files.append("relevance.json")
-            write_report_csv(report, out / "relevance.csv")
-            files.append("relevance.csv")
-            if cfg.explain_svg:
-                write_svg(report, out / "relevance.svg")
-                files.append("relevance.svg")
-
-        stage("explain", _explain)
+    metrics = stage("evaluate", _evaluate)
     warnings = {
         "unstable_fits": diag.unstable_fits,
         "sigma_jitter_events": diag.sigma_jitter_events,
     }
-    if cfg.model.scheme not in (1, 2):
-        warnings["explain_skipped"] = (
-            f"scheme {cfg.model.scheme} concatenates no per-feature branches"
+
+    def _explain():
+        report = explain_stored(
+            model_path,
+            dataset,
+            per_sample=cfg.explain_per_sample,
+            predicted_labels=cfg.explain_predicted_labels,
+            config_hash=cfg_hash,
         )
+        write_report_json(report, out / "relevance.json")
+        write_report_csv(report, out / "relevance.csv")
+        files.extend(["relevance.json", "relevance.csv"])
+        if cfg.explain_svg:
+            write_svg(report, out / "relevance.svg")
+            files.append("relevance.svg")
+
+    if cfg.model.scheme in (1, 2):
+        stage("explain", _explain)
+    else:
+        warnings["explain_skipped"] = f"scheme {cfg.model.scheme} concatenates no per-feature branches"
 
     manifest = RunManifest(
         config_hash=cfg_hash,

@@ -306,9 +306,9 @@ def extract_labeled_windows(
     return windows
 
 
-def split_subwindows(w: LabeledWindow, n_sub: int = 10) -> tuple[np.ndarray, ...]:
-    """Split a window into ``n_sub`` equal consecutive pieces."""
-    n = w.samples.shape[0]
+def split_subwindows(samples: np.ndarray, n_sub: int = 10) -> tuple[np.ndarray, ...]:
+    """Split samples along axis 0 into ``n_sub`` equal consecutive pieces."""
+    n = samples.shape[0]
     if n_sub < 1:
         raise ValueError(f"n_sub must be >= 1, got {n_sub}")
     if n % n_sub:
@@ -316,7 +316,7 @@ def split_subwindows(w: LabeledWindow, n_sub: int = 10) -> tuple[np.ndarray, ...
             f"window of {n} samples does not divide into {n_sub} sub-windows"
         )
     step = n // n_sub
-    return tuple(w.samples[t * step : (t + 1) * step] for t in range(n_sub))
+    return tuple(samples[t * step : (t + 1) * step] for t in range(n_sub))
 
 
 @dataclass(frozen=True)

@@ -3,37 +3,14 @@
 import json
 from dataclasses import replace
 
-import pytest
+from test_runner import fast_config
 
 from eegfusion.cli import main
 from eegfusion.connectivity import PipelineConfig
-from eegfusion.dataset import read_dataset
+from eegfusion.dataset import read_dataset, split_dataset
 from eegfusion.dsp import BandSpec
-from eegfusion.model import ModelConfig, TrainConfig, evaluate, load_model
+from eegfusion.model import TrainConfig, evaluate, load_model
 from eegfusion.runner import RunConfig, SynthStudyConfig, run_config_to_json
-
-
-def fast_config(out_dir="run", **over) -> RunConfig:
-    cfg = RunConfig(
-        out_dir=str(out_dir),
-        seed=0,
-        synth=SynthStudyConfig(
-            n_per_class=2, windows_per_recording=2, n_channels=2,
-            fs=32.0, duration_s=60.0, coupling_strength=0.3,
-        ),
-        pipeline=PipelineConfig(
-            order=2, n_freqs=32,
-            bands=(BandSpec("slow", 2.0, 6.0), BandSpec("fast", 6.0, 12.0)),
-            broadband=BandSpec("broadband", 0.5, 12.0),
-        ),
-        model=ModelConfig(
-            scheme=2, n_channels=2, n_bands=2,
-            embed_dim=4, lstm_hidden=4, dense_sizes=(8,),
-        ),
-        train=TrainConfig(epochs=2, batch_size=4),
-        test_fraction=0.25,
-    )
-    return replace(cfg, **over) if over else cfg
 
 
 def write_config(cfg: RunConfig, path) -> str:
@@ -124,6 +101,42 @@ class TestEarlyValidation:
         assert not out.exists()
 
 
+    def test_extract_checks_the_pipeline_against_the_recordings(self, tmp_path, capsys):
+        # the default pipeline's beta band (13-30 Hz) lies above the 16 Hz
+        # Nyquist frequency of fast_config's fs=32 recordings
+        cfg_path = write_config(fast_config(tmp_path / "rec"), tmp_path / "cfg.json")
+        assert main(["synth", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        ds_dir = tmp_path / "ds"
+        assert main([
+            "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
+            "--out", str(ds_dir),
+        ]) == 2
+        assert "pipeline.bands[3].high_hz" in capsys.readouterr().err
+        assert not ds_dir.exists()
+
+    def test_train_checks_the_batch_size_against_the_split(self, tmp_path, capsys):
+        cfg = fast_config(tmp_path / "rec")
+        cfg_path = write_config(cfg, tmp_path / "cfg.json")
+        big_path = write_config(
+            replace(cfg, train=TrainConfig(epochs=1, batch_size=64)), tmp_path / "big.json"
+        )
+        ds_dir = tmp_path / "ds"
+        assert main(["synth", "--config", cfg_path]) == 0
+        assert main([
+            "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
+            "--out", str(ds_dir), "--config", cfg_path,
+        ]) == 0
+        capsys.readouterr()
+        model_path = tmp_path / "model.bin"
+        assert main([
+            "train", "--dataset", str(ds_dir), "--model-out", str(model_path),
+            "--config", big_path,
+        ]) == 2
+        assert "train.batch_size" in capsys.readouterr().err
+        assert not model_path.exists()
+
+
 class TestOverrides:
     def test_seed_flag_beats_config_value(self, tmp_path, capsys):
         base = fast_config(tmp_path / "ignored")
@@ -159,11 +172,11 @@ class TestSubcommandChain:
         ds_dir = tmp_path / "ds"
         assert main([
             "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
-            "--out", str(ds_dir), "--config", cfg_path, "--nonseizure", "3",
+            "--out", str(ds_dir), "--config", cfg_path,
         ]) == 0
         tensors, manifest = read_dataset(ds_dir)
-        # 2 uncoupled recordings x 3 free windows + 2 coupled x 3 seizure slices
-        assert len(tensors) == 12
+        # 2 uncoupled recordings x 2 free windows + 2 coupled x 2 seizure slices
+        assert len(tensors) == 8
         assert manifest["shape"] == [7, 10, 2, 2, 2]
         assert sorted({t.label for t in tensors}) == [0, 1]
 
@@ -186,12 +199,15 @@ class TestSubcommandChain:
         printed = json.loads(capsys.readouterr().out)
         on_disk = json.loads(metrics_path.read_text())
         assert printed == on_disk
-        assert printed["tp"] + printed["fp"] + printed["fn"] + printed["tn"] == 12
+        assert printed["threshold"] == 0.5
+        counts = [printed[side][k] for side in ("train", "test") for k in ("tp", "fp", "fn", "tn")]
+        assert sum(counts) == 8
 
         # the CLI numbers must match the library route exactly
         model, stats = load_model(model_path)
-        expected = evaluate(model, stats.apply_many(tensors)).to_dict()
-        assert printed == expected
+        train_ds, test_ds = split_dataset(stats.apply_many(tensors), manifest)
+        assert printed["train"] == evaluate(model, train_ds).to_dict()
+        assert printed["test"] == evaluate(model, test_ds).to_dict()
 
         report_path = tmp_path / "relevance.json"
         csv_path = tmp_path / "relevance.csv"
@@ -208,6 +224,47 @@ class TestSubcommandChain:
         assert main(["plot", "--report", str(report_path), "--out", str(svg_path)]) == 0
         capsys.readouterr()
         assert svg_path.read_text().startswith("<svg ")
+
+    def test_chain_reproduces_run(self, tmp_path, capsys):
+        cfg_path = write_config(fast_config(tmp_path / "rec"), tmp_path / "cfg.json")
+        run = tmp_path / "run"
+        assert main(["run", "--config", cfg_path, "--out", str(run)]) == 0
+        ds_dir, model_path = tmp_path / "ds", tmp_path / "model.bin"
+        for argv in (
+            ["synth", "--config", cfg_path],
+            ["extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
+             "--out", str(ds_dir), "--config", cfg_path],
+            ["train", "--dataset", str(ds_dir), "--model-out", str(model_path),
+             "--config", cfg_path],
+            ["eval", "--model", str(model_path), "--dataset", str(ds_dir),
+             "--out", str(tmp_path / "metrics.json")],
+            ["explain", "--model", str(model_path), "--dataset", str(ds_dir),
+             "--out", str(tmp_path / "relevance.json")],
+        ):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        pairs = [
+            (run / "model.bin", model_path),
+            (run / "history.json", tmp_path / "model.bin.history.json"),
+            (run / "metrics.json", tmp_path / "metrics.json"),
+        ]
+        pairs += [(p, ds_dir / p.name) for p in sorted((run / "dataset").iterdir())]
+        assert len(pairs) == 3 + 1 + 8
+        for a, b in pairs:
+            assert a.read_bytes() == b.read_bytes(), a.name
+        classes = [json.loads(p.read_text())["classes"]
+                   for p in (run / "relevance.json", tmp_path / "relevance.json")]
+        assert classes[0] == classes[1]
+
+    def test_eval_prints_the_run_metrics_file(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        cfg_path = write_config(fast_config(run), tmp_path / "cfg.json")
+        assert main(["run", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert main([
+            "eval", "--model", str(run / "model.bin"), "--dataset", str(run / "dataset"),
+        ]) == 0
+        assert capsys.readouterr().out == (run / "metrics.json").read_text()
 
     def test_explain_prints_report_without_out_flag(self, tmp_path, capsys):
         cfg_path = write_config(fast_config(tmp_path / "run"), tmp_path / "cfg.json")

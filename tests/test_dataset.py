@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from eegfusion.connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
-from eegfusion.dataset import MANIFEST_NAME, read_dataset, write_dataset
+from eegfusion.dataset import MANIFEST_NAME, read_dataset, split_dataset, write_dataset
+from eegfusion.signal_io import train_test_split
 from eegfusion.util import config_hash, to_json
 
 
@@ -58,12 +59,11 @@ class TestRoundTrip:
 class TestManifest:
     def test_describes_dataset(self, tmp_path):
         cfg = PipelineConfig(mode="per_band", order=3)
-        extra = {"seed": 7}
-        write_dataset(make_tensors(n=2), tmp_path, cfg, extra=extra)
+        write_dataset(make_tensors(n=2), tmp_path, cfg, test_fraction=0.25, seed=7)
         _, manifest = read_dataset(tmp_path)
         assert manifest["shape"] == [7, 10, 4, 4, 5]
         assert manifest["feature_order"] == list(FEATURE_ORDER)
-        assert manifest["extra"] == extra
+        assert manifest["split"] == {"test_fraction": 0.25, "seed": 7}
         cfg_doc = to_json(cfg)
         assert manifest["config"] == cfg_doc
         assert manifest["config_hash"] == config_hash(cfg_doc)
@@ -83,6 +83,18 @@ class TestManifest:
         ma = json.loads((tmp_path / "a" / MANIFEST_NAME).read_text())
         mb = json.loads((tmp_path / "b" / "nested" / MANIFEST_NAME).read_text())
         assert ma == mb
+
+
+class TestSplit:
+    def test_split_record_drives_the_stratified_split(self, tmp_path):
+        tensors = make_tensors(n=8)
+        write_dataset(tensors, tmp_path, PipelineConfig(), test_fraction=0.25, seed=3)
+        loaded, manifest = read_dataset(tmp_path)
+        train, test = split_dataset(loaded, manifest)
+        want_train, want_test = train_test_split(tensors, 0.25, seed=3)
+        assert [t.source_id for t in train] == [t.source_id for t in want_train]
+        assert [t.source_id for t in test] == [t.source_id for t in want_test]
+        assert sorted(t.label for t in test) == [0, 1]
 
 
 class TestWriteErrors:

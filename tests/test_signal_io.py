@@ -8,7 +8,6 @@ import pytest
 from eegfusion.signal_io import (
     WINDOW_S,
     AnnotationSet,
-    LabeledWindow,
     Recording,
     SynthSpec,
     extract_labeled_windows,
@@ -176,29 +175,21 @@ class TestExtractWindows:
 
 class TestSplitSubwindows:
     def test_5120_at_256(self):
-        w = LabeledWindow(samples=np.arange(5120 * 2, dtype=float).reshape(5120, 2),
-                          label=0, source_id="w", offset_s=0.0, fs=256.0)
-        subs = split_subwindows(w, 10)
+        subs = split_subwindows(np.arange(5120 * 2, dtype=float).reshape(5120, 2), 10)
         assert len(subs) == 10
         assert all(s.shape == (512, 2) for s in subs)
 
     def test_2560_at_128(self):
-        w = LabeledWindow(samples=np.zeros((2560, 2)), label=0,
-                          source_id="w", offset_s=0.0, fs=128.0)
-        assert all(s.shape == (256, 2) for s in split_subwindows(w, 10))
+        assert all(s.shape == (256, 2) for s in split_subwindows(np.zeros((2560, 2)), 10))
 
     def test_reconcatenation_is_identity(self):
-        rng = np.random.default_rng(3)
-        w = LabeledWindow(samples=rng.standard_normal((2560, 3)), label=1,
-                          source_id="w", offset_s=0.0, fs=128.0)
-        back = np.vstack(split_subwindows(w, 10))
-        assert np.array_equal(back, w.samples)
+        samples = np.random.default_rng(3).standard_normal((2560, 3))
+        back = np.vstack(split_subwindows(samples, 10))
+        assert np.array_equal(back, samples)
 
     def test_indivisible_rejected(self):
-        w = LabeledWindow(samples=np.zeros((5121, 2)), label=0,
-                          source_id="w", offset_s=0.0, fs=256.0)
         with pytest.raises(ValueError, match="divide"):
-            split_subwindows(w, 10)
+            split_subwindows(np.zeros((5121, 2)), 10)
 
 
 class TestGenerateSynthetic:
