@@ -1,11 +1,13 @@
 """Differentiable layers over one flat float64 parameter vector.
 
-Every layer registers named slices in a shared ParamRegistry and reads its
-weights as views into the flat vector, so an optimizer updates a single
-array and finite-difference checks can perturb any coordinate. Forward
-passes take a batch with a leading sample axis; backward passes accumulate
-into a flat gradient of the same length and return the gradient w.r.t. the
-layer input.
+Every weighted layer is a stack of G branches of the same shape that runs
+in one call: activations carry a leading branch axis G ahead of the sample
+axis, and each weight is read as a (G, ...) view into the flat vector, so an
+optimizer updates a single array and finite-difference checks can perturb
+any coordinate. ParamRegistry.add_stage lays a stage out branch-major (all
+of branch 0's weights, then branch 1's), so the G copies of one weight sit
+one branch stride apart. Backward passes accumulate into a flat gradient of
+the same length and return the gradient w.r.t. the layer input.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from scipy.special import expit as _sigmoid
 
 __all__ = [
     "Slot",
+    "Param",
     "ParamRegistry",
     "ContractRow",
     "ContractLast",
@@ -42,19 +45,52 @@ class Slot:
         return self.sl.stop - self.sl.start
 
 
+class Param:
+    """One weight of a layer, with one Slot per branch of its stage."""
+
+    def __init__(self, name: str, shape: tuple[int, ...], fan_in: int | None = None) -> None:
+        self.name, self.shape, self.fan_in = name, tuple(shape), fan_in
+        self.size = int(np.prod(shape))
+        self.slots: list[Slot] = []  # filled by ParamRegistry.add_stage
+        self.block, self.offset = slice(0, 0), 0
+
+    def view(self, theta: np.ndarray) -> np.ndarray:
+        """The G branch copies as a strided (G, *shape) view of theta."""
+        rows = theta[self.block].reshape(len(self.slots), -1)
+        return rows[:, self.offset : self.offset + self.size].reshape((-1,) + self.shape)
+
+    def add_to(self, grad: np.ndarray, value: np.ndarray) -> None:
+        view = self.view(grad)
+        view += value
+
+
+def _per_branch(w: np.ndarray, ndim: int) -> np.ndarray:
+    """Reshape a (G, *k) weight to broadcast over a (G, ..., *k) activation."""
+    return w.reshape(w.shape[:1] + (1,) * (ndim - w.ndim) + w.shape[1:])
+
+
 class ParamRegistry:
-    """Allocates slices of the flat parameter vector to layers."""
+    """Allocates slices of the flat parameter vector to stages of layers."""
 
     def __init__(self) -> None:
         self.slots: list[Slot] = []
         self.size = 0
 
-    def add(self, name: str, shape: tuple[int, ...], fan_in: int | None = None) -> Slot:
-        n = int(np.prod(shape))
-        slot = Slot(name=name, sl=slice(self.size, self.size + n), shape=tuple(shape), fan_in=fan_in)
-        self.slots.append(slot)
-        self.size += n
-        return slot
+    def add_stage(self, prefixes: list[str], layers: dict) -> None:
+        """Give each named layer's params one slot per branch prefix, branch-major."""
+        params = [(f"{name}.{p.name}", p) for name, layer in layers.items() for p in layer.params]
+        start = self.size
+        for prefix in prefixes:
+            for name, p in params:
+                sl = slice(self.size, self.size + p.size)
+                slot = Slot(f"{prefix}.{name}", sl, p.shape, p.fan_in)
+                p.slots.append(slot)
+                self.slots.append(slot)
+                self.size += p.size
+        offset = 0
+        for _, p in params:
+            p.block, p.offset = slice(start, self.size), offset
+            offset += p.size
 
     def init_params(self, seed: int) -> np.ndarray:
         """Weights uniform in +-1/sqrt(fan_in), biases zero."""
@@ -72,25 +108,22 @@ class ParamRegistry:
             else:
                 theta[slot.sl] = 0.0
 
-    @staticmethod
-    def view(theta: np.ndarray, slot: Slot) -> np.ndarray:
-        return theta[slot.sl].reshape(slot.shape)
-
 
 class ContractRow:
     """Learned contraction of the second-to-last axis, with ReLU.
 
-    Input (..., R, K) -> output (..., K): y = relu(sum_r w_r x[..., r, :] + b).
+    Input (G, ..., R, K) -> output (G, ..., K): y = relu(sum_r w_r x[..., r, :] + b).
     Collapses the row-channel axis of stacked C x C connectivity matrices.
     """
 
-    def __init__(self, reg: ParamRegistry, name: str, n_rows: int) -> None:
-        self.w = reg.add(f"{name}.w", (n_rows,), fan_in=n_rows)
-        self.b = reg.add(f"{name}.b", (1,))
-        self.slots = [self.w, self.b]
+    def __init__(self, n_rows: int) -> None:
+        self.w = Param("w", (n_rows,), fan_in=n_rows)
+        self.b = Param("b", (1,))
+        self.params = [self.w, self.b]
 
     def forward(self, theta, x, cache=None):
-        s = np.einsum("...rk,r->...k", x, theta[self.w.sl]) + theta[self.b.sl][0]
+        s = np.einsum("g...rk,gr->g...k", x, self.w.view(theta))
+        s += _per_branch(self.b.view(theta), s.ndim)
         if cache is not None:
             cache["x"], cache["mask"] = x, s > 0
             cache["margin"] = float(np.abs(s).min())
@@ -98,29 +131,30 @@ class ContractRow:
 
     def backward(self, theta, grad, cache, gy):
         gs = gy * cache["mask"]
-        k = gs.shape[-1]
+        g, k = gs.shape[0], gs.shape[-1]
         x = cache["x"]
-        grad[self.w.sl] += np.einsum(
-            "nk,nrk->r", gs.reshape(-1, k), x.reshape(-1, x.shape[-2], k)
+        self.w.add_to(
+            grad, np.einsum("gnk,gnrk->gr", gs.reshape(g, -1, k), x.reshape(g, -1, x.shape[-2], k))
         )
-        grad[self.b.sl] += gs.sum()
-        return np.einsum("...k,r->...rk", gs, theta[self.w.sl])
+        self.b.add_to(grad, gs.reshape(g, -1).sum(axis=1, keepdims=True))
+        return np.einsum("g...k,gr->g...rk", gs, self.w.view(theta))
 
 
 class ContractLast:
     """Learned contraction of the last axis, with ReLU.
 
-    Input (..., K) -> output (...): y = relu(x . w + b). Mixes the band axis
-    (K = B) or the feature axis (K = F) down to a scalar per position.
+    Input (G, ..., K) -> output (G, ...): y = relu(x . w + b). Mixes the band
+    axis (K = B) or the feature axis (K = F) down to a scalar per position.
     """
 
-    def __init__(self, reg: ParamRegistry, name: str, n_in: int) -> None:
-        self.w = reg.add(f"{name}.w", (n_in,), fan_in=n_in)
-        self.b = reg.add(f"{name}.b", (1,))
-        self.slots = [self.w, self.b]
+    def __init__(self, n_in: int) -> None:
+        self.w = Param("w", (n_in,), fan_in=n_in)
+        self.b = Param("b", (1,))
+        self.params = [self.w, self.b]
 
     def forward(self, theta, x, cache=None):
-        s = np.einsum("...k,k->...", x, theta[self.w.sl]) + theta[self.b.sl][0]
+        s = np.einsum("g...k,gk->g...", x, self.w.view(theta))
+        s += _per_branch(self.b.view(theta), s.ndim)
         if cache is not None:
             cache["x"], cache["mask"] = x, s > 0
             cache["margin"] = float(np.abs(s).min())
@@ -128,23 +162,24 @@ class ContractLast:
 
     def backward(self, theta, grad, cache, gy):
         gs = gy * cache["mask"]
+        g = gs.shape[0]
         x = cache["x"]
-        grad[self.w.sl] += gs.reshape(-1) @ x.reshape(-1, x.shape[-1])
-        grad[self.b.sl] += gs.sum()
-        return gs[..., None] * theta[self.w.sl]
+        self.w.add_to(grad, (gs.reshape(g, 1, -1) @ x.reshape(g, -1, x.shape[-1]))[:, 0])
+        self.b.add_to(grad, gs.reshape(g, -1).sum(axis=1, keepdims=True))
+        return gs[..., None] * _per_branch(self.w.view(theta), gs.ndim + 1)
 
 
 class Dense:
-    """Affine map on the last axis: (M, n_in) -> (M, n_out), optional ReLU."""
+    """Affine map on the last axis: (G, M, n_in) -> (G, M, n_out), optional ReLU."""
 
-    def __init__(self, reg: ParamRegistry, name: str, n_in: int, n_out: int, relu: bool = True) -> None:
-        self.W = reg.add(f"{name}.W", (n_in, n_out), fan_in=n_in)
-        self.b = reg.add(f"{name}.b", (n_out,))
+    def __init__(self, n_in: int, n_out: int, relu: bool = True) -> None:
+        self.W = Param("W", (n_in, n_out), fan_in=n_in)
+        self.b = Param("b", (n_out,))
         self.relu = relu
-        self.slots = [self.W, self.b]
+        self.params = [self.W, self.b]
 
     def forward(self, theta, x, cache=None):
-        s = x @ ParamRegistry.view(theta, self.W) + theta[self.b.sl]
+        s = x @ self.W.view(theta) + _per_branch(self.b.view(theta), x.ndim)
         y = np.maximum(s, 0.0) if self.relu else s
         if cache is not None:
             cache["x"] = x
@@ -155,54 +190,55 @@ class Dense:
 
     def backward(self, theta, grad, cache, gy):
         gs = gy * cache["mask"] if self.relu else gy
-        grad[self.W.sl] += (cache["x"].T @ gs).ravel()
-        grad[self.b.sl] += gs.sum(axis=0)
-        return gs @ ParamRegistry.view(theta, self.W).T
+        self.W.add_to(grad, cache["x"].swapaxes(1, 2) @ gs)
+        self.b.add_to(grad, gs.sum(axis=1))
+        return gs @ self.W.view(theta).swapaxes(1, 2)
 
 
 class LSTM:
-    """Stack of standard LSTM layers: (M, T, D) -> (M, T, H), full sequence.
+    """Stack of standard LSTM layers: (G, M, T, D) -> (G, M, T, H), full sequence.
 
     Gate preactivations are ordered [input, forget, cell, output] inside the
     fused 4H weight matrices.
     """
 
-    def __init__(self, reg: ParamRegistry, name: str, d_in: int, hidden: int, n_layers: int = 1) -> None:
+    def __init__(self, d_in: int, hidden: int, n_layers: int = 1) -> None:
         self.hidden = hidden
-        self.layer_slots: list[tuple[Slot, Slot, Slot]] = []
-        self.slots: list[Slot] = []
+        self.layer_params: list[tuple[Param, Param, Param]] = []
         d = d_in
         for layer in range(n_layers):
-            wx = reg.add(f"{name}.l{layer}.Wx", (d, 4 * hidden), fan_in=d)
-            wh = reg.add(f"{name}.l{layer}.Wh", (hidden, 4 * hidden), fan_in=hidden)
-            b = reg.add(f"{name}.l{layer}.b", (4 * hidden,))
-            self.layer_slots.append((wx, wh, b))
-            self.slots.extend((wx, wh, b))
+            self.layer_params.append(
+                (
+                    Param(f"l{layer}.Wx", (d, 4 * hidden), fan_in=d),
+                    Param(f"l{layer}.Wh", (hidden, 4 * hidden), fan_in=hidden),
+                    Param(f"l{layer}.b", (4 * hidden,)),
+                )
+            )
             d = hidden
+        self.params = [p for trio in self.layer_params for p in trio]
 
     def forward(self, theta, x, cache=None):
         h_dim = self.hidden
         seq = x
         layer_caches = []
-        for wx_s, wh_s, b_s in self.layer_slots:
-            wx = ParamRegistry.view(theta, wx_s)
-            wh = ParamRegistry.view(theta, wh_s)
-            b = theta[b_s.sl]
-            m, t_len, _ = seq.shape
-            out = np.empty((m, t_len, h_dim))
-            h = np.zeros((m, h_dim))
-            c = np.zeros((m, h_dim))
+        for wx_p, wh_p, b_p in self.layer_params:
+            wx, wh = wx_p.view(theta), wh_p.view(theta)
+            b = b_p.view(theta)[:, None]
+            g, m, t_len, _ = seq.shape
+            out = np.empty((g, m, t_len, h_dim))
+            h = np.zeros((g, m, h_dim))
+            c = np.zeros((g, m, h_dim))
             steps = []
             for t in range(t_len):
-                z = seq[:, t] @ wx + h @ wh + b
-                gi = _sigmoid(z[:, :h_dim])
-                gf = _sigmoid(z[:, h_dim : 2 * h_dim])
-                gc = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
-                go = _sigmoid(z[:, 3 * h_dim :])
+                z = seq[:, :, t] @ wx + h @ wh + b
+                gi = _sigmoid(z[..., :h_dim])
+                gf = _sigmoid(z[..., h_dim : 2 * h_dim])
+                gc = np.tanh(z[..., 2 * h_dim : 3 * h_dim])
+                go = _sigmoid(z[..., 3 * h_dim :])
                 c_new = gf * c + gi * gc
                 tc = np.tanh(c_new)
                 h = go * tc
-                out[:, t] = h
+                out[:, :, t] = h
                 if cache is not None:
                     steps.append((gi, gf, gc, go, c, tc))  # c is c_{t-1}
                 c = c_new
@@ -215,20 +251,20 @@ class LSTM:
 
     def backward(self, theta, grad, cache, gy):
         h_dim = self.hidden
-        for (wx_s, wh_s, b_s), lc in zip(reversed(self.layer_slots), reversed(cache["layers"])):
-            wx = ParamRegistry.view(theta, wx_s)
-            wh = ParamRegistry.view(theta, wh_s)
+        for (wx_p, wh_p, b_p), lc in zip(reversed(self.layer_params), reversed(cache["layers"])):
+            wx_t = wx_p.view(theta).swapaxes(1, 2)
+            wh_t = wh_p.view(theta).swapaxes(1, 2)
             x, out, steps = lc["x"], lc["out"], lc["steps"]
-            m, t_len, d = x.shape
-            gx = np.zeros((m, t_len, d))
-            g_wx = np.zeros_like(wx)
-            g_wh = np.zeros_like(wh)
-            g_b = np.zeros(4 * h_dim)
-            dh_next = np.zeros((m, h_dim))
-            dc_next = np.zeros((m, h_dim))
+            g, m, t_len, d = x.shape
+            gx = np.zeros((g, m, t_len, d))
+            g_wx = np.zeros((g, d, 4 * h_dim))
+            g_wh = np.zeros((g, h_dim, 4 * h_dim))
+            g_b = np.zeros((g, 4 * h_dim))
+            dh_next = np.zeros((g, m, h_dim))
+            dc_next = np.zeros((g, m, h_dim))
             for t in reversed(range(t_len)):
                 gi, gf, gc, go, c_prev, tc = steps[t]
-                dh = gy[:, t] + dh_next
+                dh = gy[:, :, t] + dh_next
                 d_go = dh * tc
                 dc = dh * go * (1.0 - tc * tc) + dc_next
                 d_gi = dc * gc
@@ -242,79 +278,76 @@ class LSTM:
                         d_gc * (1.0 - gc * gc),
                         d_go * go * (1.0 - go),
                     ],
-                    axis=1,
+                    axis=-1,
                 )
-                g_wx += x[:, t].T @ dz
-                h_prev = out[:, t - 1] if t > 0 else np.zeros((m, h_dim))
-                g_wh += h_prev.T @ dz
-                g_b += dz.sum(axis=0)
-                gx[:, t] = dz @ wx.T
-                dh_next = dz @ wh.T
-            grad[wx_s.sl] += g_wx.ravel()
-            grad[wh_s.sl] += g_wh.ravel()
-            grad[b_s.sl] += g_b
+                g_wx += x[:, :, t].swapaxes(1, 2) @ dz
+                h_prev = out[:, :, t - 1] if t > 0 else np.zeros((g, m, h_dim))
+                g_wh += h_prev.swapaxes(1, 2) @ dz
+                g_b += dz.sum(axis=1)
+                gx[:, :, t] = dz @ wx_t
+                dh_next = dz @ wh_t
+            wx_p.add_to(grad, g_wx)
+            wh_p.add_to(grad, g_wh)
+            b_p.add_to(grad, g_b)
             gy = gx
         return gy
 
 
 class AttentionPool:
-    """Additive attention over time: (M, T, H) -> (M, H).
+    """Additive attention over time: (G, M, T, H) -> (G, M, H).
 
     Scores e_t = v . tanh(W h_t + b); softmax over t; output is the
     weight-averaged sequence. Weights are nonnegative and sum to 1.
     """
 
-    def __init__(self, reg: ParamRegistry, name: str, hidden: int) -> None:
-        self.W = reg.add(f"{name}.W", (hidden, hidden), fan_in=hidden)
-        self.b = reg.add(f"{name}.b", (hidden,))
-        self.v = reg.add(f"{name}.v", (hidden,), fan_in=hidden)
-        self.slots = [self.W, self.b, self.v]
+    def __init__(self, hidden: int) -> None:
+        self.W = Param("W", (hidden, hidden), fan_in=hidden)
+        self.b = Param("b", (hidden,))
+        self.v = Param("v", (hidden,), fan_in=hidden)
+        self.params = [self.W, self.b, self.v]
 
     def forward(self, theta, x, cache=None):
-        w = ParamRegistry.view(theta, self.W)
-        u = np.tanh(x @ w + theta[self.b.sl])
-        e = u @ theta[self.v.sl]
-        e = e - e.max(axis=1, keepdims=True)
+        u = np.tanh(x @ self.W.view(theta)[:, None] + _per_branch(self.b.view(theta), x.ndim))
+        e = (u @ self.v.view(theta)[:, None, :, None])[..., 0]
+        e = e - e.max(axis=2, keepdims=True)
         ew = np.exp(e)
-        alpha = ew / ew.sum(axis=1, keepdims=True)
+        alpha = ew / ew.sum(axis=2, keepdims=True)
         if cache is not None:
             cache["x"], cache["u"], cache["alpha"] = x, u, alpha
-        return np.einsum("mt,mth->mh", alpha, x)
+        return np.einsum("gmt,gmth->gmh", alpha, x)
 
     def backward(self, theta, grad, cache, gy):
         x, u, alpha = cache["x"], cache["u"], cache["alpha"]
-        w = ParamRegistry.view(theta, self.W)
-        g_alpha = np.einsum("mh,mth->mt", gy, x)
-        gx = alpha[:, :, None] * gy[:, None, :]
-        ge = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=1, keepdims=True))
-        gu = ge[:, :, None] * theta[self.v.sl]
+        w_t = self.W.view(theta).swapaxes(1, 2)[:, None]
+        g_alpha = np.einsum("gmh,gmth->gmt", gy, x)
+        gx = alpha[..., None] * gy[:, :, None, :]
+        ge = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=2, keepdims=True))
+        gu = ge[..., None] * _per_branch(self.v.view(theta), ge.ndim + 1)
         ga = gu * (1.0 - u * u)
-        grad[self.W.sl] += np.einsum("mth,mtk->hk", x, ga).ravel()
-        grad[self.b.sl] += ga.sum(axis=(0, 1))
-        grad[self.v.sl] += np.einsum("mth,mt->h", u, ge)
-        return gx + ga @ w.T
+        self.W.add_to(grad, np.einsum("gmth,gmtk->ghk", x, ga))
+        self.b.add_to(grad, ga.sum(axis=(1, 2)))
+        self.v.add_to(grad, np.einsum("gmth,gmt->gh", u, ge))
+        return gx + ga @ w_t
 
 
 class LastStep:
     """Parameter-free pooling that keeps the final time step."""
 
-    slots: list[Slot] = []
+    params: list[Param] = []
 
     def forward(self, theta, x, cache=None):
         if cache is not None:
             cache["shape"] = x.shape
-        return x[:, -1]
+        return x[:, :, -1]
 
     def backward(self, theta, grad, cache, gy):
         gx = np.zeros(cache["shape"])
-        gx[:, -1] = gy
+        gx[:, :, -1] = gy
         return gx
 
 
 class Dropout:
     """Inverted dropout; identity when rate is 0 or outside training."""
-
-    slots: list[Slot] = []
 
     def __init__(self, rate: float) -> None:
         if not 0.0 <= rate < 1.0:

@@ -14,6 +14,10 @@ recurrent trunk and therefore expose no per-feature embedding.
               stack to (C, F), contract the feature axis -> trunk
     scheme 4: per feature band_mix to C x C, stack to (C, C, F), feature_mix
               -> shared channel-collapse -> trunk
+
+A scheme's branches share one shape, so they run as one grouped stack: each
+layer runs once per batch over a leading branch axis, while the flat vector
+keeps every branch's weights together in branch order.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ __all__ = [
 
 _MODEL_FORMAT = "eegfusion-model"
 _MODEL_VERSION = 1
+#: Samples per eval-mode pass through the branches. A pass holds (G, M, T, H)
+#: activations for all G branches at once, so scoring a whole dataset runs in
+#: slices of about one training batch.
+_EVAL_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,22 @@ class ModelConfig:
         return (self.n_features, self.subwindows, self.n_channels, self.n_channels, self.n_bands)
 
 
+#: Layers of each scheme's branch stage and of its trunk (empty: no trunk).
+_SCHEME_STAGES = {
+    1: (("collapse", "lstm", "pool", "embed"), ()),
+    2: (("band_mix", "collapse", "lstm", "pool", "embed"), ()),
+    3: (("band_mix", "collapse"), ("feature_mix", "lstm", "pool")),
+    4: (("band_mix",), ("feature_mix", "collapse", "lstm", "pool")),
+}
+
+
 class FusionModel:
-    """One flat parameter vector plus the layer graph of the chosen scheme."""
+    """One flat parameter vector plus the layer graph of the chosen scheme.
+
+    The branches of a scheme form one stage whose layers each run once per
+    batch over a leading branch axis; schemes 3 and 4 follow it with a
+    one-branch trunk, and every scheme ends in a one-branch dense head.
+    """
 
     def __init__(self, cfg: ModelConfig) -> None:
         self.cfg = cfg
@@ -102,93 +124,40 @@ class FusionModel:
         self.registry = reg
         c, b, f = cfg.n_channels, cfg.n_bands, cfg.n_features
         d1, h = cfg.embed_dim, cfg.lstm_hidden
-
-        def pool(name: str):
-            return AttentionPool(reg, name, h) if cfg.attention else LastStep()
-
-        self.branches: list[dict] = []
-        self.trunk: dict | None = None
-        if cfg.scheme == 1:
-            for fi in range(f):
-                for bi in range(b):
-                    name = f"branch.f{fi}.b{bi}"
-                    self.branches.append(
-                        {
-                            "feature": fi,
-                            "band": bi,
-                            "layers": {
-                                "collapse": ContractRow(reg, f"{name}.collapse", c),
-                                "lstm": LSTM(reg, f"{name}.lstm", c, h, cfg.lstm_layers),
-                                "pool": pool(f"{name}.pool"),
-                                "embed": Dense(reg, f"{name}.embed", h, d1),
-                            },
-                        }
-                    )
-            n_embed = f * b * d1
-            self.group_map = np.repeat(np.arange(f), b * d1)
-        elif cfg.scheme == 2:
-            for fi in range(f):
-                name = f"branch.f{fi}"
-                self.branches.append(
-                    {
-                        "feature": fi,
-                        "band": None,
-                        "layers": {
-                            "band_mix": ContractLast(reg, f"{name}.band_mix", b),
-                            "collapse": ContractRow(reg, f"{name}.collapse", c),
-                            "lstm": LSTM(reg, f"{name}.lstm", c, h, cfg.lstm_layers),
-                            "pool": pool(f"{name}.pool"),
-                            "embed": Dense(reg, f"{name}.embed", h, d1),
-                        },
-                    }
-                )
-            n_embed = f * d1
-            self.group_map = np.repeat(np.arange(f), d1)
-        elif cfg.scheme == 3:
-            for fi in range(f):
-                name = f"pre.f{fi}"
-                self.branches.append(
-                    {
-                        "feature": fi,
-                        "band": None,
-                        "layers": {
-                            "band_mix": ContractLast(reg, f"{name}.band_mix", b),
-                            "collapse": ContractRow(reg, f"{name}.collapse", c),
-                        },
-                    }
-                )
-            self.trunk = {
-                "feature_mix": ContractLast(reg, "trunk.feature_mix", f),
-                "lstm": LSTM(reg, "trunk.lstm", c, h, cfg.lstm_layers),
-                "pool": pool("trunk.pool"),
-            }
-            n_embed = h
-            self.group_map = None
+        make = {
+            "band_mix": lambda: ContractLast(b),
+            "feature_mix": lambda: ContractLast(f),
+            "collapse": lambda: ContractRow(c),
+            "lstm": lambda: LSTM(c, h, cfg.lstm_layers),
+            "pool": lambda: AttentionPool(h) if cfg.attention else LastStep(),
+            "embed": lambda: Dense(h, d1),
+        }
+        stage_names, trunk_names = _SCHEME_STAGES[cfg.scheme]
+        bands = range(b) if cfg.scheme == 1 else [None]
+        #: (feature, band) index pairs, one per branch; band is None unless scheme 1
+        self.branches = [(fi, bi) for fi in range(f) for bi in bands]
+        kind = "pre" if trunk_names else "branch"
+        self.stage = {name: make[name]() for name in stage_names}
+        reg.add_stage(
+            [f"{kind}.f{fi}" + ("" if bi is None else f".b{bi}") for fi, bi in self.branches],
+            self.stage,
+        )
+        self.trunk = {name: make[name]() for name in trunk_names}
+        reg.add_stage(["trunk"], self.trunk)
+        if trunk_names:
+            self.n_embed, self.group_map = h, None
         else:
-            for fi in range(f):
-                self.branches.append(
-                    {
-                        "feature": fi,
-                        "band": None,
-                        "layers": {"band_mix": ContractLast(reg, f"pre.f{fi}.band_mix", b)},
-                    }
-                )
-            self.trunk = {
-                "feature_mix": ContractLast(reg, "trunk.feature_mix", f),
-                "collapse": ContractRow(reg, "trunk.collapse", c),
-                "lstm": LSTM(reg, "trunk.lstm", c, h, cfg.lstm_layers),
-                "pool": pool("trunk.pool"),
-            }
-            n_embed = h
-            self.group_map = None
+            self.n_embed = len(self.branches) * d1
+            self.group_map = np.repeat([fi for fi, _ in self.branches], d1)
 
-        self.n_embed = n_embed
-        self.head: list[Dense] = []
-        n_in = n_embed
+        head: dict[str, Dense] = {}
+        n_in = self.n_embed
         for li, width in enumerate(cfg.dense_sizes):
-            self.head.append(Dense(reg, f"head.d{li}", n_in, width))
+            head[f"d{li}"] = Dense(n_in, width)
             n_in = width
-        self.head.append(Dense(reg, "head.out", n_in, 1, relu=False))
+        head["out"] = Dense(n_in, 1, relu=False)
+        reg.add_stage(["head"], head)
+        self.head = list(head.values())
         self.dropout = Dropout(cfg.dropout_rate)
         self.params = reg.init_params(cfg.seed)
         self._cache: dict | None = None
@@ -201,10 +170,10 @@ class FusionModel:
 
     @property
     def head_slots(self) -> list[Slot]:
-        return [s for layer in self.head for s in layer.slots]
+        return [s for layer in self.head for p in layer.params for s in p.slots]
 
     def branch_slots(self, i: int) -> list[Slot]:
-        return [s for layer in self.branches[i]["layers"].values() for s in layer.slots]
+        return [p.slots[i] for layer in self.stage.values() for p in layer.params]
 
     def embed_slice(self, branch_index: int) -> slice:
         """Columns of the concat embedding produced by one branch (schemes 1-2)."""
@@ -226,17 +195,12 @@ class FusionModel:
         """
         if self._cache is None:
             raise RuntimeError("kink_margin() requires a training-mode forward pass")
-        margins = []
-
-        def scan(caches):
-            for lc in caches:
-                if "margin" in lc:
-                    margins.append(lc["margin"])
-
-        for lcs in self._cache["branches"]:
-            scan(lcs)
-        scan(self._cache.get("trunk", []) or [])
-        scan(self._cache["head"])
+        margins = [
+            lc["margin"]
+            for key in ("stage", "trunk", "head")
+            for lc in self._cache[key]
+            if "margin" in lc
+        ]
         return min(margins) if margins else np.inf
 
     # -- forward / backward ------------------------------------------------
@@ -248,6 +212,12 @@ class FusionModel:
                 f"input shape {x.shape} does not match (M,) + {self.cfg.tensor_shape}"
             )
         return x
+
+    def _branch_input(self, x: np.ndarray) -> np.ndarray:
+        """The batch (M, F, T, C, C, B) as the branch stage's (G, M, ...) input."""
+        if self.cfg.scheme == 1:  # branch (f, b) reads x[:, f, ..., b]
+            return x.transpose(1, 5, 0, 2, 3, 4).reshape((-1,) + x.shape[:1] + x.shape[2:5])
+        return np.moveaxis(x, 1, 0)
 
     def forward_batch(
         self,
@@ -265,61 +235,46 @@ class FusionModel:
         """Probabilities and the head's input vector (the concat embedding for
         schemes 1-2); train mode caches activations for backward()."""
         x = self._check_input(x)
+        m = x.shape[0]
         theta = self.params
         cache: dict | None = (
-            {"branches": [], "trunk": {}, "head": [], "drop": []} if train else None
+            {"stage": [], "trunk": [], "head": [], "drop": []} if train else None
         )
 
-        def run(layer, xi, store):
-            lc = {} if cache is not None else None
-            y = layer.forward(theta, xi, lc)
-            if cache is not None:
-                store.append(lc)
+        def run(layers, y, key):
+            for layer in layers:
+                lc = {} if cache is not None else None
+                y = layer.forward(theta, y, lc)
+                if cache is not None:
+                    cache[key].append(lc)
             return y
 
-        branch_out = []
-        for br in self.branches:
-            fi, bi = br["feature"], br["band"]
-            layers = br["layers"]
-            lcs: list[dict] = []
-            if self.cfg.scheme == 1:
-                y = x[:, fi, :, :, :, bi]
-            else:
-                y = x[:, fi]
-            for layer in layers.values():
-                y = run(layer, y, lcs)
-            branch_out.append(y)
-            if cache is not None:
-                cache["branches"].append(lcs)
+        def embed(xs):
+            y = run(self.stage.values(), self._branch_input(xs), "stage")
+            if self.trunk:  # stack the branch outputs on a last feature axis
+                y = np.ascontiguousarray(np.moveaxis(y, 0, -1))[None]
+                return run(self.trunk.values(), y, "trunk")[0]
+            return y.transpose(1, 0, 2).reshape(xs.shape[0], -1)  # branch-major concat
 
-        if self.cfg.scheme in (1, 2):
-            v = np.concatenate(branch_out, axis=1)
-        else:
-            stacked = np.stack(branch_out, axis=-1)
-            y = stacked
-            tcs: list[dict] = []
-            for layer in self.trunk.values():
-                y = run(layer, y, tcs)
-            v = y
-            if cache is not None:
-                cache["trunk"] = tcs
-
-        y = v
-        head_store: list[dict] = cache["head"] if cache is not None else []
+        # Eval passes run in slices of _EVAL_CHUNK samples. A one-sample tail
+        # joins the slice before it: a one-row matmul takes numpy's gemv path,
+        # which rounds differently from the gemm of a whole-batch pass.
+        step = m if train else _EVAL_CHUNK
+        starts = list(range(0, m - 1, step)) or [0]
+        v = np.concatenate([embed(x[i:j]) for i, j in zip(starts, starts[1:] + [m])])
+        y = v[None]
         for layer in self.head[:-1]:
-            y = run(layer, y, head_store)
+            y = run([layer], y, "head")
             dc: dict = {}
             y = self.dropout.forward(y, dc if cache is not None else None, rng, train)
             if cache is not None:
                 cache["drop"].append(dc)
-        logits = run(self.head[-1], y, head_store)
-        z = logits[:, 0]
+        z = run(self.head[-1:], y, "head")[0, :, 0]
         probs = _sigmoid(z)
         if cache is not None:
-            cache["v"] = v
             cache["z"] = z
             cache["probs"] = probs
-            cache["m"] = x.shape[0]
+            cache["m"] = m
             self._cache = cache
         return probs, v
 
@@ -356,31 +311,21 @@ class FusionModel:
         theta = self.params
         grad = np.zeros_like(theta)
 
-        gy = ((cache["probs"] - labels) / m)[:, None]
-        head_caches = cache["head"]
-        gy = self.head[-1].backward(theta, grad, head_caches[-1], gy)
+        def run_back(layers, g, key):
+            for layer, lc in zip(reversed(list(layers)), reversed(cache[key])):
+                g = layer.backward(theta, grad, lc, g)
+            return g
+
+        gy = ((cache["probs"] - labels) / m)[None, :, None]
+        gy = self.head[-1].backward(theta, grad, cache["head"][-1], gy)
         for i in reversed(range(len(self.head) - 1)):
             gy = self.dropout.backward(cache["drop"][i], gy)
-            gy = self.head[i].backward(theta, grad, head_caches[i], gy)
-        gv = gy
-
-        if self.cfg.scheme in (1, 2):
-            d1 = self.cfg.embed_dim
-            for i, br in enumerate(self.branches):
-                gyi = gv[:, i * d1 : (i + 1) * d1]
-                lcs = cache["branches"][i]
-                for layer, lc in zip(reversed(list(br["layers"].values())), reversed(lcs)):
-                    gyi = layer.backward(theta, grad, lc, gyi)
+            gy = self.head[i].backward(theta, grad, cache["head"][i], gy)
+        if self.trunk:
+            g = np.moveaxis(run_back(self.trunk.values(), gy, "trunk")[0], -1, 0)
         else:
-            g = gv
-            tcs = cache["trunk"]
-            for layer, lc in zip(reversed(list(self.trunk.values())), reversed(tcs)):
-                g = layer.backward(theta, grad, lc, g)
-            for i, br in enumerate(self.branches):
-                gyi = g[..., i]
-                lcs = cache["branches"][i]
-                for layer, lc in zip(reversed(list(br["layers"].values())), reversed(lcs)):
-                    gyi = layer.backward(theta, grad, lc, gyi)
+            g = gy[0].reshape(m, len(self.branches), -1).transpose(1, 0, 2)
+        run_back(self.stage.values(), g, "stage")
         return grad
 
 
@@ -598,6 +543,13 @@ def load_model(path) -> tuple[FusionModel, NormStats | None]:
         cfg = from_json(ModelConfig, header.get("model_config"), "model_config")
     except ConfigError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    for key in ("param_count", "feature_order"):
+        if key not in header:
+            raise ValueError(f"{path}: header has no {key!r}")
+    if header["feature_order"] != list(FEATURE_ORDER):
+        raise ValueError(
+            f"{path}: feature_order {header['feature_order']} differs from {list(FEATURE_ORDER)}"
+        )
     m = build_fusion_model(cfg)
     params = np.frombuffer(data[nl + 1 :], dtype="<f4")
     if params.size != header["param_count"] or params.size != m.param_count:

@@ -66,10 +66,7 @@ class DenseWeights:
 
 def first_dense_weights(m: FusionModel) -> DenseWeights:
     layer = m.head[0]
-    return DenseWeights(
-        W=m.params[layer.W.sl].reshape(layer.W.shape).copy(),
-        b=m.params[layer.b.sl].copy(),
-    )
+    return DenseWeights(W=layer.W.view(m.params)[0].copy(), b=layer.b.view(m.params)[0].copy())
 
 
 def collect_embeddings(
@@ -83,12 +80,20 @@ def collect_embeddings(
     Class membership uses true labels by default; with predicted_labels the
     model's own thresholded predictions decide membership instead.
     """
-    if class_label not in (0, 1):
-        raise ValueError(f"class_label must be 0 or 1, got {class_label}")
+    return _class_batch(m, ds, _embed(m, ds), class_label, predicted_labels)
+
+
+def _embed(m: FusionModel, ds) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode probabilities and concat embeddings of every sample in ds."""
     if not ds:
         raise ValueError("dataset is empty")
-    x = np.stack([np.asarray(t.values, dtype=float) for t in ds])
-    probs, v = m.embed_batch(x)
+    return m.embed_batch(np.stack([np.asarray(t.values, dtype=float) for t in ds]))
+
+
+def _class_batch(m, ds, embedded, class_label: int, predicted_labels: bool) -> EmbeddingBatch:
+    if class_label not in (0, 1):
+        raise ValueError(f"class_label must be 0 or 1, got {class_label}")
+    probs, v = embedded
     if predicted_labels:
         member = (probs >= 0.5) == bool(class_label)
     else:
@@ -184,9 +189,10 @@ def relevance_report(
     labels = sorted({t.label for t in ds})
     if not labels:
         raise ValueError("dataset is empty")
+    embedded = _embed(m, ds)
     classes: dict[str, dict] = {}
     for label in labels:
-        batch = collect_embeddings(m, ds, label, predicted_labels=predicted_labels)
+        batch = _class_batch(m, ds, embedded, label, predicted_labels)
         if per_sample:
             c_plus = _per_sample_net(batch, w)
         else:

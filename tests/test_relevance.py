@@ -255,7 +255,7 @@ class TestRelevanceReport:
         m = small_model()
         w = first_dense_weights(m)
         w.W[:] = 0.0
-        assert np.any(m.params[m.head[0].W.sl] != 0.0)
+        assert np.any(m.head[0].W.view(m.params) != 0.0)
 
 
 class TestReportFiles:
