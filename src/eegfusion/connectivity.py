@@ -19,6 +19,7 @@ window is a (7, T, C, C, B) tensor.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ import numpy as np
 from .dsp import BROADBAND, DEFAULT_BANDS, BandSpec, design_bandpass, filtfilt, analytic_signal, instantaneous_phase
 from .mvar import (
     FitDiagnostics,
-    MvarModel,
     SpectralDecomposition,
+    companion_radius,
     fit_mvar,
     is_stable,
     select_order,
@@ -74,17 +75,17 @@ def _divide_by_real(mat: np.ndarray, denom: np.ndarray) -> np.ndarray:
 def coherence(sd: SpectralDecomposition) -> np.ndarray:
     """Coh_ij(f) = S_ij / sqrt(S_ii S_jj); the diagonal is exactly 1."""
     d = _hermitian_diag(sd.S, "spectral matrix")
-    return _divide_by_real(sd.S, np.sqrt(d[:, :, None] * d[:, None, :]))
+    return _divide_by_real(sd.S, np.sqrt(d[..., :, None] * d[..., None, :]))
 
 
 def partial_coherence(sd: SpectralDecomposition) -> np.ndarray:
     """PCoh_ij(f) = P_ij / sqrt(P_ii P_jj) on the inverse spectral matrix."""
     d = _hermitian_diag(sd.P, "inverse spectral matrix")
-    return _divide_by_real(sd.P, np.sqrt(d[:, :, None] * d[:, None, :]))
+    return _divide_by_real(sd.P, np.sqrt(d[..., :, None] * d[..., None, :]))
 
 
 def _innovation_std(sigma: np.ndarray) -> np.ndarray:
-    d = np.diag(np.asarray(sigma, dtype=float))
+    d = np.diagonal(np.asarray(sigma, dtype=float), axis1=-2, axis2=-1)
     if np.any(d <= 0):
         raise ValueError("nonpositive innovation variance; cannot normalize")
     return np.sqrt(d)
@@ -93,7 +94,7 @@ def _innovation_std(sigma: np.ndarray) -> np.ndarray:
 def directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
     """DC_ij = s_j H_ij / sqrt(sum_m s_m^2 |H_im|^2); rows have unit power."""
     s = _innovation_std(sigma)
-    num = sd.H * s[None, None, :]
+    num = sd.H * s[..., None, None, :]
     denom = np.sqrt(np.sum(np.abs(num) ** 2, axis=-1, keepdims=True))
     return num / denom
 
@@ -101,7 +102,7 @@ def directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarr
 def partial_directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
     """PDC_ij = (1/s_j) Abar_ij / sqrt(sum_m (1/s_m^2) |Abar_im|^2), unit-power rows."""
     s = _innovation_std(sigma)
-    num = sd.Abar / s[None, None, :]
+    num = sd.Abar / s[..., None, None, :]
     denom = np.sqrt(np.sum(np.abs(num) ** 2, axis=-1, keepdims=True))
     return num / denom
 
@@ -109,14 +110,25 @@ def partial_directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> 
 def plv_from_phases(phases: np.ndarray) -> np.ndarray:
     """PLV_ij = |mean_n exp(j (phi_i(n) - phi_j(n)))| from phases (N, C).
 
-    The phase difference of a channel with itself is exactly zero, so the
-    diagonal (and any duplicated channel pair) is exactly 1.
+    Computed as the Gram product ``|U^T conj(U)| / N`` of the unit phasors
+    ``U = exp(j phi)``; leading axes of ``phases`` (..., N, C) are kept, one
+    product per index. The Gram form rounds differently from the phase
+    differences, so three properties of the definition are restored
+    explicitly: the result is made exactly symmetric (the larger of each
+    mirrored pair), it is capped at 1, and wherever two channels' phases are
+    equal sample for sample (the diagonal, or a duplicated channel) it is
+    exactly 1, as the zero phase difference gives.
     """
     phases = np.asarray(phases, dtype=float)
-    if phases.ndim != 2 or phases.shape[0] < 1:
+    if phases.ndim < 2 or phases.shape[-2] < 1:
         raise ValueError(f"expected (n_samples, n_channels) phases, got {phases.shape}")
-    dphi = phases[:, :, None] - phases[:, None, :]
-    return np.abs(np.exp(1j * dphi).mean(axis=0))
+    n, c = phases.shape[-2:]
+    u = np.exp(1j * phases)
+    plv = np.abs(np.swapaxes(u, -1, -2) @ u.conj()) / n
+    plv = np.minimum(np.maximum(plv, np.swapaxes(plv, -1, -2)), 1.0)
+    same = np.stack([np.all(phases == phases[..., i : i + 1], axis=-2) for i in range(c)], axis=-2)
+    plv[same] = 1.0
+    return plv
 
 
 def plv_matrix(
@@ -132,10 +144,8 @@ def plv_matrix(
     """
     filt = design_bandpass(band, window.fs, filter_order)
     xb = filtfilt(filt, window.samples)
-    phases = np.column_stack(
-        [instantaneous_phase(analytic_signal(xb[:, c], band=band.name)) for c in range(xb.shape[1])]
-    )
-    return np.stack([plv_from_phases(sub) for sub in split_subwindows(phases, n_sub)])
+    phases = instantaneous_phase(analytic_signal(xb, band=band.name))
+    return plv_from_phases(np.stack(split_subwindows(phases, n_sub)))
 
 
 def band_aggregate(
@@ -146,14 +156,15 @@ def band_aggregate(
 ) -> np.ndarray:
     """Average |M(f)|^2 over the grid frequencies inside each band: (B, C, C).
 
-    Band membership is half-open, [low_hz, high_hz). SM and ISM are
-    compressed with ln(1 + x) after averaging. A band holding no grid
+    ``values`` is (n_freqs, C, C), or (..., n_freqs, C, C) giving
+    (..., B, C, C). Band membership is half-open, [low_hz, high_hz). SM and
+    ISM are compressed with ln(1 + x) after averaging. A band holding no grid
     frequency is an error: widen the grid (n_freqs) or the band.
     """
     if measure not in FEATURE_ORDER:
         raise ValueError(f"unknown measure {measure!r}; expected one of {FEATURE_ORDER}")
     power = np.abs(np.asarray(values)) ** 2
-    out = np.empty((len(bands),) + power.shape[1:])
+    out = np.empty(power.shape[:-3] + (len(bands),) + power.shape[-2:])
     for b, band in enumerate(bands):
         mask = (freqs >= band.low_hz) & (freqs < band.high_hz)
         if not mask.any():
@@ -161,8 +172,8 @@ def band_aggregate(
                 f"band {band.name!r} [{band.low_hz}, {band.high_hz}] Hz contains "
                 f"no grid frequencies; increase n_freqs or widen the band"
             )
-        avg = power[mask].mean(axis=0)
-        out[b] = np.log1p(avg) if measure in _LOG_COMPRESSED else avg
+        avg = power[..., mask, :, :].mean(axis=-3)
+        out[..., b, :, :] = np.log1p(avg) if measure in _LOG_COMPRESSED else avg
     return out
 
 
@@ -217,6 +228,7 @@ class WindowTensor:
 
 
 def _spectral_measures(sd: SpectralDecomposition, sigma: np.ndarray) -> dict[str, np.ndarray]:
+    """The six MVAR measures, keyed and ordered as in FEATURE_ORDER."""
     return {
         "SM": sd.S,
         "ISM": sd.P,
@@ -227,17 +239,40 @@ def _spectral_measures(sd: SpectralDecomposition, sigma: np.ndarray) -> dict[str
     }
 
 
-def _fit_subwindow(
-    sub: np.ndarray,
+#: Cap on n_freqs * C^2 * sub-windows per stacked MVAR pass. Each pass holds
+#: about a dozen complex (T, n_freqs, C, C) arrays, so the cap bounds its
+#: memory: a C=4 window runs its ten sub-windows in one pass, a C=19 window
+#: one sub-window at a time.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+def _mvar_planes(
+    subs: np.ndarray,
     fs: float,
     cfg: PipelineConfig,
+    bands: tuple[BandSpec, ...],
     diagnostics: FitDiagnostics | None,
-) -> tuple[MvarModel, SpectralDecomposition]:
-    p = select_order(sub, cfg.aic_max, cfg.ridge) if cfg.aic else cfg.order
-    model = fit_mvar(sub, p, fs, cfg.ridge)
-    if diagnostics is not None and not is_stable(model):
-        diagnostics.unstable_fits += 1
-    return model, spectral_decomposition(model, cfg.n_freqs, diagnostics)
+) -> np.ndarray:
+    """The six MVAR measures of sub-windows (T, n, C), band-averaged: (6, T, C, C, B).
+
+    With AIC each sub-window picks its order; sub-windows of one order are
+    fitted and decomposed as one stack.
+    """
+    if cfg.aic:
+        orders = [select_order(sub, cfg.aic_max, cfg.ridge) for sub in subs]
+    else:
+        orders = [cfg.order] * len(subs)
+    c = subs.shape[-1]
+    planes = np.empty((len(FEATURE_ORDER) - 1, len(subs), c, c, len(bands)))
+    for p in dict.fromkeys(orders):
+        idx = [t for t, q in enumerate(orders) if q == p]
+        model = fit_mvar(subs[idx], p, fs, cfg.ridge)
+        if diagnostics is not None and not is_stable(model):
+            diagnostics.unstable_fits += int(np.count_nonzero(companion_radius(model.A) >= 1.0))
+        sd = spectral_decomposition(model, cfg.n_freqs, diagnostics)
+        for k, (name, vals) in enumerate(_spectral_measures(sd, model.Sigma).items()):
+            planes[k, idx] = np.moveaxis(band_aggregate(vals, bands, sd.freqs, name), -3, -1)
+    return planes
 
 
 def build_feature_tensor(
@@ -245,45 +280,47 @@ def build_feature_tensor(
     cfg: PipelineConfig = PipelineConfig(),
     diagnostics: FitDiagnostics | None = None,
 ) -> WindowTensor:
-    """Compute the full (7, T, C, C, B) tensor for one labeled window."""
+    """Compute the full (7, T, C, C, B) tensor for one labeled window.
+
+    The sub-windows are processed as stacks of at most ``_CHUNK_ELEMENTS``
+    frequency-channel-pair cells. When a stack fails, its sub-windows are
+    rerun one at a time (warnings and counters off) so that the error names
+    the first failing sub-window and its own message.
+    """
     t_sub = cfg.subwindows
-    n_bands = len(cfg.bands)
     c = window.samples.shape[1]
-    tensor = np.empty((len(FEATURE_ORDER), t_sub, c, c, n_bands))
-    f_idx = {name: i for i, name in enumerate(FEATURE_ORDER)}
+    tensor = np.empty((len(FEATURE_ORDER), t_sub, c, c, len(cfg.bands)))
+    chunk = max(1, _CHUNK_ELEMENTS // (cfg.n_freqs * c * c))
 
     def fail(context: str, exc: Exception) -> ValueError:
         return ValueError(f"window {window.source_id!r}, {context}: {exc}")
 
-    if cfg.mode == "broadband":
-        filt = design_bandpass(cfg.broadband, window.fs, cfg.filter_order)
-        subs = split_subwindows(filtfilt(filt, window.samples), t_sub)
-        for t, sub in enumerate(subs):
+    def mvar_features(filter_band: BandSpec, bands: tuple[BandSpec, ...], out, context: str):
+        filt = design_bandpass(filter_band, window.fs, cfg.filter_order)
+        subs = np.stack(split_subwindows(filtfilt(filt, window.samples), t_sub))
+        for start in range(0, t_sub, chunk):
+            part = slice(start, min(start + chunk, t_sub))
             try:
-                model, sd = _fit_subwindow(sub, window.fs, cfg, diagnostics)
-                for name, vals in _spectral_measures(sd, model.Sigma).items():
-                    bm = band_aggregate(vals, cfg.bands, sd.freqs, name)
-                    tensor[f_idx[name], t] = np.moveaxis(bm, 0, -1)
+                out[:, part] = _mvar_planes(subs[part], window.fs, cfg, bands, diagnostics)
             except ValueError as exc:
-                raise fail(f"sub-window {t}", exc) from exc
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    for t in range(part.start, part.stop):
+                        try:
+                            _mvar_planes(subs[t : t + 1], window.fs, cfg, bands, None)
+                        except ValueError as first:
+                            raise fail(f"{context}sub-window {t}", first) from first
+                raise fail(f"{context}sub-windows {part.start}-{part.stop - 1}", exc) from exc
+
+    if cfg.mode == "broadband":
+        mvar_features(cfg.broadband, cfg.bands, tensor[:-1], "")
     else:
         for b, band in enumerate(cfg.bands):
-            filt = design_bandpass(band, window.fs, cfg.filter_order)
-            subs = split_subwindows(filtfilt(filt, window.samples), t_sub)
-            for t, sub in enumerate(subs):
-                try:
-                    model, sd = _fit_subwindow(sub, window.fs, cfg, diagnostics)
-                    for name, vals in _spectral_measures(sd, model.Sigma).items():
-                        bm = band_aggregate(vals, (band,), sd.freqs, name)
-                        tensor[f_idx[name], t, :, :, b] = bm[0]
-                except ValueError as exc:
-                    raise fail(f"band {band.name!r}, sub-window {t}", exc) from exc
+            mvar_features(band, (band,), tensor[:-1, ..., b : b + 1], f"band {band.name!r}, ")
 
     for b, band in enumerate(cfg.bands):
         try:
-            tensor[f_idx["PLV"], :, :, :, b] = plv_matrix(
-                window, band, t_sub, cfg.filter_order
-            )
+            tensor[-1, ..., b] = plv_matrix(window, band, t_sub, cfg.filter_order)
         except ValueError as exc:
             raise fail(f"band {band.name!r} PLV", exc) from exc
 

@@ -8,7 +8,8 @@ filter phase distortion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as _sig
@@ -63,7 +64,8 @@ class FilterSpec:
 
     ``sos`` has shape (n_sections, 6) in scipy convention
     ``[b0, b1, b2, 1, a1, a2]``. ``order`` is the digital band-pass order of a
-    single pass (2 * n_sections).
+    single pass (2 * n_sections). ``sos`` is read-only, because one designed
+    filter is shared by every caller asking for the same band, rate and order.
     """
 
     sos: np.ndarray
@@ -109,11 +111,18 @@ def design_bandpass(band: BandSpec, fs: float, order: int = 4) -> FilterSpec:
             f"band {band.name!r}: high edge {band.high_hz} Hz must be below "
             f"the Nyquist frequency {fs / 2} Hz"
         )
-    sos = _sig.butter(
-        order // 2, [band.low_hz, band.high_hz], btype="bandpass", fs=fs,
-        output="sos",
+    return _designed(band, float(fs), order)
+
+
+@functools.cache
+def _designed(band: BandSpec, fs: float, order: int) -> FilterSpec:
+    """The validated design, made once per (band, fs, order) and then shared."""
+    sos = np.asarray(
+        _sig.butter(order // 2, [band.low_hz, band.high_hz], btype="bandpass", fs=fs, output="sos"),
+        dtype=float,
     )
-    spec = FilterSpec(sos=np.asarray(sos, dtype=float), order=order, band=band, fs=fs)
+    sos.flags.writeable = False
+    spec = FilterSpec(sos=sos, order=order, band=band, fs=fs)
     pole_radius = np.abs(spec.poles()).max()
     if pole_radius >= 1.0:
         raise ValueError(
@@ -138,7 +147,8 @@ def filtfilt(f: FilterSpec, x: np.ndarray) -> np.ndarray:
             f"signal too short for zero-phase filtering: {x.shape[0]} samples, "
             f"need more than {padlen}"
         )
-    return _sig.sosfiltfilt(f.sos, x, axis=0, padtype="odd", padlen=padlen)
+    # scipy's compiled filter loop takes writable buffers only; sos is shared
+    return _sig.sosfiltfilt(f.sos.copy(), x, axis=0, padtype="odd", padlen=padlen)
 
 
 @dataclass
@@ -156,16 +166,18 @@ def analytic_signal(x: np.ndarray, band: str | None = None) -> AnalyticSignal:
     """One-sided spectrum construction of the analytic signal.
 
     FFT the input, zero the negative-frequency bins, double the positive
-    bins (DC and Nyquist stay unchanged), inverse FFT. The caller is expected
-    to have removed the mean (band-pass output already has none).
+    bins (DC and Nyquist stay unchanged), inverse FFT. ``x`` is one signal
+    (N,) or a samples-by-channels block (N, C) transformed in one FFT along
+    axis 0. The caller is expected to have removed the mean (band-pass
+    output already has none).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected (N,) or (N, C) samples, got shape {x.shape}")
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty signal")
-    spectrum = np.fft.fft(x)
+    spectrum = np.fft.fft(x, axis=0)
     gain = np.zeros(n)
     if n % 2 == 0:
         gain[0] = 1.0
@@ -174,15 +186,19 @@ def analytic_signal(x: np.ndarray, band: str | None = None) -> AnalyticSignal:
     else:
         gain[0] = 1.0
         gain[1 : (n + 1) // 2] = 2.0
-    return AnalyticSignal(values=np.fft.ifft(spectrum * gain), band=band)
+    gain = gain.reshape((n,) + (1,) * (x.ndim - 1))
+    return AnalyticSignal(values=np.fft.ifft(spectrum * gain, axis=0), band=band)
 
 
 def instantaneous_phase(a: AnalyticSignal) -> np.ndarray:
     """Per-sample phase of the analytic signal, in (-pi, pi]."""
     magnitude = np.abs(a.values)
-    zero = np.flatnonzero(magnitude == 0.0)
+    # search channel by channel, so the index is the first zero sample of
+    # the first channel holding one
+    zero = np.flatnonzero(np.moveaxis(magnitude == 0.0, 0, -1))
     if zero.size:
         raise ValueError(
-            f"phase undefined: zero-magnitude analytic sample at index {zero[0]}"
+            f"phase undefined: zero-magnitude analytic sample at index "
+            f"{zero[0] % magnitude.shape[0]}"
         )
     return np.angle(a.values)

@@ -560,8 +560,24 @@ def load_model(path) -> tuple[FusionModel, NormStats | None]:
     m.params = params.astype(float)
     stats = None
     if header.get("norm_stats") is not None:
+        doc, shape = header["norm_stats"], (cfg.n_features, cfg.n_bands)
         stats = NormStats(
-            mean=np.array(header["norm_stats"]["mean"], dtype=float),
-            std=np.array(header["norm_stats"]["std"], dtype=float),
+            mean=_norm_stat(path, doc, "mean", shape), std=_norm_stat(path, doc, "std", shape)
         )
     return m, stats
+
+
+def _norm_stat(path, doc, key: str, shape: tuple[int, int]) -> np.ndarray:
+    """One z-scoring statistic of a model header, checked against the model dims."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{path}: norm_stats has no {key!r}")
+    try:
+        value = np.array(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: norm_stats.{key} is not a numeric array: {exc}") from exc
+    if value.shape != shape:
+        raise ValueError(
+            f"{path}: norm_stats.{key} has shape {value.shape}, expected {shape} "
+            f"(features, bands)"
+        )
+    return value

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mvar import companion_matrix, simulate_var
+from .mvar import companion_radius, simulate_var
 
 __all__ = [
     "WINDOW_S",
@@ -32,6 +32,7 @@ __all__ = [
     "has_nonseizure_span",
     "split_subwindows",
     "generate_synthetic",
+    "generate_synthetic_batch",
     "train_test_split",
 ]
 
@@ -384,36 +385,72 @@ def _synth_coefficients(spec: SynthSpec, coupled: bool) -> np.ndarray:
 
 def synth_spectral_radius(spec: SynthSpec) -> float:
     """Companion spectral radius of the coupled coefficient stack (< 1 means stable)."""
-    a = _synth_coefficients(spec, spec.kind == "coupled")
-    return float(np.abs(np.linalg.eigvals(companion_matrix(a))).max())
+    return float(companion_radius(_synth_coefficients(spec, spec.kind == "coupled")))
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[Recording, AnnotationSet]:
     """Simulate one recording; the coupled class is annotated end to end."""
-    coupled = spec.kind == "coupled"
-    a = _synth_coefficients(spec, coupled)
-    radius = float(np.abs(np.linalg.eigvals(companion_matrix(a))).max())
-    if radius >= 1.0:
-        raise ValueError(
-            f"synthetic process unstable (spectral radius {radius:.3f}); "
-            f"reduce coupling_strength or ar_pole_radius"
-        )
-    n = int(round(spec.duration_s * spec.fs))
+    return next(generate_synthetic_batch([spec]))
+
+
+def _simulate_class(specs: list[SynthSpec], coupled: bool) -> np.ndarray:
+    """The specs' processes, all with coupled or all with uncoupled
+    coefficients, in one VAR recursion over a leading axis: (R, n, C)."""
+    c = specs[0].n_channels
+    n = int(round(specs[0].duration_s * specs[0].fs))
     burn = 500
-    rng = np.random.default_rng(spec.seed)
-    e = spec.noise_std * rng.standard_normal((n + burn, spec.n_channels))
-    y = simulate_var(a, n, innovations=e, burn_in=burn)
-    if coupled and spec.match_power:
-        twin = simulate_var(_synth_coefficients(spec, False), n, innovations=e, burn_in=burn)
-        y = y * (twin.std(axis=0) / y.std(axis=0))
-    rec = Recording(
-        samples=y,
-        fs=spec.fs,
-        channel_names=tuple(f"ch{i + 1:02d}" for i in range(spec.n_channels)),
-        id=spec.rec_id or f"synth-{spec.kind}-s{spec.seed}",
-    )
-    intervals = [(0.0, rec.duration_s)] if coupled else []
-    return rec, AnnotationSet.from_intervals(intervals)
+    e = np.empty((len(specs), n + burn, c))
+    for row, spec in zip(e, specs):
+        np.random.default_rng(spec.seed).standard_normal(out=row)
+        row *= spec.noise_std
+    a = np.stack([_synth_coefficients(spec, coupled) for spec in specs])
+    return simulate_var(a, n, innovations=e, burn_in=burn)
+
+
+def generate_synthetic_batch(specs):
+    """Simulate recordings of one shape in at most two VAR recursions.
+
+    Every spec must share ``n_channels``, ``fs`` and ``duration_s``. One
+    recursion runs every process with uncoupled coefficients: the uncoupled
+    specs and the uncoupled twin (same noise draws) of each power-matched
+    coupled spec, which fixes that spec's channel scale. The other runs the
+    coupled specs. Yields ``(recording, annotations)`` per spec, in order;
+    each recording owns its samples and equals what simulating that spec
+    alone gives, bit for bit.
+    """
+    specs = list(specs)
+    if len({(s.n_channels, s.fs, s.duration_s) for s in specs}) > 1:
+        raise ValueError("batched synthetic specs must share n_channels, fs and duration_s")
+    for spec in specs:
+        radius = synth_spectral_radius(spec)
+        if radius >= 1.0:
+            raise ValueError(
+                f"synthetic process unstable (spectral radius {radius:.3f}); "
+                f"reduce coupling_strength or ar_pole_radius"
+            )
+    coupled = [i for i, spec in enumerate(specs) if spec.kind == "coupled"]
+    plain = [i for i, spec in enumerate(specs) if spec.kind == "uncoupled" or spec.match_power]
+    samples, twin_std = {}, {}
+    if plain:
+        for i, y in zip(plain, _simulate_class([specs[i] for i in plain], coupled=False)):
+            if specs[i].kind == "coupled":
+                twin_std[i] = y.std(axis=0)
+            else:
+                samples[i] = y.copy()
+        del y  # the last row would keep the whole stack alive
+    if coupled:
+        for i, y in zip(coupled, _simulate_class([specs[i] for i in coupled], coupled=True)):
+            samples[i] = y * (twin_std[i] / y.std(axis=0)) if i in twin_std else y.copy()
+        del y
+    for i, spec in enumerate(specs):
+        rec = Recording(
+            samples=samples.pop(i),
+            fs=spec.fs,
+            channel_names=tuple(f"ch{k + 1:02d}" for k in range(spec.n_channels)),
+            id=spec.rec_id or f"synth-{spec.kind}-s{spec.seed}",
+        )
+        intervals = [(0.0, rec.duration_s)] if spec.kind == "coupled" else []
+        yield rec, AnnotationSet.from_intervals(intervals)
 
 
 def train_test_split(ds, test_fraction: float = 0.15, seed: int = 0):

@@ -8,7 +8,7 @@ from test_runner import fast_config
 from eegfusion.cli import main
 from eegfusion.connectivity import PipelineConfig
 from eegfusion.dataset import read_dataset, split_dataset
-from eegfusion.dsp import BandSpec
+from eegfusion.dsp import DEFAULT_BANDS, BandSpec, design_bandpass
 from eegfusion.model import TrainConfig, evaluate, load_model
 from eegfusion.runner import RunConfig, SynthStudyConfig, run_config_to_json
 
@@ -114,6 +114,19 @@ class TestEarlyValidation:
         ]) == 2
         assert "pipeline.bands[3].high_hz" in capsys.readouterr().err
         assert not ds_dir.exists()
+
+    def test_extract_rejects_a_band_whose_valid_design_is_cached(self, tmp_path, capsys):
+        # designs are shared per (band, fs, order): the beta band designed at
+        # fs=128 must not pass for fast_config's fs=32 recordings
+        design_bandpass(DEFAULT_BANDS[3], 128.0, 4)
+        cfg_path = write_config(fast_config(tmp_path / "rec"), tmp_path / "cfg.json")
+        assert main(["synth", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert main([
+            "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
+            "--out", str(tmp_path / "ds"),
+        ]) == 2
+        assert "pipeline.bands[3].high_hz" in capsys.readouterr().err
 
     def test_train_checks_the_batch_size_against_the_split(self, tmp_path, capsys):
         cfg = fast_config(tmp_path / "rec")

@@ -17,9 +17,18 @@ from eegfusion.connectivity import (
     plv_from_phases,
     plv_matrix,
 )
-from eegfusion.dsp import DEFAULT_BANDS, BandSpec
-from eegfusion.mvar import MvarModel, fit_mvar, simulate_var, spectral_decomposition
-from eegfusion.signal_io import LabeledWindow, SynthSpec, extract_labeled_windows, generate_synthetic
+from eegfusion import connectivity
+from eegfusion.dsp import (
+    BROADBAND, DEFAULT_BANDS, BandSpec, analytic_signal, design_bandpass, filtfilt,
+    instantaneous_phase,
+)
+from eegfusion.mvar import (
+    FitDiagnostics, MvarModel, fit_mvar, is_stable, select_order, simulate_var,
+    spectral_decomposition,
+)
+from eegfusion.signal_io import (
+    LabeledWindow, SynthSpec, extract_labeled_windows, generate_synthetic, split_subwindows,
+)
 from eegfusion.util import from_json, to_json
 
 FS = 128.0
@@ -187,6 +196,12 @@ class TestPlv:
         assert plv.shape == (10, 3, 3)
         assert np.all(plv[:, 0, 1] == 1.0)
 
+    def test_gram_form_matches_definition(self):
+        phases = np.random.default_rng(12).uniform(-np.pi, np.pi, size=(3, 256, 5))
+        for sub, plv in zip(phases, plv_from_phases(phases)):
+            dphi = sub[:, :, None] - sub[:, None, :]
+            assert np.max(np.abs(plv - np.abs(np.exp(1j * dphi).mean(axis=0)))) < 1e-12
+
     def test_indivisible_subwindows_rejected(self):
         w = LabeledWindow(samples=np.random.default_rng(11).standard_normal((2561, 2)),
                           label=0, source_id="w", offset_s=0.0, fs=FS)
@@ -282,11 +297,95 @@ class TestBuildFeatureTensor:
         with pytest.raises(ValueError, match="sub-window 0"):
             build_feature_tensor(w, cfg)
 
+    def test_stacked_failure_names_first_failing_subwindow(self, monkeypatch):
+        # sub-windows 3 and 7 fail inside the one stacked fit of all ten
+        w = synthetic_window(seed=5)
+        filt = design_bandpass(BROADBAND, w.fs, 4)
+        subs = split_subwindows(filtfilt(filt, w.samples), 10)
+        bad = {subs[3][0, 0], subs[7][0, 0]}
+        real_fit = connectivity.fit_mvar
+
+        def flaky_fit(x, *args):
+            firsts = np.asarray(x).reshape((-1,) + x.shape[-2:])[:, 0, 0]
+            if bad & set(firsts):
+                raise ValueError("flaky fit")
+            return real_fit(x, *args)
+
+        monkeypatch.setattr(connectivity, "fit_mvar", flaky_fit)
+        with pytest.raises(ValueError, match="sub-window 3: flaky fit"):
+            build_feature_tensor(w)
+
     def test_normalized_measures_in_unit_interval(self):
         t = build_feature_tensor(synthetic_window("coupled", seed=6))
         for name in ("COH", "PCOH", "DC", "PDC", "PLV"):
             plane = t.values[FEATURE_ORDER.index(name)]
             assert plane.min() >= 0.0 and plane.max() <= 1.0 + 1e-10
+
+
+def oracle_tensor(window, cfg):
+    """The feature tensor rebuilt one fit and one sub-window at a time from
+    the public per-fit functions, with the diagnostics those fits add up to."""
+    diag = FitDiagnostics()
+    t_sub, c = cfg.subwindows, window.samples.shape[1]
+    out = np.empty((7, t_sub, c, c, len(cfg.bands)))
+
+    def mvar_planes(filter_band, bands, cols):
+        x = filtfilt(design_bandpass(filter_band, window.fs, cfg.filter_order), window.samples)
+        for t, sub in enumerate(split_subwindows(x, t_sub)):
+            p = select_order(sub, cfg.aic_max, cfg.ridge) if cfg.aic else cfg.order
+            m = fit_mvar(sub, p, window.fs, cfg.ridge)
+            diag.unstable_fits += not is_stable(m)
+            sd = spectral_decomposition(m, cfg.n_freqs, diag)
+            measures = {
+                "SM": sd.S, "ISM": sd.P,
+                "DC": directed_coherence(sd, m.Sigma), "COH": coherence(sd),
+                "PDC": partial_directed_coherence(sd, m.Sigma), "PCOH": partial_coherence(sd),
+            }
+            for name, vals in measures.items():
+                bm = band_aggregate(vals, bands, sd.freqs, name)
+                out[FEATURE_ORDER.index(name), t, :, :, cols] = np.moveaxis(bm, 0, -1)
+
+    if cfg.mode == "broadband":
+        mvar_planes(cfg.broadband, cfg.bands, slice(None))
+    else:
+        for b, band in enumerate(cfg.bands):
+            mvar_planes(band, (band,), slice(b, b + 1))
+    for b, band in enumerate(cfg.bands):
+        x = filtfilt(design_bandpass(band, window.fs, cfg.filter_order), window.samples)
+        phases = np.column_stack(
+            [instantaneous_phase(analytic_signal(x[:, ch])) for ch in range(c)]
+        )
+        for t, sub in enumerate(split_subwindows(phases, t_sub)):
+            out[-1, t, :, :, b] = plv_from_phases(sub)
+    return out, diag
+
+
+class TestStackedFeaturePath:
+    """build_feature_tensor runs sub-windows as stacks; it must equal the
+    tensor built one fit at a time."""
+
+    @pytest.mark.parametrize("n_channels", [4, 19])
+    @pytest.mark.parametrize("cfg", [
+        PipelineConfig(),
+        PipelineConfig(mode="per_band", order=3),
+        PipelineConfig(aic=True),
+    ], ids=["broadband", "per_band", "aic"])
+    def test_equals_per_fit_oracle(self, cfg, n_channels):
+        fs, strength = (128.0, 0.15) if n_channels == 4 else (256.0, 0.08)
+        spec = SynthSpec(kind="coupled", n_channels=n_channels, fs=fs, duration_s=20.0,
+                         coupling_strength=strength, seed=1)
+        rec, ann = generate_synthetic(spec)
+        window = extract_labeled_windows(rec, ann, n_nonseizure=0)[0]
+        if cfg.aic:
+            x = filtfilt(design_bandpass(cfg.broadband, fs, cfg.filter_order), window.samples)
+            orders = {select_order(sub, cfg.aic_max, cfg.ridge) for sub in split_subwindows(x, 10)}
+            assert len(orders) >= 2  # the stacked path must group by order
+        diag = FitDiagnostics()
+        got = build_feature_tensor(window, cfg, diag).values
+        want, want_diag = oracle_tensor(window, cfg)
+        assert np.array_equal(got[:-1], want[:-1])
+        assert np.max(np.abs(got[-1] - want[-1])) <= 1e-12
+        assert diag == want_diag
 
 
 class TestNormalizeFeatures:

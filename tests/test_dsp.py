@@ -87,6 +87,28 @@ class TestDesignBandpass:
             design_bandpass(DEFAULT_BANDS[0], 0.0)
 
 
+class TestDesignCache:
+    def test_repeated_design_returns_an_equal_spec(self):
+        band = BandSpec("alpha", 8.0, 13.0)
+        first, again = design_bandpass(band, FS, 4), design_bandpass(band, int(FS), order=4)
+        assert np.array_equal(first.sos, again.sos)
+        assert (first.order, first.band, first.fs) == (again.order, again.band, again.fs)
+        fresh = sig.butter(2, [8.0, 13.0], btype="bandpass", fs=FS, output="sos")
+        assert np.array_equal(first.sos, fresh)
+
+    def test_shared_sos_is_read_only(self):
+        spec = design_bandpass(BandSpec("theta", 4.0, 8.0), FS)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.sos[0, 0] = 1.0
+        assert np.array_equal(design_bandpass(BandSpec("theta", 4.0, 8.0), FS).sos, spec.sos)
+
+    def test_invalid_band_rejected_after_a_valid_design_is_cached(self):
+        band = BandSpec("beta", 13.0, 30.0)
+        design_bandpass(band, FS)
+        with pytest.raises(ValueError, match="Nyquist"):
+            design_bandpass(band, 32.0)
+
+
 class TestFiltfilt:
     def test_zero_phase_on_passband_sinusoid(self):
         spec = design_bandpass(BandSpec("alpha", 8.0, 13.0), FS)

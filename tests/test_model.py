@@ -403,8 +403,10 @@ class TestBceLoss:
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         m, x, _ = fd_setup(1, FD_SEEDS[1])
+        shape = (m.cfg.n_features, m.cfg.n_bands)
         stats = NormStats(
-            mean=np.arange(7, dtype=float), std=np.linspace(1, 2, 7)
+            mean=np.arange(np.prod(shape), dtype=float).reshape(shape),
+            std=np.linspace(1, 2, np.prod(shape)).reshape(shape),
         )
         path = tmp_path / "model.bin"
         save_model(m, path, norm_stats=stats)
@@ -453,6 +455,24 @@ class TestSaveLoad:
         save_model(m, tmp_path / "m.bin")
         _, stats = load_model(tmp_path / "m.bin")
         assert stats is None
+
+    def test_norm_stats_without_mean_names_the_file(self, tmp_path):
+        p = tmp_path / "m.bin"
+        save_model(build_fusion_model(ModelConfig(scheme=2, **SMALL)), p,
+                   norm_stats=NormStats(mean=np.zeros((3, 2)), std=np.ones((3, 2))))
+        edit_header(p, lambda h: h["norm_stats"].pop("mean"))
+        with pytest.raises(ValueError, match="norm_stats has no 'mean'") as exc:
+            load_model(p)
+        assert type(exc.value) is ValueError and str(p) in str(exc.value)
+
+    def test_norm_stats_of_wrong_shape_rejected_at_load(self, tmp_path):
+        # (features,) stats used to load, then failed to broadcast in NormStats.apply
+        p = tmp_path / "m.bin"
+        save_model(build_fusion_model(ModelConfig(scheme=2, **SMALL)), p,
+                   norm_stats=NormStats(mean=np.zeros(3), std=np.ones(3)))
+        with pytest.raises(ValueError, match=r"norm_stats.mean has shape \(3,\), expected \(3, 2\)") as exc:
+            load_model(p)
+        assert str(p) in str(exc.value)
 
     def test_foreign_file_rejected(self, tmp_path):
         p = tmp_path / "m.bin"

@@ -5,6 +5,8 @@ simulations of the same process, and the algebraic identity S(f) P(f) = I that
 must hold for any model by construction.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import signal as sig
@@ -13,6 +15,7 @@ from eegfusion.mvar import (
     FitDiagnostics,
     MvarModel,
     companion_matrix,
+    companion_radius,
     fit_mvar,
     is_stable,
     select_order,
@@ -43,6 +46,16 @@ def random_stable_model(rng, c, p):
 
 
 class TestFitMvar:
+    def test_stacked_fit_equals_per_window_fits(self):
+        y = simulate_var(stable_var2_coeffs(), 3000, rng=np.random.default_rng(13))
+        subs = y.reshape(10, 300, 2)
+        stack = fit_mvar(subs, 3, FS)
+        assert stack.A.shape == (10, 3, 2, 2) and stack.Sigma.shape == (10, 2, 2)
+        for t, sub in enumerate(subs):
+            one = fit_mvar(sub, 3, FS)
+            assert np.array_equal(stack.A[t], one.A)
+            assert np.array_equal(stack.Sigma[t], one.Sigma)
+
     def test_recovers_known_var2(self):
         a = stable_var2_coeffs()
         y = simulate_var(a, 4096, rng=np.random.default_rng(0))
@@ -116,6 +129,12 @@ class TestStability:
     def test_ar1_above_one_unstable(self):
         m = MvarModel(p=1, A=np.array([[[1.05]]]), Sigma=np.eye(1), fs=FS)
         assert not is_stable(m)
+
+    def test_stack_is_stable_only_if_every_fit_is(self):
+        a = np.array([[[[0.9]]], [[[1.05]]]])
+        assert not is_stable(MvarModel(p=1, A=a, Sigma=np.ones((2, 1, 1)), fs=FS))
+        assert is_stable(MvarModel(p=1, A=a[:1], Sigma=np.ones((1, 1, 1)), fs=FS))
+        assert companion_radius(a).tolist() == [0.9, 1.05]
 
     def test_ar1_below_one_stable(self):
         m = MvarModel(p=1, A=np.array([[[0.9]]]), Sigma=np.eye(1), fs=FS)
@@ -197,6 +216,31 @@ class TestSpectralDecomposition:
             sd = spectral_decomposition(m, n_freqs=8, diagnostics=diag)
         assert diag.sigma_jitter_events == 1
         assert np.all(np.isfinite(sd.P))
+
+    def test_stack_equals_per_fit_and_counts_each_jitter(self):
+        rng = np.random.default_rng(12)
+        models = [random_stable_model(rng, c=3, p=2) for _ in range(3)]
+        models[1].Sigma = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-15, 0.0], [0.0, 0.0, 1.0]])
+        stack = MvarModel(p=2, A=np.stack([m.A for m in models]),
+                          Sigma=np.stack([m.Sigma for m in models]), fs=FS)
+        diag = FitDiagnostics()
+        with pytest.warns(RuntimeWarning, match="jitter") as caught:
+            sd = spectral_decomposition(stack, n_freqs=16, diagnostics=diag)
+        assert diag.sigma_jitter_events == 1 and len(caught) == 1
+        assert np.array_equal(stack.Sigma[1], models[1].Sigma)  # the model is not modified
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            singles = [spectral_decomposition(m, n_freqs=16) for m in models]
+        for t, one in enumerate(singles):
+            for name in ("Abar", "H", "S", "P"):
+                assert np.array_equal(getattr(sd, name)[t], getattr(one, name))
+
+    def test_singular_abar_in_a_stack_names_frequency(self):
+        theta = 2 * np.pi * 32.0 / FS
+        a = np.array([[[[0.5]], [[0.0]]], [[[2 * np.cos(theta)]], [[-1.0]]]])
+        m = MvarModel(p=2, A=a, Sigma=np.ones((2, 1, 1)), fs=FS)
+        with pytest.raises(ValueError, match="32"):
+            spectral_decomposition(m, n_freqs=64)
 
     def test_diagnostics_merge(self):
         a, b = FitDiagnostics(unstable_fits=2), FitDiagnostics(sigma_jitter_events=3)

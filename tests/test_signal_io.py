@@ -1,10 +1,13 @@
 """Recording and annotation IO, window extraction, synthesis, and splits."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from eegfusion.mvar import simulate_var
+from eegfusion.runner import RunConfig, SynthStudyConfig, study_recordings
 from eegfusion.signal_io import (
     WINDOW_S,
     AnnotationSet,
@@ -12,6 +15,7 @@ from eegfusion.signal_io import (
     SynthSpec,
     extract_labeled_windows,
     generate_synthetic,
+    generate_synthetic_batch,
     has_nonseizure_span,
     load_annotations,
     load_recording,
@@ -190,6 +194,72 @@ class TestSplitSubwindows:
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError, match="divide"):
             split_subwindows(np.zeros((5121, 2)), 10)
+
+
+def sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestPinnedSynthesis:
+    """Digests recorded from the one-recording-at-a-time recursion that the
+    batched synthesis replaced; the batch must reproduce its bytes."""
+
+    def test_fast_study_recordings(self):
+        # the synthesis settings of test_runner.fast_config
+        cfg = RunConfig(seed=0, synth=SynthStudyConfig(
+            n_per_class=2, windows_per_recording=2, n_channels=2,
+            fs=32.0, duration_s=60.0, coupling_strength=0.3,
+        ))
+        assert [sha256(rec.samples) for _, rec, _ in study_recordings(cfg)] == [
+            "ab69a53762c6400345c29b7138b7c5fd444ed696c633c4cf7ad80c24bd39bbe4",
+            "8a572c9aa07d50e48b1729b1132acd2d4c132a429de11abb9d603c88a6754ba8",
+            "24d25e245b84db5cc9654dcec95ce928d0888356d3e6275b73ce6a7b83c11f97",
+            "29d256cbe8e112376ee60f09f8e8cdfff68b77a8716887502eb0204e2f8b53aa",
+        ]
+
+    def test_clinical_size_recording(self):
+        rec, _ = generate_synthetic(SynthSpec(
+            kind="coupled", n_channels=19, fs=256.0, duration_s=60.0,
+            coupling_strength=0.08, seed=0,
+        ))
+        assert sha256(rec.samples) == (
+            "eb440c5ca0a4c6a2baf5a3bae4378b4c3cb20f2cd1d9c4b51ac38540d5903349"
+        )
+
+    def test_stacked_recursion_equals_single_series(self):
+        rng = np.random.default_rng(21)
+        a = np.stack([0.3 * rng.standard_normal((2, 3, 3)) / np.sqrt(3) for _ in range(3)])
+        e = rng.standard_normal((3, 450, 3))
+        stacked = simulate_var(a, 400, innovations=e.copy(), burn_in=50)
+        assert stacked.shape == (3, 400, 3)
+        for r in range(3):
+            single = simulate_var(a[r], 400, innovations=e[r].copy(), burn_in=50)
+            assert np.array_equal(stacked[r], single)
+
+    def test_recursion_runs_in_the_innovations_buffer(self):
+        e = np.random.default_rng(22).standard_normal((2, 120, 2))
+        y = simulate_var(np.full((2, 1, 2, 2), 0.1), 100, innovations=e, burn_in=20)
+        assert np.shares_memory(y, e)
+
+    def test_batch_equals_one_spec_at_a_time(self):
+        base = dict(n_channels=3, duration_s=30.0, coupling_strength=0.15)
+        specs = [
+            SynthSpec(kind="coupled", seed=31, **base),
+            SynthSpec(kind="uncoupled", seed=32, **base),
+            SynthSpec(kind="coupled", seed=33, match_power=False, **base),
+        ]
+        batch = list(generate_synthetic_batch(specs))
+        assert len(batch) == 3
+        for spec, (rec, ann) in zip(specs, batch):
+            want, want_ann = generate_synthetic(spec)
+            assert np.array_equal(rec.samples, want.samples)
+            assert rec.id == want.id and ann == want_ann
+
+    def test_batch_shapes_must_agree(self):
+        specs = [SynthSpec(kind="uncoupled", duration_s=30.0),
+                 SynthSpec(kind="uncoupled", duration_s=40.0)]
+        with pytest.raises(ValueError, match="share"):
+            list(generate_synthetic_batch(specs))
 
 
 class TestGenerateSynthetic:
