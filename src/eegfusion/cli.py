@@ -103,10 +103,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     tensors = extract_tensors(windows, cfg.pipeline, diag)
     manifest = write_dataset(tensors, args.out, cfg.pipeline, cfg.test_fraction, cfg.seed)
     print(f"wrote {len(tensors)} window tensors to {manifest}")
-    if diag.unstable_fits or diag.sigma_jitter_events:
+    if diag.unstable_fits or diag.sigma_jitter_events or diag.order_cap_hits:
         print(
             f"warnings: {diag.unstable_fits} unstable fits, "
-            f"{diag.sigma_jitter_events} covariance jitter events",
+            f"{diag.sigma_jitter_events} covariance jitter events, "
+            f"{diag.order_cap_hits} AIC orders at the cap",
             file=sys.stderr,
         )
     return 0

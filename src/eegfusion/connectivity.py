@@ -255,13 +255,15 @@ def _mvar_planes(
 ) -> np.ndarray:
     """The six MVAR measures of sub-windows (T, n, C), band-averaged: (6, T, C, C, B).
 
-    With AIC each sub-window picks its order; sub-windows of one order are
-    fitted and decomposed as one stack.
+    With AIC one order search covers the stack and each sub-window picks its
+    order; sub-windows of one order are fitted and decomposed as one stack.
     """
     if cfg.aic:
-        orders = [select_order(sub, cfg.aic_max, cfg.ridge) for sub in subs]
+        orders = select_order(subs, cfg.aic_max, cfg.ridge)
+        if diagnostics is not None:
+            diagnostics.order_cap_hits += orders.count(cfg.aic_max)
     else:
-        orders = [cfg.order] * len(subs)
+        orders = (cfg.order,) * len(subs)
     c = subs.shape[-1]
     planes = np.empty((len(FEATURE_ORDER) - 1, len(subs), c, c, len(bands)))
     for p in dict.fromkeys(orders):

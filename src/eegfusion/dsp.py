@@ -64,14 +64,18 @@ class FilterSpec:
 
     ``sos`` has shape (n_sections, 6) in scipy convention
     ``[b0, b1, b2, 1, a1, a2]``. ``order`` is the digital band-pass order of a
-    single pass (2 * n_sections). ``sos`` is read-only, because one designed
-    filter is shared by every caller asking for the same band, rate and order.
+    single pass (2 * n_sections). ``zi`` (n_sections, 2) holds the initial
+    conditions of a unit step response in steady state, from
+    ``scipy.signal.sosfilt_zi``. Both arrays are read-only, because one
+    designed filter is shared by every caller asking for the same band, rate
+    and order.
     """
 
     sos: np.ndarray
     order: int
     band: BandSpec
     fs: float
+    zi: np.ndarray
 
     def poles(self) -> np.ndarray:
         """Poles of every section, concatenated."""
@@ -121,8 +125,9 @@ def _designed(band: BandSpec, fs: float, order: int) -> FilterSpec:
         _sig.butter(order // 2, [band.low_hz, band.high_hz], btype="bandpass", fs=fs, output="sos"),
         dtype=float,
     )
-    sos.flags.writeable = False
-    spec = FilterSpec(sos=sos, order=order, band=band, fs=fs)
+    zi = _sig.sosfilt_zi(sos)
+    sos.flags.writeable = zi.flags.writeable = False
+    spec = FilterSpec(sos=sos, order=order, band=band, fs=fs, zi=zi)
     pole_radius = np.abs(spec.poles()).max()
     if pole_radius >= 1.0:
         raise ValueError(
@@ -138,7 +143,10 @@ def filtfilt(f: FilterSpec, x: np.ndarray) -> np.ndarray:
     ``x`` may be 1-D or 2-D (samples x channels); filtering runs along axis 0.
     Uses odd-reflection padding of ``3 * order`` samples, discarded after
     filtering, so the effective magnitude response is the squared single-pass
-    response with zero net phase shift.
+    response with zero net phase shift. Each pass starts from the filter's
+    cached steady-state initial conditions scaled by its first sample; the
+    result equals ``scipy.signal.sosfiltfilt(sos, x, axis=0, padtype="odd",
+    padlen=3 * order)`` bit for bit.
     """
     x = np.asarray(x, dtype=float)
     padlen = 3 * f.order
@@ -147,8 +155,15 @@ def filtfilt(f: FilterSpec, x: np.ndarray) -> np.ndarray:
             f"signal too short for zero-phase filtering: {x.shape[0]} samples, "
             f"need more than {padlen}"
         )
+    ext = np.concatenate(
+        (2 * x[:1] - x[padlen:0:-1], x, 2 * x[-1:] - x[-2 : -(padlen + 2) : -1])
+    )
+    zi = f.zi.reshape(f.zi.shape + (1,) * (x.ndim - 1))
     # scipy's compiled filter loop takes writable buffers only; sos is shared
-    return _sig.sosfiltfilt(f.sos.copy(), x, axis=0, padtype="odd", padlen=padlen)
+    sos = f.sos.copy()
+    y, _ = _sig.sosfilt(sos, ext, axis=0, zi=zi * ext[:1])
+    y, _ = _sig.sosfilt(sos, y[::-1], axis=0, zi=zi * y[-1:])
+    return y[::-1][padlen:-padlen]
 
 
 @dataclass

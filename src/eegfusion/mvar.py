@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "MvarModel",
@@ -48,10 +49,13 @@ class FitDiagnostics:
 
     unstable_fits: int = 0
     sigma_jitter_events: int = 0
+    #: AIC order searches whose choice is the cap ``aic_max``.
+    order_cap_hits: int = 0
 
     def merge(self, other: "FitDiagnostics") -> None:
         self.unstable_fits += other.unstable_fits
         self.sigma_jitter_events += other.sigma_jitter_events
+        self.order_cap_hits += other.order_cap_hits
 
 
 @dataclass
@@ -98,11 +102,14 @@ def _lag_design(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return response, lags
 
 
-def _fit_core(x: np.ndarray, p: int, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+def _demeaned(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3):
         raise ValueError(f"expected samples x channels, got shape {x.shape}")
-    n, c = x.shape[-2:]
+    return x - x.mean(axis=-2, keepdims=True)
+
+
+def _check_order(n: int, c: int, p: int) -> None:
     if p < 1:
         raise ValueError(f"model order must be >= 1, got {p}")
     if n <= c * p + p:
@@ -110,7 +117,12 @@ def _fit_core(x: np.ndarray, p: int, ridge: float) -> tuple[np.ndarray, np.ndarr
             f"insufficient samples for order {p}: {n} rows, "
             f"need more than {c * p + p}"
         )
-    x = x - x.mean(axis=-2, keepdims=True)
+
+
+def _fit_core(x: np.ndarray, p: int, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    x = _demeaned(x)
+    n, c = x.shape[-2:]
+    _check_order(n, c, p)
     response, lags = _lag_design(x, p)
     lags_t = np.swapaxes(lags, -1, -2)
     gram = lags_t @ lags
@@ -142,22 +154,94 @@ def fit_mvar(x: np.ndarray, p: int, fs: float, ridge: float = 1e-4) -> MvarModel
     return MvarModel(p=p, A=a, Sigma=sigma, fs=float(fs))
 
 
-def select_order(x: np.ndarray, p_max: int = 12, ridge: float = 1e-4) -> int:
-    """Pick the order minimizing ``AIC(p) = ln det Sigma_p + 2 p C^2 / N``."""
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each symmetric system ``gram[t] @ coef[t] = rhs[t]`` by Cholesky.
+
+    One LAPACK ``posv`` call per matrix. A matrix that is not positive
+    definite to working precision is solved by LU instead, as ``_fit_core``
+    solves it, so an exactly singular one raises the same error.
+    """
+    coef = np.empty(rhs.shape)
+    for t in range(len(gram)):
+        # gram is symmetric, so its transpose is the Fortran-ordered same matrix
+        _, coef[t], info = lapack.dposv(gram[t].T, rhs[t])
+        if info:
+            try:
+                coef[t] = np.linalg.solve(gram[t], rhs[t])
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("singular regularized normal equations") from exc
+    return coef
+
+
+def select_order(
+    x: np.ndarray, p_max: int = 12, ridge: float = 1e-4
+) -> int | tuple[int, ...]:
+    """Pick the order minimizing ``AIC(p) = ln det Sigma_p + 2 p C^2 / N``.
+
+    ``x`` is one sub-window (N, C), giving an int, or a stack (T, N, C),
+    giving one order per sub-window as a tuple. ``Sigma_p`` is the residual
+    covariance of ``fit_mvar(x, p, ridge=ridge)``: least squares on the N - p
+    rows that have p lags, the ridge ``ridge * mean(diag(Gram_p))`` of that
+    order, divisor N - p. Orders whose ``Sigma_p`` has no positive
+    determinant are skipped; when none has one, the order is 1.
+
+    Every order comes from one zero-padded lag design with p_max lags. Its
+    Gram, cross term and ``Y^T Y`` over the rows p_max..N-1 are shared; order
+    p takes their leading pC block and adds the rows p..p_max-1 it also
+    fits. The ridged normal equations are solved by Cholesky (LU where
+    Cholesky fails), and ``(N - p) Sigma_p = Y^T Y - b^T coef - lam coef^T
+    coef``, which follows from ``(Gram + lam I) coef = b``. The AIC values
+    match a fit per order up to rounding (the tests allow 1e-9).
+    """
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
-    x = np.asarray(x, dtype=float)
-    n, c = x.shape
-    best_p, best_aic = 1, np.inf
+    x = _demeaned(x)
+    n, c = x.shape[-2:]
+    # orders 1..top have enough samples; a larger p_max fails on top + 1, as
+    # a fit per order would after fitting the orders below it
+    top = min(p_max, (n - 1) // (c + 1))
+    orders = np.argmin(_aic_table(x, top, ridge), axis=0) + 1 if top >= 1 else None
+    if top < p_max:
+        _check_order(n, c, top + 1)
+    return tuple(int(p) for p in orders) if x.ndim == 3 else int(orders)
+
+
+def _aic_table(x: np.ndarray, p_max: int, ridge: float) -> np.ndarray:
+    """AIC(p), p = 1..p_max, of de-meaned signals (..., N, C): shape (p_max, ...).
+
+    An order whose ``Sigma_p`` has no positive determinant reads inf.
+    """
+    lead = x.shape[:-2]
+    x = x.reshape((-1,) + x.shape[-2:])
+    t_sub, n, c = x.shape
+    design = np.zeros((t_sub, n, p_max * c))
+    for k in range(1, p_max + 1):
+        design[:, k:, (k - 1) * c : k * c] = x[:, : n - k]
+    shared, y = design[:, p_max:], x[:, p_max:]
+    shared_t = np.swapaxes(shared, -1, -2)
+    gram, cross = shared_t @ shared, shared_t @ y
+    yty = np.swapaxes(y, -1, -2) @ y
+    sigmas = np.empty((p_max, t_sub, c, c))
     for p in range(1, p_max + 1):
-        _, sigma = _fit_core(x, p, ridge)
-        sign, logdet = np.linalg.slogdet(sigma)
-        if sign <= 0:
-            continue
-        aic = logdet + 2.0 * p * c * c / n
-        if aic < best_aic:
-            best_p, best_aic = p, aic
-    return best_p
+        k = p * c
+        head, y_head = design[:, p:p_max, :k], x[:, p:p_max]
+        head_t = np.swapaxes(head, -1, -2)
+        gram_p = gram[:, :k, :k] + head_t @ head
+        b = cross[:, :k] + head_t @ y_head
+        diag = gram_p.reshape(t_sub, k * k)[:, :: k + 1]
+        lam = (ridge if ridge > 0 else 0.0) * np.mean(diag, axis=-1)
+        diag += lam[:, None]
+        coef = _cholesky_solve(gram_p, b)
+        # (N - p) Sigma_p = Y^T Y - b^T coef - lam coef^T coef
+        scatter = yty + np.swapaxes(y_head, -1, -2) @ y_head
+        scatter -= np.swapaxes(b, -1, -2) @ coef
+        scatter -= lam[:, None, None] * (np.swapaxes(coef, -1, -2) @ coef)
+        sigmas[p - 1] = 0.5 * (scatter + np.swapaxes(scatter, -1, -2)) / (n - p)
+    sign, logdet = np.linalg.slogdet(sigmas)
+    penalty = 2.0 * np.arange(1, p_max + 1) * c * c / n
+    aic = np.where(sign > 0, logdet + penalty[:, None], np.inf)
+    aic[np.isnan(aic)] = np.inf
+    return aic.reshape((p_max,) + lead)
 
 
 def companion_matrix(a: np.ndarray) -> np.ndarray:

@@ -528,6 +528,7 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
     warnings = {
         "unstable_fits": diag.unstable_fits,
         "sigma_jitter_events": diag.sigma_jitter_events,
+        "order_cap_hits": diag.order_cap_hits,
     }
 
     def _explain():

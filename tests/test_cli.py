@@ -269,6 +269,22 @@ class TestSubcommandChain:
                    for p in (run / "relevance.json", tmp_path / "relevance.json")]
         assert classes[0] == classes[1]
 
+    def test_extract_reports_the_aic_cap_hits_of_the_run_manifest(self, tmp_path, capsys):
+        cfg = fast_config(tmp_path / "rec")
+        cfg = replace(cfg, pipeline=replace(cfg.pipeline, aic=True, aic_max=3))
+        cfg_path = write_config(cfg, tmp_path / "cfg.json")
+        run = tmp_path / "run"
+        assert main(["run", "--config", cfg_path, "--out", str(run)]) == 0
+        hits = json.loads((run / "run_manifest.json").read_text())["warnings"]["order_cap_hits"]
+        assert hits > 0
+        assert main(["synth", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        assert main([
+            "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
+            "--out", str(tmp_path / "ds"), "--config", cfg_path,
+        ]) == 0
+        assert f"{hits} AIC orders at the cap" in capsys.readouterr().err
+
     def test_eval_prints_the_run_metrics_file(self, tmp_path, capsys):
         run = tmp_path / "run"
         cfg_path = write_config(fast_config(run), tmp_path / "cfg.json")

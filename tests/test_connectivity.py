@@ -333,6 +333,7 @@ def oracle_tensor(window, cfg):
         x = filtfilt(design_bandpass(filter_band, window.fs, cfg.filter_order), window.samples)
         for t, sub in enumerate(split_subwindows(x, t_sub)):
             p = select_order(sub, cfg.aic_max, cfg.ridge) if cfg.aic else cfg.order
+            diag.order_cap_hits += cfg.aic and p == cfg.aic_max
             m = fit_mvar(sub, p, window.fs, cfg.ridge)
             diag.unstable_fits += not is_stable(m)
             sd = spectral_decomposition(m, cfg.n_freqs, diag)

@@ -148,6 +148,21 @@ class TestFiltfilt:
         with pytest.raises(ValueError, match="too short"):
             filtfilt(spec, np.zeros(3 * spec.order))
 
+    @pytest.mark.parametrize("band", DEFAULT_BANDS + (BROADBAND,), ids=lambda b: b.name)
+    def test_equals_scipy_sosfiltfilt_bit_for_bit(self, band):
+        spec = design_bandpass(band, FS)
+        rng = np.random.default_rng(2)
+        for shape in ((2560,), (2560, 4), (5120, 19)):
+            x = rng.standard_normal(shape)
+            want = sig.sosfiltfilt(spec.sos.copy(), x, axis=0, padtype="odd", padlen=3 * spec.order)
+            assert np.array_equal(filtfilt(spec, x), want)
+
+    def test_cached_initial_conditions_are_scipys_and_read_only(self):
+        spec = design_bandpass(BandSpec("gamma", 30.0, 45.0), FS)
+        assert np.array_equal(spec.zi, sig.sosfilt_zi(spec.sos))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.zi[0, 0] = 1.0
+
     def test_multichannel_matches_per_channel(self):
         spec = design_bandpass(BandSpec("alpha", 8.0, 13.0), FS)
         x = np.random.default_rng(1).standard_normal((512, 3))

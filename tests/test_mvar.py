@@ -14,6 +14,9 @@ from scipy import signal as sig
 from eegfusion.mvar import (
     FitDiagnostics,
     MvarModel,
+    _aic_table,
+    _cholesky_solve,
+    _fit_core,
     companion_matrix,
     companion_radius,
     fit_mvar,
@@ -119,6 +122,82 @@ class TestSelectOrder:
     def test_pmax_zero_rejected(self):
         with pytest.raises(ValueError):
             select_order(np.zeros((100, 2)), p_max=0)
+
+
+def aic_oracle(x, p_max, ridge=1e-4):
+    """AIC(p), p = 1..p_max, from one least-squares fit per order; inf where
+    Sigma_p has no positive determinant."""
+    n, c = x.shape
+    out = np.full(p_max, np.inf)
+    for p in range(1, p_max + 1):
+        _, sigma = _fit_core(x, p, ridge)
+        sign, logdet = np.linalg.slogdet(sigma)
+        if sign > 0:
+            out[p - 1] = logdet + 2.0 * p * c * c / n
+    return out
+
+
+class TestOrderSearch:
+    """select_order gets every order from one shared lag design; it must
+    choose as a fit per order does."""
+
+    @pytest.mark.parametrize("c", [2, 4, 19])
+    def test_matches_a_fit_per_order(self, c):
+        rng = np.random.default_rng(40 + c)
+        for p_true in (1, 3, 6):
+            a = random_stable_model(rng, c, p_true).A
+            x = simulate_var(a, 512, rng=rng) + 0.05 * rng.standard_normal((512, c))
+            want = aic_oracle(x, 12)
+            got = _aic_table(x - x.mean(axis=0), 12, 1e-4)
+            assert np.all(np.isfinite(want))
+            assert np.max(np.abs(got - want)) <= 1e-9
+            assert select_order(x, 12) == int(np.argmin(want)) + 1
+
+    def test_stack_equals_one_sub_window_at_a_time(self):
+        rng = np.random.default_rng(11)
+        a = random_stable_model(rng, 4, 3).A
+        x = simulate_var(a, 6 * 300, rng=rng).reshape(6, 300, 4)
+        got = select_order(x, 8)
+        assert isinstance(got, tuple) and all(type(p) is int for p in got)
+        assert got == tuple(select_order(sub, 8) for sub in x)
+        assert type(select_order(x[0], 8)) is int
+
+    def test_insufficient_samples_names_the_smallest_short_order(self):
+        x = np.random.default_rng(12).standard_normal((50, 4))
+        with pytest.raises(ValueError) as per_order:
+            _fit_core(x, 10, 1e-4)
+        for data in (x, x[None]):
+            with pytest.raises(ValueError) as search:
+                select_order(data, p_max=12)
+            assert str(search.value) == str(per_order.value)
+        assert "order 10: 50 rows, need more than 50" in str(per_order.value)
+        with pytest.raises(ValueError, match="insufficient samples for order 1:"):
+            select_order(x[:5], p_max=3)
+
+    def test_unridged_zero_channel_is_singular(self):
+        x = np.random.default_rng(13).standard_normal((300, 3))
+        x[:, 1] = 0.0
+        with pytest.raises(ValueError, match="singular regularized normal equations"):
+            _fit_core(x, 1, 0.0)
+        with pytest.raises(ValueError, match="singular regularized normal equations"):
+            select_order(x, p_max=4, ridge=0.0)
+
+    def test_no_positive_determinant_gives_order_one(self):
+        rng = np.random.default_rng(14)
+        x = simulate_var(stable_var2_coeffs(), 3 * 400, rng=rng).reshape(3, 400, 2)
+        x = np.concatenate([x, np.zeros((3, 400, 1))], axis=-1)
+        x[1, :, 2] = rng.standard_normal(400)
+        assert np.all(np.isinf(aic_oracle(x[0], 6)))
+        aic = _aic_table(x - x.mean(axis=1, keepdims=True), 6, 1e-4)
+        assert np.all(np.isposinf(aic[:, [0, 2]])) and np.all(np.isfinite(aic[:, 1]))
+        orders = select_order(x, 6)
+        assert orders[0] == orders[2] == 1
+        assert orders[1] == int(np.argmin(aic_oracle(x[1], 6))) + 1 > 1
+
+    def test_cholesky_failure_falls_back_to_lu(self):
+        gram = np.array([[[1.0, 2.0], [2.0, 1.0]]])  # symmetric, indefinite
+        rhs = np.array([[[1.0], [3.0]]])
+        assert np.array_equal(_cholesky_solve(gram, rhs), np.linalg.solve(gram, rhs))
 
 
 class TestStability:

@@ -229,15 +229,19 @@ class TestStudyWindows:
 class TestExtractTensors:
     def test_parallel_matches_sequential(self, monkeypatch):
         windows = study_windows(fast_config())[:3]
-        pcfg = fast_config().pipeline
-        monkeypatch.delenv("EEGFUSION_WORKERS", raising=False)
-        seq = extract_tensors(windows, pcfg, FitDiagnostics())
-        monkeypatch.setenv("EEGFUSION_WORKERS", "2")
-        par = extract_tensors(windows, pcfg, FitDiagnostics())
-        assert [t.source_id for t in seq] == [t.source_id for t in par]
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.values, b.values)
-            assert a.label == b.label
+        fixed = fast_config().pipeline
+        for pcfg in (fixed, replace(fixed, aic=True, aic_max=3)):
+            monkeypatch.delenv("EEGFUSION_WORKERS", raising=False)
+            seq_diag, par_diag = FitDiagnostics(), FitDiagnostics()
+            seq = extract_tensors(windows, pcfg, seq_diag)
+            monkeypatch.setenv("EEGFUSION_WORKERS", "2")
+            par = extract_tensors(windows, pcfg, par_diag)
+            assert [t.source_id for t in seq] == [t.source_id for t in par]
+            for a, b in zip(seq, par):
+                assert np.array_equal(a.values, b.values)
+                assert a.label == b.label
+            assert par_diag == seq_diag
+            assert (seq_diag.order_cap_hits > 0) == pcfg.aic
 
 
 class TestPipelineRun:
