@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 __all__ = [
     "Slot",
@@ -122,22 +121,20 @@ class ContractRow:
         self.params = [self.w, self.b]
 
     def forward(self, theta, x, cache=None):
-        s = np.einsum("g...rk,gr->g...k", x, self.w.view(theta))
+        g, k = x.shape[0], x.shape[-1]
+        xt = x.swapaxes(-1, -2).reshape(g, -1, x.shape[-2])  # (G, ...K, R)
+        s = (xt @ self.w.view(theta)[:, :, None]).reshape(x.shape[:-2] + (k,))
         s += _per_branch(self.b.view(theta), s.ndim)
         if cache is not None:
-            cache["x"], cache["mask"] = x, s > 0
-            cache["margin"] = float(np.abs(s).min())
+            cache["xt"], cache["s"] = xt, s
         return np.maximum(s, 0.0)
 
     def backward(self, theta, grad, cache, gy):
-        gs = gy * cache["mask"]
-        g, k = gs.shape[0], gs.shape[-1]
-        x = cache["x"]
-        self.w.add_to(
-            grad, np.einsum("gnk,gnrk->gr", gs.reshape(g, -1, k), x.reshape(g, -1, x.shape[-2], k))
-        )
+        gs = gy * (cache["s"] > 0)
+        g = gs.shape[0]
+        self.w.add_to(grad, (gs.reshape(g, 1, -1) @ cache["xt"])[:, 0])
         self.b.add_to(grad, gs.reshape(g, -1).sum(axis=1, keepdims=True))
-        return np.einsum("g...k,gr->g...rk", gs, self.w.view(theta))
+        return gs[..., None, :] * _per_branch(self.w.view(theta), gs.ndim)[..., None]
 
 
 class ContractLast:
@@ -153,15 +150,15 @@ class ContractLast:
         self.params = [self.w, self.b]
 
     def forward(self, theta, x, cache=None):
-        s = np.einsum("g...k,gk->g...", x, self.w.view(theta))
+        g, k = x.shape[0], x.shape[-1]
+        s = (x.reshape(g, -1, k) @ self.w.view(theta)[:, :, None]).reshape(x.shape[:-1])
         s += _per_branch(self.b.view(theta), s.ndim)
         if cache is not None:
-            cache["x"], cache["mask"] = x, s > 0
-            cache["margin"] = float(np.abs(s).min())
+            cache["x"], cache["s"] = x, s
         return np.maximum(s, 0.0)
 
     def backward(self, theta, grad, cache, gy):
-        gs = gy * cache["mask"]
+        gs = gy * (cache["s"] > 0)
         g = gs.shape[0]
         x = cache["x"]
         self.w.add_to(grad, (gs.reshape(g, 1, -1) @ x.reshape(g, -1, x.shape[-1]))[:, 0])
@@ -184,12 +181,11 @@ class Dense:
         if cache is not None:
             cache["x"] = x
             if self.relu:
-                cache["mask"] = s > 0
-                cache["margin"] = float(np.abs(s).min())
+                cache["s"] = s
         return y
 
     def backward(self, theta, grad, cache, gy):
-        gs = gy * cache["mask"] if self.relu else gy
+        gs = gy * (cache["s"] > 0) if self.relu else gy
         self.W.add_to(grad, cache["x"].swapaxes(1, 2) @ gs)
         self.b.add_to(grad, gs.sum(axis=1))
         return gs @ self.W.view(theta).swapaxes(1, 2)
@@ -199,7 +195,10 @@ class LSTM:
     """Stack of standard LSTM layers: (G, M, T, D) -> (G, M, T, H), full sequence.
 
     Gate preactivations are ordered [input, forget, cell, output] inside the
-    fused 4H weight matrices.
+    fused 4H weight matrices. Each step computes the sigmoid once over the
+    whole fused (G, M, 4H) preactivation, as 1 / (1 + exp(-z)) in place in one
+    buffer, and reads the input, forget and output gates as slices of it; the
+    cell gate is tanh of its slice of z.
     """
 
     def __init__(self, d_in: int, hidden: int, n_layers: int = 1) -> None:
@@ -229,19 +228,23 @@ class LSTM:
             h = np.zeros((g, m, h_dim))
             c = np.zeros((g, m, h_dim))
             steps = []
-            for t in range(t_len):
-                z = seq[:, :, t] @ wx + h @ wh + b
-                gi = _sigmoid(z[..., :h_dim])
-                gf = _sigmoid(z[..., h_dim : 2 * h_dim])
-                gc = np.tanh(z[..., 2 * h_dim : 3 * h_dim])
-                go = _sigmoid(z[..., 3 * h_dim :])
-                c_new = gf * c + gi * gc
-                tc = np.tanh(c_new)
-                h = go * tc
-                out[:, :, t] = h
-                if cache is not None:
-                    steps.append((gi, gf, gc, go, c, tc))  # c is c_{t-1}
-                c = c_new
+            with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0
+                for t in range(t_len):
+                    z = seq[:, :, t] @ wx + h @ wh + b
+                    sig = np.negative(z)  # sigmoid of all 4H: 1 / (1 + exp(-z))
+                    np.exp(sig, out=sig)
+                    sig += 1.0
+                    np.divide(1.0, sig, out=sig)
+                    gi, gf = sig[..., :h_dim], sig[..., h_dim : 2 * h_dim]
+                    go = sig[..., 3 * h_dim :]
+                    gc = np.tanh(z[..., 2 * h_dim : 3 * h_dim])
+                    c_new = gf * c + gi * gc
+                    tc = np.tanh(c_new)
+                    h = go * tc
+                    out[:, :, t] = h
+                    if cache is not None:
+                        steps.append((gi, gf, gc, go, c, tc))  # c is c_{t-1}
+                    c = c_new
             if cache is not None:
                 layer_caches.append({"x": seq, "out": out, "steps": steps})
             seq = out
@@ -314,19 +317,20 @@ class AttentionPool:
         alpha = ew / ew.sum(axis=2, keepdims=True)
         if cache is not None:
             cache["x"], cache["u"], cache["alpha"] = x, u, alpha
-        return np.einsum("gmt,gmth->gmh", alpha, x)
+        return (alpha[:, :, None, :] @ x)[:, :, 0]
 
     def backward(self, theta, grad, cache, gy):
         x, u, alpha = cache["x"], cache["u"], cache["alpha"]
         w_t = self.W.view(theta).swapaxes(1, 2)[:, None]
-        g_alpha = np.einsum("gmh,gmth->gmt", gy, x)
+        g, h_dim = x.shape[0], x.shape[-1]
+        g_alpha = (x @ gy[..., None])[..., 0]
         gx = alpha[..., None] * gy[:, :, None, :]
         ge = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=2, keepdims=True))
         gu = ge[..., None] * _per_branch(self.v.view(theta), ge.ndim + 1)
         ga = gu * (1.0 - u * u)
-        self.W.add_to(grad, np.einsum("gmth,gmtk->ghk", x, ga))
+        self.W.add_to(grad, x.reshape(g, -1, h_dim).swapaxes(1, 2) @ ga.reshape(g, -1, h_dim))
         self.b.add_to(grad, ga.sum(axis=(1, 2)))
-        self.v.add_to(grad, np.einsum("gmth,gmt->gh", u, ge))
+        self.v.add_to(grad, (ge.reshape(g, 1, -1) @ u.reshape(g, -1, h_dim))[:, 0])
         return gx + ga @ w_t
 
 

@@ -196,10 +196,10 @@ class FusionModel:
         if self._cache is None:
             raise RuntimeError("kink_margin() requires a training-mode forward pass")
         margins = [
-            lc["margin"]
+            float(np.abs(lc["s"]).min())
             for key in ("stage", "trunk", "head")
             for lc in self._cache[key]
-            if "margin" in lc
+            if "s" in lc
         ]
         return min(margins) if margins else np.inf
 
@@ -377,14 +377,29 @@ class _Adam:
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
+        self._buf = np.empty(n)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Update m, v and params in place; consumes grad as scratch.
+
+        The operations and their order are those of the out-of-place textbook
+        step, so the result is bit-identical to it.
+        """
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        buf, b1, b2 = self._buf, self.beta1, self.beta2
+        self.m *= b1
+        self.m += np.multiply(1.0 - b1, grad, out=buf)
+        np.multiply(1.0 - b2, grad, out=buf)
+        buf *= grad
+        self.v *= b2
+        self.v += buf
+        m_hat = np.divide(self.m, 1.0 - b1**self.t, out=buf)
+        denom = np.divide(self.v, 1.0 - b2**self.t, out=grad)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        m_hat *= self.lr
+        m_hat /= denom
+        params -= m_hat
 
 
 def _stack_dataset(ds) -> tuple[np.ndarray, np.ndarray]:

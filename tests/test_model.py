@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from eegfusion.connectivity import FEATURE_ORDER, NormStats, WindowTensor
 from eegfusion.model import (
     Metrics,
+    _Adam,
     ModelConfig,
     TrainConfig,
     bce_loss,
@@ -320,6 +321,28 @@ class TestTraining:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError, match="optimizer"):
             TrainConfig(optimizer="lbfgs")
+
+
+class TestAdam:
+    def test_in_place_step_equals_textbook_formula(self):
+        n, lr, b1, b2, eps = 257, 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(5)
+        opt = _Adam(n, lr)
+        params = rng.standard_normal(n)
+        theta, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        buffers = (opt.m, opt.v)
+        for t in range(1, 51):
+            grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 2)
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + (1.0 - b2) * grad * grad
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step(params, grad.copy())  # step consumes its grad argument
+            assert opt.m is buffers[0] and opt.v is buffers[1]  # updated in place
+            assert np.array_equal(params, theta)
+            assert np.array_equal(opt.m, m)
+            assert np.array_equal(opt.v, v)
 
 
 class TestMetrics:
