@@ -19,6 +19,7 @@ window is a (7, T, C, C, B) tensor.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from .mvar import (
     SpectralDecomposition,
     companion_radius,
     fit_mvar,
-    is_stable,
     select_order,
     spectral_decomposition,
 )
@@ -48,6 +48,8 @@ __all__ = [
     "plv_from_phases",
     "plv_matrix",
     "band_aggregate",
+    "window_chunks",
+    "build_feature_tensors",
     "build_feature_tensor",
     "normalize_features",
 ]
@@ -143,9 +145,27 @@ def plv_matrix(
     so sub-windows at the edges are not distorted by per-slice transforms.
     """
     filt = design_bandpass(band, window.fs, filter_order)
-    xb = filtfilt(filt, window.samples)
-    phases = instantaneous_phase(analytic_signal(xb, band=band.name))
-    return plv_from_phases(np.stack(split_subwindows(phases, n_sub)))
+    return _band_plv(filtfilt(filt, window.samples), band, 1, n_sub)[0]
+
+
+def _subwindow_stack(x: np.ndarray, n_windows: int, n_sub: int) -> np.ndarray:
+    """Sub-windows of W windows held side by side in x (N, W*C): (W*T, N/T, C).
+
+    The stack is window-major, and each sub-window keeps the layout that
+    ``np.stack(split_subwindows(...))`` gives one window's signal. The layout
+    matters for the bytes: a sum along the samples rounds differently when
+    they are not contiguous.
+    """
+    return np.stack(
+        [sub for cols in np.split(x, n_windows, axis=1) for sub in split_subwindows(cols, n_sub)]
+    )
+
+
+def _band_plv(x: np.ndarray, band: BandSpec, n_windows: int, n_sub: int) -> np.ndarray:
+    """PLV (W, T, C, C) of band-filtered windows held side by side in x (N, W*C)."""
+    phases = instantaneous_phase(analytic_signal(x, band=band.name))
+    plv = plv_from_phases(_subwindow_stack(phases, n_windows, n_sub))
+    return plv.reshape((n_windows, n_sub) + plv.shape[-2:])
 
 
 def band_aggregate(
@@ -241,9 +261,29 @@ def _spectral_measures(sd: SpectralDecomposition, sigma: np.ndarray) -> dict[str
 
 #: Cap on n_freqs * C^2 * sub-windows per stacked MVAR pass. Each pass holds
 #: about a dozen complex (T, n_freqs, C, C) arrays, so the cap bounds its
-#: memory: a C=4 window runs its ten sub-windows in one pass, a C=19 window
-#: one sub-window at a time.
+#: memory. A pass takes the sub-windows of a window chunk in order and may
+#: span window boundaries: at C=4 a pass holds 32 sub-windows, at C=19 one.
 _CHUNK_ELEMENTS = 1 << 15
+
+#: Cap on samples * channels over the windows of one extraction chunk. A
+#: chunk holds its filtered signals, analytic signals and sub-window stacks
+#: at once (a traced peak of 7-9 MB at this cap), which stays below the
+#: memory a study's synthesis needs: a C=4, fs=128 chunk holds six windows,
+#: and a C=19, fs=256 window is a chunk of one.
+_WINDOW_CHUNK_SAMPLES = 1 << 16
+
+
+def window_chunks(windows) -> list[list[LabeledWindow]]:
+    """Split windows, in order, into chunks for :func:`build_feature_tensors`:
+    runs of consecutive windows of equal ``fs`` and sample shape, each at
+    most ``_WINDOW_CHUNK_SAMPLES`` samples * channels and at least one window.
+    """
+    chunks = []
+    for _, run in itertools.groupby(windows, key=lambda w: (w.fs, w.samples.shape)):
+        run = list(run)
+        size = max(1, _WINDOW_CHUNK_SAMPLES // run[0].samples.size)
+        chunks += [run[i : i + size] for i in range(0, len(run), size)]
+    return chunks
 
 
 def _mvar_planes(
@@ -257,6 +297,7 @@ def _mvar_planes(
 
     With AIC one order search covers the stack and each sub-window picks its
     order; sub-windows of one order are fitted and decomposed as one stack.
+    One companion eigen-decomposition per fit stack counts its unstable fits.
     """
     if cfg.aic:
         orders = select_order(subs, cfg.aic_max, cfg.ridge)
@@ -269,12 +310,110 @@ def _mvar_planes(
     for p in dict.fromkeys(orders):
         idx = [t for t, q in enumerate(orders) if q == p]
         model = fit_mvar(subs[idx], p, fs, cfg.ridge)
-        if diagnostics is not None and not is_stable(model):
+        if diagnostics is not None:
             diagnostics.unstable_fits += int(np.count_nonzero(companion_radius(model.A) >= 1.0))
         sd = spectral_decomposition(model, cfg.n_freqs, diagnostics)
         for k, (name, vals) in enumerate(_spectral_measures(sd, model.Sigma).items()):
             planes[k, idx] = np.moveaxis(band_aggregate(vals, bands, sd.freqs, name), -3, -1)
     return planes
+
+
+def build_feature_tensors(
+    windows: list[LabeledWindow],
+    cfg: PipelineConfig = PipelineConfig(),
+    diagnostics: FitDiagnostics | None = None,
+) -> list[WindowTensor]:
+    """The (7, T, C, C, B) tensors of one chunk of windows of equal fs and
+    sample shape (see :func:`window_chunks`), in order.
+
+    Every step runs once for the whole chunk: each filter over the windows
+    side by side as one (N, W*C) block, one analytic-signal FFT and one PLV
+    product per band, and the MVAR fits of all W*T sub-windows as one stack,
+    taken in passes of at most ``_CHUNK_ELEMENTS`` frequency-channel-pair
+    cells that may span windows. The tensors equal those of each window alone
+    byte for byte.
+
+    When a pass fails, its sub-windows are rerun one at a time (warnings and
+    counters off) so that the error names the first failing sub-window and
+    its own message. When a chunk of several windows fails, its windows are
+    rerun one at a time the same way, so the error is the one the first
+    failing window raises alone.
+    """
+    fs, shape = windows[0].fs, windows[0].samples.shape
+    if any(w.fs != fs or w.samples.shape != shape for w in windows):
+        raise ValueError("a window chunk needs one sampling rate and one sample shape")
+    try:
+        return _chunk_tensors(windows, cfg, diagnostics)
+    except ValueError:
+        if len(windows) > 1:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for w in windows:
+                    _chunk_tensors([w], cfg, None)
+        raise
+
+
+def _chunk_tensors(
+    windows: list[LabeledWindow], cfg: PipelineConfig, diagnostics: FitDiagnostics | None
+) -> list[WindowTensor]:
+    fs, c = windows[0].fs, windows[0].samples.shape[1]
+    n_w, t_sub = len(windows), cfg.subwindows
+    ids = [w.source_id for w in windows]
+    block = np.concatenate([w.samples for w in windows], axis=1)
+    tensor = np.empty((n_w, len(FEATURE_ORDER), t_sub, c, c, len(cfg.bands)))
+    per_pass = max(1, _CHUNK_ELEMENTS // (cfg.n_freqs * c * c))
+
+    def fail(w0: int, w1: int, where: str, exc: Exception) -> ValueError:
+        who = f"window {ids[w0]!r}" if w0 == w1 else f"windows {ids[w0]!r}-{ids[w1]!r}"
+        return ValueError(f"{who}, {where}: {exc}")
+
+    def filtered(band: BandSpec) -> np.ndarray:
+        return filtfilt(design_bandpass(band, fs, cfg.filter_order), block)
+
+    def mvar_features(x: np.ndarray, bands: tuple[BandSpec, ...], out: np.ndarray, context: str):
+        subs = _subwindow_stack(x, n_w, t_sub)
+        planes = np.empty((len(FEATURE_ORDER) - 1, len(subs), c, c, len(bands)))
+        for start in range(0, len(subs), per_pass):
+            part = slice(start, min(start + per_pass, len(subs)))
+            try:
+                planes[:, part] = _mvar_planes(subs[part], fs, cfg, bands, diagnostics)
+            except ValueError as exc:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    for k in range(part.start, part.stop):
+                        try:
+                            _mvar_planes(subs[k : k + 1], fs, cfg, bands, None)
+                        except ValueError as first:
+                            w, t = divmod(k, t_sub)
+                            raise fail(w, w, f"{context}sub-window {t}", first) from first
+                (w0, t0), (w1, t1) = divmod(part.start, t_sub), divmod(part.stop - 1, t_sub)
+                raise fail(w0, w1, f"{context}sub-windows {t0}-{t1}", exc) from exc
+        planes = planes.reshape(planes.shape[:1] + (n_w, t_sub) + planes.shape[2:])
+        out[...] = np.swapaxes(planes, 0, 1)
+
+    band_signals: list[np.ndarray | None] = [None] * len(cfg.bands)
+    if cfg.mode == "broadband":
+        mvar_features(filtered(cfg.broadband), cfg.bands, tensor[:, :-1], "")
+    else:
+        for b, band in enumerate(cfg.bands):
+            band_signals[b] = filtered(band)
+            out = tensor[:, :-1, ..., b : b + 1]
+            mvar_features(band_signals[b], (band,), out, f"band {band.name!r}, ")
+
+    for b, band in enumerate(cfg.bands):
+        try:
+            x = filtered(band) if band_signals[b] is None else band_signals[b]
+            tensor[:, -1, ..., b] = _band_plv(x, band, n_w, t_sub)
+        except ValueError as exc:
+            raise fail(0, n_w - 1, f"band {band.name!r} PLV", exc) from exc
+
+    finite = np.isfinite(tensor).reshape(n_w, -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"window {ids[int(np.argmin(finite))]!r}: non-finite feature values")
+    return [
+        WindowTensor(values=values, label=w.label, source_id=w.source_id)
+        for w, values in zip(windows, tensor)
+    ]
 
 
 def build_feature_tensor(
@@ -284,51 +423,12 @@ def build_feature_tensor(
 ) -> WindowTensor:
     """Compute the full (7, T, C, C, B) tensor for one labeled window.
 
-    The sub-windows are processed as stacks of at most ``_CHUNK_ELEMENTS``
-    frequency-channel-pair cells. When a stack fails, its sub-windows are
-    rerun one at a time (warnings and counters off) so that the error names
-    the first failing sub-window and its own message.
+    The window runs as a chunk of one through :func:`build_feature_tensors`:
+    its sub-windows form MVAR passes of at most ``_CHUNK_ELEMENTS``
+    frequency-channel-pair cells, and an error names the first failing
+    sub-window with its own message.
     """
-    t_sub = cfg.subwindows
-    c = window.samples.shape[1]
-    tensor = np.empty((len(FEATURE_ORDER), t_sub, c, c, len(cfg.bands)))
-    chunk = max(1, _CHUNK_ELEMENTS // (cfg.n_freqs * c * c))
-
-    def fail(context: str, exc: Exception) -> ValueError:
-        return ValueError(f"window {window.source_id!r}, {context}: {exc}")
-
-    def mvar_features(filter_band: BandSpec, bands: tuple[BandSpec, ...], out, context: str):
-        filt = design_bandpass(filter_band, window.fs, cfg.filter_order)
-        subs = np.stack(split_subwindows(filtfilt(filt, window.samples), t_sub))
-        for start in range(0, t_sub, chunk):
-            part = slice(start, min(start + chunk, t_sub))
-            try:
-                out[:, part] = _mvar_planes(subs[part], window.fs, cfg, bands, diagnostics)
-            except ValueError as exc:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    for t in range(part.start, part.stop):
-                        try:
-                            _mvar_planes(subs[t : t + 1], window.fs, cfg, bands, None)
-                        except ValueError as first:
-                            raise fail(f"{context}sub-window {t}", first) from first
-                raise fail(f"{context}sub-windows {part.start}-{part.stop - 1}", exc) from exc
-
-    if cfg.mode == "broadband":
-        mvar_features(cfg.broadband, cfg.bands, tensor[:-1], "")
-    else:
-        for b, band in enumerate(cfg.bands):
-            mvar_features(band, (band,), tensor[:-1, ..., b : b + 1], f"band {band.name!r}, ")
-
-    for b, band in enumerate(cfg.bands):
-        try:
-            tensor[-1, ..., b] = plv_matrix(window, band, t_sub, cfg.filter_order)
-        except ValueError as exc:
-            raise fail(f"band {band.name!r} PLV", exc) from exc
-
-    if not np.isfinite(tensor).all():
-        raise ValueError(f"window {window.source_id!r}: non-finite feature values")
-    return WindowTensor(values=tensor, label=window.label, source_id=window.source_id)
+    return build_feature_tensors([window], cfg, diagnostics)[0]
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ from .connectivity import (
     FEATURE_ORDER,
     PipelineConfig,
     WindowTensor,
-    build_feature_tensor,
+    build_feature_tensors,
     normalize_features,
+    window_chunks,
 )
 from .dataset import read_dataset, split_dataset, write_dataset
 from .dsp import design_bandpass
@@ -367,10 +368,10 @@ def study_windows(cfg: RunConfig) -> list:
     return cut_windows(((rec, ann) for _, rec, ann in study_recordings(cfg)), cfg)
 
 
-def _extract_one(args):
-    window, pcfg = args
+def _extract_chunk(args):
+    chunk, pcfg = args
     diag = FitDiagnostics()
-    return build_feature_tensor(window, pcfg, diag), diag
+    return build_feature_tensors(chunk, pcfg, diag), diag
 
 
 def extract_tensors(
@@ -378,18 +379,20 @@ def extract_tensors(
 ) -> list[WindowTensor]:
     """Feature tensors for every window, in input order.
 
-    Extraction is pure per window, so the EEGFUSION_WORKERS env var may fan it
-    out over processes; results keep the input order either way.
+    Windows are extracted in chunks (:func:`window_chunks`). Extraction is
+    pure per chunk, so the EEGFUSION_WORKERS env var may fan the chunks out
+    over processes; results keep the input order either way.
     """
+    chunks = window_chunks(windows)
     workers = _extraction_workers()
-    if workers <= 1 or len(windows) < 2:
-        return [build_feature_tensor(w, pcfg, diagnostics) for w in windows]
+    if workers <= 1 or len(chunks) < 2:
+        return [t for chunk in chunks for t in build_feature_tensors(chunk, pcfg, diagnostics)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_extract_one, [(w, pcfg) for w in windows], chunksize=1))
+        results = list(pool.map(_extract_chunk, [(c, pcfg) for c in chunks], chunksize=1))
     for _, diag in results:
         if diagnostics is not None:
             diagnostics.merge(diag)
-    return [tensor for tensor, _ in results]
+    return [tensor for tensors, _ in results for tensor in tensors]
 
 
 def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dict]:

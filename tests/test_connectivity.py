@@ -1,5 +1,7 @@
 """Connectivity measures, band aggregation, and the window feature tensor."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import signal as sig
@@ -9,6 +11,7 @@ from eegfusion.connectivity import (
     PipelineConfig,
     band_aggregate,
     build_feature_tensor,
+    build_feature_tensors,
     coherence,
     directed_coherence,
     normalize_features,
@@ -16,6 +19,7 @@ from eegfusion.connectivity import (
     partial_directed_coherence,
     plv_from_phases,
     plv_matrix,
+    window_chunks,
 )
 from eegfusion import connectivity
 from eegfusion.dsp import (
@@ -388,6 +392,139 @@ class TestStackedFeaturePath:
         assert np.max(np.abs(got[-1] - want[-1])) <= 1e-12
         assert diag == want_diag
 
+
+def coupled_windows(n_channels=4, fs=128.0, n_windows=8, seed=1, strength=0.15):
+    spec = SynthSpec(kind="coupled", n_channels=n_channels, fs=fs, duration_s=20.0 * n_windows,
+                     coupling_strength=strength, seed=seed)
+    rec, ann = generate_synthetic(spec)
+    return extract_labeled_windows(rec, ann, n_nonseizure=0)
+
+
+def assert_same_tensors(got, want):
+    assert [t.source_id for t in got] == [t.source_id for t in want]
+    assert [t.label for t in got] == [t.label for t in want]
+    for a, b in zip(got, want):
+        assert a.values.shape == b.values.shape
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def one_at_a_time(windows, cfg):
+    diag = FitDiagnostics()
+    return [build_feature_tensor(w, cfg, diag) for w in windows], diag
+
+
+def with_zero_channel(w, ch=1):
+    samples = w.samples.copy()
+    samples[:, ch] = 0.0
+    return LabeledWindow(samples=samples, label=w.label, source_id=w.source_id,
+                         offset_s=w.offset_s, fs=w.fs)
+
+
+class TestWindowChunks:
+    """Windows run in chunks; each chunk must give the bytes and diagnostics
+    of its windows run one at a time."""
+
+    def test_chunk_budget(self):
+        def blank(n, c, fs):
+            return LabeledWindow(samples=np.zeros((n, c)), label=0, source_id="w",
+                                 offset_s=0.0, fs=fs)
+
+        desk = [blank(2560, 4, 128.0)] * 13
+        assert [len(ch) for ch in window_chunks(desk)] == [6, 6, 1]
+        clinical = [blank(5120, 19, 256.0)] * 2
+        assert [len(ch) for ch in window_chunks(clinical)] == [1, 1]
+        assert window_chunks([]) == []
+
+    @pytest.mark.parametrize("cfg", [
+        PipelineConfig(),
+        PipelineConfig(mode="per_band", order=3),
+        PipelineConfig(aic=True),
+    ], ids=["broadband", "per_band", "aic"])
+    def test_chunks_equal_one_window_at_a_time(self, cfg):
+        # 8 windows: a chunk of 6 and one of 2; the MVAR passes of 32
+        # sub-windows end inside windows 3 and 6
+        windows = coupled_windows()
+        chunks = window_chunks(windows)
+        assert [len(ch) for ch in chunks] == [6, 2]
+        diag = FitDiagnostics()
+        got = [t for ch in chunks for t in build_feature_tensors(ch, cfg, diag)]
+        want, want_diag = one_at_a_time(windows, cfg)
+        assert_same_tensors(got, want)
+        assert diag == want_diag
+        if cfg.mode == "per_band":
+            assert diag.unstable_fits > 0
+        if cfg.aic:
+            assert diag.order_cap_hits > 0
+
+    def test_mixed_rates_and_channel_counts_form_separate_chunks(self):
+        desk = coupled_windows(n_windows=3)
+        fast = coupled_windows(fs=256.0, n_windows=1, seed=2, strength=0.08)
+        narrow = coupled_windows(n_channels=3, n_windows=2, seed=3)
+        windows = desk[:2] + fast + desk[2:] + narrow
+        chunks = window_chunks(windows)
+        ids = [[w.source_id for w in ch] for ch in chunks]
+        assert ids == [[w.source_id for w in windows[a:b]] for a, b in ((0, 2), (2, 3), (3, 4), (4, 6))]
+        cfg = PipelineConfig()
+        diag = FitDiagnostics()
+        got = [t for ch in chunks for t in build_feature_tensors(ch, cfg, diag)]
+        want, want_diag = one_at_a_time(windows, cfg)
+        assert_same_tensors(got, want)
+        assert diag == want_diag
+        with pytest.raises(ValueError, match="one sampling rate and one sample shape"):
+            build_feature_tensors(desk[:2] + fast, cfg)
+
+    @pytest.mark.parametrize("mode, context", [
+        ("broadband", ""), ("per_band", "band 'delta', "),
+    ])
+    def test_failure_names_the_first_failing_window(self, mode, context):
+        windows = coupled_windows(n_windows=5)
+        bad = with_zero_channel(windows[2])
+        cfg = PipelineConfig(mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError) as alone:
+                build_feature_tensor(bad, cfg)
+            with pytest.raises(ValueError) as chunked:
+                build_feature_tensors(windows[:2] + [bad] + windows[3:], cfg)
+        assert str(alone.value).startswith(f"window {bad.source_id!r}, {context}sub-window 0: ")
+        assert str(chunked.value) == str(alone.value)
+
+    def test_pass_spanning_windows_names_its_sub_window(self, monkeypatch):
+        # flat sub-window 43 is sub-window 3 of window 4, inside the second
+        # MVAR pass (sub-windows 32-59) of a six-window chunk
+        windows = coupled_windows(n_windows=6)
+        filt = design_bandpass(BROADBAND, FS, 4)
+        bad = split_subwindows(filtfilt(filt, windows[4].samples), 10)[3][0, 0]
+        real_fit = connectivity.fit_mvar
+
+        def flaky_fit(x, *args):
+            if bad in np.asarray(x).reshape((-1,) + x.shape[-2:])[:, 0, 0]:
+                raise ValueError("flaky fit")
+            return real_fit(x, *args)
+
+        monkeypatch.setattr(connectivity, "fit_mvar", flaky_fit)
+        with pytest.raises(ValueError) as chunked:
+            build_feature_tensors(windows)
+        assert str(chunked.value) == f"window {windows[4].source_id!r}, sub-window 3: flaky fit"
+
+
+    def test_failing_pass_names_the_windows_it_spans(self, monkeypatch):
+        # a fit fails only on stacks of more than one window's sub-windows:
+        # no sub-window and no window fails alone, so the error names the
+        # first pass, flat sub-windows 0-31: window 0 to sub-window 1 of window 3
+        windows = coupled_windows(n_windows=6)
+        real_fit = connectivity.fit_mvar
+
+        def wide_fit(x, *args):
+            if len(x) > 10:
+                raise ValueError("wide fit")
+            return real_fit(x, *args)
+
+        monkeypatch.setattr(connectivity, "fit_mvar", wide_fit)
+        with pytest.raises(ValueError) as chunked:
+            build_feature_tensors(windows)
+        first, last = windows[0].source_id, windows[3].source_id
+        assert str(chunked.value) == f"windows {first!r}-{last!r}, sub-windows 0-1: wide fit"
 
 class TestNormalizeFeatures:
     def test_train_set_standardized(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegfusion.connectivity import PipelineConfig
+from eegfusion.connectivity import PipelineConfig, window_chunks
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec
 from eegfusion.model import ModelConfig, TrainConfig
 from eegfusion.mvar import FitDiagnostics
@@ -228,8 +228,12 @@ class TestStudyWindows:
 
 class TestExtractTensors:
     def test_parallel_matches_sequential(self, monkeypatch):
-        windows = study_windows(fast_config())[:3]
-        fixed = fast_config().pipeline
+        # 13 desk-size windows (C=4, fs=128) form chunks of 6, 6 and 1, so
+        # the workers get whole chunks, the last one short
+        synth = SynthStudyConfig(n_per_class=1, windows_per_recording=7)
+        windows = study_windows(RunConfig(synth=synth))[:13]
+        assert [len(chunk) for chunk in window_chunks(windows)] == [6, 6, 1]
+        fixed = PipelineConfig()
         for pcfg in (fixed, replace(fixed, aic=True, aic_max=3)):
             monkeypatch.delenv("EEGFUSION_WORKERS", raising=False)
             seq_diag, par_diag = FitDiagnostics(), FitDiagnostics()
