@@ -119,17 +119,22 @@ def plv_from_phases(phases: np.ndarray) -> np.ndarray:
     explicitly: the result is made exactly symmetric (the larger of each
     mirrored pair), it is capped at 1, and wherever two channels' phases are
     equal sample for sample (the diagonal, or a duplicated channel) it is
-    exactly 1, as the zero phase difference gives.
+    exactly 1, as the zero phase difference gives. Equal phases give a
+    product within rounding of 1, and a NaN phase a NaN one, so only the
+    pairs above ``1 - 1e-6`` or NaN are compared sample by sample.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.ndim < 2 or phases.shape[-2] < 1:
         raise ValueError(f"expected (n_samples, n_channels) phases, got {phases.shape}")
-    n, c = phases.shape[-2:]
+    n = phases.shape[-2]
     u = np.exp(1j * phases)
     plv = np.abs(np.swapaxes(u, -1, -2) @ u.conj()) / n
     plv = np.minimum(np.maximum(plv, np.swapaxes(plv, -1, -2)), 1.0)
-    same = np.stack([np.all(phases == phases[..., i : i + 1], axis=-2) for i in range(c)], axis=-2)
-    plv[same] = 1.0
+    pairs = np.nonzero(~(plv <= 1.0 - 1e-6))
+    *lead, i, j = pairs
+    by_channel = np.swapaxes(phases, -1, -2)
+    same = np.all(by_channel[(*lead, i)] == by_channel[(*lead, j)], axis=-1)
+    plv[tuple(ix[same] for ix in pairs)] = 1.0
     return plv
 
 

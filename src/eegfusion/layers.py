@@ -198,7 +198,9 @@ class LSTM:
     fused 4H weight matrices. Each step computes the sigmoid once over the
     whole fused (G, M, 4H) preactivation, as 1 / (1 + exp(-z)) in place in one
     buffer, and reads the input, forget and output gates as slices of it; the
-    cell gate is tanh of its slice of z.
+    cell gate is tanh of its slice of z. The backward takes ``s (1 - s)``
+    over the whole buffer in two passes and then writes the cell gate's tanh
+    derivative over its slice.
     """
 
     def __init__(self, d_in: int, hidden: int, n_layers: int = 1) -> None:
@@ -243,7 +245,7 @@ class LSTM:
                     h = go * tc
                     out[:, :, t] = h
                     if cache is not None:
-                        steps.append((gi, gf, gc, go, c, tc))  # c is c_{t-1}
+                        steps.append((sig, gc, c, tc))  # c is c_{t-1}
                     c = c_new
             if cache is not None:
                 layer_caches.append({"x": seq, "out": out, "steps": steps})
@@ -266,23 +268,19 @@ class LSTM:
             dh_next = np.zeros((g, m, h_dim))
             dc_next = np.zeros((g, m, h_dim))
             for t in reversed(range(t_len)):
-                gi, gf, gc, go, c_prev, tc = steps[t]
+                sig, gc, c_prev, tc = steps[t]
+                gi, gf = sig[..., :h_dim], sig[..., h_dim : 2 * h_dim]
+                go = sig[..., 3 * h_dim :]
                 dh = gy[:, :, t] + dh_next
-                d_go = dh * tc
                 dc = dh * go * (1.0 - tc * tc) + dc_next
-                d_gi = dc * gc
-                d_gf = dc * c_prev
                 d_gc = dc * gi
                 dc_next = dc * gf
-                dz = np.concatenate(
-                    [
-                        d_gi * gi * (1.0 - gi),
-                        d_gf * gf * (1.0 - gf),
-                        d_gc * (1.0 - gc * gc),
-                        d_go * go * (1.0 - go),
-                    ],
-                    axis=-1,
-                )
+                # d_gate * s * (1 - s) for all 4H at once over the sigmoid
+                # buffer; the cell slice is then replaced by its tanh derivative
+                dz = np.concatenate([dc * gc, dc * c_prev, d_gc, dh * tc], axis=-1)
+                dz *= sig
+                dz *= 1.0 - sig
+                np.multiply(d_gc, 1.0 - gc * gc, out=dz[..., 2 * h_dim : 3 * h_dim])
                 g_wx += x[:, :, t].swapaxes(1, 2) @ dz
                 h_prev = out[:, :, t - 1] if t > 0 else np.zeros((g, m, h_dim))
                 g_wh += h_prev.swapaxes(1, 2) @ dz

@@ -204,9 +204,12 @@ def _extraction_workers() -> int:
     """Worker processes for feature extraction, from EEGFUSION_WORKERS."""
     raw = os.environ.get("EEGFUSION_WORKERS", "1") or "1"
     try:
-        return int(raw)
+        workers = int(raw)
     except ValueError:
         raise ConfigError("EEGFUSION_WORKERS", f"must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ConfigError("EEGFUSION_WORKERS", f"must be >= 1, got {workers}")
+    return workers
 
 
 def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
@@ -316,8 +319,8 @@ def study_recordings(cfg: RunConfig):
     """Simulate the study's recordings: every uncoupled one, then every
     coupled one, each yielded as ``(kind, recording, annotations)``.
 
-    The batch runs one recursion per class; the twins that set the coupled
-    recordings' channel scale join the uncoupled one."""
+    The batch runs one recursion for every recording and for the twins that
+    set the coupled recordings' channel scale."""
     s = cfg.synth
     specs = [
         SynthSpec(
@@ -385,9 +388,9 @@ def extract_tensors(
     """
     chunks = window_chunks(windows)
     workers = _extraction_workers()
-    if workers <= 1 or len(chunks) < 2:
+    if workers == 1 or len(chunks) < 2:
         return [t for chunk in chunks for t in build_feature_tensors(chunk, pcfg, diagnostics)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         results = list(pool.map(_extract_chunk, [(c, pcfg) for c in chunks], chunksize=1))
     for _, diag in results:
         if diagnostics is not None:

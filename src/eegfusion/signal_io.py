@@ -393,29 +393,35 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Recording, AnnotationSet]:
     return next(generate_synthetic_batch([spec]))
 
 
-def _simulate_class(specs: list[SynthSpec], coupled: bool) -> np.ndarray:
-    """The specs' processes, all with coupled or all with uncoupled
-    coefficients, in one VAR recursion over a leading axis: (R, n, C)."""
-    c = specs[0].n_channels
-    n = int(round(specs[0].duration_s * specs[0].fs))
-    burn = 500
-    e = np.empty((len(specs), n + burn, c))
-    for row, spec in zip(e, specs):
-        np.random.default_rng(spec.seed).standard_normal(out=row)
-        row *= spec.noise_std
-    a = np.stack([_synth_coefficients(spec, coupled) for spec in specs])
-    return simulate_var(a, n, innovations=e, burn_in=burn)
+def _innovations(spec: SynthSpec, n_rows: int) -> np.ndarray:
+    e = np.empty((n_rows, spec.n_channels))
+    np.random.default_rng(spec.seed).standard_normal(out=e)
+    e *= spec.noise_std
+    return e
+
+
+def _std_in_place(y: np.ndarray) -> np.ndarray:
+    """``y.std(axis=0)`` bit for bit, computed in y's own buffer, which it overwrites."""
+    mean = y.sum(axis=0, keepdims=True)
+    mean /= y.shape[0]
+    y -= mean
+    np.square(y, out=y)
+    var = y.sum(axis=0)
+    var /= y.shape[0]
+    return np.sqrt(var, out=var)
 
 
 def generate_synthetic_batch(specs):
-    """Simulate recordings of one shape in at most two VAR recursions.
+    """Simulate recordings of one shape in one VAR recursion.
 
-    Every spec must share ``n_channels``, ``fs`` and ``duration_s``. One
-    recursion runs every process with uncoupled coefficients: the uncoupled
-    specs and the uncoupled twin (same noise draws) of each power-matched
-    coupled spec, which fixes that spec's channel scale. The other runs the
-    coupled specs. Yields ``(recording, annotations)`` per spec, in order;
-    each recording owns its samples and equals what simulating that spec
+    Every spec must share ``n_channels``, ``fs`` and ``duration_s``. The
+    recursion runs each spec's process and, for each power-matched coupled
+    spec, its uncoupled twin (same noise draws), which fixes that spec's
+    channel scale. Every process is its own array. A twin's standard
+    deviation is taken in the twin's own buffer, which is then dropped, and
+    the coupled samples are scaled in place. Yields ``(recording,
+    annotations)`` per spec, in order; each recording's samples are a view
+    of its process past the burn-in, and equal what simulating that spec
     alone gives, bit for bit.
     """
     specs = list(specs)
@@ -428,27 +434,30 @@ def generate_synthetic_batch(specs):
                 f"synthetic process unstable (spectral radius {radius:.3f}); "
                 f"reduce coupling_strength or ar_pole_radius"
             )
-    coupled = [i for i, spec in enumerate(specs) if spec.kind == "coupled"]
-    plain = [i for i, spec in enumerate(specs) if spec.kind == "uncoupled" or spec.match_power]
-    samples, twin_std = {}, {}
-    if plain:
-        for i, y in zip(plain, _simulate_class([specs[i] for i in plain], coupled=False)):
-            if specs[i].kind == "coupled":
-                twin_std[i] = y.std(axis=0)
-            else:
-                samples[i] = y.copy()
-        del y  # the last row would keep the whole stack alive
-    if coupled:
-        for i, y in zip(coupled, _simulate_class([specs[i] for i in coupled], coupled=True)):
-            samples[i] = y * (twin_std[i] / y.std(axis=0)) if i in twin_std else y.copy()
-        del y
+    if not specs:
+        return
+    n = int(round(specs[0].duration_s * specs[0].fs))
+    burn = 500
+    series = [_innovations(spec, n + burn) for spec in specs]
+    twins = [i for i, spec in enumerate(specs) if spec.kind == "coupled" and spec.match_power]
+    a = np.stack(
+        [_synth_coefficients(spec, spec.kind == "coupled") for spec in specs]
+        + [_synth_coefficients(specs[i], False) for i in twins]
+    )
+    twin_series = [series[i].copy() for i in twins]
+    samples = simulate_var(a, n, innovations=series + twin_series, burn_in=burn)
+    del series, twin_series  # from here each buffer lives as long as its view
+    twin_std = {i: _std_in_place(samples.pop()) for i in reversed(twins)}
+    for i, std in twin_std.items():
+        samples[i] *= std / samples[i].std(axis=0)
     for i, spec in enumerate(specs):
         rec = Recording(
-            samples=samples.pop(i),
+            samples=samples[i],
             fs=spec.fs,
             channel_names=tuple(f"ch{k + 1:02d}" for k in range(spec.n_channels)),
             id=spec.rec_id or f"synth-{spec.kind}-s{spec.seed}",
         )
+        samples[i] = None  # keep no recording the caller has dropped
         intervals = [(0.0, rec.duration_s)] if spec.kind == "coupled" else []
         yield rec, AnnotationSet.from_intervals(intervals)
 

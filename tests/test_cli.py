@@ -91,6 +91,14 @@ class TestEarlyValidation:
         assert "train.epochs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nonpositive_workers_stop_before_any_output(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "never"
+        path = write_config(fast_config(out), tmp_path / "cfg.json")
+        monkeypatch.setenv("EEGFUSION_WORKERS", "0")
+        assert main(["run", "--config", path]) == 2
+        assert "EEGFUSION_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unstable_synth_stops_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "never"
         cfg = fast_config(out)

@@ -165,6 +165,36 @@ class TestPlv:
         plv = plv_from_phases(np.hstack([phi, phi]))
         assert plv[0, 1] == 1.0 and plv[1, 0] == 1.0
 
+    def test_duplicated_channel_in_one_subwindow_of_a_stack(self):
+        phases = np.random.default_rng(13).uniform(-np.pi, np.pi, size=(4, 256, 3))
+        phases[2, :, 2] = phases[2, :, 0]
+        plv = plv_from_phases(phases)
+        assert plv[2, 0, 2] == 1.0 and plv[2, 2, 0] == 1.0
+        assert np.all(plv[[0, 1, 3], 0, 2] < 0.5)
+
+    def test_channel_differing_in_one_sample_is_not_forced_to_one(self):
+        phi = np.random.default_rng(14).uniform(-np.pi, np.pi, size=256)
+        phases = np.column_stack([phi, phi])
+        phases[100, 1] += 1e-3
+        plv = plv_from_phases(phases)
+        # within 1e-6 of 1, so compared sample by sample, and left below 1
+        assert 1.0 - 1e-6 < plv[0, 1] < 1.0
+        assert plv[0, 1] == plv[1, 0]
+
+    def test_nan_phases_keep_the_gram_value(self):
+        # a NaN never equals itself: its channel's diagonal stays NaN, and
+        # a duplicated finite channel is still exactly 1
+        phi = np.random.default_rng(15).uniform(-np.pi, np.pi, size=(2, 64, 1))
+        phases = np.concatenate([phi, phi, phi + 0.5], axis=-1)
+        phases[0, 10, 2] = np.nan
+        phases[1, 5, :2] = np.nan
+        with np.errstate(invalid="ignore"):
+            plv = plv_from_phases(phases)
+        assert np.isnan(plv[0, 2]).all() and np.isnan(plv[0, :, 2]).all()
+        assert plv[0, 0, 1] == plv[0, 0, 0] == plv[0, 1, 1] == 1.0
+        assert np.isnan(plv[1, :2]).all() and np.isnan(plv[1, :, :2]).all()
+        assert plv[1, 2, 2] == 1.0
+
     def test_antiphase_alternation_cancels(self):
         n = 512
         phases = np.zeros((n, 2))

@@ -190,9 +190,9 @@ def test_lstm_gate_sigmoid_is_expit(m):
     for (wx_p, wh_p, b_p), lc in zip(layer.layer_params, cache["layers"]):
         wx, wh, b = wx_p.view(theta), wh_p.view(theta), b_p.view(theta)[:, None]
         h = np.zeros(lc["out"].shape[:2] + (h_dim,))
-        for t, (gi, gf, _, go, _, _) in enumerate(lc["steps"]):
+        for t, (gates, _, _, _) in enumerate(lc["steps"]):
             z = lc["x"][:, :, t] @ wx + h @ wh + b
-            sig = np.concatenate([gi, gf, go], axis=-1)
+            sig = np.concatenate([gates[..., : 2 * h_dim], gates[..., 3 * h_dim :]], axis=-1)
             ref = expit(np.concatenate([z[..., : 2 * h_dim], z[..., 3 * h_dim :]], axis=-1))
             np.testing.assert_allclose(sig, ref, rtol=1e-15, atol=0)
             h = lc["out"][:, :, t]

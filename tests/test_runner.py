@@ -10,6 +10,7 @@ import pytest
 from eegfusion.connectivity import PipelineConfig, window_chunks
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec
 from eegfusion.model import ModelConfig, TrainConfig
+from eegfusion import runner
 from eegfusion.mvar import FitDiagnostics
 from eegfusion.runner import (
     ConfigError,
@@ -194,6 +195,11 @@ class TestValidation:
         monkeypatch.setenv("EEGFUSION_WORKERS", "abc")
         assert self.field_of(fast_config()) == "EEGFUSION_WORKERS"
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers(self, monkeypatch, workers):
+        monkeypatch.setenv("EEGFUSION_WORKERS", workers)
+        assert self.field_of(fast_config()) == "EEGFUSION_WORKERS"
+
     def test_degenerate_split(self):
         assert self.field_of(fast_config(test_fraction=0.0)) == "split.test_fraction"
         assert self.field_of(fast_config(test_fraction=0.05)) == "split.test_fraction"
@@ -246,6 +252,43 @@ class TestExtractTensors:
                 assert a.label == b.label
             assert par_diag == seq_diag
             assert (seq_diag.order_cap_hits > 0) == pcfg.aic
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestExtractionPool:
+    @pytest.mark.parametrize("workers, size", [("2", 2), ("8", 3), ("64", 3)])
+    def test_pool_is_no_larger_than_the_chunk_count(self, monkeypatch, workers, size):
+        # 13 desk-size windows form 3 chunks; a larger pool would idle
+        windows = study_windows(RunConfig(synth=SynthStudyConfig(
+            n_per_class=1, windows_per_recording=7)))[:13]
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(RecordingExecutor, "sizes", [])
+        monkeypatch.setenv("EEGFUSION_WORKERS", workers)
+        tensors = extract_tensors(windows, PipelineConfig())
+        assert RecordingExecutor.sizes == [size]
+        assert [t.source_id for t in tensors] == [w.source_id for w in windows]
+
+    def test_nonpositive_workers_stop_extraction(self, monkeypatch):
+        monkeypatch.setenv("EEGFUSION_WORKERS", "0")
+        with pytest.raises(ConfigError, match="EEGFUSION_WORKERS"):
+            extract_tensors(study_windows(fast_config()), PipelineConfig())
 
 
 class TestPipelineRun:

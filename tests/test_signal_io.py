@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from eegfusion import signal_io
 from eegfusion.mvar import simulate_var
 from eegfusion.runner import RunConfig, SynthStudyConfig, study_recordings
 from eegfusion.signal_io import (
@@ -25,6 +27,7 @@ from eegfusion.signal_io import (
     synth_spectral_radius,
     train_test_split,
 )
+from eegfusion.signal_io import _std_in_place
 
 FS = 128.0
 
@@ -240,6 +243,60 @@ class TestPinnedSynthesis:
         e = np.random.default_rng(22).standard_normal((2, 120, 2))
         y = simulate_var(np.full((2, 1, 2, 2), 0.1), 100, innovations=e, burn_in=20)
         assert np.shares_memory(y, e)
+
+    def test_staged_recursion_equals_the_step_loop(self):
+        # 2,600 steps cross the staging blocks, the last one short; a list of
+        # separate series gives views of each series, equal to the stack
+        rng = np.random.default_rng(23)
+        a = np.stack([0.25 * rng.standard_normal((3, 2, 2)) for _ in range(4)])
+        e = rng.standard_normal((4, 2600, 2))
+        want = e.copy()
+        for n in range(2600):
+            for k in range(1, min(3, n) + 1):
+                want[:, n] += np.matmul(a[:, k - 1], want[:, n - k, :, None])[..., 0]
+        assert np.array_equal(simulate_var(a, 2500, innovations=e.copy(), burn_in=100),
+                              want[:, 100:])
+        rows = [e[r].copy() for r in range(4)]
+        listed = simulate_var(a, 2500, innovations=rows, burn_in=100)
+        for row, y, w in zip(rows, listed, want):
+            assert np.shares_memory(y, row) and np.array_equal(y, w[100:])
+
+    def test_mixed_batch_is_one_recursion(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(kwargs["innovations"]))
+            return simulate_var(*args, **kwargs)
+
+        monkeypatch.setattr(signal_io, "simulate_var", counted)
+        base = dict(n_channels=3, duration_s=30.0, coupling_strength=0.15)
+        specs = [
+            SynthSpec(kind="coupled", seed=41, **base),
+            SynthSpec(kind="uncoupled", seed=42, **base),
+            SynthSpec(kind="coupled", seed=43, match_power=False, **base),
+            SynthSpec(kind="coupled", seed=44, **base),
+        ]
+        assert len(list(generate_synthetic_batch(specs))) == 4
+        assert calls == [6]  # four specs and the twins of the two power-matched ones
+
+    def test_peak_memory_is_the_coupled_series_and_its_twin(self):
+        # 60 s at fs=256 plus the 500-step burn-in, C=19: two such series
+        series_bytes = (60 * 256 + 500) * 19 * 8
+        spec = SynthSpec(kind="coupled", n_channels=19, fs=256.0, duration_s=60.0,
+                         coupling_strength=0.08, seed=0)
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2 * series_bytes
+
+    @pytest.mark.parametrize("shape", [(28_160, 4), (51_200, 19)])
+    def test_in_place_std_is_numpy_std(self, shape):
+        y = 3.0 + 2.0 * np.random.default_rng(shape[1]).standard_normal(shape)
+        want = y.std(axis=0)
+        assert _std_in_place(y).tobytes() == want.tobytes()
 
     def test_batch_equals_one_spec_at_a_time(self):
         base = dict(n_channels=3, duration_s=30.0, coupling_strength=0.15)
