@@ -54,8 +54,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out_dir=args.out)
     try:
-        if getattr(args, "mode", None) is not None:
-            cfg = replace(cfg, pipeline=replace(cfg.pipeline, mode=args.mode))
         if getattr(args, "order", None) is not None:
             cfg = replace(cfg, pipeline=replace(cfg.pipeline, order=args.order))
         if getattr(args, "aic", False):
@@ -176,7 +174,6 @@ def _add_config_flags(p: argparse.ArgumentParser, out_help: str | None = None) -
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("broadband", "per_band"), help="spectral fitting mode")
     p.add_argument("--order", type=int, help="fixed MVAR order")
     p.add_argument("--aic", action="store_true", help="select the MVAR order by AIC")
 

@@ -206,12 +206,11 @@ def band_aggregate(
 class PipelineConfig:
     """Feature-extraction settings shared by every window of a run.
 
-    mode "broadband" fits one MVAR per sub-window on the broadband-filtered
-    signal and band-averages its spectra; "per_band" refits on each
-    band-filtered signal and averages only inside that band.
+    One MVAR model is fitted per sub-window on the ``broadband``-filtered
+    signal, and its spectra are averaged inside each of ``bands``; PLV is
+    computed on each band-filtered signal.
     """
 
-    mode: str = "broadband"
     order: int = 5
     aic: bool = False
     aic_max: int = 12
@@ -223,8 +222,6 @@ class PipelineConfig:
     broadband: BandSpec = BROADBAND
 
     def __post_init__(self) -> None:
-        if self.mode not in ("broadband", "per_band"):
-            raise ValueError(f"mode must be 'broadband' or 'per_band', got {self.mode!r}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
         if self.aic_max < 1:
@@ -295,7 +292,6 @@ def _mvar_planes(
     subs: np.ndarray,
     fs: float,
     cfg: PipelineConfig,
-    bands: tuple[BandSpec, ...],
     diagnostics: FitDiagnostics | None,
 ) -> np.ndarray:
     """The six MVAR measures of sub-windows (T, n, C), band-averaged: (6, T, C, C, B).
@@ -311,7 +307,7 @@ def _mvar_planes(
     else:
         orders = (cfg.order,) * len(subs)
     c = subs.shape[-1]
-    planes = np.empty((len(FEATURE_ORDER) - 1, len(subs), c, c, len(bands)))
+    planes = np.empty((len(FEATURE_ORDER) - 1, len(subs), c, c, len(cfg.bands)))
     for p in dict.fromkeys(orders):
         idx = [t for t, q in enumerate(orders) if q == p]
         model = fit_mvar(subs[idx], p, fs, cfg.ridge)
@@ -319,7 +315,7 @@ def _mvar_planes(
             diagnostics.unstable_fits += int(np.count_nonzero(companion_radius(model.A) >= 1.0))
         sd = spectral_decomposition(model, cfg.n_freqs, diagnostics)
         for k, (name, vals) in enumerate(_spectral_measures(sd, model.Sigma).items()):
-            planes[k, idx] = np.moveaxis(band_aggregate(vals, bands, sd.freqs, name), -3, -1)
+            planes[k, idx] = np.moveaxis(band_aggregate(vals, cfg.bands, sd.freqs, name), -3, -1)
     return planes
 
 
@@ -375,40 +371,29 @@ def _chunk_tensors(
     def filtered(band: BandSpec) -> np.ndarray:
         return filtfilt(design_bandpass(band, fs, cfg.filter_order), block)
 
-    def mvar_features(x: np.ndarray, bands: tuple[BandSpec, ...], out: np.ndarray, context: str):
-        subs = _subwindow_stack(x, n_w, t_sub)
-        planes = np.empty((len(FEATURE_ORDER) - 1, len(subs), c, c, len(bands)))
-        for start in range(0, len(subs), per_pass):
-            part = slice(start, min(start + per_pass, len(subs)))
-            try:
-                planes[:, part] = _mvar_planes(subs[part], fs, cfg, bands, diagnostics)
-            except ValueError as exc:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    for k in range(part.start, part.stop):
-                        try:
-                            _mvar_planes(subs[k : k + 1], fs, cfg, bands, None)
-                        except ValueError as first:
-                            w, t = divmod(k, t_sub)
-                            raise fail(w, w, f"{context}sub-window {t}", first) from first
-                (w0, t0), (w1, t1) = divmod(part.start, t_sub), divmod(part.stop - 1, t_sub)
-                raise fail(w0, w1, f"{context}sub-windows {t0}-{t1}", exc) from exc
-        planes = planes.reshape(planes.shape[:1] + (n_w, t_sub) + planes.shape[2:])
-        out[...] = np.swapaxes(planes, 0, 1)
-
-    band_signals: list[np.ndarray | None] = [None] * len(cfg.bands)
-    if cfg.mode == "broadband":
-        mvar_features(filtered(cfg.broadband), cfg.bands, tensor[:, :-1], "")
-    else:
-        for b, band in enumerate(cfg.bands):
-            band_signals[b] = filtered(band)
-            out = tensor[:, :-1, ..., b : b + 1]
-            mvar_features(band_signals[b], (band,), out, f"band {band.name!r}, ")
+    subs = _subwindow_stack(filtered(cfg.broadband), n_w, t_sub)
+    planes = np.empty((len(FEATURE_ORDER) - 1, len(subs), c, c, len(cfg.bands)))
+    for start in range(0, len(subs), per_pass):
+        part = slice(start, min(start + per_pass, len(subs)))
+        try:
+            planes[:, part] = _mvar_planes(subs[part], fs, cfg, diagnostics)
+        except ValueError as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for k in range(part.start, part.stop):
+                    try:
+                        _mvar_planes(subs[k : k + 1], fs, cfg, None)
+                    except ValueError as first:
+                        w, t = divmod(k, t_sub)
+                        raise fail(w, w, f"sub-window {t}", first) from first
+            (w0, t0), (w1, t1) = divmod(part.start, t_sub), divmod(part.stop - 1, t_sub)
+            raise fail(w0, w1, f"sub-windows {t0}-{t1}", exc) from exc
+    planes = planes.reshape(planes.shape[:1] + (n_w, t_sub) + planes.shape[2:])
+    tensor[:, :-1] = np.swapaxes(planes, 0, 1)
 
     for b, band in enumerate(cfg.bands):
         try:
-            x = filtered(band) if band_signals[b] is None else band_signals[b]
-            tensor[:, -1, ..., b] = _band_plv(x, band, n_w, t_sub)
+            tensor[:, -1, ..., b] = _band_plv(filtered(band), band, n_w, t_sub)
         except ValueError as exc:
             raise fail(0, n_w - 1, f"band {band.name!r} PLV", exc) from exc
 

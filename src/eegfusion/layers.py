@@ -25,7 +25,6 @@ __all__ = [
     "Dense",
     "LSTM",
     "AttentionPool",
-    "LastStep",
     "Dropout",
 ]
 
@@ -330,22 +329,6 @@ class AttentionPool:
         self.b.add_to(grad, ga.sum(axis=(1, 2)))
         self.v.add_to(grad, (ge.reshape(g, 1, -1) @ u.reshape(g, -1, h_dim))[:, 0])
         return gx + ga @ w_t
-
-
-class LastStep:
-    """Parameter-free pooling that keeps the final time step."""
-
-    params: list[Param] = []
-
-    def forward(self, theta, x, cache=None):
-        if cache is not None:
-            cache["shape"] = x.shape
-        return x[:, :, -1]
-
-    def backward(self, theta, grad, cache, gy):
-        gx = np.zeros(cache["shape"])
-        gx[:, :, -1] = gy
-        return gx
 
 
 class Dropout:

@@ -37,7 +37,6 @@ from .layers import (
     ContractRow,
     Dense,
     Dropout,
-    LastStep,
     LSTM,
     ParamRegistry,
     Slot,
@@ -79,7 +78,6 @@ class ModelConfig:
     lstm_hidden: int = 16
     lstm_layers: int = 1
     dense_sizes: tuple[int, ...] = (16,)
-    attention: bool = True
     dropout_rate: float = 0.0
     seed: int = 0
 
@@ -129,7 +127,7 @@ class FusionModel:
             "feature_mix": lambda: ContractLast(f),
             "collapse": lambda: ContractRow(c),
             "lstm": lambda: LSTM(c, h, cfg.lstm_layers),
-            "pool": lambda: AttentionPool(h) if cfg.attention else LastStep(),
+            "pool": lambda: AttentionPool(h),
             "embed": lambda: Dense(h, d1),
         }
         stage_names, trunk_names = _SCHEME_STAGES[cfg.scheme]
@@ -279,7 +277,8 @@ class FusionModel:
         return probs, v
 
     def forward(self, x, mode: str = "eval", rng: np.random.Generator | None = None):
-        """Single-sample (F, T, C, C, B) or batched probability."""
+        """Single-sample (F, T, C, C, B) or batched probability; ``mode="train"``
+        caches activations for backward() and, with dropout, needs ``rng``."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         x = np.asarray(getattr(x, "values", x), dtype=float)
@@ -348,7 +347,6 @@ class TrainConfig:
     epochs: int = 25
     batch_size: int = 16
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     label_flip_second_phase: bool = False
     seed: int = 0
 
@@ -359,16 +357,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-
-
-class _Sgd:
-    def __init__(self, n: int, lr: float) -> None:
-        self.lr = lr
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        params -= self.lr * grad
 
 
 class _Adam:
@@ -413,10 +401,12 @@ def _stack_dataset(ds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list[dict]]:
-    """Seeded mini-batch training; returns the model and per-epoch history.
+    """Seeded mini-batch Adam training; returns the model and per-epoch history.
 
-    With label_flip_second_phase, a second phase continues from the phase-one
-    weights with inverted labels and a re-initialized head.
+    One generator seeded with ``cfg.seed`` draws each epoch's batch order and
+    the dropout masks. With label_flip_second_phase, a second phase continues
+    from the phase-one weights with inverted labels, a head re-initialized
+    from the same generator and a fresh optimizer.
     """
     x, y = _stack_dataset(train_ds)
     n = x.shape[0]
@@ -425,13 +415,12 @@ def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     rng = np.random.default_rng(cfg.seed)
-    make_opt = _Adam if cfg.optimizer == "adam" else _Sgd
     history: list[dict] = []
     phases = [(1, y)] + ([(2, 1.0 - y)] if cfg.label_flip_second_phase else [])
     for phase, labels in phases:
         if phase == 2:
             m.reinit_head(rng)
-        opt = make_opt(m.param_count, cfg.learning_rate)
+        opt = _Adam(m.param_count, cfg.learning_rate)
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
             loss_sum = 0.0

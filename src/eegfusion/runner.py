@@ -41,7 +41,7 @@ from .model import (
     save_model,
     train,
 )
-from .mvar import FitDiagnostics, frequency_grid
+from .mvar import FitDiagnostics, _check_order, frequency_grid
 from .plotting import write_svg
 from .relevance import RelevanceReport, relevance_report, write_report_csv, write_report_json
 from .signal_io import (
@@ -246,13 +246,14 @@ def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
             f"window of {n_window} samples not divisible into {p.subwindows} parts",
         )
     sub_len = n_window // p.subwindows
-    order_cap = p.aic_max if p.aic else p.order
-    if sub_len - order_cap < order_cap * n_channels:
+    # the fit's own sample bound, so that no order passing here fails there
+    field, order_cap = ("pipeline.aic_max", p.aic_max) if p.aic else ("pipeline.order", p.order)
+    try:
+        _check_order(sub_len, n_channels, order_cap)
+    except ValueError as exc:
         raise ConfigError(
-            "pipeline.order",
-            f"{sub_len}-sample sub-windows cannot support order {order_cap} "
-            f"with {n_channels} channels",
-        )
+            field, f"{sub_len}-sample sub-windows of {n_channels} channels: {exc}"
+        ) from exc
     if sub_len <= 3 * p.filter_order:
         raise ConfigError(
             "pipeline.subwindows",

@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 
+import pytest
 from test_runner import fast_config
 
 from eegfusion.cli import main
@@ -10,7 +11,9 @@ from eegfusion.connectivity import PipelineConfig
 from eegfusion.dataset import read_dataset, split_dataset
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec, design_bandpass
 from eegfusion.model import TrainConfig, evaluate, load_model
-from eegfusion.runner import RunConfig, SynthStudyConfig, run_config_to_json
+from eegfusion.runner import (
+    RunConfig, SynthStudyConfig, run_config_from_json, run_config_to_json, validate_run_config,
+)
 
 
 def write_config(cfg: RunConfig, path) -> str:
@@ -174,8 +177,8 @@ class TestOverrides:
         assert main(["train", "--dataset", "x", "--model-out", "y", "--scheme", "9"]) == 2
         capsys.readouterr()
 
-    def test_mode_flag_rejects_unknown_choice(self, capsys):
-        assert main(["run", "--mode", "narrowband"]) == 2
+    def test_removed_mode_flag_is_usage_error(self, capsys):
+        assert main(["run", "--mode", "per_band"]) == 2
         capsys.readouterr()
 
 
@@ -331,3 +334,22 @@ class TestRunCommand:
         assert main(["run", "--out", str(tmp_path / "x"), "--order", "60"]) == 2
         assert "pipeline.order" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, field", [
+        ("order", "pipeline.order"), ("aic_max", "pipeline.aic_max"),
+    ], ids=["fixed", "aic"])
+    def test_order_the_fit_refuses_is_exit_2_before_output(self, tmp_path, capsys, key, field):
+        # C=3, 256-sample sub-windows: a fit of order p needs more than
+        # p * (C + 1) rows, so 63 is the largest order and 64 must not pass
+        doc = {
+            "synth": {"n_channels": 3, "n_per_class": 2, "windows_per_recording": 4},
+            "model": {"n_channels": 3},
+            "train": {"batch_size": 1},
+        }
+        aic = {"aic": True} if key == "aic_max" else {}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**doc, "pipeline": {**aic, key: 64}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        validate_run_config(run_config_from_json({**doc, "pipeline": {**aic, key: 63}}))

@@ -319,12 +319,6 @@ class TestBuildFeatureTensor:
         tp = build_feature_tensor(wp).values
         assert np.allclose(tp, t[:, :, perm][:, :, :, perm], atol=1e-8)
 
-    def test_per_band_mode(self):
-        cfg = PipelineConfig(mode="per_band", order=3)
-        t = build_feature_tensor(synthetic_window(seed=4), cfg)
-        assert t.shape == (7, 10, 4, 4, 5)
-        assert np.isfinite(t.values).all()
-
     def test_failed_subwindow_names_window(self):
         w = synthetic_window(seed=5)
         cfg = PipelineConfig(order=60)  # 256-sample sub-windows cannot support it
@@ -363,28 +357,21 @@ def oracle_tensor(window, cfg):
     t_sub, c = cfg.subwindows, window.samples.shape[1]
     out = np.empty((7, t_sub, c, c, len(cfg.bands)))
 
-    def mvar_planes(filter_band, bands, cols):
-        x = filtfilt(design_bandpass(filter_band, window.fs, cfg.filter_order), window.samples)
-        for t, sub in enumerate(split_subwindows(x, t_sub)):
-            p = select_order(sub, cfg.aic_max, cfg.ridge) if cfg.aic else cfg.order
-            diag.order_cap_hits += cfg.aic and p == cfg.aic_max
-            m = fit_mvar(sub, p, window.fs, cfg.ridge)
-            diag.unstable_fits += not is_stable(m)
-            sd = spectral_decomposition(m, cfg.n_freqs, diag)
-            measures = {
-                "SM": sd.S, "ISM": sd.P,
-                "DC": directed_coherence(sd, m.Sigma), "COH": coherence(sd),
-                "PDC": partial_directed_coherence(sd, m.Sigma), "PCOH": partial_coherence(sd),
-            }
-            for name, vals in measures.items():
-                bm = band_aggregate(vals, bands, sd.freqs, name)
-                out[FEATURE_ORDER.index(name), t, :, :, cols] = np.moveaxis(bm, 0, -1)
-
-    if cfg.mode == "broadband":
-        mvar_planes(cfg.broadband, cfg.bands, slice(None))
-    else:
-        for b, band in enumerate(cfg.bands):
-            mvar_planes(band, (band,), slice(b, b + 1))
+    x = filtfilt(design_bandpass(cfg.broadband, window.fs, cfg.filter_order), window.samples)
+    for t, sub in enumerate(split_subwindows(x, t_sub)):
+        p = select_order(sub, cfg.aic_max, cfg.ridge) if cfg.aic else cfg.order
+        diag.order_cap_hits += cfg.aic and p == cfg.aic_max
+        m = fit_mvar(sub, p, window.fs, cfg.ridge)
+        diag.unstable_fits += not is_stable(m)
+        sd = spectral_decomposition(m, cfg.n_freqs, diag)
+        measures = {
+            "SM": sd.S, "ISM": sd.P,
+            "DC": directed_coherence(sd, m.Sigma), "COH": coherence(sd),
+            "PDC": partial_directed_coherence(sd, m.Sigma), "PCOH": partial_coherence(sd),
+        }
+        for name, vals in measures.items():
+            bm = band_aggregate(vals, cfg.bands, sd.freqs, name)
+            out[FEATURE_ORDER.index(name), t] = np.moveaxis(bm, 0, -1)
     for b, band in enumerate(cfg.bands):
         x = filtfilt(design_bandpass(band, window.fs, cfg.filter_order), window.samples)
         phases = np.column_stack(
@@ -402,9 +389,8 @@ class TestStackedFeaturePath:
     @pytest.mark.parametrize("n_channels", [4, 19])
     @pytest.mark.parametrize("cfg", [
         PipelineConfig(),
-        PipelineConfig(mode="per_band", order=3),
         PipelineConfig(aic=True),
-    ], ids=["broadband", "per_band", "aic"])
+    ], ids=["broadband", "aic"])
     def test_equals_per_fit_oracle(self, cfg, n_channels):
         fs, strength = (128.0, 0.15) if n_channels == 4 else (256.0, 0.08)
         spec = SynthSpec(kind="coupled", n_channels=n_channels, fs=fs, duration_s=20.0,
@@ -428,6 +414,19 @@ def coupled_windows(n_channels=4, fs=128.0, n_windows=8, seed=1, strength=0.15):
                      coupling_strength=strength, seed=seed)
     rec, ann = generate_synthetic(spec)
     return extract_labeled_windows(rec, ann, n_nonseizure=0)
+
+
+def growing_windows(n_windows=8, n_channels=4, fs=FS):
+    """Windows of a 10 Hz oscillation growing by 1.001 per sample, plus 0.01
+    noise: every MVAR fit of them is unstable."""
+    n = np.arange(int(20 * fs))[:, None]
+    rng = np.random.default_rng(0)
+    windows = []
+    for i in range(n_windows):
+        x = 1.001**n * np.sin(2 * np.pi * 10.0 * n / fs + rng.uniform(0, 2 * np.pi, n_channels))
+        x += 0.01 * rng.standard_normal(x.shape)
+        windows.append(LabeledWindow(samples=x, label=1, source_id=f"grow-{i}", offset_s=0.0, fs=fs))
+    return windows
 
 
 def assert_same_tensors(got, want):
@@ -465,15 +464,15 @@ class TestWindowChunks:
         assert [len(ch) for ch in window_chunks(clinical)] == [1, 1]
         assert window_chunks([]) == []
 
-    @pytest.mark.parametrize("cfg", [
-        PipelineConfig(),
-        PipelineConfig(mode="per_band", order=3),
-        PipelineConfig(aic=True),
-    ], ids=["broadband", "per_band", "aic"])
-    def test_chunks_equal_one_window_at_a_time(self, cfg):
+    @pytest.mark.parametrize("make_windows, cfg", [
+        (coupled_windows, PipelineConfig()),
+        (growing_windows, PipelineConfig()),
+        (coupled_windows, PipelineConfig(aic=True)),
+    ], ids=["broadband", "unstable", "aic"])
+    def test_chunks_equal_one_window_at_a_time(self, make_windows, cfg):
         # 8 windows: a chunk of 6 and one of 2; the MVAR passes of 32
         # sub-windows end inside windows 3 and 6
-        windows = coupled_windows()
+        windows = make_windows()
         chunks = window_chunks(windows)
         assert [len(ch) for ch in chunks] == [6, 2]
         diag = FitDiagnostics()
@@ -481,8 +480,8 @@ class TestWindowChunks:
         want, want_diag = one_at_a_time(windows, cfg)
         assert_same_tensors(got, want)
         assert diag == want_diag
-        if cfg.mode == "per_band":
-            assert diag.unstable_fits > 0
+        if make_windows is growing_windows:
+            assert diag.unstable_fits == 80
         if cfg.aic:
             assert diag.order_cap_hits > 0
 
@@ -503,20 +502,17 @@ class TestWindowChunks:
         with pytest.raises(ValueError, match="one sampling rate and one sample shape"):
             build_feature_tensors(desk[:2] + fast, cfg)
 
-    @pytest.mark.parametrize("mode, context", [
-        ("broadband", ""), ("per_band", "band 'delta', "),
-    ])
-    def test_failure_names_the_first_failing_window(self, mode, context):
+    def test_failure_names_the_first_failing_window(self):
         windows = coupled_windows(n_windows=5)
         bad = with_zero_channel(windows[2])
-        cfg = PipelineConfig(mode=mode)
+        cfg = PipelineConfig()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ValueError) as alone:
                 build_feature_tensor(bad, cfg)
             with pytest.raises(ValueError) as chunked:
                 build_feature_tensors(windows[:2] + [bad] + windows[3:], cfg)
-        assert str(alone.value).startswith(f"window {bad.source_id!r}, {context}sub-window 0: ")
+        assert str(alone.value).startswith(f"window {bad.source_id!r}, sub-window 0: ")
         assert str(chunked.value) == str(alone.value)
 
     def test_pass_spanning_windows_names_its_sub_window(self, monkeypatch):
@@ -589,6 +585,6 @@ class TestNormalizeFeatures:
 
 
 def test_pipeline_config_json_round_trip():
-    cfg = PipelineConfig(mode="per_band", order=7, n_freqs=32,
+    cfg = PipelineConfig(order=7, aic=True, n_freqs=32,
                          bands=(BandSpec("low", 1.0, 10.0), BandSpec("high", 10.0, 40.0)))
     assert from_json(PipelineConfig, to_json(cfg)) == cfg

@@ -58,7 +58,7 @@ class TestRoundTrip:
 
 class TestManifest:
     def test_describes_dataset(self, tmp_path):
-        cfg = PipelineConfig(mode="per_band", order=3)
+        cfg = PipelineConfig(order=3, aic=True)
         write_dataset(make_tensors(n=2), tmp_path, cfg, test_fraction=0.25, seed=7)
         _, manifest = read_dataset(tmp_path)
         assert manifest["shape"] == [7, 10, 4, 4, 5]

@@ -44,8 +44,8 @@ SMALL = dict(
 FD_SEEDS = {1: 4, 2: 1, 3: 0, 4: 9}
 
 
-def fd_setup(scheme, seed, **overrides):
-    cfg = ModelConfig(scheme=scheme, **{**SMALL, **overrides})
+def fd_setup(scheme, seed):
+    cfg = ModelConfig(scheme=scheme, **SMALL)
     m = build_fusion_model(cfg)
     rng = np.random.default_rng(100 + seed)
     m.params = rng.uniform(-0.7, 0.7, m.param_count)
@@ -212,10 +212,6 @@ class TestGradients:
         m, x, y = fd_setup(scheme, FD_SEEDS[scheme])
         assert max_fd_rel_error(m, x, y) < 1e-4
 
-    def test_backward_matches_fd_without_attention(self):
-        m, x, y = fd_setup(2, 1, attention=False)
-        assert max_fd_rel_error(m, x, y) < 1e-4
-
     def test_masked_branch_gets_zero_gradient(self):
         # zeroing the head rows fed by one branch cuts its only path to the
         # loss, so its parameters must receive exactly zero gradient
@@ -319,8 +315,8 @@ class TestTraining:
     def test_train_config_validation(self):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError, match="optimizer"):
-            TrainConfig(optimizer="lbfgs")
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=0)
 
 
 class TestAdam:
@@ -518,16 +514,19 @@ class TestSaveLoad:
             load_model(p)
 
 
-# Recorded from the per-branch implementation that preceded the grouped
-# branch stack, per scheme at SMALL dims: the sha256 of the seeded init as
-# written by save_model, then the probabilities of fd_setup's inputs under
-# the seeded init and under fd_setup's parameters. A change to the flat
-# layout, the init draws or the forward math moves at least one of them.
+# Per scheme at SMALL dims: the sha256 of the seeded init as written by
+# save_model, then the probabilities of fd_setup's inputs under the seeded
+# init and under fd_setup's parameters. The probabilities and the parameter
+# payload were recorded from the per-branch implementation that preceded the
+# grouped branch stack; the digests cover the header too, so they were
+# re-recorded when the model config lost its attention field, with the
+# payload and the probabilities unchanged. A change to the flat layout, the
+# init draws or the forward math moves at least one of them.
 PINNED = {
-    1: ("0c7c93c22f2ff47f97f3f34f302bc732ed125e663c1e3ff6c72429a367a02407", [0.49964299368457726, 0.49963577509124707, 0.49974206690891354], [0.3568388106582656, 0.3568388106582656, 0.3568388106582656]),
-    2: ("6e50fc5002437881b3ac081c83b592064209e262533dbaae0d7fe34681ae9976", [0.4999054182124237, 0.49981955852278465, 0.49991818079489825], [0.5056871555663552, 0.5054094535627736, 0.5053070706927432]),
-    3: ("72fe859fa332b6c0e15c13576bc6ea8696bc99914fca13d97d1c22caa83a5de7", [0.5000307217210748, 0.5000464084112304, 0.5000140131318799], [0.5633192942195644, 0.5634930622962981, 0.5633796896361549]),
-    4: ("e568af23ab637b8a4d9ec85d4420f5a0ee75e5ec0216db891f22189bb99e6ce1", [0.5002087480069123, 0.500140929077302, 0.5], [0.5901353973483658, 0.5901353973483658, 0.5901353973483658]),
+    1: ("c60d5498adbb4fe01c08daa0c206e277df36d20d30dd0621551e01129c7a5631", [0.49964299368457726, 0.49963577509124707, 0.49974206690891354], [0.3568388106582656, 0.3568388106582656, 0.3568388106582656]),
+    2: ("7aac3af7d65009dc07a427d0562a633fabde470b91fac69f98eb3c03f64ba8ab", [0.4999054182124237, 0.49981955852278465, 0.49991818079489825], [0.5056871555663552, 0.5054094535627736, 0.5053070706927432]),
+    3: ("0cae64a881161440be00a80e71e8e4221b7b6ee0799afa4dade94763168edfa1", [0.5000307217210748, 0.5000464084112304, 0.5000140131318799], [0.5633192942195644, 0.5634930622962981, 0.5633796896361549]),
+    4: ("7e2be8b4bb8ca67f962a5687bf5c43306a94b689e9ef65b184227eedd48fec1f", [0.5002087480069123, 0.500140929077302, 0.5], [0.5901353973483658, 0.5901353973483658, 0.5901353973483658]),
 }
 
 
