@@ -31,6 +31,7 @@ from .mvar import (
     SpectralDecomposition,
     companion_radius,
     fit_mvar,
+    frequency_grid,
     select_order,
     spectral_decomposition,
 )
@@ -173,6 +174,11 @@ def _band_plv(x: np.ndarray, band: BandSpec, n_windows: int, n_sub: int) -> np.n
     return plv.reshape((n_windows, n_sub) + plv.shape[-2:])
 
 
+def _in_band(freqs: np.ndarray, band: BandSpec) -> np.ndarray:
+    """Mask of the grid frequencies inside ``band``: half-open, [low_hz, high_hz)."""
+    return (freqs >= band.low_hz) & (freqs < band.high_hz)
+
+
 def band_aggregate(
     values: np.ndarray,
     bands: tuple[BandSpec, ...],
@@ -191,7 +197,7 @@ def band_aggregate(
     power = np.abs(np.asarray(values)) ** 2
     out = np.empty(power.shape[:-3] + (len(bands),) + power.shape[-2:])
     for b, band in enumerate(bands):
-        mask = (freqs >= band.low_hz) & (freqs < band.high_hz)
+        mask = _in_band(freqs, band)
         if not mask.any():
             raise ValueError(
                 f"band {band.name!r} [{band.low_hz}, {band.high_hz}] Hz contains "
@@ -262,9 +268,11 @@ def _spectral_measures(sd: SpectralDecomposition, sigma: np.ndarray) -> dict[str
 
 
 #: Cap on n_freqs * C^2 * sub-windows per stacked MVAR pass. Each pass holds
-#: about a dozen complex (T, n_freqs, C, C) arrays, so the cap bounds its
-#: memory. A pass takes the sub-windows of a window chunk in order and may
-#: span window boundaries: at C=4 a pass holds 32 sub-windows, at C=19 one.
+#: about a dozen complex (T, F, C, C) arrays on its F <= n_freqs in-band
+#: frequencies, so the cap bounds its memory; it counts all n_freqs so that
+#: the passes, and the sub-windows an error names, do not depend on the bands.
+#: A pass takes the sub-windows of a window chunk in order and may span
+#: window boundaries: at C=4 a pass holds 32 sub-windows, at C=19 one.
 _CHUNK_ELEMENTS = 1 << 15
 
 #: Cap on samples * channels over the windows of one extraction chunk. A
@@ -292,6 +300,7 @@ def _mvar_planes(
     subs: np.ndarray,
     fs: float,
     cfg: PipelineConfig,
+    keep: np.ndarray,
     diagnostics: FitDiagnostics | None,
 ) -> np.ndarray:
     """The six MVAR measures of sub-windows (T, n, C), band-averaged: (6, T, C, C, B).
@@ -313,7 +322,7 @@ def _mvar_planes(
         model = fit_mvar(subs[idx], p, fs, cfg.ridge)
         if diagnostics is not None:
             diagnostics.unstable_fits += int(np.count_nonzero(companion_radius(model.A) >= 1.0))
-        sd = spectral_decomposition(model, cfg.n_freqs, diagnostics)
+        sd = spectral_decomposition(model, cfg.n_freqs, diagnostics, keep)
         for k, (name, vals) in enumerate(_spectral_measures(sd, model.Sigma).items()):
             planes[k, idx] = np.moveaxis(band_aggregate(vals, cfg.bands, sd.freqs, name), -3, -1)
     return planes
@@ -363,6 +372,8 @@ def _chunk_tensors(
     block = np.concatenate([w.samples for w in windows], axis=1)
     tensor = np.empty((n_w, len(FEATURE_ORDER), t_sub, c, c, len(cfg.bands)))
     per_pass = max(1, _CHUNK_ELEMENTS // (cfg.n_freqs * c * c))
+    freqs = frequency_grid(fs, cfg.n_freqs)
+    keep = np.flatnonzero(np.any([_in_band(freqs, band) for band in cfg.bands], axis=0))
 
     def fail(w0: int, w1: int, where: str, exc: Exception) -> ValueError:
         who = f"window {ids[w0]!r}" if w0 == w1 else f"windows {ids[w0]!r}-{ids[w1]!r}"
@@ -376,13 +387,13 @@ def _chunk_tensors(
     for start in range(0, len(subs), per_pass):
         part = slice(start, min(start + per_pass, len(subs)))
         try:
-            planes[:, part] = _mvar_planes(subs[part], fs, cfg, diagnostics)
+            planes[:, part] = _mvar_planes(subs[part], fs, cfg, keep, diagnostics)
         except ValueError as exc:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 for k in range(part.start, part.stop):
                     try:
-                        _mvar_planes(subs[k : k + 1], fs, cfg, None)
+                        _mvar_planes(subs[k : k + 1], fs, cfg, keep, None)
                     except ValueError as first:
                         w, t = divmod(k, t_sub)
                         raise fail(w, w, f"sub-window {t}", first) from first

@@ -82,9 +82,10 @@ class MvarModel:
 class SpectralDecomposition:
     """Per-frequency matrices derived from one fitted model.
 
-    All matrix stacks have shape (n_freqs, C, C), or (T, n_freqs, C, C) for a
-    stacked model. ``S`` and ``P`` are Hermitian positive semidefinite at
-    every frequency.
+    ``freqs`` holds the grid frequencies evaluated (all, or those ``keep``
+    picks), in Hz. All matrix stacks have shape (F, C, C), or (T, F, C, C)
+    for a stacked model, F = ``len(freqs)``. ``S`` and ``P`` are Hermitian
+    positive semidefinite at every frequency.
     """
 
     freqs: np.ndarray
@@ -320,15 +321,18 @@ def spectral_decomposition(
     m: MvarModel,
     n_freqs: int = 64,
     diagnostics: FitDiagnostics | None = None,
+    keep: np.ndarray | slice = slice(None),
 ) -> SpectralDecomposition:
     """Evaluate Abar, H, S, P on a uniform frequency grid up to Nyquist.
 
     The grid is ``f_k = k (fs/2) / n_freqs`` for ``k = 1..n_freqs``; zero
     frequency is excluded because ``Abar(0)`` can be near-singular for
-    strongly autocorrelated data. If Sigma is ill-conditioned a small
-    diagonal jitter is added (with a warning); if ``Abar(f)`` is numerically
-    singular at some frequency, that is an error naming the frequency. A
-    stacked model gives stacked matrices, one leading index per fit.
+    strongly autocorrelated data. ``keep``, indices into the grid, evaluates
+    those frequencies only, each byte for byte as the whole grid does. If
+    Sigma is ill-conditioned a small diagonal jitter is added (with a
+    warning); if ``Abar(f)`` is numerically singular at an evaluated
+    frequency, that is an error naming the frequency. A stacked model gives
+    stacked matrices, one leading index per fit.
 
     Both conditions are checked against ``_COND_LIMIT`` on the 2-norm
     condition number. The SVD behind it runs only where the cheap Frobenius
@@ -341,7 +345,7 @@ def spectral_decomposition(
     sigma = np.asarray(m.Sigma, dtype=float)
     sigma_inv = _sigma_inverse(sigma, diagnostics)
 
-    freqs = frequency_grid(m.fs, n_freqs)
+    freqs = frequency_grid(m.fs, n_freqs)[keep]
     lags = np.arange(1, m.p + 1)
     # phase[k_freq, k_lag] = exp(-2j pi f k / fs)
     phase = np.exp(-2j * np.pi * np.outer(freqs, lags) / m.fs)
@@ -349,7 +353,7 @@ def spectral_decomposition(
     abar = np.eye(c) - a_f
 
     h, cond = _inverse_and_cond(abar)
-    for row in cond.reshape((-1, n_freqs)):
+    for row in cond.reshape((-1, freqs.size)) if freqs.size else ():
         worst = int(np.argmax(row))
         if row[worst] > _COND_LIMIT:
             raise ValueError(
@@ -363,7 +367,7 @@ def spectral_decomposition(
     h_h = np.swapaxes(h.conj(), -1, -2)
     # one product per fit with Sigma and its inverse: the frequencies' rows
     # stacked as (F*C, C), not F products of (C, C)
-    fit_rows = sigma.shape[:-2] + (n_freqs * c, c)
+    fit_rows = sigma.shape[:-2] + (freqs.size * c, c)
     s = (h.reshape(fit_rows) @ sigma).reshape(h.shape) @ h_h
     p_mat = (abar_h.reshape(fit_rows) @ sigma_inv).reshape(abar.shape) @ abar
     # kill the floating-point Hermitian drift so diagonals are exactly real

@@ -26,6 +26,7 @@ from .connectivity import (
     FEATURE_ORDER,
     PipelineConfig,
     WindowTensor,
+    _in_band,
     build_feature_tensors,
     normalize_features,
     window_chunks,
@@ -227,7 +228,7 @@ def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
             design_bandpass(band, fs, p.filter_order)
         except ValueError as exc:
             raise ConfigError(f"pipeline.bands[{i}]", str(exc)) from exc
-        if not np.any((freqs >= band.low_hz) & (freqs < band.high_hz)):
+        if not _in_band(freqs, band).any():
             raise ConfigError(
                 f"pipeline.bands[{i}]",
                 f"band {band.name!r} holds no frequency of the {p.n_freqs}-point "

@@ -319,6 +319,25 @@ class TestBuildFeatureTensor:
         tp = build_feature_tensor(wp).values
         assert np.allclose(tp, t[:, :, perm][:, :, :, perm], atol=1e-8)
 
+    def test_spectra_evaluated_on_band_frequencies_only(self, monkeypatch):
+        seen = []
+        real = connectivity.spectral_decomposition
+
+        def recording(*args, **kwargs):
+            sd = real(*args, **kwargs)
+            seen.append(sd.freqs)
+            return sd
+
+        monkeypatch.setattr(connectivity, "spectral_decomposition", recording)
+        build_feature_tensor(synthetic_window(seed=4))
+        # the default bands cover [2, 45) Hz of the 1 Hz grid at fs = 128
+        assert seen and all(np.array_equal(f, np.arange(2.0, 45.0)) for f in seen)
+
+    def test_bands_outside_the_grid_rejected(self):
+        # the only grid frequency at n_freqs = 1 is Nyquist, in no band
+        with pytest.raises(ValueError, match="sub-window 0: band 'delta'.*no grid frequencies"):
+            build_feature_tensor(synthetic_window(seed=5), PipelineConfig(n_freqs=1))
+
     def test_failed_subwindow_names_window(self):
         w = synthetic_window(seed=5)
         cfg = PipelineConfig(order=60)  # 256-sample sub-windows cannot support it

@@ -321,6 +321,34 @@ class TestSpectralDecomposition:
         with pytest.raises(ValueError, match="32"):
             spectral_decomposition(m, n_freqs=64)
 
+    @pytest.mark.parametrize("c, fs", [(4, 128.0), (19, 256.0)])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_kept_frequencies_equal_full_grid_rows(self, c, fs, stacked):
+        # the default bands read the grid from 2 Hz up to, not including, 45 Hz
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((8, int(2 * fs), c))
+        x[:, 1:] += 0.6 * x[:, :-1]
+        m = fit_mvar(x if stacked else x[0], 5, fs)
+        full = spectral_decomposition(m, n_freqs=64)
+        keep = np.flatnonzero((full.freqs >= 2.0) & (full.freqs < 45.0))
+        assert keep.size == (43 if fs == 128.0 else 22)
+        part = spectral_decomposition(m, n_freqs=64, keep=keep)
+        assert np.array_equal(part.freqs, full.freqs[keep])
+        for name in ("Abar", "H", "S", "P"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[..., keep, :, :])
+
+    def test_singular_abar_outside_kept_frequencies_is_not_evaluated(self):
+        # unit-circle AR(2) roots at 50 Hz: Abar is singular there only
+        theta = 2 * np.pi * 50.0 / FS
+        a = np.array([[[2 * np.cos(theta)]], [[-1.0]]])
+        m = MvarModel(p=2, A=a, Sigma=np.eye(1), fs=FS)
+        with pytest.raises(ValueError, match="50.0000 Hz"):
+            spectral_decomposition(m, n_freqs=64)
+        keep = np.arange(1, 44)  # 2..44 Hz
+        sd = spectral_decomposition(m, n_freqs=64, keep=keep)
+        assert np.array_equal(sd.freqs, np.arange(2.0, 45.0))
+        assert np.isfinite(sd.S).all()
+
     def test_diagnostics_merge(self):
         a, b = FitDiagnostics(unstable_fits=2), FitDiagnostics(sigma_jitter_events=3)
         a.merge(b)
