@@ -13,7 +13,7 @@ Seven measures per window, in this fixed order along the first tensor axis:
 The first six come from a per-sub-window MVAR fit and are averaged over the
 frequency bins inside each rhythm band as mean |M(f)|^2, with ln(1 + x)
 compression applied to SM and ISM after averaging. PLV is computed in the
-time domain from band-filtered analytic phases. The result for one 20 s
+time domain from band-filtered analytic phasors. The result for one 20 s
 window is a (7, T, C, C, B) tensor.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import BROADBAND, DEFAULT_BANDS, BandSpec, design_bandpass, filtfilt, analytic_signal, instantaneous_phase
+from .dsp import BROADBAND, DEFAULT_BANDS, BandSpec, design_bandpass, filtfilt, analytic_signal, unit_phasor
 from .mvar import (
     FitDiagnostics,
     SpectralDecomposition,
@@ -111,29 +111,30 @@ def partial_directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> 
 
 
 def plv_from_phases(phases: np.ndarray) -> np.ndarray:
-    """PLV_ij = |mean_n exp(j (phi_i(n) - phi_j(n)))| from phases (N, C).
-
-    Computed as the Gram product ``|U^T conj(U)| / N`` of the unit phasors
-    ``U = exp(j phi)``; leading axes of ``phases`` (..., N, C) are kept, one
-    product per index. The Gram form rounds differently from the phase
-    differences, so three properties of the definition are restored
-    explicitly: the result is made exactly symmetric (the larger of each
-    mirrored pair), it is capped at 1, and wherever two channels' phases are
-    equal sample for sample (the diagonal, or a duplicated channel) it is
-    exactly 1, as the zero phase difference gives. Equal phases give a
-    product within rounding of 1, and a NaN phase a NaN one, so only the
-    pairs above ``1 - 1e-6`` or NaN are compared sample by sample.
-    """
+    """PLV_ij = |mean_n exp(j (phi_i(n) - phi_j(n)))| from phases (..., N, C):
+    the feature path's PLV kernel on ``exp(j phi)``, with equal channels found
+    on the phases, so a NaN phase never equals itself and an infinite one does."""
     phases = np.asarray(phases, dtype=float)
     if phases.ndim < 2 or phases.shape[-2] < 1:
         raise ValueError(f"expected (n_samples, n_channels) phases, got {phases.shape}")
-    n = phases.shape[-2]
-    u = np.exp(1j * phases)
+    return _phasor_plv(np.exp(1j * phases), phases)
+
+
+def _phasor_plv(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """PLV of unit phasors u (..., N, C) as the Gram product ``|U^T conj(U)| / N``,
+    which rounds differently from the phase differences. So the result is made
+    exactly symmetric (the larger of each mirrored pair), capped at 1, and
+    exactly 1 where two channels of ``columns`` (..., N, C) are equal sample
+    for sample (the diagonal, a duplicated channel). Equal channels give a
+    product within rounding of 1, and NaN ones NaN, so only pairs above
+    ``1 - 1e-6`` or NaN are compared sample by sample.
+    """
+    n = u.shape[-2]
     plv = np.abs(np.swapaxes(u, -1, -2) @ u.conj()) / n
     plv = np.minimum(np.maximum(plv, np.swapaxes(plv, -1, -2)), 1.0)
     pairs = np.nonzero(~(plv <= 1.0 - 1e-6))
     *lead, i, j = pairs
-    by_channel = np.swapaxes(phases, -1, -2)
+    by_channel = np.swapaxes(columns, -1, -2)
     same = np.all(by_channel[(*lead, i)] == by_channel[(*lead, j)], axis=-1)
     plv[tuple(ix[same] for ix in pairs)] = 1.0
     return plv
@@ -147,7 +148,7 @@ def plv_matrix(
 ) -> np.ndarray:
     """Per-sub-window phase locking values, shape (n_sub, C, C).
 
-    Phases come from the analytic signal of the band-filtered full window,
+    Phasors come from the analytic signal of the band-filtered full window,
     so sub-windows at the edges are not distorted by per-slice transforms.
     """
     filt = design_bandpass(band, window.fs, filter_order)
@@ -169,8 +170,8 @@ def _subwindow_stack(x: np.ndarray, n_windows: int, n_sub: int) -> np.ndarray:
 
 def _band_plv(x: np.ndarray, band: BandSpec, n_windows: int, n_sub: int) -> np.ndarray:
     """PLV (W, T, C, C) of band-filtered windows held side by side in x (N, W*C)."""
-    phases = instantaneous_phase(analytic_signal(x, band=band.name))
-    plv = plv_from_phases(_subwindow_stack(phases, n_windows, n_sub))
+    u = _subwindow_stack(unit_phasor(analytic_signal(x, band=band.name)), n_windows, n_sub)
+    plv = _phasor_plv(u, u)
     return plv.reshape((n_windows, n_sub) + plv.shape[-2:])
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "filtfilt",
     "analytic_signal",
     "instantaneous_phase",
+    "unit_phasor",
 ]
 
 
@@ -205,9 +206,9 @@ def analytic_signal(x: np.ndarray, band: str | None = None) -> AnalyticSignal:
     return AnalyticSignal(values=np.fft.ifft(spectrum * gain, axis=0), band=band)
 
 
-def instantaneous_phase(a: AnalyticSignal) -> np.ndarray:
-    """Per-sample phase of the analytic signal, in (-pi, pi]."""
-    magnitude = np.abs(a.values)
+def _magnitude(values: np.ndarray) -> np.ndarray:
+    """``|values|``; a zero sample, whose phase is undefined, is an error."""
+    magnitude = np.abs(values)
     # search channel by channel, so the index is the first zero sample of
     # the first channel holding one
     zero = np.flatnonzero(np.moveaxis(magnitude == 0.0, 0, -1))
@@ -216,4 +217,16 @@ def instantaneous_phase(a: AnalyticSignal) -> np.ndarray:
             f"phase undefined: zero-magnitude analytic sample at index "
             f"{zero[0] % magnitude.shape[0]}"
         )
+    return magnitude
+
+
+def instantaneous_phase(a: AnalyticSignal) -> np.ndarray:
+    """Per-sample phase of the analytic signal, in (-pi, pi]."""
+    _magnitude(a.values)
     return np.angle(a.values)
+
+
+def unit_phasor(a: AnalyticSignal) -> np.ndarray:
+    """Per-sample unit phasor ``z / |z|`` of the analytic signal, equal to
+    ``exp(j phase)`` up to rounding without computing the phase."""
+    return a.values / _magnitude(a.values)

@@ -33,6 +33,7 @@ from eegfusion.mvar import (
 from eegfusion.signal_io import (
     LabeledWindow, SynthSpec, extract_labeled_windows, generate_synthetic, split_subwindows,
 )
+from eegfusion.runner import RunConfig, study_windows
 from eegfusion.util import from_json, to_json
 
 FS = 128.0
@@ -158,7 +159,56 @@ class TestDirectedMeasures:
             directed_coherence(sd, np.diag([1.0, 0.0]))
 
 
+def reference_plv(phases):
+    """The Gram PLV with its three restored properties, the equal-channel
+    rule written pair by pair on the phases."""
+    u = np.exp(1j * phases)
+    plv = np.abs(np.swapaxes(u, -1, -2) @ u.conj()) / phases.shape[-2]
+    plv = np.minimum(np.maximum(plv, np.swapaxes(plv, -1, -2)), 1.0)
+    for idx in np.ndindex(plv.shape):
+        *lead, i, j = idx
+        if np.all(phases[(*lead, slice(None), i)] == phases[(*lead, slice(None), j)]):
+            plv[idx] = 1.0
+    return plv
+
+
+def plv_inputs():
+    """The phase inputs of TestPlv, plus infinite phases."""
+    rng = np.random.default_rng
+    phi = rng(7).uniform(-np.pi, np.pi, size=(256, 1))
+    stack = rng(13).uniform(-np.pi, np.pi, size=(4, 256, 3))
+    stack[2, :, 2] = stack[2, :, 0]
+    one_off = np.column_stack([rng(14).uniform(-np.pi, np.pi, size=256)] * 2)
+    one_off[100, 1] += 1e-3
+    nan = rng(15).uniform(-np.pi, np.pi, size=(2, 64, 1))
+    nan = np.concatenate([nan, nan, nan + 0.5], axis=-1)
+    nan[0, 10, 2] = np.nan
+    nan[1, 5, :2] = np.nan
+    anti = np.zeros((512, 2))
+    anti[1::2, 1] = np.pi
+    inf = rng(16).uniform(-np.pi, np.pi, size=(64, 3))
+    inf[:, 1] = inf[:, 0]
+    inf[7, :2] = np.inf
+    inf[9, 2] = -np.inf
+    return [np.hstack([phi, phi]), stack, one_off, nan, anti,
+            rng(8).uniform(-np.pi, np.pi, size=(128, 4)),
+            rng(12).uniform(-np.pi, np.pi, size=(3, 256, 5)), inf]
+
+
 class TestPlv:
+    @pytest.mark.parametrize("k", range(8))
+    def test_bytes_equal_the_pairwise_reference(self, k):
+        phases = plv_inputs()[k]
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(plv_from_phases(phases), reference_plv(phases), equal_nan=True)
+
+    def test_infinite_phases_equal_themselves(self):
+        with np.errstate(invalid="ignore"):
+            plv = plv_from_phases(plv_inputs()[-1])
+        # channels 0 and 1 hold the same +inf sample, channel 2 a -inf one
+        assert np.array_equal(plv[[0, 0, 1, 1, 2], [0, 1, 0, 1, 2]], np.ones(5))
+        assert np.isnan(plv[2, :2]).all() and np.isnan(plv[:2, 2]).all()
+
     def test_duplicated_channel_exactly_one(self):
         rng = np.random.default_rng(7)
         phi = rng.uniform(-np.pi, np.pi, size=(256, 1))
@@ -392,13 +442,17 @@ def oracle_tensor(window, cfg):
             bm = band_aggregate(vals, cfg.bands, sd.freqs, name)
             out[FEATURE_ORDER.index(name), t] = np.moveaxis(bm, 0, -1)
     for b, band in enumerate(cfg.bands):
-        x = filtfilt(design_bandpass(band, window.fs, cfg.filter_order), window.samples)
-        phases = np.column_stack(
-            [instantaneous_phase(analytic_signal(x[:, ch])) for ch in range(c)]
-        )
-        for t, sub in enumerate(split_subwindows(phases, t_sub)):
-            out[-1, t, :, :, b] = plv_from_phases(sub)
+        out[-1, ..., b] = oracle_plv(window, band, cfg)
     return out, diag
+
+
+def oracle_plv(window, band, cfg):
+    """PLV (T, C, C) of one window and band from per-channel phases."""
+    x = filtfilt(design_bandpass(band, window.fs, cfg.filter_order), window.samples)
+    phases = np.column_stack(
+        [instantaneous_phase(analytic_signal(x[:, ch])) for ch in range(x.shape[1])]
+    )
+    return np.stack([plv_from_phases(sub) for sub in split_subwindows(phases, cfg.subwindows)])
 
 
 class TestStackedFeaturePath:
@@ -482,6 +536,48 @@ class TestWindowChunks:
         clinical = [blank(5120, 19, 256.0)] * 2
         assert [len(ch) for ch in window_chunks(clinical)] == [1, 1]
         assert window_chunks([]) == []
+
+    def test_chunk_plv_matches_phase_oracle_on_the_desk_study(self):
+        # unit phasors z / |z| round differently from exp(j angle(z))
+        cfg = RunConfig(seed=0)
+        windows = study_windows(cfg)
+        assert len(windows) == 200
+        pcfg, worst = cfg.pipeline, 0.0
+        for chunk in window_chunks(windows):
+            block = np.concatenate([w.samples for w in chunk], axis=1)
+            for band in pcfg.bands:
+                x = filtfilt(design_bandpass(band, chunk[0].fs, pcfg.filter_order), block)
+                got = connectivity._band_plv(x, band, len(chunk), pcfg.subwindows)
+                for w, plv in zip(chunk, got):
+                    worst = max(worst, np.max(np.abs(plv - oracle_plv(w, band, pcfg))))
+        assert worst <= 1e-15
+
+    def test_plv_diagonal_and_duplicated_channel_exactly_one(self):
+        windows = coupled_windows(n_windows=3)
+        for w in windows:
+            w.samples[:, 3] = w.samples[:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the duplicate makes Sigma singular
+            tensors = build_feature_tensors(windows)
+        plv = np.stack([t.values[-1] for t in tensors])  # (W, T, C, C, B)
+        assert np.all(np.diagonal(plv, axis1=2, axis2=3) == 1.0)
+        assert np.all(plv[:, :, 0, 3] == 1.0) and np.all(plv[:, :, 3, 0] == 1.0)
+
+    def test_all_zero_band_signal_names_window_and_band(self, monkeypatch):
+        real = connectivity.filtfilt
+
+        def silent_theta(f, x):
+            y = real(f, x)
+            return np.zeros_like(y) if f.band.name == "theta" else y
+
+        monkeypatch.setattr(connectivity, "filtfilt", silent_theta)
+        windows = coupled_windows(n_windows=3)
+        with pytest.raises(ValueError) as err:
+            build_feature_tensors(windows)
+        assert str(err.value) == (
+            f"window {windows[0].source_id!r}, band 'theta' PLV: phase undefined: "
+            f"zero-magnitude analytic sample at index 0"
+        )
 
     @pytest.mark.parametrize("make_windows, cfg", [
         (coupled_windows, PipelineConfig()),

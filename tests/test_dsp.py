@@ -18,6 +18,7 @@ from eegfusion.dsp import (
     design_bandpass,
     filtfilt,
     instantaneous_phase,
+    unit_phasor,
 )
 
 FS = 256.0
@@ -237,5 +238,28 @@ class TestInstantaneousPhase:
     def test_zero_magnitude_names_index(self):
         values = np.ones(8, dtype=complex)
         values[5] = 0.0
-        with pytest.raises(ValueError, match="index 5"):
-            instantaneous_phase(AnalyticSignal(values=values))
+        for fn in (instantaneous_phase, unit_phasor):
+            with pytest.raises(ValueError, match="^phase undefined: zero-magnitude analytic sample at index 5$"):
+                fn(AnalyticSignal(values=values))
+
+    def test_zero_magnitude_index_is_the_first_channels(self):
+        values = np.ones((8, 3), dtype=complex)
+        values[6, 1] = values[2, 2] = 0.0
+        for fn in (instantaneous_phase, unit_phasor):
+            with pytest.raises(ValueError, match="index 6$"):
+                fn(AnalyticSignal(values=values))
+
+
+class TestUnitPhasor:
+    def test_equals_exp_of_phase_within_rounding(self):
+        rng = np.random.default_rng(6)
+        a = analytic_signal(rng.standard_normal((1024, 3)))
+        u = unit_phasor(a)
+        assert np.max(np.abs(u - np.exp(1j * instantaneous_phase(a)))) <= 1e-15
+        assert np.max(np.abs(np.abs(u) - 1.0)) <= 1e-15
+
+    def test_input_is_not_modified(self):
+        values = np.array([3.0 + 4.0j, -2.0j])
+        u = unit_phasor(AnalyticSignal(values=values))
+        assert np.array_equal(values, [3.0 + 4.0j, -2.0j])
+        assert np.max(np.abs(u - [0.6 + 0.8j, -1.0j])) <= 1e-15
