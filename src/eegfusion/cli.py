@@ -32,7 +32,7 @@ from .runner import (
     validate_synth_config,
 )
 from .signal_io import load_annotations, load_recording, save_annotations, save_recording
-from .util import atomic_write_text
+from .util import atomic_write_text, to_json
 
 __all__ = ["main"]
 
@@ -101,7 +101,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     tensors = extract_tensors(windows, cfg.pipeline, diag)
     manifest = write_dataset(tensors, args.out, cfg.pipeline, cfg.test_fraction, cfg.seed)
     print(f"wrote {len(tensors)} window tensors to {manifest}")
-    if diag.unstable_fits or diag.sigma_jitter_events or diag.order_cap_hits:
+    if any(to_json(diag).values()):
         print(
             f"warnings: {diag.unstable_fits} unstable fits, "
             f"{diag.sigma_jitter_events} covariance jitter events, "
@@ -133,9 +133,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    report = explain_stored(
-        args.model, args.dataset, per_sample=args.per_sample, predicted_labels=args.predicted_labels
-    )
+    report = explain_stored(args.model, args.dataset)
     if args.out:
         write_report_json(report, args.out)
     else:
@@ -216,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report JSON path (default: print to stdout)")
     p.add_argument("--csv", help="also write the report as CSV")
     p.add_argument("--svg", help="also write bar charts as SVG")
-    p.add_argument("--per-sample", action="store_true",
-                   help="normalize per sample before averaging")
-    p.add_argument("--predicted-labels", action="store_true",
-                   help="condition classes on predictions instead of true labels")
     p.set_defaults(handler=_cmd_explain)
 
     p = sub.add_parser("plot", help="relevance report JSON -> SVG bar chart")

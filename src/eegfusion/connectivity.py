@@ -270,10 +270,11 @@ def _spectral_measures(sd: SpectralDecomposition, sigma: np.ndarray) -> dict[str
 
 #: Cap on n_freqs * C^2 * sub-windows per stacked MVAR pass. Each pass holds
 #: about a dozen complex (T, F, C, C) arrays on its F <= n_freqs in-band
-#: frequencies, so the cap bounds its memory; it counts all n_freqs so that
-#: the passes, and the sub-windows an error names, do not depend on the bands.
-#: A pass takes the sub-windows of a window chunk in order and may span
-#: window boundaries: at C=4 a pass holds 32 sub-windows, at C=19 one.
+#: frequencies, so the cap bounds its memory. It counts all n_freqs, not F:
+#: a budget on F would fit four C=19 sub-windows per pass, which is faster
+#: but raises the chunk's memory peak. A pass takes the sub-windows of a
+#: window chunk in order and may span window boundaries: at C=4 a pass holds
+#: 32 sub-windows, at C=19 one.
 _CHUNK_ELEMENTS = 1 << 15
 
 #: Cap on samples * channels over the windows of one extraction chunk. A
@@ -348,7 +349,8 @@ def build_feature_tensors(
     counters off) so that the error names the first failing sub-window and
     its own message. When a chunk of several windows fails, its windows are
     rerun one at a time the same way, so the error is the one the first
-    failing window raises alone.
+    failing window raises alone. An error that no rerun reproduces is
+    raised as it was raised.
     """
     fs, shape = windows[0].fs, windows[0].samples.shape
     if any(w.fs != fs or w.samples.shape != shape for w in windows):
@@ -376,10 +378,6 @@ def _chunk_tensors(
     freqs = frequency_grid(fs, cfg.n_freqs)
     keep = np.flatnonzero(np.any([_in_band(freqs, band) for band in cfg.bands], axis=0))
 
-    def fail(w0: int, w1: int, where: str, exc: Exception) -> ValueError:
-        who = f"window {ids[w0]!r}" if w0 == w1 else f"windows {ids[w0]!r}-{ids[w1]!r}"
-        return ValueError(f"{who}, {where}: {exc}")
-
     def filtered(band: BandSpec) -> np.ndarray:
         return filtfilt(design_bandpass(band, fs, cfg.filter_order), block)
 
@@ -389,7 +387,7 @@ def _chunk_tensors(
         part = slice(start, min(start + per_pass, len(subs)))
         try:
             planes[:, part] = _mvar_planes(subs[part], fs, cfg, keep, diagnostics)
-        except ValueError as exc:
+        except ValueError:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 for k in range(part.start, part.stop):
@@ -397,9 +395,8 @@ def _chunk_tensors(
                         _mvar_planes(subs[k : k + 1], fs, cfg, keep, None)
                     except ValueError as first:
                         w, t = divmod(k, t_sub)
-                        raise fail(w, w, f"sub-window {t}", first) from first
-            (w0, t0), (w1, t1) = divmod(part.start, t_sub), divmod(part.stop - 1, t_sub)
-            raise fail(w0, w1, f"sub-windows {t0}-{t1}", exc) from exc
+                        raise ValueError(f"window {ids[w]!r}, sub-window {t}: {first}") from first
+            raise
     planes = planes.reshape(planes.shape[:1] + (n_w, t_sub) + planes.shape[2:])
     tensor[:, :-1] = np.swapaxes(planes, 0, 1)
 
@@ -407,7 +404,9 @@ def _chunk_tensors(
         try:
             tensor[:, -1, ..., b] = _band_plv(filtered(band), band, n_w, t_sub)
         except ValueError as exc:
-            raise fail(0, n_w - 1, f"band {band.name!r} PLV", exc) from exc
+            if n_w > 1:  # build_feature_tensors reruns the windows one at a time
+                raise
+            raise ValueError(f"window {ids[0]!r}, band {band.name!r} PLV: {exc}") from exc
 
     finite = np.isfinite(tensor).reshape(n_w, -1).all(axis=1)
     if not finite.all():

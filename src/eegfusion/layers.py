@@ -94,17 +94,11 @@ class ParamRegistry:
         """Weights uniform in +-1/sqrt(fan_in), biases zero."""
         rng = np.random.default_rng(seed)
         theta = np.zeros(self.size)
-        self.init_slots(theta, self.slots, rng)
-        return theta
-
-    @staticmethod
-    def init_slots(theta: np.ndarray, slots: list[Slot], rng: np.random.Generator) -> None:
-        for slot in slots:
+        for slot in self.slots:
             if slot.fan_in:
                 bound = 1.0 / np.sqrt(slot.fan_in)
                 theta[slot.sl] = rng.uniform(-bound, bound, slot.size)
-            else:
-                theta[slot.sl] = 0.0
+        return theta
 
 
 class ContractRow:

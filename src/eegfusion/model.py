@@ -166,10 +166,6 @@ class FusionModel:
     def param_count(self) -> int:
         return int(self.params.size)
 
-    @property
-    def head_slots(self) -> list[Slot]:
-        return [s for layer in self.head for p in layer.params for s in p.slots]
-
     def branch_slots(self, i: int) -> list[Slot]:
         return [p.slots[i] for layer in self.stage.values() for p in layer.params]
 
@@ -179,10 +175,6 @@ class FusionModel:
             raise ValueError(f"scheme {self.cfg.scheme} has no concat embedding")
         d1 = self.cfg.embed_dim
         return slice(branch_index * d1, (branch_index + 1) * d1)
-
-    def reinit_head(self, rng: np.random.Generator) -> None:
-        """Fresh head weights (uniform +-1/sqrt(fan_in)) and zero biases."""
-        ParamRegistry.init_slots(self.params, self.head_slots, rng)
 
     def kink_margin(self) -> float:
         """Smallest |ReLU preactivation| seen in the last cached forward.
@@ -342,12 +334,11 @@ def bce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings for (optionally two-phase) training."""
+    """Optimization settings for training."""
 
     epochs: int = 25
     batch_size: int = 16
     learning_rate: float = 1e-3
-    label_flip_second_phase: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -404,9 +395,7 @@ def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list
     """Seeded mini-batch Adam training; returns the model and per-epoch history.
 
     One generator seeded with ``cfg.seed`` draws each epoch's batch order and
-    the dropout masks. With label_flip_second_phase, a second phase continues
-    from the phase-one weights with inverted labels, a head re-initialized
-    from the same generator and a fresh optimizer.
+    the dropout masks.
     """
     x, y = _stack_dataset(train_ds)
     n = x.shape[0]
@@ -415,36 +404,31 @@ def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     rng = np.random.default_rng(cfg.seed)
+    opt = _Adam(m.param_count, cfg.learning_rate)
     history: list[dict] = []
-    phases = [(1, y)] + ([(2, 1.0 - y)] if cfg.label_flip_second_phase else [])
-    for phase, labels in phases:
-        if phase == 2:
-            m.reinit_head(rng)
-        opt = _Adam(m.param_count, cfg.learning_rate)
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            loss_sum = 0.0
-            correct = 0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                probs = m.forward_batch(x[idx], train=True, rng=rng)
-                loss = bce_loss(m._cache["z"], labels[idx])
-                if not np.isfinite(loss):
-                    raise RuntimeError(
-                        f"training diverged: non-finite loss at phase {phase}, epoch {epoch}"
-                    )
-                grad = m.backward(labels[idx])
-                opt.step(m.params, grad)
-                loss_sum += loss * idx.size
-                correct += int(((probs >= 0.5) == labels[idx].astype(bool)).sum())
-            history.append(
-                {
-                    "phase": phase,
-                    "epoch": epoch,
-                    "loss": loss_sum / n,
-                    "accuracy": correct / n,
-                }
-            )
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        correct = 0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            probs = m.forward_batch(x[idx], train=True, rng=rng)
+            loss = bce_loss(m._cache["z"], y[idx])
+            if not np.isfinite(loss):
+                raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
+            grad = m.backward(y[idx])
+            opt.step(m.params, grad)
+            loss_sum += loss * idx.size
+            correct += int(((probs >= 0.5) == y[idx].astype(bool)).sum())
+        # "phase" stays in the history format: every run trains in one phase
+        history.append(
+            {
+                "phase": 1,
+                "epoch": epoch,
+                "loss": loss_sum / n,
+                "accuracy": correct / n,
+            }
+        )
     return m, history
 
 

@@ -14,7 +14,7 @@ per-frequency matrices used by every spectral connectivity measure:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import lapack
@@ -45,7 +45,7 @@ _BOUND_GATE = 1e10
 
 @dataclass
 class FitDiagnostics:
-    """Counters surfaced into run manifests."""
+    """Counters surfaced into run manifests, one ``warnings`` key per field."""
 
     unstable_fits: int = 0
     sigma_jitter_events: int = 0
@@ -53,9 +53,8 @@ class FitDiagnostics:
     order_cap_hits: int = 0
 
     def merge(self, other: "FitDiagnostics") -> None:
-        self.unstable_fits += other.unstable_fits
-        self.sigma_jitter_events += other.sigma_jitter_events
-        self.order_cap_hits += other.order_cap_hits
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
@@ -120,7 +119,15 @@ def _check_order(n: int, c: int, p: int) -> None:
         )
 
 
-def _fit_core(x: np.ndarray, p: int, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+def fit_mvar(x: np.ndarray, p: int, fs: float, ridge: float = 1e-4) -> MvarModel:
+    """Least-squares MVAR fit with a relative ridge term.
+
+    The ridge weight is ``lam = ridge * mean(diag(Gram))`` added to the normal
+    equations, which keeps the fit well-posed for near-collinear multichannel
+    regressors. The channel means are removed before fitting. The residual
+    covariance uses divisor ``N - p``. ``x`` is one (N, C) signal, or a stack
+    (T, N, C) fitted as T independent models in one batched solve.
+    """
     x = _demeaned(x)
     n, c = x.shape[-2:]
     _check_order(n, c, p)
@@ -139,19 +146,6 @@ def _fit_core(x: np.ndarray, p: int, ridge: float) -> tuple[np.ndarray, np.ndarr
     sigma = 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
     # coef rows are lag-major: block k holds A(k) transposed
     a = np.ascontiguousarray(np.swapaxes(coef.reshape(coef.shape[:-2] + (p, c, c)), -1, -2))
-    return a, sigma
-
-
-def fit_mvar(x: np.ndarray, p: int, fs: float, ridge: float = 1e-4) -> MvarModel:
-    """Least-squares MVAR fit with a relative ridge term.
-
-    The ridge weight is ``lam = ridge * mean(diag(Gram))`` added to the normal
-    equations, which keeps the fit well-posed for near-collinear multichannel
-    regressors. The channel means are removed before fitting. The residual
-    covariance uses divisor ``N - p``. ``x`` is one (N, C) signal, or a stack
-    (T, N, C) fitted as T independent models in one batched solve.
-    """
-    a, sigma = _fit_core(x, p, ridge)
     return MvarModel(p=p, A=a, Sigma=sigma, fs=float(fs))
 
 
@@ -159,7 +153,7 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve each symmetric system ``gram[t] @ coef[t] = rhs[t]`` by Cholesky.
 
     One LAPACK ``posv`` call per matrix. A matrix that is not positive
-    definite to working precision is solved by LU instead, as ``_fit_core``
+    definite to working precision is solved by LU instead, as ``fit_mvar``
     solves it, so an exactly singular one raises the same error.
     """
     coef = np.empty(rhs.shape)

@@ -8,10 +8,9 @@ layer (w_ij, b_j):
     c_i^+ = sum_j max(0, c_ij)                  net contribution per input
 
 Feature relevance sums c_i^+ over each feature's embedding block and reports
-the percentage of the grand total. The default normalizes the averaged
-potentials, which keeps every quantity nonnegative and well-defined; the
-per-sample variant divides each sample's signed potential by the batch
-column sums and averages after rectification.
+the percentage of the grand total. Normalizing the averaged potentials keeps
+every quantity nonnegative and well-defined. Classes are conditioned on the
+true labels.
 """
 
 from __future__ import annotations
@@ -69,38 +68,24 @@ def first_dense_weights(m: FusionModel) -> DenseWeights:
     return DenseWeights(W=layer.W.view(m.params)[0].copy(), b=layer.b.view(m.params)[0].copy())
 
 
-def collect_embeddings(
-    m: FusionModel,
-    ds,
-    class_label: int,
-    predicted_labels: bool = False,
-) -> EmbeddingBatch:
-    """Eval-mode concat activations of the samples belonging to one class.
-
-    Class membership uses true labels by default; with predicted_labels the
-    model's own thresholded predictions decide membership instead.
-    """
-    return _class_batch(m, ds, _embed(m, ds), class_label, predicted_labels)
+def collect_embeddings(m: FusionModel, ds, class_label: int) -> EmbeddingBatch:
+    """Eval-mode concat activations of the samples labeled as one class."""
+    return _class_batch(m, ds, _embed(m, ds), class_label)
 
 
-def _embed(m: FusionModel, ds) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode probabilities and concat embeddings of every sample in ds."""
+def _embed(m: FusionModel, ds) -> np.ndarray:
+    """Eval-mode concat embeddings of every sample in ds."""
     if not ds:
         raise ValueError("dataset is empty")
-    return m.embed_batch(np.stack([np.asarray(t.values, dtype=float) for t in ds]))
+    return m.embed_batch(np.stack([np.asarray(t.values, dtype=float) for t in ds]))[1]
 
 
-def _class_batch(m, ds, embedded, class_label: int, predicted_labels: bool) -> EmbeddingBatch:
+def _class_batch(m, ds, v: np.ndarray, class_label: int) -> EmbeddingBatch:
     if class_label not in (0, 1):
         raise ValueError(f"class_label must be 0 or 1, got {class_label}")
-    probs, v = embedded
-    if predicted_labels:
-        member = (probs >= 0.5) == bool(class_label)
-    else:
-        member = np.array([t.label == class_label for t in ds])
+    member = np.array([t.label == class_label for t in ds])
     if not member.any():
-        kind = "predicted" if predicted_labels else "labeled"
-        raise ValueError(f"no samples {kind} as class {class_label}")
+        raise ValueError(f"no samples labeled as class {class_label}")
     return EmbeddingBatch(V=v[member], class_label=class_label, group_map=m.group_map.copy())
 
 
@@ -165,38 +150,17 @@ class RelevanceReport:
         return to_json(self)
 
 
-def _per_sample_net(batch: EmbeddingBatch, w: DenseWeights) -> np.ndarray:
-    """As-printed variant: signed per-sample potentials over batch column sums,
-    rectified per sample, then averaged."""
-    p = activation_potentials(batch, w)
-    col = p.sum(axis=0)
-    bad = np.where(col <= 0)[0]
-    if bad.size:
-        raise ValueError(f"hidden neuron {bad[0]}: zero potential column sum")
-    a = batch.V[:, :, None] * w.W[None, :, :] + w.b[None, None, :]
-    return np.maximum(a / col, 0.0).sum(axis=2).mean(axis=0)
-
-
-def relevance_report(
-    m: FusionModel,
-    ds,
-    per_sample: bool = False,
-    predicted_labels: bool = False,
-    config_hash: str | None = None,
-) -> RelevanceReport:
+def relevance_report(m: FusionModel, ds, config_hash: str | None = None) -> RelevanceReport:
     """Class-conditioned feature relevance for every class present in ds."""
     w = first_dense_weights(m)
     labels = sorted({t.label for t in ds})
     if not labels:
         raise ValueError("dataset is empty")
-    embedded = _embed(m, ds)
+    v = _embed(m, ds)
     classes: dict[str, dict] = {}
     for label in labels:
-        batch = _class_batch(m, ds, embedded, label, predicted_labels)
-        if per_sample:
-            c_plus = _per_sample_net(batch, w)
-        else:
-            c_plus = net_contribution(contributions(activation_potentials(batch, w)))
+        batch = _class_batch(m, ds, v, label)
+        c_plus = net_contribution(contributions(activation_potentials(batch, w)))
         rel = feature_relevance(c_plus, batch.group_map)
         classes[CLASS_NAMES[label]] = {
             "percent": rel["percent"],

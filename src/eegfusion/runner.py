@@ -106,8 +106,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     test_fraction: float = 0.15
-    explain_per_sample: bool = False
-    explain_predicted_labels: bool = False
     explain_svg: bool = True
 
 
@@ -115,7 +113,7 @@ class RunConfig:
 #: section each is keyed by its name without the ``<section>_`` prefix.
 _SECTION_FIELDS = {
     "split": ("test_fraction",),
-    "explain": ("explain_per_sample", "explain_predicted_labels", "explain_svg"),
+    "explain": ("explain_svg",),
 }
 
 
@@ -442,11 +440,10 @@ def evaluate_stored(model_path, dataset) -> dict:
     }
 
 
-def explain_stored(model_path, dataset, **options) -> RelevanceReport:
-    """Relevance report of a stored model over every stored window, in order;
-    ``options`` are :func:`relevance_report`'s keywords."""
+def explain_stored(model_path, dataset, config_hash: str | None = None) -> RelevanceReport:
+    """Relevance report of a stored model over every stored window, in order."""
     model, tensors, _ = _stored(model_path, dataset)
-    return relevance_report(model, tensors, **options)
+    return relevance_report(model, tensors, config_hash)
 
 
 @dataclass
@@ -533,20 +530,10 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
         return doc
 
     metrics = stage("evaluate", _evaluate)
-    warnings = {
-        "unstable_fits": diag.unstable_fits,
-        "sigma_jitter_events": diag.sigma_jitter_events,
-        "order_cap_hits": diag.order_cap_hits,
-    }
+    warnings = to_json(diag)
 
     def _explain():
-        report = explain_stored(
-            model_path,
-            dataset,
-            per_sample=cfg.explain_per_sample,
-            predicted_labels=cfg.explain_predicted_labels,
-            config_hash=cfg_hash,
-        )
+        report = explain_stored(model_path, dataset, cfg_hash)
         write_report_json(report, out / "relevance.json")
         write_report_csv(report, out / "relevance.csv")
         files.extend(["relevance.json", "relevance.csv"])

@@ -181,6 +181,11 @@ class TestOverrides:
         assert main(["run", "--mode", "per_band"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--per-sample", "--predicted-labels"])
+    def test_removed_explain_flags_are_usage_errors(self, flag, capsys):
+        assert main(["explain", "--model", "m", "--dataset", "d", flag]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestSubcommandChain:
     def test_synth_extract_train_eval_explain_plot(self, tmp_path, capsys):

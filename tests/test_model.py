@@ -286,16 +286,6 @@ class TestTraining:
             with pytest.raises(RuntimeError, match="diverged"):
                 train(m, ds, TrainConfig(epochs=2, batch_size=8))
 
-    def test_label_flip_adds_second_phase(self):
-        cfg = self.small_cfg()
-        ds = make_dataset(cfg)
-        m = build_fusion_model(cfg)
-        _, history = train(
-            m, ds, TrainConfig(epochs=2, batch_size=4, label_flip_second_phase=True)
-        )
-        assert [h["phase"] for h in history] == [1, 1, 2, 2]
-        assert [h["epoch"] for h in history] == [0, 1, 0, 1]
-
     def test_single_class_rejected(self):
         cfg = self.small_cfg()
         ds = [t for t in make_dataset(cfg) if t.label == 1]

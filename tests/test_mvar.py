@@ -5,6 +5,7 @@ simulations of the same process, and the algebraic identity S(f) P(f) = I that
 must hold for any model by construction.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from eegfusion.mvar import (
     MvarModel,
     _aic_table,
     _cholesky_solve,
-    _fit_core,
     companion_matrix,
     companion_radius,
     fit_mvar,
@@ -130,8 +130,7 @@ def aic_oracle(x, p_max, ridge=1e-4):
     n, c = x.shape
     out = np.full(p_max, np.inf)
     for p in range(1, p_max + 1):
-        _, sigma = _fit_core(x, p, ridge)
-        sign, logdet = np.linalg.slogdet(sigma)
+        sign, logdet = np.linalg.slogdet(fit_mvar(x, p, FS, ridge).Sigma)
         if sign > 0:
             out[p - 1] = logdet + 2.0 * p * c * c / n
     return out
@@ -165,7 +164,7 @@ class TestOrderSearch:
     def test_insufficient_samples_names_the_smallest_short_order(self):
         x = np.random.default_rng(12).standard_normal((50, 4))
         with pytest.raises(ValueError) as per_order:
-            _fit_core(x, 10, 1e-4)
+            fit_mvar(x, 10, FS)
         for data in (x, x[None]):
             with pytest.raises(ValueError) as search:
                 select_order(data, p_max=12)
@@ -178,7 +177,7 @@ class TestOrderSearch:
         x = np.random.default_rng(13).standard_normal((300, 3))
         x[:, 1] = 0.0
         with pytest.raises(ValueError, match="singular regularized normal equations"):
-            _fit_core(x, 1, 0.0)
+            fit_mvar(x, 1, FS, ridge=0.0)
         with pytest.raises(ValueError, match="singular regularized normal equations"):
             select_order(x, p_max=4, ridge=0.0)
 
@@ -350,9 +349,10 @@ class TestSpectralDecomposition:
         assert np.isfinite(sd.S).all()
 
     def test_diagnostics_merge(self):
-        a, b = FitDiagnostics(unstable_fits=2), FitDiagnostics(sigma_jitter_events=3)
-        a.merge(b)
-        assert (a.unstable_fits, a.sigma_jitter_events) == (2, 3)
+        names = [f.name for f in dataclasses.fields(FitDiagnostics)]
+        a = FitDiagnostics(**{name: i + 1 for i, name in enumerate(names)})
+        a.merge(FitDiagnostics(**{name: 10 * (i + 1) for i, name in enumerate(names)}))
+        assert [getattr(a, name) for name in names] == [11 * (i + 1) for i in range(len(names))]
 
 
 class TestSimulateVar:

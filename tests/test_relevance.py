@@ -22,7 +22,6 @@ from eegfusion.relevance import (
     relevance_report,
     write_report_csv,
     write_report_json,
-    _per_sample_net,
 )
 
 
@@ -158,17 +157,6 @@ class TestCollectEmbeddings:
         assert batch.V.shape == (10, 7 * 16)
         assert np.array_equal(batch.group_map, np.repeat(np.arange(7), 16))
 
-    def test_predicted_labels_route(self):
-        # zero parameters put every probability at exactly 0.5, so all
-        # samples are predicted seizure and none non-seizure
-        m = small_model()
-        m.params[:] = 0.0
-        ds = small_dataset(m.cfg, n_per_class=3)
-        batch = collect_embeddings(m, ds, 1, predicted_labels=True)
-        assert batch.V.shape[0] == len(ds)
-        with pytest.raises(ValueError, match="predicted"):
-            collect_embeddings(m, ds, 0, predicted_labels=True)
-
     def test_missing_class_rejected(self):
         m = small_model()
         ds = [t for t in small_dataset(m.cfg) if t.label == 1]
@@ -179,31 +167,6 @@ class TestCollectEmbeddings:
         m = small_model()
         with pytest.raises(ValueError, match="class_label"):
             collect_embeddings(m, small_dataset(m.cfg), 2)
-
-
-class TestPerSampleVariant:
-    def test_matches_direct_loop(self):
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal((5, 4))
-        W = rng.standard_normal((4, 3))
-        b = rng.standard_normal(3)
-        batch = batch_of(v, group_map=np.zeros(4))
-        got = _per_sample_net(batch, DenseWeights(W=W, b=b))
-        a = v[:, :, None] * W[None] + b
-        col = np.abs(a).mean(axis=0).sum(axis=0)
-        expected = np.zeros(4)
-        for k in range(5):
-            for i in range(4):
-                for j in range(3):
-                    expected[i] += max(0.0, a[k, i, j] / col[j])
-        assert np.allclose(got, expected / 5, rtol=0, atol=1e-14)
-
-    def test_differs_from_batch_variant(self):
-        m = small_model()
-        ds = small_dataset(m.cfg)
-        batch = relevance_report(m, ds).classes["seizure"]["percent"]
-        per_sample = relevance_report(m, ds, per_sample=True).classes["seizure"]["percent"]
-        assert max(abs(batch[k] - per_sample[k]) for k in batch) > 0.0
 
 
 class TestRelevanceReport:

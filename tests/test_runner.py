@@ -1,5 +1,6 @@
 """End-to-end runner: config parsing, up-front validation, determinism."""
 
+import dataclasses
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -73,6 +74,9 @@ class TestConfigJson:
             ({"pipeline": {"mode": "per_band"}}, "pipeline.mode"),
             ({"model": {"attention": False}}, "model.attention"),
             ({"train": {"optimizer": "sgd"}}, "train.optimizer"),
+            ({"explain": {"per_sample": True}}, "explain.per_sample"),
+            ({"explain": {"predicted_labels": True}}, "explain.predicted_labels"),
+            ({"train": {"label_flip_second_phase": True}}, "train.label_flip_second_phase"),
         ],
     )
     def test_unknown_nested_fields_name_their_path(self, doc, field):
@@ -311,6 +315,7 @@ class TestPipelineRun:
                 "explain"} <= set(manifest.timing_s)
         assert manifest.metrics["threshold"] == 0.5
         assert set(manifest.metrics["train"]) >= {"accuracy", "sensitivity"}
+        assert list(manifest.warnings) == [f.name for f in dataclasses.fields(FitDiagnostics)]
         doc = json.loads((out / "run_manifest.json").read_text())
         assert doc == manifest.to_dict()
 
