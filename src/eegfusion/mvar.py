@@ -376,41 +376,26 @@ def simulate_var(
     *,
     rng: np.random.Generator | None = None,
     noise_cov: np.ndarray | None = None,
-    innovations: np.ndarray | list[np.ndarray] | None = None,
+    innovations: np.ndarray | None = None,
     burn_in: int = 200,
-) -> np.ndarray | list[np.ndarray]:
+) -> np.ndarray:
     """Simulate a VAR process, discarding an initial transient.
 
     Either pass ``rng`` (innovations drawn as standard normal, optionally
     colored by ``noise_cov``) or pass ``innovations`` explicitly with
     ``n_samples + burn_in`` rows. ``a`` is one coefficient stack (p, C, C),
     giving (n_samples, C), or R stacks (R, p, C, C) driven by innovations
-    (R, n_samples + burn_in, C), giving (R, n_samples, C), or by a list of R
-    separate (n_samples + burn_in, C) arrays, giving a list of R (n_samples,
-    C) results.
+    (R, n_samples + burn_in, C), giving (R, n_samples, C) from one recursion.
 
-    The R series run in one recursion. It advances them through a staging
-    buffer of ``_STAGE_STEPS`` steps, one stacked product per lag and step,
-    so a list of separate arrays is never copied into one (R, n, C) stack.
-    The recursion runs in place: every float64 innovations array is
-    overwritten, and each result is a view of its innovations.
+    The recursion steps sample by sample, one product per lag, in place in
+    the innovations buffer: a float64 ``innovations`` array is overwritten,
+    and the result is a view of it.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (3, 4):
         raise ValueError(f"expected coefficients (p, C, C) or (R, p, C, C), got {a.shape}")
     p, c = a.shape[-3], a.shape[-1]
     total = n_samples + burn_in
-    if isinstance(innovations, list):
-        if a.ndim != 4 or len(innovations) != len(a):
-            raise ValueError(
-                f"{len(innovations)} innovation series for coefficients {a.shape}"
-            )
-        rows = [np.asarray(e, dtype=float) for e in innovations]
-        for e in rows:
-            if e.shape != (total, c):
-                raise ValueError(f"innovations shape {e.shape} != expected {(total, c)}")
-        _var_recursion(a, rows, total)
-        return [e[burn_in:] for e in rows]
     shape = a.shape[:-3] + (total, c)
     if innovations is None:
         if rng is None:
@@ -424,39 +409,10 @@ def simulate_var(
             raise ValueError(
                 f"innovations shape {y.shape} != expected {shape}"
             )
-    _var_recursion(a.reshape((-1, p, c, c)), list(y) if y.ndim == 3 else [y], total)
+    # y[..., n, :] holds e(n) until step n adds sum_k A(k) y(n-k) to it
+    lag_a = [a[..., k, :, :] for k in range(p)]
+    for n in range(total):
+        acc = y[..., n, :]
+        for k in range(1, min(p, n) + 1):
+            acc += np.matmul(lag_a[k - 1], y[..., n - k, :, None])[..., 0]
     return y[..., burn_in:, :]
-
-
-#: Time steps per block of the staging buffer behind ``simulate_var``. The
-#: buffer is alive while every series is, so it adds to synthesis's peak
-#: memory: 120 KB for the 30 series of the default study. A larger block
-#: saves no measurable time; the copies in and out cost far less than the
-#: steps.
-_STAGE_STEPS = 128
-
-
-def _var_recursion(a: np.ndarray, rows: list[np.ndarray], total: int) -> None:
-    """Add ``sum_k A_r(k) y_r(n-k)`` to each row's innovations ``e_r(n)`` in place.
-
-    ``a`` is (R, p, C, C) and ``rows`` are R arrays (total, C). Each block of
-    steps is copied into one (R, p + block, C) staging buffer whose first p
-    steps hold the block's past, advanced there with one stacked product
-    per lag and step, and copied back.
-    """
-    p, c = a.shape[1], a.shape[-1]
-    block = max(1, min(total, _STAGE_STEPS))
-    stage = np.empty((len(rows), p + block, c))
-    lag_a = [a[:, k] for k in range(p)]
-    for start in range(0, total, block):
-        m = min(block, total - start)
-        for st, row in zip(stage, rows):
-            st[p : p + m] = row[start : start + m]
-        # stage[:, i] holds e(n), n = start + i - p, until its step adds the lags
-        for i in range(p, p + m):
-            acc = stage[:, i]
-            for k in range(1, min(p, start + i - p) + 1):
-                acc += np.matmul(lag_a[k - 1], stage[:, i - k, :, None])[..., 0]
-        for st, row in zip(stage, rows):
-            row[start : start + m] = st[p : p + m]
-        stage[:, :p] = stage[:, m : m + p]

@@ -49,7 +49,7 @@ from .signal_io import (
     WINDOW_S,
     SynthSpec,
     extract_labeled_windows,
-    generate_synthetic_batch,
+    generate_synthetic,
     has_nonseizure_span,
     synth_spectral_radius,
 )
@@ -319,28 +319,24 @@ def study_recordings(cfg: RunConfig):
     """Simulate the study's recordings: every uncoupled one, then every
     coupled one, each yielded as ``(kind, recording, annotations)``.
 
-    The batch runs one recursion for every recording and for the twins that
-    set the coupled recordings' channel scale."""
+    Each recording is simulated only when the caller asks for it."""
     s = cfg.synth
-    specs = [
-        SynthSpec(
-            kind=kind,
-            n_channels=s.n_channels,
-            fs=s.fs,
-            duration_s=s.duration_s,
-            coupling_strength=s.coupling_strength if kind == "coupled" else 0.0,
-            seed=derive_seed(cfg.seed, class_idx, i),
-            ar_pole_radius=s.ar_pole_radius,
-            ar_freq_hz=s.ar_freq_hz,
-            noise_std=s.noise_std,
-            match_power=s.match_power,
-            rec_id=f"{kind}-{i:02d}",
-        )
-        for class_idx, kind in enumerate(("uncoupled", "coupled"))
-        for i in range(s.n_per_class)
-    ]
-    for spec, (rec, ann) in zip(specs, generate_synthetic_batch(specs)):
-        yield spec.kind, rec, ann
+    for class_idx, kind in enumerate(("uncoupled", "coupled")):
+        for i in range(s.n_per_class):
+            spec = SynthSpec(
+                kind=kind,
+                n_channels=s.n_channels,
+                fs=s.fs,
+                duration_s=s.duration_s,
+                coupling_strength=s.coupling_strength if kind == "coupled" else 0.0,
+                seed=derive_seed(cfg.seed, class_idx, i),
+                ar_pole_radius=s.ar_pole_radius,
+                ar_freq_hz=s.ar_freq_hz,
+                noise_std=s.noise_std,
+                match_power=s.match_power,
+                rec_id=f"{kind}-{i:02d}",
+            )
+            yield (kind, *generate_synthetic(spec))
 
 
 def cut_windows(recordings, cfg: RunConfig) -> list:

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import lfilter
 
-from .mvar import companion_radius, simulate_var
+from .mvar import companion_radius
 
 __all__ = [
     "WINDOW_S",
@@ -32,7 +33,6 @@ __all__ = [
     "has_nonseizure_span",
     "split_subwindows",
     "generate_synthetic",
-    "generate_synthetic_batch",
     "train_test_split",
 ]
 
@@ -368,10 +368,15 @@ class SynthSpec:
             )
 
 
+def _ar2(spec: SynthSpec) -> tuple[float, float]:
+    """Lag-1 and lag-2 coefficients of each channel's resonant AR(2) process."""
+    a1 = 2.0 * spec.ar_pole_radius * np.cos(2.0 * np.pi * spec.ar_freq_hz / spec.fs)
+    return a1, -spec.ar_pole_radius**2
+
+
 def _synth_coefficients(spec: SynthSpec, coupled: bool) -> np.ndarray:
     c = spec.n_channels
-    a1 = 2.0 * spec.ar_pole_radius * np.cos(2.0 * np.pi * spec.ar_freq_hz / spec.fs)
-    a2 = -spec.ar_pole_radius**2
+    a1, a2 = _ar2(spec)
     a = np.zeros((2, c, c))
     a[0] = a1 * np.eye(c)
     a[1] = a2 * np.eye(c)
@@ -386,11 +391,6 @@ def _synth_coefficients(spec: SynthSpec, coupled: bool) -> np.ndarray:
 def synth_spectral_radius(spec: SynthSpec) -> float:
     """Companion spectral radius of the coupled coefficient stack (< 1 means stable)."""
     return float(companion_radius(_synth_coefficients(spec, spec.kind == "coupled")))
-
-
-def generate_synthetic(spec: SynthSpec) -> tuple[Recording, AnnotationSet]:
-    """Simulate one recording; the coupled class is annotated end to end."""
-    return next(generate_synthetic_batch([spec]))
 
 
 def _innovations(spec: SynthSpec, n_rows: int) -> np.ndarray:
@@ -411,55 +411,51 @@ def _std_in_place(y: np.ndarray) -> np.ndarray:
     return np.sqrt(var, out=var)
 
 
-def generate_synthetic_batch(specs):
-    """Simulate recordings of one shape in one VAR recursion.
+def generate_synthetic(spec: SynthSpec) -> tuple[Recording, AnnotationSet]:
+    """Simulate one recording; the coupled class is annotated end to end.
 
-    Every spec must share ``n_channels``, ``fs`` and ``duration_s``. The
-    recursion runs each spec's process and, for each power-matched coupled
-    spec, its uncoupled twin (same noise draws), which fixes that spec's
-    channel scale. Every process is its own array. A twin's standard
-    deviation is taken in the twin's own buffer, which is then dropped, and
-    the coupled samples are scaled in place. Yields ``(recording,
-    annotations)`` per spec, in order; each recording's samples are a view
-    of its process past the burn-in, and equal what simulating that spec
-    alone gives, bit for bit.
+    The process starts from rest and its first 500 samples are dropped. An
+    uncoupled process is one real AR(2) filter over all channels. The ring
+    coupling matrix is circulant, so the DFT over channels turns a coupled
+    process into C//2 + 1 independent scalar recursions, one per mode k,
+    with the complex lag-1 coefficient ``a1 + g exp(-2 pi i k / C)``; each
+    runs as a filter and an inverse real DFT brings the channels back. A
+    power-matched twin is the uncoupled filter run on the same innovations;
+    its standard deviation is taken in its own buffer, which is then
+    dropped, and the coupled samples are scaled in place.
     """
-    specs = list(specs)
-    if len({(s.n_channels, s.fs, s.duration_s) for s in specs}) > 1:
-        raise ValueError("batched synthetic specs must share n_channels, fs and duration_s")
-    for spec in specs:
-        radius = synth_spectral_radius(spec)
-        if radius >= 1.0:
-            raise ValueError(
-                f"synthetic process unstable (spectral radius {radius:.3f}); "
-                f"reduce coupling_strength or ar_pole_radius"
-            )
-    if not specs:
-        return
-    n = int(round(specs[0].duration_s * specs[0].fs))
-    burn = 500
-    series = [_innovations(spec, n + burn) for spec in specs]
-    twins = [i for i, spec in enumerate(specs) if spec.kind == "coupled" and spec.match_power]
-    a = np.stack(
-        [_synth_coefficients(spec, spec.kind == "coupled") for spec in specs]
-        + [_synth_coefficients(specs[i], False) for i in twins]
-    )
-    twin_series = [series[i].copy() for i in twins]
-    samples = simulate_var(a, n, innovations=series + twin_series, burn_in=burn)
-    del series, twin_series  # from here each buffer lives as long as its view
-    twin_std = {i: _std_in_place(samples.pop()) for i in reversed(twins)}
-    for i, std in twin_std.items():
-        samples[i] *= std / samples[i].std(axis=0)
-    for i, spec in enumerate(specs):
-        rec = Recording(
-            samples=samples[i],
-            fs=spec.fs,
-            channel_names=tuple(f"ch{k + 1:02d}" for k in range(spec.n_channels)),
-            id=spec.rec_id or f"synth-{spec.kind}-s{spec.seed}",
+    radius = synth_spectral_radius(spec)
+    if radius >= 1.0:
+        raise ValueError(
+            f"synthetic process unstable (spectral radius {radius:.3f}); "
+            f"reduce coupling_strength or ar_pole_radius"
         )
-        samples[i] = None  # keep no recording the caller has dropped
-        intervals = [(0.0, rec.duration_s)] if spec.kind == "coupled" else []
-        yield rec, AnnotationSet.from_intervals(intervals)
+    burn = 500
+    e = _innovations(spec, int(round(spec.duration_s * spec.fs)) + burn)
+    a1, a2 = _ar2(spec)
+    uncoupled = [1.0, -a1, -a2]
+    if spec.kind == "uncoupled" or spec.coupling_strength == 0.0:
+        y = lfilter([1.0], uncoupled, e, axis=0)
+    else:
+        if spec.match_power:
+            twin_std = _std_in_place(lfilter([1.0], uncoupled, e, axis=0)[burn:])
+        modes = np.fft.rfft(e, axis=1)
+        del e  # peak memory stays two series: the modes and the output below
+        shift = np.exp(-2j * np.pi * np.arange(modes.shape[1]) / spec.n_channels)
+        for k, lag1 in enumerate(a1 + spec.coupling_strength * shift):
+            modes[:, k] = lfilter([1.0], [1.0, -lag1, -a2], modes[:, k])
+        y = np.fft.irfft(modes, n=spec.n_channels, axis=1)
+        del modes
+        if spec.match_power:
+            y[burn:] *= twin_std / y[burn:].std(axis=0)
+    rec = Recording(
+        samples=y[burn:],
+        fs=spec.fs,
+        channel_names=tuple(f"ch{k + 1:02d}" for k in range(spec.n_channels)),
+        id=spec.rec_id or f"synth-{spec.kind}-s{spec.seed}",
+    )
+    intervals = [(0.0, rec.duration_s)] if spec.kind == "coupled" else []
+    return rec, AnnotationSet.from_intervals(intervals)
 
 
 def train_test_split(ds, test_fraction: float = 0.15, seed: int = 0):

@@ -17,7 +17,6 @@ from eegfusion.signal_io import (
     SynthSpec,
     extract_labeled_windows,
     generate_synthetic,
-    generate_synthetic_batch,
     has_nonseizure_span,
     load_annotations,
     load_recording,
@@ -27,7 +26,7 @@ from eegfusion.signal_io import (
     synth_spectral_radius,
     train_test_split,
 )
-from eegfusion.signal_io import _std_in_place
+from eegfusion.signal_io import _innovations, _std_in_place, _synth_coefficients
 
 FS = 128.0
 
@@ -204,8 +203,11 @@ def sha256(a: np.ndarray) -> str:
 
 
 class TestPinnedSynthesis:
-    """Digests recorded from the one-recording-at-a-time recursion that the
-    batched synthesis replaced; the batch must reproduce its bytes."""
+    """Digests recorded from the recursive-filter synthesis (one real AR(2)
+    filter, or one complex filter per channel DFT mode of a ring-coupled
+    process); any change to the filters, the transforms or the order of the
+    twin scaling moves these bytes. Equality with the VAR recursion itself
+    is checked to a tolerance in TestGenerateSynthetic."""
 
     def test_fast_study_recordings(self):
         # the synthesis settings of test_runner.fast_config
@@ -214,10 +216,10 @@ class TestPinnedSynthesis:
             fs=32.0, duration_s=60.0, coupling_strength=0.3,
         ))
         assert [sha256(rec.samples) for _, rec, _ in study_recordings(cfg)] == [
-            "ab69a53762c6400345c29b7138b7c5fd444ed696c633c4cf7ad80c24bd39bbe4",
-            "8a572c9aa07d50e48b1729b1132acd2d4c132a429de11abb9d603c88a6754ba8",
-            "24d25e245b84db5cc9654dcec95ce928d0888356d3e6275b73ce6a7b83c11f97",
-            "29d256cbe8e112376ee60f09f8e8cdfff68b77a8716887502eb0204e2f8b53aa",
+            "cd57adc6f64713213a0cc659f12ac4d92aa59bd576c7426761cf61704794356a",
+            "9954899e4fc7bc935fffdd3203a7dac20a26a9941891c82618ee83cc79593fbc",
+            "7d21e4730d2a92615b65cb6ade894e1343b2dc2b7617d1384ee2e86ee0ac3efe",
+            "a3eb6dbe66f187dd4cb6e6f53d67022a3ac0b413e1559c531408ef2cc58c7155",
         ]
 
     def test_clinical_size_recording(self):
@@ -226,7 +228,7 @@ class TestPinnedSynthesis:
             coupling_strength=0.08, seed=0,
         ))
         assert sha256(rec.samples) == (
-            "eb440c5ca0a4c6a2baf5a3bae4378b4c3cb20f2cd1d9c4b51ac38540d5903349"
+            "2117d1dd94283bdcbe59356660ac826689aa39f91a6314b4c43251ec52a035c6"
         )
 
     def test_stacked_recursion_equals_single_series(self):
@@ -245,8 +247,6 @@ class TestPinnedSynthesis:
         assert np.shares_memory(y, e)
 
     def test_staged_recursion_equals_the_step_loop(self):
-        # 2,600 steps cross the staging blocks, the last one short; a list of
-        # separate series gives views of each series, equal to the stack
         rng = np.random.default_rng(23)
         a = np.stack([0.25 * rng.standard_normal((3, 2, 2)) for _ in range(4)])
         e = rng.standard_normal((4, 2600, 2))
@@ -256,28 +256,6 @@ class TestPinnedSynthesis:
                 want[:, n] += np.matmul(a[:, k - 1], want[:, n - k, :, None])[..., 0]
         assert np.array_equal(simulate_var(a, 2500, innovations=e.copy(), burn_in=100),
                               want[:, 100:])
-        rows = [e[r].copy() for r in range(4)]
-        listed = simulate_var(a, 2500, innovations=rows, burn_in=100)
-        for row, y, w in zip(rows, listed, want):
-            assert np.shares_memory(y, row) and np.array_equal(y, w[100:])
-
-    def test_mixed_batch_is_one_recursion(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(len(kwargs["innovations"]))
-            return simulate_var(*args, **kwargs)
-
-        monkeypatch.setattr(signal_io, "simulate_var", counted)
-        base = dict(n_channels=3, duration_s=30.0, coupling_strength=0.15)
-        specs = [
-            SynthSpec(kind="coupled", seed=41, **base),
-            SynthSpec(kind="uncoupled", seed=42, **base),
-            SynthSpec(kind="coupled", seed=43, match_power=False, **base),
-            SynthSpec(kind="coupled", seed=44, **base),
-        ]
-        assert len(list(generate_synthetic_batch(specs))) == 4
-        assert calls == [6]  # four specs and the twins of the two power-matched ones
 
     def test_peak_memory_is_the_coupled_series_and_its_twin(self):
         # 60 s at fs=256 plus the 500-step burn-in, C=19: two such series
@@ -298,28 +276,31 @@ class TestPinnedSynthesis:
         want = y.std(axis=0)
         assert _std_in_place(y).tobytes() == want.tobytes()
 
-    def test_batch_equals_one_spec_at_a_time(self):
-        base = dict(n_channels=3, duration_s=30.0, coupling_strength=0.15)
-        specs = [
-            SynthSpec(kind="coupled", seed=31, **base),
-            SynthSpec(kind="uncoupled", seed=32, **base),
-            SynthSpec(kind="coupled", seed=33, match_power=False, **base),
-        ]
-        batch = list(generate_synthetic_batch(specs))
-        assert len(batch) == 3
-        for spec, (rec, ann) in zip(specs, batch):
-            want, want_ann = generate_synthetic(spec)
-            assert np.array_equal(rec.samples, want.samples)
-            assert rec.id == want.id and ann == want_ann
-
-    def test_batch_shapes_must_agree(self):
-        specs = [SynthSpec(kind="uncoupled", duration_s=30.0),
-                 SynthSpec(kind="uncoupled", duration_s=40.0)]
-        with pytest.raises(ValueError, match="share"):
-            list(generate_synthetic_batch(specs))
-
-
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("n_channels", [2, 4, 19])
+    @pytest.mark.parametrize("kind, match_power, coupling, radius", [
+        ("coupled", True, 0.15, 0.8),
+        ("coupled", False, 0.15, 0.8),
+        ("coupled", True, 0.0, 0.8),
+        ("coupled", True, 0.15, 0.0),
+        ("uncoupled", True, 0.0, 0.8),
+        ("uncoupled", False, 0.0, 0.0),
+    ])
+    def test_filters_equal_the_var_recursion(self, n_channels, kind, match_power,
+                                             coupling, radius):
+        spec = SynthSpec(kind=kind, n_channels=n_channels, fs=64.0, duration_s=20.0,
+                         coupling_strength=coupling, ar_pole_radius=radius,
+                         match_power=match_power, seed=n_channels)
+        n = int(round(spec.duration_s * spec.fs))
+        e = _innovations(spec, n + 500)
+        want = simulate_var(_synth_coefficients(spec, kind == "coupled"), n,
+                            innovations=e.copy(), burn_in=500)
+        if kind == "coupled" and match_power:
+            twin = simulate_var(_synth_coefficients(spec, False), n, innovations=e, burn_in=500)
+            want *= twin.std(axis=0) / want.std(axis=0)
+        got = generate_synthetic(spec)[0].samples
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_zero_strength_coupled_equals_uncoupled(self):
         base = dict(n_channels=3, duration_s=30.0, seed=11, coupling_strength=0.0)
         rec_c, ann_c = generate_synthetic(SynthSpec(kind="coupled", **base))
