@@ -230,7 +230,8 @@ def unit_phasor(a: AnalyticSignal) -> np.ndarray:
     """Per-sample unit phasor ``z / |z|`` of the analytic signal, equal to
     ``exp(j phase)`` up to rounding without computing the phase.
 
-    It multiplies by ``1 / |z|``: numpy divides a complex by a real through
-    that reciprocal, so the bytes are those of the division, at half the time.
+    It multiplies by ``1 / |z|``. numpy divides a complex by a real through
+    that reciprocal, so the bytes are those of the division, which costs
+    about twice as much.
     """
     return a.values * (1.0 / _magnitude(a.values))
