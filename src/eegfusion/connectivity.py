@@ -29,11 +29,11 @@ from .dsp import BROADBAND, DEFAULT_BANDS, BandSpec, design_bandpass, filtfilt, 
 from .mvar import (
     FitDiagnostics,
     SpectralDecomposition,
-    companion_radius,
     fit_mvar,
     frequency_grid,
     select_order,
     spectral_decomposition,
+    unstable_mask,
 )
 from .signal_io import LabeledWindow, split_subwindows
 
@@ -309,7 +309,8 @@ def _mvar_planes(
 
     With AIC one order search covers the stack and each sub-window picks its
     order; sub-windows of one order are fitted and decomposed as one stack.
-    One companion eigen-decomposition per fit stack counts its unstable fits.
+    :func:`unstable_mask` counts each fit stack's unstable fits, by the
+    squaring certificate and eigenvalues only where it cannot decide.
     """
     if cfg.aic:
         orders = select_order(subs, cfg.aic_max, cfg.ridge)
@@ -323,7 +324,7 @@ def _mvar_planes(
         idx = [t for t, q in enumerate(orders) if q == p]
         model = fit_mvar(subs[idx], p, fs, cfg.ridge)
         if diagnostics is not None:
-            diagnostics.unstable_fits += int(np.count_nonzero(companion_radius(model.A) >= 1.0))
+            diagnostics.unstable_fits += int(np.count_nonzero(unstable_mask(model.A)))
         sd = spectral_decomposition(model, cfg.n_freqs, diagnostics, keep)
         for k, (name, vals) in enumerate(_spectral_measures(sd, model.Sigma).items()):
             planes[k, idx] = np.moveaxis(band_aggregate(vals, cfg.bands, sd.freqs, name), -3, -1)

@@ -1,6 +1,7 @@
 """Connectivity measures, band aggregation, and the window feature tensor."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from eegfusion.connectivity import (
     plv_matrix,
     window_chunks,
 )
-from eegfusion import connectivity
+from eegfusion import connectivity, mvar
 from eegfusion.dsp import (
     BROADBAND, DEFAULT_BANDS, BandSpec, analytic_signal, design_bandpass, filtfilt,
     instantaneous_phase,
@@ -480,6 +481,18 @@ class TestStackedFeaturePath:
         assert np.array_equal(got[:-1], want[:-1])
         assert np.max(np.abs(got[-1] - want[-1])) <= 1e-12
         assert diag == want_diag
+
+    def test_unstable_count_equals_eigenvalue_oracle(self, monkeypatch):
+        # the growing window's fits sit just above radius 1, where the
+        # squaring certificate cannot decide and eigenvalues count them
+        eigen = mock.Mock(wraps=mvar._spectral_radius)
+        monkeypatch.setattr(mvar, "_spectral_radius", eigen)
+        window, cfg = growing_windows(n_windows=1)[0], PipelineConfig()
+        diag = FitDiagnostics()
+        build_feature_tensor(window, cfg, diag)
+        assert eigen.called
+        assert diag.unstable_fits > 0
+        assert diag.unstable_fits == oracle_tensor(window, cfg)[1].unstable_fits
 
 
 def coupled_windows(n_channels=4, fs=128.0, n_windows=8, seed=1, strength=0.15):

@@ -24,7 +24,9 @@ from eegfusion.mvar import (
     select_order,
     simulate_var,
     spectral_decomposition,
+    unstable_mask,
 )
+from eegfusion import mvar
 
 FS = 128.0
 
@@ -224,6 +226,84 @@ class TestStability:
         a = np.array([[[2 * r * np.cos(theta)]], [[-r * r]]])
         eig = np.linalg.eigvals(companion_matrix(a))
         assert np.allclose(sorted(np.abs(eig)), [r, r], atol=1e-12)
+
+
+def ar1(*diagonal):
+    """A p=1 fit whose companion is diag(diagonal)."""
+    return np.diag(diagonal)[None].astype(float)
+
+
+#: p=1, C=2 fits the squaring certificate must decide as eigenvalues do.
+MASK_CASES = {
+    "zero": np.zeros((1, 2, 2)),
+    "ar1_0.9": ar1(0.9, 0.0),
+    "ar1_1.05": ar1(1.05, 0.0),
+    "identity": ar1(1.0, 1.0),  # radius exactly 1: unstable
+    "just_stable": ar1(1.0 - 1e-6, 0.0),  # certificate undecided: falls back
+    "transient_growth": np.array([[[0.5, 50.0], [0.0, 0.5]]]),  # ||C|| = 50, rho = 0.5
+}
+
+
+def assert_mask_is_eigen_rule(a):
+    got = unstable_mask(a)
+    want = companion_radius(a) >= 1.0
+    assert np.shape(got) == np.shape(want) == np.shape(a)[:-3]
+    assert np.array_equal(got, want)
+
+
+def fallback_fits(monkeypatch):
+    """Record how many fits each unstable_mask call leaves to eigenvalues."""
+    calls, real = [], mvar._spectral_radius
+
+    def spy(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(mvar, "_spectral_radius", spy)
+    return calls
+
+
+class TestUnstableMask:
+    @pytest.mark.parametrize("name", list(MASK_CASES))
+    def test_case_equals_eigenvalue_rule(self, name):
+        a = MASK_CASES[name]
+        assert_mask_is_eigen_rule(a)
+        assert_mask_is_eigen_rule(a[None])
+
+    def test_radius_one_and_just_below_fall_back(self, monkeypatch):
+        calls = fallback_fits(monkeypatch)
+        assert unstable_mask(MASK_CASES["identity"])
+        assert not unstable_mask(MASK_CASES["just_stable"])
+        assert calls == [1, 1]
+
+    def test_transient_growth_is_certified(self, monkeypatch):
+        calls = fallback_fits(monkeypatch)
+        assert not unstable_mask(MASK_CASES["transient_growth"])
+        assert calls == []
+
+    def test_mixed_stack_keeps_leading_shape(self):
+        cases = list(MASK_CASES.values())
+        a = np.stack(cases + cases[::-1]).reshape(2, len(cases), 1, 2, 2)
+        assert_mask_is_eigen_rule(a)
+        assert unstable_mask(a).sum() == 4
+
+    @pytest.mark.parametrize("c", [4, 19])
+    def test_random_stacks_near_radius_one(self, c):
+        rng = np.random.default_rng(c)
+        for p in (1, 2, 4):
+            a = rng.standard_normal((24, p, c, c))
+            # scaling lag k by s**k scales every companion eigenvalue by s
+            s = rng.uniform(0.95, 1.05, 24) / companion_radius(a)
+            a *= (s[:, None] ** np.arange(1, p + 1))[:, :, None, None]
+            assert_mask_is_eigen_rule(a.reshape(4, 6, p, c, c))
+
+    def test_nan_coefficient_raises_as_the_eigenvalue_rule(self):
+        a = np.stack([MASK_CASES["ar1_0.9"]] * 2)
+        a[1, 0, 0, 1] = np.nan
+        with pytest.raises(Exception) as want:
+            companion_radius(a)
+        with pytest.raises(want.type):
+            unstable_mask(a)
 
 
 class TestSpectralDecomposition:
