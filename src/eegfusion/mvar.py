@@ -308,7 +308,7 @@ def unstable_mask(a: np.ndarray) -> np.ndarray:
         if squaring:
             power = power @ power
         norm = np.linalg.norm(power, axis=(-2, -1))
-        escaped = ~(norm <= _GROWTH_GUARD)
+        escaped = ~(norm <= _GROWTH_GUARD)  # NaN norms escape too
         fallback.append(left[escaped])
         going = ~escaped & (norm > _CERTIFY_NORM)
         power, left = power[going], left[going]
