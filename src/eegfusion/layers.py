@@ -122,11 +122,15 @@ class ContractRow:
             cache["xt"], cache["s"] = xt, s
         return np.maximum(s, 0.0)
 
-    def backward(self, theta, grad, cache, gy):
+    def backward(self, theta, grad, cache, gy, input_grad=True):
+        """Accumulate the weight gradients; return the input gradient, or None
+        without ``input_grad`` (a stage's first layer, whose input is data)."""
         gs = gy * (cache["s"] > 0)
         g = gs.shape[0]
         self.w.add_to(grad, (gs.reshape(g, 1, -1) @ cache["xt"])[:, 0])
         self.b.add_to(grad, gs.reshape(g, -1).sum(axis=1, keepdims=True))
+        if not input_grad:
+            return None
         return gs[..., None, :] * _per_branch(self.w.view(theta), gs.ndim)[..., None]
 
 
@@ -150,12 +154,16 @@ class ContractLast:
             cache["x"], cache["s"] = x, s
         return np.maximum(s, 0.0)
 
-    def backward(self, theta, grad, cache, gy):
+    def backward(self, theta, grad, cache, gy, input_grad=True):
+        """Accumulate the weight gradients; return the input gradient, or None
+        without ``input_grad`` (a stage's first layer, whose input is data)."""
         gs = gy * (cache["s"] > 0)
         g = gs.shape[0]
         x = cache["x"]
         self.w.add_to(grad, (gs.reshape(g, 1, -1) @ x.reshape(g, -1, x.shape[-1]))[:, 0])
         self.b.add_to(grad, gs.reshape(g, -1).sum(axis=1, keepdims=True))
+        if not input_grad:
+            return None
         return gs[..., None] * _per_branch(self.w.view(theta), gs.ndim + 1)
 
 
@@ -188,12 +196,17 @@ class LSTM:
     """Stack of standard LSTM layers: (G, M, T, D) -> (G, M, T, H), full sequence.
 
     Gate preactivations are ordered [input, forget, cell, output] inside the
-    fused 4H weight matrices. Each step computes the sigmoid once over the
-    whole fused (G, M, 4H) preactivation, as 1 / (1 + exp(-z)) in place in one
-    buffer, and reads the input, forget and output gates as slices of it; the
-    cell gate is tanh of its slice of z. The backward takes ``s (1 - s)``
-    over the whole buffer in two passes and then writes the cell gate's tanh
-    derivative over its slice.
+    fused 4H weight matrices. Once per forward, each layer copies Wx, Wh and
+    b with the input, forget and output gate columns negated, so the step's
+    matmuls yield -z on those gates and +z on the cell gate; round-to-nearest
+    is symmetric under negation, so -z is exactly the negation of z. The
+    cell gate is tanh of its slice; then the sigmoid of the three gates,
+    1 / (1 + exp(-z)), is computed in place over the whole fused (G, M, 4H)
+    buffer, and the gates are read as slices of it (its cell slice holds
+    nothing used). The backward takes ``s (1 - s)`` over the whole buffer in
+    two passes and then writes the cell gate's tanh derivative over its
+    slice. With h_0 = 0, the t = 0 step adds nothing to the Wh gradient and
+    has no earlier step to pass a gradient to, so it computes neither.
     """
 
     def __init__(self, d_in: int, hidden: int, n_layers: int = 1) -> None:
@@ -210,29 +223,35 @@ class LSTM:
             )
             d = hidden
         self.params = [p for trio in self.layer_params for p in trio]
+        #: -1 on the input, forget and output gate columns, +1 on the cell gate
+        self.gate_sign = np.full(4 * hidden, -1.0)
+        self.gate_sign[2 * hidden : 3 * hidden] = 1.0
 
     def forward(self, theta, x, cache=None):
         h_dim = self.hidden
+        cell = slice(2 * h_dim, 3 * h_dim)
         seq = x
         layer_caches = []
         for wx_p, wh_p, b_p in self.layer_params:
-            wx, wh = wx_p.view(theta), wh_p.view(theta)
-            b = b_p.view(theta)[:, None]
+            wx, wh, b = (p.view(theta) * self.gate_sign for p in (wx_p, wh_p, b_p))
+            b = b[:, None]
             g, m, t_len, _ = seq.shape
             out = np.empty((g, m, t_len, h_dim))
             h = np.zeros((g, m, h_dim))
             c = np.zeros((g, m, h_dim))
+            hw = np.empty((g, m, 4 * h_dim))
             steps = []
             with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0
                 for t in range(t_len):
-                    z = seq[:, :, t] @ wx + h @ wh + b
-                    sig = np.negative(z)  # sigmoid of all 4H: 1 / (1 + exp(-z))
+                    sig = seq[:, :, t] @ wx  # -z, except +z on the cell gate
+                    sig += np.matmul(h, wh, out=hw)
+                    sig += b
+                    gc = np.tanh(sig[..., cell])
                     np.exp(sig, out=sig)
                     sig += 1.0
                     np.divide(1.0, sig, out=sig)
                     gi, gf = sig[..., :h_dim], sig[..., h_dim : 2 * h_dim]
                     go = sig[..., 3 * h_dim :]
-                    gc = np.tanh(z[..., 2 * h_dim : 3 * h_dim])
                     c_new = gf * c + gi * gc
                     tc = np.tanh(c_new)
                     h = go * tc
@@ -260,6 +279,7 @@ class LSTM:
             g_b = np.zeros((g, 4 * h_dim))
             dh_next = np.zeros((g, m, h_dim))
             dc_next = np.zeros((g, m, h_dim))
+            one_minus_sig = np.empty((g, m, 4 * h_dim))
             for t in reversed(range(t_len)):
                 sig, gc, c_prev, tc = steps[t]
                 gi, gf = sig[..., :h_dim], sig[..., h_dim : 2 * h_dim]
@@ -272,14 +292,16 @@ class LSTM:
                 # buffer; the cell slice is then replaced by its tanh derivative
                 dz = np.concatenate([dc * gc, dc * c_prev, d_gc, dh * tc], axis=-1)
                 dz *= sig
-                dz *= 1.0 - sig
+                dz *= np.subtract(1.0, sig, out=one_minus_sig)
                 np.multiply(d_gc, 1.0 - gc * gc, out=dz[..., 2 * h_dim : 3 * h_dim])
                 g_wx += x[:, :, t].swapaxes(1, 2) @ dz
-                h_prev = out[:, :, t - 1] if t > 0 else np.zeros((g, m, h_dim))
-                g_wh += h_prev.swapaxes(1, 2) @ dz
                 g_b += dz.sum(axis=1)
                 gx[:, :, t] = dz @ wx_t
-                dh_next = dz @ wh_t
+                # at t = 0, h_prev = 0 adds only zeros to g_wh, which starts at
+                # +0.0 and so never holds -0.0; and no earlier step reads dh_next
+                if t > 0:
+                    g_wh += out[:, :, t - 1].swapaxes(1, 2) @ dz
+                    dh_next = dz @ wh_t
             wx_p.add_to(grad, g_wx)
             wh_p.add_to(grad, g_wh)
             b_p.add_to(grad, g_b)
@@ -291,7 +313,9 @@ class AttentionPool:
     """Additive attention over time: (G, M, T, H) -> (G, M, H).
 
     Scores e_t = v . tanh(W h_t + b); softmax over t; output is the
-    weight-averaged sequence. Weights are nonnegative and sum to 1.
+    weight-averaged sequence. Weights are nonnegative and sum to 1. The
+    products with W and W^T run once per branch, over all M * T positions as
+    one (M T, H) @ (H, H) matmul.
     """
 
     def __init__(self, hidden: int) -> None:
@@ -301,7 +325,10 @@ class AttentionPool:
         self.params = [self.W, self.b, self.v]
 
     def forward(self, theta, x, cache=None):
-        u = np.tanh(x @ self.W.view(theta)[:, None] + _per_branch(self.b.view(theta), x.ndim))
+        g, h_dim = x.shape[0], x.shape[-1]
+        u = x.reshape(g, -1, h_dim) @ self.W.view(theta)
+        u += self.b.view(theta)[:, None]
+        u = np.tanh(u, out=u).reshape(x.shape)
         e = (u @ self.v.view(theta)[:, None, :, None])[..., 0]
         e = e - e.max(axis=2, keepdims=True)
         ew = np.exp(e)
@@ -312,17 +339,19 @@ class AttentionPool:
 
     def backward(self, theta, grad, cache, gy):
         x, u, alpha = cache["x"], cache["u"], cache["alpha"]
-        w_t = self.W.view(theta).swapaxes(1, 2)[:, None]
         g, h_dim = x.shape[0], x.shape[-1]
         g_alpha = (x @ gy[..., None])[..., 0]
         gx = alpha[..., None] * gy[:, :, None, :]
         ge = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=2, keepdims=True))
-        gu = ge[..., None] * _per_branch(self.v.view(theta), ge.ndim + 1)
-        ga = gu * (1.0 - u * u)
-        self.W.add_to(grad, x.reshape(g, -1, h_dim).swapaxes(1, 2) @ ga.reshape(g, -1, h_dim))
+        ga = ge[..., None] * _per_branch(self.v.view(theta), ge.ndim + 1)  # d/du
+        du = np.multiply(u, u)
+        ga *= np.subtract(1.0, du, out=du)  # d/d(W h + b)
+        ga_rows = ga.reshape(g, -1, h_dim)
+        self.W.add_to(grad, x.reshape(g, -1, h_dim).swapaxes(1, 2) @ ga_rows)
         self.b.add_to(grad, ga.sum(axis=(1, 2)))
         self.v.add_to(grad, (ge.reshape(g, 1, -1) @ u.reshape(g, -1, h_dim))[:, 0])
-        return gx + ga @ w_t
+        gx += (ga_rows @ self.W.view(theta).swapaxes(1, 2)).reshape(x.shape)
+        return gx
 
 
 class Dropout:

@@ -290,7 +290,10 @@ class FusionModel:
     def backward(self, labels: np.ndarray) -> np.ndarray:
         """Gradient of mean binary cross-entropy w.r.t. the flat parameters.
 
-        Requires a preceding training-mode forward over the same batch.
+        Requires a preceding training-mode forward over the same batch. The
+        branch stage's input is the data, so its first layer (a ContractRow
+        or ContractLast) is asked for no input gradient; every parameter
+        gradient is the same either way.
         """
         cache = self._cache
         if cache is None:
@@ -302,8 +305,8 @@ class FusionModel:
         theta = self.params
         grad = np.zeros_like(theta)
 
-        def run_back(layers, g, key):
-            for layer, lc in zip(reversed(list(layers)), reversed(cache[key])):
+        def run_back(layers, caches, g):
+            for layer, lc in zip(reversed(list(layers)), reversed(caches)):
                 g = layer.backward(theta, grad, lc, g)
             return g
 
@@ -313,10 +316,12 @@ class FusionModel:
             gy = self.dropout.backward(cache["drop"][i], gy)
             gy = self.head[i].backward(theta, grad, cache["head"][i], gy)
         if self.trunk:
-            g = np.moveaxis(run_back(self.trunk.values(), gy, "trunk")[0], -1, 0)
+            g = np.moveaxis(run_back(self.trunk.values(), cache["trunk"], gy)[0], -1, 0)
         else:
             g = gy[0].reshape(m, len(self.branches), -1).transpose(1, 0, 2)
-        run_back(self.stage.values(), g, "stage")
+        first, *rest = self.stage.values()
+        g = run_back(rest, cache["stage"][1:], g)
+        first.backward(theta, grad, cache["stage"][0], g, input_grad=False)
         return grad
 
 

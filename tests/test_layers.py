@@ -198,3 +198,159 @@ def test_lstm_gate_sigmoid_is_expit(m):
             h = lc["out"][:, :, t]
             n_checked += ref.size
     assert n_checked == 2 * 6 * G * m * 3 * h_dim
+
+
+# -- byte-for-byte against the plain step formulas ------------------------------
+#
+# The layers compute the LSTM gates from negated weight columns, skip the
+# zero-state terms of the first step and run the attention products over all
+# M * T positions of a branch at once. The functions below are the direct
+# per-step and per-sample expressions those replace; every output and
+# gradient byte must equal theirs, at the branch counts of schemes 3-4 (1),
+# 2 (7) and 1 (35) and the sample counts of a one-window forward (1), a
+# small and a training batch (16).
+
+
+def plain_lstm(layer, theta, grad, x, gy):
+    """Sigmoid as 1 / (1 + exp(-z)) of the full z; zero-state terms kept."""
+    h_dim, seq, layer_caches = layer.hidden, x, []
+    for wx_p, wh_p, b_p in layer.layer_params:
+        wx, wh, b = wx_p.view(theta), wh_p.view(theta), b_p.view(theta)[:, None]
+        g, m, t_len, _ = seq.shape
+        out = np.empty((g, m, t_len, h_dim))
+        h, c, steps = np.zeros((g, m, h_dim)), np.zeros((g, m, h_dim)), []
+        with np.errstate(over="ignore"):
+            for t in range(t_len):
+                z = seq[:, :, t] @ wx + h @ wh + b
+                sig = np.negative(z)
+                np.exp(sig, out=sig)
+                sig += 1.0
+                np.divide(1.0, sig, out=sig)
+                gi, gf, go = sig[..., :h_dim], sig[..., h_dim : 2 * h_dim], sig[..., 3 * h_dim :]
+                gc = np.tanh(z[..., 2 * h_dim : 3 * h_dim])
+                c_new = gf * c + gi * gc
+                tc = np.tanh(c_new)
+                h = go * tc
+                out[:, :, t] = h
+                steps.append((sig, gc, c, tc))
+                c = c_new
+        layer_caches.append((seq, out, steps))
+        seq = out
+    y = seq
+    for (wx_p, wh_p, b_p), (x_l, out, steps) in zip(
+        reversed(layer.layer_params), reversed(layer_caches)
+    ):
+        wx_t, wh_t = wx_p.view(theta).swapaxes(1, 2), wh_p.view(theta).swapaxes(1, 2)
+        g, m, t_len, d = x_l.shape
+        gx = np.zeros((g, m, t_len, d))
+        g_wx, g_wh = np.zeros((g, d, 4 * h_dim)), np.zeros((g, h_dim, 4 * h_dim))
+        g_b = np.zeros((g, 4 * h_dim))
+        dh_next, dc_next = np.zeros((g, m, h_dim)), np.zeros((g, m, h_dim))
+        for t in reversed(range(t_len)):
+            sig, gc, c_prev, tc = steps[t]
+            gi, gf, go = sig[..., :h_dim], sig[..., h_dim : 2 * h_dim], sig[..., 3 * h_dim :]
+            dh = gy[:, :, t] + dh_next
+            dc = dh * go * (1.0 - tc * tc) + dc_next
+            d_gc = dc * gi
+            dc_next = dc * gf
+            dz = np.concatenate([dc * gc, dc * c_prev, d_gc, dh * tc], axis=-1)
+            dz *= sig
+            dz *= 1.0 - sig
+            np.multiply(d_gc, 1.0 - gc * gc, out=dz[..., 2 * h_dim : 3 * h_dim])
+            g_wx += x_l[:, :, t].swapaxes(1, 2) @ dz
+            h_prev = out[:, :, t - 1] if t > 0 else np.zeros((g, m, h_dim))
+            g_wh += h_prev.swapaxes(1, 2) @ dz
+            g_b += dz.sum(axis=1)
+            gx[:, :, t] = dz @ wx_t
+            dh_next = dz @ wh_t
+        wx_p.add_to(grad, g_wx)
+        wh_p.add_to(grad, g_wh)
+        b_p.add_to(grad, g_b)
+        gy = gx
+    return y, gy, [lc[2] for lc in layer_caches]
+
+
+def plain_attention(layer, theta, grad, x, gy):
+    """Products with W per (branch, sample), out of place."""
+    w, b, v = layer.W.view(theta), layer.b.view(theta), layer.v.view(theta)
+    g, h_dim = x.shape[0], x.shape[-1]
+    u = np.tanh(x @ w[:, None] + b[:, None, None, :])
+    e = (u @ v[:, None, :, None])[..., 0]
+    e = e - e.max(axis=2, keepdims=True)
+    ew = np.exp(e)
+    alpha = ew / ew.sum(axis=2, keepdims=True)
+    y = (alpha[:, :, None, :] @ x)[:, :, 0]
+    g_alpha = (x @ gy[..., None])[..., 0]
+    gx = alpha[..., None] * gy[:, :, None, :]
+    ge = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=2, keepdims=True))
+    ga = ge[..., None] * v[:, None, None, :] * (1.0 - u * u)
+    layer.W.add_to(grad, x.reshape(g, -1, h_dim).swapaxes(1, 2) @ ga.reshape(g, -1, h_dim))
+    layer.b.add_to(grad, ga.sum(axis=(1, 2)))
+    layer.v.add_to(grad, (ge.reshape(g, 1, -1) @ u.reshape(g, -1, h_dim))[:, 0])
+    return y, gx + ga @ w.swapaxes(1, 2)[:, None]
+
+
+def stacked_g(layer, g, seed):
+    reg = ParamRegistry()
+    reg.add_stage([f"b{i}" for i in range(g)], {"layer": layer})
+    return np.random.default_rng(seed).uniform(-0.7, 0.7, reg.size)
+
+
+def same_bytes(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+BRANCHES_AND_SAMPLES = [(g, m) for g in (1, 7, 35) for m in (1, 4, 16)]
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("g, m", BRANCHES_AND_SAMPLES)
+def test_lstm_bytes_equal_the_plain_step(g, m, n_layers):
+    t_len, d, h_dim = 10, 4, 16  # scheme 1's defaults: T sub-windows, C channels
+    layer = LSTM(d, h_dim, n_layers)
+    theta = stacked_g(layer, g, seed=g + m + n_layers)
+    rng = np.random.default_rng(60 + g + m)
+    x = rng.standard_normal((g, m, t_len, d))
+    gy = rng.standard_normal((g, m, t_len, h_dim))
+    grad, ref_grad = np.zeros_like(theta), np.zeros_like(theta)
+    y, gx = run(layer, theta, grad, x, gy)
+    ref_y, ref_gx, _ = plain_lstm(layer, theta, ref_grad, x, gy)
+    same_bytes(y, ref_y)
+    same_bytes(grad, ref_grad)
+    same_bytes(gx, ref_gx)
+
+
+@pytest.mark.parametrize("g, m", [(1, 1), (7, 4), (35, 16)])
+def test_lstm_bytes_equal_the_plain_step_where_exp_overflows(g, m):
+    d, h_dim = 4, 16
+    layer = LSTM(d, h_dim, n_layers=2)
+    theta = stacked_g(layer, g, seed=70 + g)
+    rng = np.random.default_rng(80 + g)
+    x = 1000.0 * rng.standard_normal((g, m, 10, d))
+    gy = rng.standard_normal((g, m, 10, h_dim))
+    grad, ref_grad = np.zeros_like(theta), np.zeros_like(theta)
+    y, gx = run(layer, theta, grad, x, gy)
+    ref_y, ref_gx, ref_steps = plain_lstm(layer, theta, ref_grad, x, gy)
+    gates = np.concatenate([sig[..., np.r_[0 : 2 * h_dim, 3 * h_dim : 4 * h_dim]]
+                            for sig, *_ in ref_steps[0]])
+    assert np.any(gates == 0.0)  # exp(-z) overflowed to inf: the sigmoid's limit 0
+    same_bytes(y, ref_y)
+    same_bytes(grad, ref_grad)
+    same_bytes(gx, ref_gx)
+
+
+@pytest.mark.parametrize("g, m", BRANCHES_AND_SAMPLES)
+def test_attention_bytes_equal_the_per_sample_products(g, m):
+    t_len, h_dim = 10, 16
+    layer = AttentionPool(h_dim)
+    theta = stacked_g(layer, g, seed=90 + g + m)
+    rng = np.random.default_rng(100 + g + m)
+    x = rng.standard_normal((g, m, t_len, h_dim))
+    gy = rng.standard_normal((g, m, h_dim))
+    grad, ref_grad = np.zeros_like(theta), np.zeros_like(theta)
+    y, gx = run(layer, theta, grad, x, gy)
+    ref_y, ref_gx = plain_attention(layer, theta, ref_grad, x, gy)
+    same_bytes(y, ref_y)
+    same_bytes(grad, ref_grad)
+    same_bytes(gx, ref_gx)

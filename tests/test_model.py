@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegfusion.connectivity import FEATURE_ORDER, NormStats, WindowTensor
+from eegfusion.layers import ContractRow
 from eegfusion.model import (
     Metrics,
     _Adam,
@@ -241,6 +242,35 @@ class TestGradients:
         m = build_fusion_model(ModelConfig(scheme=2, **SMALL))
         with pytest.raises(RuntimeError, match="forward"):
             m.kink_margin()
+
+
+class TestStageInputGradient:
+    """backward() asks the branch stage's first layer for no input gradient."""
+
+    @pytest.mark.parametrize("scheme", [1, 2, 3, 4])
+    def test_gradient_equals_a_backward_that_computes_it(self, scheme, monkeypatch):
+        m, x, y = fd_setup(scheme, FD_SEEDS[scheme])
+        m.forward_batch(x, train=True)
+        grad = m.backward(y)
+        first = next(iter(m.stage.values()))
+        backward, seen = first.backward, []
+
+        def with_input_grad(theta, grad, cache, gy, input_grad=False):
+            gx = backward(theta, grad, cache, gy)  # the default: input_grad=True
+            seen.append((cache, gy, gx))
+            return gx
+
+        monkeypatch.setattr(first, "backward", with_input_grad)
+        assert m.backward(y).tobytes() == grad.tobytes()
+        [(cache, gy, gx)] = seen
+        gs, w = gy * (cache["s"] > 0), first.w.view(m.params)
+        lead = (w.shape[0],) + (1,) * (gs.ndim - 1)
+        if isinstance(first, ContractRow):  # gx[..., r, k] = gs[..., k] w[r]
+            want = gs[..., None, :] * w.reshape(lead[:-1] + (-1, 1))
+        else:  # gx[..., k] = gs[...] w[k]
+            want = gs[..., None] * w.reshape(lead + (-1,))
+        assert gx.shape == m._branch_input(x).shape
+        assert gx.tobytes() == want.tobytes()
 
 
 class TestTraining:
