@@ -344,8 +344,8 @@ class AttentionPool:
         gx = alpha[..., None] * gy[:, :, None, :]
         ge = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=2, keepdims=True))
         ga = ge[..., None] * _per_branch(self.v.view(theta), ge.ndim + 1)  # d/du
-        du = np.multiply(u, u)
-        ga *= np.subtract(1.0, du, out=du)  # d/d(W h + b)
+        slope = np.multiply(u, u)
+        ga *= np.subtract(1.0, slope, out=slope)  # d/d(W h + b), tanh' = 1 - u^2
         ga_rows = ga.reshape(g, -1, h_dim)
         self.W.add_to(grad, x.reshape(g, -1, h_dim).swapaxes(1, 2) @ ga_rows)
         self.b.add_to(grad, ga.sum(axis=(1, 2)))

@@ -17,10 +17,10 @@ G = 3
 RTOL = 1e-12
 
 
-def stacked(layer, seed):
-    """Random weights for a G-branch stack of one layer, plus a zero gradient."""
+def stacked(layer, seed, g=G):
+    """Random weights for a g-branch stack of one layer, plus a zero gradient."""
     reg = ParamRegistry()
-    reg.add_stage([f"b{i}" for i in range(G)], {"layer": layer})
+    reg.add_stage([f"b{i}" for i in range(g)], {"layer": layer})
     theta = np.random.default_rng(seed).uniform(-0.7, 0.7, reg.size)
     return theta, np.zeros_like(theta)
 
@@ -208,7 +208,7 @@ def test_lstm_gate_sigmoid_is_expit(m):
 # per-step and per-sample expressions those replace; every output and
 # gradient byte must equal theirs, at the branch counts of schemes 3-4 (1),
 # 2 (7) and 1 (35) and the sample counts of a one-window forward (1), a
-# small and a training batch (16).
+# small batch (4) and a training batch (16).
 
 
 def plain_lstm(layer, theta, grad, x, gy):
@@ -290,12 +290,6 @@ def plain_attention(layer, theta, grad, x, gy):
     return y, gx + ga @ w.swapaxes(1, 2)[:, None]
 
 
-def stacked_g(layer, g, seed):
-    reg = ParamRegistry()
-    reg.add_stage([f"b{i}" for i in range(g)], {"layer": layer})
-    return np.random.default_rng(seed).uniform(-0.7, 0.7, reg.size)
-
-
 def same_bytes(actual, expected):
     assert actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
@@ -309,11 +303,11 @@ BRANCHES_AND_SAMPLES = [(g, m) for g in (1, 7, 35) for m in (1, 4, 16)]
 def test_lstm_bytes_equal_the_plain_step(g, m, n_layers):
     t_len, d, h_dim = 10, 4, 16  # scheme 1's defaults: T sub-windows, C channels
     layer = LSTM(d, h_dim, n_layers)
-    theta = stacked_g(layer, g, seed=g + m + n_layers)
+    theta, grad = stacked(layer, g + m + n_layers, g)
     rng = np.random.default_rng(60 + g + m)
     x = rng.standard_normal((g, m, t_len, d))
     gy = rng.standard_normal((g, m, t_len, h_dim))
-    grad, ref_grad = np.zeros_like(theta), np.zeros_like(theta)
+    ref_grad = np.zeros_like(theta)
     y, gx = run(layer, theta, grad, x, gy)
     ref_y, ref_gx, _ = plain_lstm(layer, theta, ref_grad, x, gy)
     same_bytes(y, ref_y)
@@ -325,11 +319,11 @@ def test_lstm_bytes_equal_the_plain_step(g, m, n_layers):
 def test_lstm_bytes_equal_the_plain_step_where_exp_overflows(g, m):
     d, h_dim = 4, 16
     layer = LSTM(d, h_dim, n_layers=2)
-    theta = stacked_g(layer, g, seed=70 + g)
+    theta, grad = stacked(layer, 70 + g, g)
     rng = np.random.default_rng(80 + g)
     x = 1000.0 * rng.standard_normal((g, m, 10, d))
     gy = rng.standard_normal((g, m, 10, h_dim))
-    grad, ref_grad = np.zeros_like(theta), np.zeros_like(theta)
+    ref_grad = np.zeros_like(theta)
     y, gx = run(layer, theta, grad, x, gy)
     ref_y, ref_gx, ref_steps = plain_lstm(layer, theta, ref_grad, x, gy)
     gates = np.concatenate([sig[..., np.r_[0 : 2 * h_dim, 3 * h_dim : 4 * h_dim]]
@@ -344,11 +338,11 @@ def test_lstm_bytes_equal_the_plain_step_where_exp_overflows(g, m):
 def test_attention_bytes_equal_the_per_sample_products(g, m):
     t_len, h_dim = 10, 16
     layer = AttentionPool(h_dim)
-    theta = stacked_g(layer, g, seed=90 + g + m)
+    theta, grad = stacked(layer, 90 + g + m, g)
     rng = np.random.default_rng(100 + g + m)
     x = rng.standard_normal((g, m, t_len, h_dim))
     gy = rng.standard_normal((g, m, h_dim))
-    grad, ref_grad = np.zeros_like(theta), np.zeros_like(theta)
+    ref_grad = np.zeros_like(theta)
     y, gx = run(layer, theta, grad, x, gy)
     ref_y, ref_gx = plain_attention(layer, theta, ref_grad, x, gy)
     same_bytes(y, ref_y)
