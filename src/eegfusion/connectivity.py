@@ -62,14 +62,12 @@ FEATURE_ORDER = ("SM", "ISM", "DC", "COH", "PDC", "PCOH", "PLV")
 _LOG_COMPRESSED = ("SM", "ISM")
 
 
-def _hermitian_diag(mat: np.ndarray, what: str) -> np.ndarray:
+def _unit_diagonal(mat: np.ndarray, what: str) -> np.ndarray:
+    """M_ij / sqrt(M_ii M_jj) of Hermitian matrices M; the diagonal is exactly 1."""
     d = np.real(np.diagonal(mat, axis1=-2, axis2=-1))
     if np.any(d <= 0):
         raise ValueError(f"nonpositive diagonal in {what}; cannot normalize")
-    return d
-
-
-def _divide_by_real(mat: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    denom = np.sqrt(d[..., :, None] * d[..., None, :])
     # complex/complex division would round d_i/d_i on the diagonal; dividing
     # the parts by the (positive real) denominator keeps the diagonal exact
     return mat.real / denom + 1j * (mat.imag / denom)
@@ -77,14 +75,12 @@ def _divide_by_real(mat: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 def coherence(sd: SpectralDecomposition) -> np.ndarray:
     """Coh_ij(f) = S_ij / sqrt(S_ii S_jj); the diagonal is exactly 1."""
-    d = _hermitian_diag(sd.S, "spectral matrix")
-    return _divide_by_real(sd.S, np.sqrt(d[..., :, None] * d[..., None, :]))
+    return _unit_diagonal(sd.S, "spectral matrix")
 
 
 def partial_coherence(sd: SpectralDecomposition) -> np.ndarray:
     """PCoh_ij(f) = P_ij / sqrt(P_ii P_jj) on the inverse spectral matrix."""
-    d = _hermitian_diag(sd.P, "inverse spectral matrix")
-    return _divide_by_real(sd.P, np.sqrt(d[..., :, None] * d[..., None, :]))
+    return _unit_diagonal(sd.P, "inverse spectral matrix")
 
 
 def _innovation_std(sigma: np.ndarray) -> np.ndarray:
@@ -94,20 +90,19 @@ def _innovation_std(sigma: np.ndarray) -> np.ndarray:
     return np.sqrt(d)
 
 
+def _unit_row_power(num: np.ndarray) -> np.ndarray:
+    """num_ij / sqrt(sum_m |num_im|^2): each row scaled to unit power."""
+    return num / np.sqrt(np.sum(np.abs(num) ** 2, axis=-1, keepdims=True))
+
+
 def directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
     """DC_ij = s_j H_ij / sqrt(sum_m s_m^2 |H_im|^2); rows have unit power."""
-    s = _innovation_std(sigma)
-    num = sd.H * s[..., None, None, :]
-    denom = np.sqrt(np.sum(np.abs(num) ** 2, axis=-1, keepdims=True))
-    return num / denom
+    return _unit_row_power(sd.H * _innovation_std(sigma)[..., None, None, :])
 
 
 def partial_directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
     """PDC_ij = (1/s_j) Abar_ij / sqrt(sum_m (1/s_m^2) |Abar_im|^2), unit-power rows."""
-    s = _innovation_std(sigma)
-    num = sd.Abar / s[..., None, None, :]
-    denom = np.sqrt(np.sum(np.abs(num) ** 2, axis=-1, keepdims=True))
-    return num / denom
+    return _unit_row_power(sd.Abar / _innovation_std(sigma)[..., None, None, :])
 
 
 def plv_from_phases(phases: np.ndarray) -> np.ndarray:
@@ -170,7 +165,7 @@ def _subwindow_stack(x: np.ndarray, n_windows: int, n_sub: int) -> np.ndarray:
 
 def _band_plv(x: np.ndarray, band: BandSpec, n_windows: int, n_sub: int) -> np.ndarray:
     """PLV (W, T, C, C) of band-filtered windows held side by side in x (N, W*C)."""
-    u = _subwindow_stack(unit_phasor(analytic_signal(x, band=band.name)), n_windows, n_sub)
+    u = _subwindow_stack(unit_phasor(analytic_signal(x)), n_windows, n_sub)
     plv = _phasor_plv(u, u)
     return plv.reshape((n_windows, n_sub) + plv.shape[-2:])
 

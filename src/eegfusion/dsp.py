@@ -17,7 +17,6 @@ from scipy import signal as _sig
 __all__ = [
     "BandSpec",
     "FilterSpec",
-    "AnalyticSignal",
     "DEFAULT_BANDS",
     "BROADBAND",
     "design_bandpass",
@@ -167,21 +166,10 @@ def filtfilt(f: FilterSpec, x: np.ndarray) -> np.ndarray:
     return y[::-1][padlen:-padlen]
 
 
-@dataclass
-class AnalyticSignal:
-    """Complex analytic signal; the real part equals the input exactly."""
+def analytic_signal(x: np.ndarray) -> np.ndarray:
+    """Complex analytic signal ``x + j H(x)`` from real FFTs.
 
-    values: np.ndarray
-    band: str | None = None
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=complex)
-
-
-def analytic_signal(x: np.ndarray, band: str | None = None) -> AnalyticSignal:
-    """Analytic signal ``x + j H(x)`` from real FFTs.
-
-    The real part is ``x`` itself. The Hilbert transform ``H(x)`` is the
+    The real part is ``x`` itself, exactly. The Hilbert transform ``H(x)`` is the
     inverse real FFT of ``-j rfft(x)`` with the DC and Nyquist bins zeroed,
     which equals the imaginary part of the one-sided spectrum construction
     (negative bins zeroed, positive bins doubled). ``x`` is one signal (N,)
@@ -203,7 +191,7 @@ def analytic_signal(x: np.ndarray, band: str | None = None) -> AnalyticSignal:
     values = np.empty(x.shape, dtype=complex)
     values.real = x
     values.imag = np.fft.irfft(spectrum, n=n, axis=0)
-    return AnalyticSignal(values=values, band=band)
+    return values
 
 
 def _magnitude(values: np.ndarray) -> np.ndarray:
@@ -220,13 +208,13 @@ def _magnitude(values: np.ndarray) -> np.ndarray:
     return magnitude
 
 
-def instantaneous_phase(a: AnalyticSignal) -> np.ndarray:
-    """Per-sample phase of the analytic signal, in (-pi, pi]."""
-    _magnitude(a.values)
-    return np.angle(a.values)
+def instantaneous_phase(a: np.ndarray) -> np.ndarray:
+    """Per-sample phase of the complex analytic signal ``a``, in (-pi, pi]."""
+    _magnitude(a)
+    return np.angle(a)
 
 
-def unit_phasor(a: AnalyticSignal) -> np.ndarray:
+def unit_phasor(a: np.ndarray) -> np.ndarray:
     """Per-sample unit phasor ``z / |z|`` of the analytic signal, equal to
     ``exp(j phase)`` up to rounding without computing the phase.
 
@@ -234,4 +222,4 @@ def unit_phasor(a: AnalyticSignal) -> np.ndarray:
     that reciprocal, so the bytes are those of the division, which costs
     about twice as much.
     """
-    return a.values * (1.0 / _magnitude(a.values))
+    return a * (1.0 / _magnitude(a))

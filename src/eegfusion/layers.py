@@ -25,7 +25,6 @@ __all__ = [
     "Dense",
     "LSTM",
     "AttentionPool",
-    "Dropout",
 ]
 
 
@@ -352,26 +351,3 @@ class AttentionPool:
         self.v.add_to(grad, (ge.reshape(g, 1, -1) @ u.reshape(g, -1, h_dim))[:, 0])
         gx += (ga_rows @ self.W.view(theta).swapaxes(1, 2)).reshape(x.shape)
         return gx
-
-
-class Dropout:
-    """Inverted dropout; identity when rate is 0 or outside training."""
-
-    def __init__(self, rate: float) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
-        self.rate = rate
-
-    def forward(self, x, cache=None, rng=None, train=False):
-        if not train or self.rate == 0.0:
-            if cache is not None:
-                cache["mask"] = None
-            return x
-        mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        if cache is not None:
-            cache["mask"] = mask
-        return x * mask
-
-    def backward(self, cache, gy):
-        mask = cache["mask"]
-        return gy if mask is None else gy * mask

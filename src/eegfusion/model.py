@@ -36,7 +36,6 @@ from .layers import (
     ContractLast,
     ContractRow,
     Dense,
-    Dropout,
     LSTM,
     ParamRegistry,
     Slot,
@@ -78,7 +77,6 @@ class ModelConfig:
     lstm_hidden: int = 16
     lstm_layers: int = 1
     dense_sizes: tuple[int, ...] = (16,)
-    dropout_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -91,8 +89,6 @@ class ModelConfig:
             raise ValueError(f"lstm_layers must be 1 or 2, got {self.lstm_layers}")
         if any(w < 1 for w in self.dense_sizes):
             raise ValueError(f"dense_sizes must all be >= 1, got {self.dense_sizes}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 
     @property
     def tensor_shape(self) -> tuple[int, int, int, int, int]:
@@ -156,7 +152,6 @@ class FusionModel:
         head["out"] = Dense(n_in, 1, relu=False)
         reg.add_stage(["head"], head)
         self.head = list(head.values())
-        self.dropout = Dropout(cfg.dropout_rate)
         self.params = reg.init_params(cfg.seed)
         self._cache: dict | None = None
 
@@ -209,27 +204,18 @@ class FusionModel:
             return x.transpose(1, 5, 0, 2, 3, 4).reshape((-1,) + x.shape[:1] + x.shape[2:5])
         return np.moveaxis(x, 1, 0)
 
-    def forward_batch(
-        self,
-        x: np.ndarray,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
+    def forward_batch(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """Probabilities for a batch (M, F, T, C, C, B); train mode caches
-        activations for a following backward() and enables dropout."""
-        if train and self.cfg.dropout_rate > 0 and rng is None:
-            raise ValueError("training-mode forward with dropout needs an rng")
-        return self._forward(x, train, rng)[0]
+        activations for a following backward()."""
+        return self._forward(x, train)[0]
 
-    def _forward(self, x, train: bool, rng) -> tuple[np.ndarray, np.ndarray]:
+    def _forward(self, x, train: bool) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities and the head's input vector (the concat embedding for
         schemes 1-2); train mode caches activations for backward()."""
         x = self._check_input(x)
         m = x.shape[0]
         theta = self.params
-        cache: dict | None = (
-            {"stage": [], "trunk": [], "head": [], "drop": []} if train else None
-        )
+        cache: dict | None = {"stage": [], "trunk": [], "head": []} if train else None
 
         def run(layers, y, key):
             for layer in layers:
@@ -252,14 +238,7 @@ class FusionModel:
         step = m if train else _EVAL_CHUNK
         starts = list(range(0, m - 1, step)) or [0]
         v = np.concatenate([embed(x[i:j]) for i, j in zip(starts, starts[1:] + [m])])
-        y = v[None]
-        for layer in self.head[:-1]:
-            y = run([layer], y, "head")
-            dc: dict = {}
-            y = self.dropout.forward(y, dc if cache is not None else None, rng, train)
-            if cache is not None:
-                cache["drop"].append(dc)
-        z = run(self.head[-1:], y, "head")[0, :, 0]
+        z = run(self.head, v[None], "head")[0, :, 0]
         probs = _sigmoid(z)
         if cache is not None:
             cache["z"] = z
@@ -268,15 +247,12 @@ class FusionModel:
             self._cache = cache
         return probs, v
 
-    def forward(self, x, mode: str = "eval", rng: np.random.Generator | None = None):
-        """Single-sample (F, T, C, C, B) or batched probability; ``mode="train"``
-        caches activations for backward() and, with dropout, needs ``rng``."""
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    def forward(self, x):
+        """Eval-mode probability of one sample (F, T, C, C, B), or of a batch."""
         x = np.asarray(getattr(x, "values", x), dtype=float)
         if x.ndim == 5:
-            return float(self.forward_batch(x[None], train=(mode == "train"), rng=rng)[0])
-        return self.forward_batch(x, train=(mode == "train"), rng=rng)
+            return float(self.forward_batch(x[None])[0])
+        return self.forward_batch(x)
 
     def embed_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode probabilities plus the concat embedding (schemes 1-2)."""
@@ -285,7 +261,7 @@ class FusionModel:
                 f"scheme {self.cfg.scheme} fuses features before the trunk and has "
                 f"no concat embedding; feature relevance needs scheme 1 or 2"
             )
-        return self._forward(x, False, None)
+        return self._forward(x, False)
 
     def backward(self, labels: np.ndarray) -> np.ndarray:
         """Gradient of mean binary cross-entropy w.r.t. the flat parameters.
@@ -310,11 +286,7 @@ class FusionModel:
                 g = layer.backward(theta, grad, lc, g)
             return g
 
-        gy = ((cache["probs"] - labels) / m)[None, :, None]
-        gy = self.head[-1].backward(theta, grad, cache["head"][-1], gy)
-        for i in reversed(range(len(self.head) - 1)):
-            gy = self.dropout.backward(cache["drop"][i], gy)
-            gy = self.head[i].backward(theta, grad, cache["head"][i], gy)
+        gy = run_back(self.head, cache["head"], ((cache["probs"] - labels) / m)[None, :, None])
         if self.trunk:
             g = np.moveaxis(run_back(self.trunk.values(), cache["trunk"], gy)[0], -1, 0)
         else:
@@ -399,8 +371,7 @@ def _stack_dataset(ds) -> tuple[np.ndarray, np.ndarray]:
 def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list[dict]]:
     """Seeded mini-batch Adam training; returns the model and per-epoch history.
 
-    One generator seeded with ``cfg.seed`` draws each epoch's batch order and
-    the dropout masks.
+    One generator seeded with ``cfg.seed`` draws each epoch's batch order.
     """
     x, y = _stack_dataset(train_ds)
     n = x.shape[0]
@@ -417,7 +388,7 @@ def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list
         correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            probs = m.forward_batch(x[idx], train=True, rng=rng)
+            probs = m.forward_batch(x[idx], train=True)
             loss = bce_loss(m._cache["z"], y[idx])
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")

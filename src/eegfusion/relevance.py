@@ -16,6 +16,7 @@ true labels.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 
 from .connectivity import FEATURE_ORDER
 from .model import FusionModel
-from .util import to_json
+from .util import atomic_write_text, to_json
 
 __all__ = [
     "EmbeddingBatch",
@@ -174,7 +175,7 @@ def relevance_report(m: FusionModel, ds, config_hash: str | None = None) -> Rele
 
 
 def write_report_json(report: RelevanceReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_report_json(path) -> RelevanceReport:
@@ -190,11 +191,10 @@ def load_report_json(path) -> RelevanceReport:
 
 
 def write_report_csv(report: RelevanceReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "class", "percent", "raw_c_plus"])
-        for cls, payload in sorted(report.classes.items()):
-            for name in report.feature_order:
-                writer.writerow(
-                    [name, cls, repr(payload["percent"][name]), repr(payload["raw"][name])]
-                )
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["feature", "class", "percent", "raw_c_plus"])
+    for cls, payload in sorted(report.classes.items()):
+        for name in report.feature_order:
+            writer.writerow([name, cls, repr(payload["percent"][name]), repr(payload["raw"][name])])
+    atomic_write_text(path, buf.getvalue())

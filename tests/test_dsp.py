@@ -12,7 +12,6 @@ from scipy import signal as sig
 from eegfusion.dsp import (
     BROADBAND,
     DEFAULT_BANDS,
-    AnalyticSignal,
     BandSpec,
     analytic_signal,
     design_bandpass,
@@ -185,7 +184,7 @@ class TestAnalyticSignal:
     def test_cosine_envelope_and_phase_rate(self):
         t = np.arange(1024) / FS
         a = analytic_signal(np.cos(2 * np.pi * 10.0 * t))
-        mag = np.abs(a.values)
+        mag = np.abs(a)
         assert np.all(np.abs(mag[64:-64] - 1.0) < 0.05)
         phase = np.unwrap(instantaneous_phase(a))
         steps = np.diff(phase[64:-64])
@@ -194,11 +193,11 @@ class TestAnalyticSignal:
     def test_real_part_is_input(self):
         x = np.random.default_rng(2).standard_normal(1000)
         a = analytic_signal(x)
-        assert np.array_equal(a.values.real, x)
+        assert np.array_equal(a.real, x)
 
     def test_envelope_matches_fir_hilbert_oracle(self):
         x = np.random.default_rng(3).standard_normal(4096)
-        env = np.abs(analytic_signal(x).values)
+        env = np.abs(analytic_signal(x))
         taps = 511
         q = np.convolve(x, fir_hilbert(taps), mode="same")
         env_fir = np.hypot(x, q)
@@ -213,41 +212,40 @@ class TestAnalyticSignal:
     def test_odd_length_real_part_preserved(self):
         x = np.random.default_rng(4).standard_normal(501)
         a = analytic_signal(x)
-        assert np.array_equal(a.values.real, x)
+        assert np.array_equal(a.real, x)
 
 
 class TestInstantaneousPhase:
     def test_complex_exponential_unwraps_to_line(self):
         w = 2 * np.pi * 7.0 / FS
         n = np.arange(512)
-        a = AnalyticSignal(values=np.exp(1j * w * n))
+        a = np.exp(1j * w * n)
         phase = np.unwrap(instantaneous_phase(a))
         slope = np.polyfit(n, phase, 1)[0]
         assert abs(slope - w) < 1e-12
 
     def test_positive_constant_has_zero_phase(self):
-        a = AnalyticSignal(values=np.full(16, 2.0 + 0.0j))
+        a = np.full(16, 2.0 + 0.0j)
         assert np.array_equal(instantaneous_phase(a), np.zeros(16))
 
     def test_conjugation_negates_phase(self):
         rng = np.random.default_rng(5)
-        values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        a, conj = AnalyticSignal(values=values), AnalyticSignal(values=values.conj())
-        assert np.allclose(instantaneous_phase(conj), -instantaneous_phase(a), atol=1e-15)
+        a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        assert np.allclose(instantaneous_phase(a.conj()), -instantaneous_phase(a), atol=1e-15)
 
     def test_zero_magnitude_names_index(self):
         values = np.ones(8, dtype=complex)
         values[5] = 0.0
         for fn in (instantaneous_phase, unit_phasor):
             with pytest.raises(ValueError, match="^phase undefined: zero-magnitude analytic sample at index 5$"):
-                fn(AnalyticSignal(values=values))
+                fn(values)
 
     def test_zero_magnitude_index_is_the_first_channels(self):
         values = np.ones((8, 3), dtype=complex)
         values[6, 1] = values[2, 2] = 0.0
         for fn in (instantaneous_phase, unit_phasor):
             with pytest.raises(ValueError, match="index 6$"):
-                fn(AnalyticSignal(values=values))
+                fn(values)
 
 
 class TestUnitPhasor:
@@ -260,6 +258,6 @@ class TestUnitPhasor:
 
     def test_input_is_not_modified(self):
         values = np.array([3.0 + 4.0j, -2.0j])
-        u = unit_phasor(AnalyticSignal(values=values))
+        u = unit_phasor(values)
         assert np.array_equal(values, [3.0 + 4.0j, -2.0j])
         assert np.max(np.abs(u - [0.6 + 0.8j, -1.0j])) <= 1e-15

@@ -149,8 +149,6 @@ class TestArchitecture:
             ModelConfig(scheme=5)
         with pytest.raises(ValueError, match="lstm_layers"):
             ModelConfig(lstm_layers=3)
-        with pytest.raises(ValueError, match="dropout_rate"):
-            ModelConfig(dropout_rate=1.0)
         with pytest.raises(ValueError, match="embed_dim"):
             ModelConfig(embed_dim=0)
 
@@ -186,25 +184,6 @@ class TestForward:
         m = build_fusion_model(ModelConfig(scheme=2, **SMALL))
         with pytest.raises(ValueError, match="shape"):
             m.forward_batch(np.zeros((2, 3, 4, 3, 3, 5)))
-
-    def test_bad_mode_rejected(self):
-        m = build_fusion_model(ModelConfig(scheme=2, **SMALL))
-        with pytest.raises(ValueError, match="mode"):
-            m.forward(np.zeros(m.cfg.tensor_shape), mode="test")
-
-    def test_dropout_needs_rng_in_training(self):
-        m = build_fusion_model(ModelConfig(scheme=2, dropout_rate=0.5, **SMALL))
-        x = np.zeros((2,) + m.cfg.tensor_shape)
-        with pytest.raises(ValueError, match="rng"):
-            m.forward_batch(x, train=True)
-
-    def test_dropout_inactive_in_eval(self):
-        cfg = ModelConfig(scheme=2, **{**SMALL, "dropout_rate": 0.5})
-        m = build_fusion_model(cfg)
-        twin = build_fusion_model(ModelConfig(scheme=2, **SMALL))
-        twin.params = m.params.copy()
-        x = np.random.default_rng(3).standard_normal((4,) + cfg.tensor_shape)
-        assert np.array_equal(m.forward_batch(x), twin.forward_batch(x))
 
 
 class TestGradients:
@@ -297,7 +276,7 @@ class TestTraining:
         assert np.array_equal(m.params, before)
 
     def test_training_is_deterministic(self):
-        cfg = self.small_cfg(dropout_rate=0.25)
+        cfg = self.small_cfg()
         ds = make_dataset(cfg)
         runs = []
         for _ in range(2):
@@ -472,6 +451,15 @@ class TestSaveLoad:
             load_model(p)
         assert type(exc.value) is ValueError
 
+    def test_header_with_dropout_rate_is_rejected_by_name(self, tmp_path):
+        # model files written before dropout was removed carry the field
+        p = tmp_path / "m.bin"
+        save_model(build_fusion_model(ModelConfig(scheme=2, **SMALL)), p)
+        edit_header(p, lambda h: h["model_config"].update(dropout_rate=0.0))
+        with pytest.raises(ValueError, match="model_config.dropout_rate") as exc:
+            load_model(p)
+        assert type(exc.value) is ValueError and str(p) in str(exc.value)
+
     def test_header_without_param_count_names_the_file(self, tmp_path):
         p = tmp_path / "m.bin"
         save_model(build_fusion_model(ModelConfig(scheme=2, **SMALL)), p)
@@ -539,14 +527,16 @@ class TestSaveLoad:
 # init and under fd_setup's parameters. The probabilities and the parameter
 # payload were recorded from the per-branch implementation that preceded the
 # grouped branch stack; the digests cover the header too, so they were
-# re-recorded when the model config lost its attention field, with the
-# payload and the probabilities unchanged. A change to the flat layout, the
-# init draws or the forward math moves at least one of them.
+# re-recorded when the model config lost its attention field and again when
+# it lost its dropout_rate field, each time with the payload and the
+# probabilities unchanged (payload sha256 prefixes 3737449c, 94c75f77,
+# 3ef8937b, bcb02663 for schemes 1-4). A change to the flat layout, the init
+# draws or the forward math moves at least one of them.
 PINNED = {
-    1: ("c60d5498adbb4fe01c08daa0c206e277df36d20d30dd0621551e01129c7a5631", [0.49964299368457726, 0.49963577509124707, 0.49974206690891354], [0.3568388106582656, 0.3568388106582656, 0.3568388106582656]),
-    2: ("7aac3af7d65009dc07a427d0562a633fabde470b91fac69f98eb3c03f64ba8ab", [0.4999054182124237, 0.49981955852278465, 0.49991818079489825], [0.5056871555663552, 0.5054094535627736, 0.5053070706927432]),
-    3: ("0cae64a881161440be00a80e71e8e4221b7b6ee0799afa4dade94763168edfa1", [0.5000307217210748, 0.5000464084112304, 0.5000140131318799], [0.5633192942195644, 0.5634930622962981, 0.5633796896361549]),
-    4: ("7e2be8b4bb8ca67f962a5687bf5c43306a94b689e9ef65b184227eedd48fec1f", [0.5002087480069123, 0.500140929077302, 0.5], [0.5901353973483658, 0.5901353973483658, 0.5901353973483658]),
+    1: ("bc3e2448e05389b8c2b7bd83a34e41e3639567e7c3517c54ef595f4d738f2cbb", [0.49964299368457726, 0.49963577509124707, 0.49974206690891354], [0.3568388106582656, 0.3568388106582656, 0.3568388106582656]),
+    2: ("4a887952d383bd1013a86f587a8e3af69a45e0f7574d1c3af2df22c072398885", [0.4999054182124237, 0.49981955852278465, 0.49991818079489825], [0.5056871555663552, 0.5054094535627736, 0.5053070706927432]),
+    3: ("b7b5bc3cc076f7612baf062aae570cb652119cfe44e4101e6f052cb1cc8c9b93", [0.5000307217210748, 0.5000464084112304, 0.5000140131318799], [0.5633192942195644, 0.5634930622962981, 0.5633796896361549]),
+    4: ("a995ab15c5a31f0da700aa28b7e680f28c6e3cf5e5ae28ca871e0ac97ff1a075", [0.5002087480069123, 0.500140929077302, 0.5], [0.5901353973483658, 0.5901353973483658, 0.5901353973483658]),
 }
 
 

@@ -253,5 +253,23 @@ class TestReportFiles:
             assert float(percent) == report.classes[cls]["percent"][name]
             assert float(raw) == report.classes[cls]["raw"][name]
 
+    @pytest.mark.parametrize("write", [write_report_json, write_report_csv])
+    def test_failed_rename_leaves_the_earlier_file_intact(self, write, tmp_path, monkeypatch):
+        first, second = (small_model(seed=seed) for seed in (0, 1))
+        path, probe = tmp_path / "relevance.out", tmp_path / "probe.out"
+        write(relevance_report(first, small_dataset(first.cfg)), path)
+        report = relevance_report(second, small_dataset(second.cfg))
+        write(report, probe)
+        before = path.read_bytes()
+        assert probe.read_bytes() != before  # the failed write would change the file
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr("eegfusion.util.os.replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write(report, path)
+        assert path.read_bytes() == before
+
     def test_class_names_constant(self):
         assert CLASS_NAMES == {0: "non_seizure", 1: "seizure"}

@@ -77,6 +77,7 @@ class TestConfigJson:
             ({"explain": {"per_sample": True}}, "explain.per_sample"),
             ({"explain": {"predicted_labels": True}}, "explain.predicted_labels"),
             ({"train": {"label_flip_second_phase": True}}, "train.label_flip_second_phase"),
+            ({"model": {"dropout_rate": 0.5}}, "model.dropout_rate"),
         ],
     )
     def test_unknown_nested_fields_name_their_path(self, doc, field):
