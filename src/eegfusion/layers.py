@@ -12,12 +12,9 @@ the same length and return the gradient w.r.t. the layer input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Slot",
     "Param",
     "ParamRegistry",
     "ContractRow",
@@ -28,32 +25,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Slot:
-    """One named parameter block inside the flat vector."""
-
-    name: str
-    sl: slice
-    shape: tuple[int, ...]
-    fan_in: int | None  # None: initialized to zero (biases)
-
-    @property
-    def size(self) -> int:
-        return self.sl.stop - self.sl.start
-
-
 class Param:
-    """One weight of a layer, with one Slot per branch of its stage."""
+    """One weight of a layer: a (G, *shape) block, one copy per branch of its stage.
 
-    def __init__(self, name: str, shape: tuple[int, ...], fan_in: int | None = None) -> None:
-        self.name, self.shape, self.fan_in = name, tuple(shape), fan_in
+    The G copies sit one branch stride apart inside ``block``, each at
+    ``offset`` within its branch's row; ParamRegistry.add_stage sets all three.
+    """
+
+    def __init__(self, shape: tuple[int, ...], fan_in: int | None = None) -> None:
+        self.shape, self.fan_in = tuple(shape), fan_in  # fan_in None: zero init
         self.size = int(np.prod(shape))
-        self.slots: list[Slot] = []  # filled by ParamRegistry.add_stage
-        self.block, self.offset = slice(0, 0), 0
+        self.n_branches, self.block, self.offset = 0, slice(0, 0), 0
 
     def view(self, theta: np.ndarray) -> np.ndarray:
         """The G branch copies as a strided (G, *shape) view of theta."""
-        rows = theta[self.block].reshape(len(self.slots), -1)
+        rows = theta[self.block].reshape(self.n_branches, -1)
         return rows[:, self.offset : self.offset + self.size].reshape((-1,) + self.shape)
 
     def add_to(self, grad: np.ndarray, value: np.ndarray) -> None:
@@ -67,36 +53,36 @@ def _per_branch(w: np.ndarray, ndim: int) -> np.ndarray:
 
 
 class ParamRegistry:
-    """Allocates slices of the flat parameter vector to stages of layers."""
+    """Allocates blocks of the flat parameter vector to stages of layers."""
 
     def __init__(self) -> None:
-        self.slots: list[Slot] = []
+        #: (n_branches, params) per stage, in allocation order
+        self.stages: list[tuple[int, list[Param]]] = []
         self.size = 0
 
-    def add_stage(self, prefixes: list[str], layers: dict) -> None:
-        """Give each named layer's params one slot per branch prefix, branch-major."""
-        params = [(f"{name}.{p.name}", p) for name, layer in layers.items() for p in layer.params]
-        start = self.size
-        for prefix in prefixes:
-            for name, p in params:
-                sl = slice(self.size, self.size + p.size)
-                slot = Slot(f"{prefix}.{name}", sl, p.shape, p.fan_in)
-                p.slots.append(slot)
-                self.slots.append(slot)
-                self.size += p.size
+    def add_stage(self, n_branches: int, layers: list) -> None:
+        """Lay out the layers' params for n_branches branches, branch-major."""
+        params = [p for layer in layers for p in layer.params]
+        stride = sum(p.size for p in params)
+        block = slice(self.size, self.size + n_branches * stride)
         offset = 0
-        for _, p in params:
-            p.block, p.offset = slice(start, self.size), offset
+        for p in params:
+            p.n_branches, p.block, p.offset = n_branches, block, offset
             offset += p.size
+        self.size = block.stop
+        self.stages.append((n_branches, params))
 
     def init_params(self, seed: int) -> np.ndarray:
-        """Weights uniform in +-1/sqrt(fan_in), biases zero."""
+        """Weights uniform in +-1/sqrt(fan_in), biases zero; drawn stage by
+        stage, branch by branch, param by param."""
         rng = np.random.default_rng(seed)
         theta = np.zeros(self.size)
-        for slot in self.slots:
-            if slot.fan_in:
-                bound = 1.0 / np.sqrt(slot.fan_in)
-                theta[slot.sl] = rng.uniform(-bound, bound, slot.size)
+        for n_branches, params in self.stages:
+            for g in range(n_branches):
+                for p in params:
+                    if p.fan_in:
+                        bound = 1.0 / np.sqrt(p.fan_in)
+                        p.view(theta)[g] = rng.uniform(-bound, bound, p.shape)
         return theta
 
 
@@ -108,8 +94,8 @@ class ContractRow:
     """
 
     def __init__(self, n_rows: int) -> None:
-        self.w = Param("w", (n_rows,), fan_in=n_rows)
-        self.b = Param("b", (1,))
+        self.w = Param((n_rows,), fan_in=n_rows)
+        self.b = Param((1,))
         self.params = [self.w, self.b]
 
     def forward(self, theta, x, cache=None):
@@ -141,8 +127,8 @@ class ContractLast:
     """
 
     def __init__(self, n_in: int) -> None:
-        self.w = Param("w", (n_in,), fan_in=n_in)
-        self.b = Param("b", (1,))
+        self.w = Param((n_in,), fan_in=n_in)
+        self.b = Param((1,))
         self.params = [self.w, self.b]
 
     def forward(self, theta, x, cache=None):
@@ -170,8 +156,8 @@ class Dense:
     """Affine map on the last axis: (G, M, n_in) -> (G, M, n_out), optional ReLU."""
 
     def __init__(self, n_in: int, n_out: int, relu: bool = True) -> None:
-        self.W = Param("W", (n_in, n_out), fan_in=n_in)
-        self.b = Param("b", (n_out,))
+        self.W = Param((n_in, n_out), fan_in=n_in)
+        self.b = Param((n_out,))
         self.relu = relu
         self.params = [self.W, self.b]
 
@@ -215,9 +201,9 @@ class LSTM:
         for layer in range(n_layers):
             self.layer_params.append(
                 (
-                    Param(f"l{layer}.Wx", (d, 4 * hidden), fan_in=d),
-                    Param(f"l{layer}.Wh", (hidden, 4 * hidden), fan_in=hidden),
-                    Param(f"l{layer}.b", (4 * hidden,)),
+                    Param((d, 4 * hidden), fan_in=d),
+                    Param((hidden, 4 * hidden), fan_in=hidden),
+                    Param((4 * hidden,)),
                 )
             )
             d = hidden
@@ -318,9 +304,9 @@ class AttentionPool:
     """
 
     def __init__(self, hidden: int) -> None:
-        self.W = Param("W", (hidden, hidden), fan_in=hidden)
-        self.b = Param("b", (hidden,))
-        self.v = Param("v", (hidden,), fan_in=hidden)
+        self.W = Param((hidden, hidden), fan_in=hidden)
+        self.b = Param((hidden,))
+        self.v = Param((hidden,), fan_in=hidden)
         self.params = [self.W, self.b, self.v]
 
     def forward(self, theta, x, cache=None):

@@ -23,7 +23,6 @@ keeps every branch's weights together in branch order.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,9 +37,8 @@ from .layers import (
     Dense,
     LSTM,
     ParamRegistry,
-    Slot,
 )
-from .util import ConfigError, from_json, to_json
+from .util import ConfigError, atomic_write_bytes, from_json, to_json
 
 __all__ = [
     "ModelConfig",
@@ -54,8 +52,11 @@ __all__ = [
     "bce_loss",
     "save_model",
     "load_model",
+    "THRESHOLD",
 ]
 
+#: Probability at or above which a window is called a seizure.
+THRESHOLD = 0.5
 _MODEL_FORMAT = "eegfusion-model"
 _MODEL_VERSION = 1
 #: Samples per eval-mode pass through the branches. A pass holds (G, M, T, H)
@@ -130,28 +131,19 @@ class FusionModel:
         bands = range(b) if cfg.scheme == 1 else [None]
         #: (feature, band) index pairs, one per branch; band is None unless scheme 1
         self.branches = [(fi, bi) for fi in range(f) for bi in bands]
-        kind = "pre" if trunk_names else "branch"
-        self.stage = {name: make[name]() for name in stage_names}
-        reg.add_stage(
-            [f"{kind}.f{fi}" + ("" if bi is None else f".b{bi}") for fi, bi in self.branches],
-            self.stage,
-        )
-        self.trunk = {name: make[name]() for name in trunk_names}
-        reg.add_stage(["trunk"], self.trunk)
+        self.stage = [make[name]() for name in stage_names]
+        reg.add_stage(len(self.branches), self.stage)
+        self.trunk = [make[name]() for name in trunk_names]
+        reg.add_stage(1, self.trunk)
         if trunk_names:
             self.n_embed, self.group_map = h, None
         else:
             self.n_embed = len(self.branches) * d1
             self.group_map = np.repeat([fi for fi, _ in self.branches], d1)
-
-        head: dict[str, Dense] = {}
-        n_in = self.n_embed
-        for li, width in enumerate(cfg.dense_sizes):
-            head[f"d{li}"] = Dense(n_in, width)
-            n_in = width
-        head["out"] = Dense(n_in, 1, relu=False)
-        reg.add_stage(["head"], head)
-        self.head = list(head.values())
+        widths = (self.n_embed, *cfg.dense_sizes)
+        self.head = [Dense(n_in, n_out) for n_in, n_out in zip(widths, widths[1:])]
+        self.head.append(Dense(widths[-1], 1, relu=False))
+        reg.add_stage(1, self.head)
         self.params = reg.init_params(cfg.seed)
         self._cache: dict | None = None
 
@@ -160,16 +152,6 @@ class FusionModel:
     @property
     def param_count(self) -> int:
         return int(self.params.size)
-
-    def branch_slots(self, i: int) -> list[Slot]:
-        return [p.slots[i] for layer in self.stage.values() for p in layer.params]
-
-    def embed_slice(self, branch_index: int) -> slice:
-        """Columns of the concat embedding produced by one branch (schemes 1-2)."""
-        if self.cfg.scheme not in (1, 2):
-            raise ValueError(f"scheme {self.cfg.scheme} has no concat embedding")
-        d1 = self.cfg.embed_dim
-        return slice(branch_index * d1, (branch_index + 1) * d1)
 
     def kink_margin(self) -> float:
         """Smallest |ReLU preactivation| seen in the last cached forward.
@@ -226,10 +208,10 @@ class FusionModel:
             return y
 
         def embed(xs):
-            y = run(self.stage.values(), self._branch_input(xs), "stage")
+            y = run(self.stage, self._branch_input(xs), "stage")
             if self.trunk:  # stack the branch outputs on a last feature axis
                 y = np.ascontiguousarray(np.moveaxis(y, 0, -1))[None]
-                return run(self.trunk.values(), y, "trunk")[0]
+                return run(self.trunk, y, "trunk")[0]
             return y.transpose(1, 0, 2).reshape(xs.shape[0], -1)  # branch-major concat
 
         # Eval passes run in slices of _EVAL_CHUNK samples. A one-sample tail
@@ -248,11 +230,9 @@ class FusionModel:
         return probs, v
 
     def forward(self, x):
-        """Eval-mode probability of one sample (F, T, C, C, B), or of a batch."""
+        """Eval-mode probability of one sample (F, T, C, C, B)."""
         x = np.asarray(getattr(x, "values", x), dtype=float)
-        if x.ndim == 5:
-            return float(self.forward_batch(x[None])[0])
-        return self.forward_batch(x)
+        return float(self.forward_batch(x[None])[0])
 
     def embed_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode probabilities plus the concat embedding (schemes 1-2)."""
@@ -282,16 +262,16 @@ class FusionModel:
         grad = np.zeros_like(theta)
 
         def run_back(layers, caches, g):
-            for layer, lc in zip(reversed(list(layers)), reversed(caches)):
+            for layer, lc in zip(reversed(layers), reversed(caches)):
                 g = layer.backward(theta, grad, lc, g)
             return g
 
         gy = run_back(self.head, cache["head"], ((cache["probs"] - labels) / m)[None, :, None])
         if self.trunk:
-            g = np.moveaxis(run_back(self.trunk.values(), cache["trunk"], gy)[0], -1, 0)
+            g = np.moveaxis(run_back(self.trunk, cache["trunk"], gy)[0], -1, 0)
         else:
             g = gy[0].reshape(m, len(self.branches), -1).transpose(1, 0, 2)
-        first, *rest = self.stage.values()
+        first, *rest = self.stage
         g = run_back(rest, cache["stage"][1:], g)
         first.backward(theta, grad, cache["stage"][0], g, input_grad=False)
         return grad
@@ -395,7 +375,7 @@ def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list
             grad = m.backward(y[idx])
             opt.step(m.params, grad)
             loss_sum += loss * idx.size
-            correct += int(((probs >= 0.5) == y[idx].astype(bool)).sum())
+            correct += int(((probs >= THRESHOLD) == y[idx].astype(bool)).sum())
         # "phase" stays in the history format: every run trains in one phase
         history.append(
             {
@@ -457,11 +437,10 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> Metrics:
     )
 
 
-def evaluate(m: FusionModel, ds, threshold: float = 0.5) -> Metrics:
-    """Confusion metrics of eval-mode predictions at the given threshold."""
+def evaluate(m: FusionModel, ds) -> Metrics:
+    """Confusion metrics of eval-mode predictions at THRESHOLD."""
     x, y = _stack_dataset(ds)
-    probs = m.forward_batch(x)
-    preds = probs >= threshold
+    preds = m.forward_batch(x) >= THRESHOLD
     actual = y.astype(bool)
     tp = int(np.sum(preds & actual))
     fp = int(np.sum(preds & ~actual))
@@ -482,11 +461,8 @@ def save_model(m: FusionModel, path, norm_stats: NormStats | None = None) -> Non
         if norm_stats is None
         else {"mean": norm_stats.mean.tolist(), "std": norm_stats.std.tolist()},
     }
-    path = Path(path)
     blob = json.dumps(header, sort_keys=True).encode() + b"\n" + m.params.astype("<f4").tobytes()
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    atomic_write_bytes(path, blob)
 
 
 def load_model(path) -> tuple[FusionModel, NormStats | None]:

@@ -34,6 +34,7 @@ from .connectivity import (
 from .dataset import read_dataset, split_dataset, write_dataset
 from .dsp import design_bandpass
 from .model import (
+    THRESHOLD,
     ModelConfig,
     TrainConfig,
     build_fusion_model,
@@ -106,14 +107,12 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     test_fraction: float = 0.15
-    explain_svg: bool = True
 
 
 #: RunConfig fields that the JSON layout nests in a section; inside the
 #: section each is keyed by its name without the ``<section>_`` prefix.
 _SECTION_FIELDS = {
     "split": ("test_fraction",),
-    "explain": ("explain_svg",),
 }
 
 
@@ -432,7 +431,7 @@ def evaluate_stored(model_path, dataset) -> dict:
     return {
         "train": evaluate(model, train_ds).to_dict(),
         "test": evaluate(model, test_ds).to_dict(),
-        "threshold": 0.5,
+        "threshold": THRESHOLD,
     }
 
 
@@ -532,10 +531,8 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
         report = explain_stored(model_path, dataset, cfg_hash)
         write_report_json(report, out / "relevance.json")
         write_report_csv(report, out / "relevance.csv")
-        files.extend(["relevance.json", "relevance.csv"])
-        if cfg.explain_svg:
-            write_svg(report, out / "relevance.svg")
-            files.append("relevance.svg")
+        write_svg(report, out / "relevance.svg")
+        files.extend(["relevance.json", "relevance.csv", "relevance.svg"])
 
     if cfg.model.scheme in (1, 2):
         stage("explain", _explain)

@@ -138,10 +138,8 @@ class LabeledWindow:
     fs: float
 
 
-def load_recording(path, fs: float, fmt: str = "csv") -> Recording:
+def load_recording(path, fs: float) -> Recording:
     """Read a recording whose CSV header row holds the channel names."""
-    if fmt != "csv":
-        raise ValueError(f"unsupported recording format {fmt!r}")
     path = Path(path)
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()

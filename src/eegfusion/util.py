@@ -14,6 +14,7 @@ __all__ = [
     "ConfigError",
     "canonical_json",
     "config_hash",
+    "atomic_write_bytes",
     "atomic_write_text",
     "to_json",
     "from_json",
@@ -37,13 +38,18 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_bytes(path, data: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     partially written file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     os.replace(tmp, path)
+
+
+def atomic_write_text(path, text: str) -> None:
+    """:func:`atomic_write_bytes` of the UTF-8 text."""
+    atomic_write_bytes(path, text.encode())
 
 
 def to_json(obj):

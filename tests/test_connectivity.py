@@ -34,8 +34,8 @@ from eegfusion.mvar import (
 from eegfusion.signal_io import (
     LabeledWindow, SynthSpec, extract_labeled_windows, generate_synthetic, split_subwindows,
 )
-from eegfusion.runner import RunConfig, study_windows
-from eegfusion.util import from_json, to_json
+from eegfusion.runner import RunConfig, run_config_from_json, study_windows
+from eegfusion.util import ConfigError, from_json, to_json
 
 FS = 128.0
 
@@ -713,3 +713,22 @@ def test_pipeline_config_json_round_trip():
     cfg = PipelineConfig(order=7, aic=True, n_freqs=32,
                          bands=(BandSpec("low", 1.0, 10.0), BandSpec("high", 10.0, 40.0)))
     assert from_json(PipelineConfig, to_json(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("order", 0, "order must be >= 1"),
+        ("aic_max", 0, "aic_max must be >= 1"),
+        ("n_freqs", 0, "n_freqs must be >= 1"),
+        ("ridge", -1e-4, "ridge must be >= 0"),
+        ("subwindows", 0, "subwindows must be >= 1"),
+        ("bands", [], "need at least one rhythm band"),
+    ],
+)
+def test_pipeline_config_checks_its_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(**{field: tuple(value) if field == "bands" else value})
+    with pytest.raises(ConfigError, match=message) as exc:
+        run_config_from_json({"pipeline": {field: value}})
+    assert exc.value.field == "pipeline"

@@ -20,7 +20,7 @@ RTOL = 1e-12
 def stacked(layer, seed, g=G):
     """Random weights for a g-branch stack of one layer, plus a zero gradient."""
     reg = ParamRegistry()
-    reg.add_stage([f"b{i}" for i in range(g)], {"layer": layer})
+    reg.add_stage(g, [layer])
     theta = np.random.default_rng(seed).uniform(-0.7, 0.7, reg.size)
     return theta, np.zeros_like(theta)
 

@@ -109,15 +109,11 @@ class TestArchitecture:
         f, d1 = SMALL["n_features"], SMALL["embed_dim"]
         assert m.n_embed == f * d1
         assert np.array_equal(m.group_map, np.repeat(np.arange(f), d1))
-        for i in range(f):
-            assert m.embed_slice(i) == slice(i * d1, (i + 1) * d1)
 
     @pytest.mark.parametrize("scheme", [3, 4])
     def test_fused_schemes_expose_no_embedding(self, scheme):
         m = build_fusion_model(ModelConfig(scheme=scheme, **SMALL))
         assert m.group_map is None
-        with pytest.raises(ValueError, match="scheme"):
-            m.embed_slice(0)
         x = np.zeros((2,) + m.cfg.tensor_shape)
         with pytest.raises(ValueError, match="relevance"):
             m.embed_batch(x)
@@ -136,13 +132,11 @@ class TestArchitecture:
 
     @pytest.mark.parametrize("scheme", [1, 2, 3, 4])
     def test_slots_tile_parameter_vector(self, scheme):
+        # every coordinate belongs to exactly one param view of one stage
         m = build_fusion_model(ModelConfig(scheme=scheme, **SMALL))
-        slots = sorted(m.registry.slots, key=lambda s: s.sl.start)
-        pos = 0
-        for s in slots:
-            assert s.sl.start == pos
-            pos = s.sl.stop
-        assert pos == m.param_count
+        index = np.arange(m.param_count)
+        seen = [p.view(index).ravel() for _, params in m.registry.stages for p in params]
+        assert np.array_equal(np.sort(np.concatenate(seen)), index)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="scheme"):
@@ -198,12 +192,13 @@ class TestGradients:
         m, x, y = fd_setup(2, FD_SEEDS[2])
         victim = 1
         w = m.head[0].W.view(m.params)[0]
-        w[m.embed_slice(victim)] = 0.0
+        w[m.group_map == victim] = 0.0
         batch_loss(m, x, y)
         grad = m.backward(y)
-        for slot in m.branch_slots(victim):
-            assert np.all(grad[slot.sl] == 0.0)
-        live = np.concatenate([grad[s.sl] for s in m.branch_slots(0)])
+        params = [p for layer in m.stage for p in layer.params]
+        for p in params:
+            assert np.all(p.view(grad)[victim] == 0.0)
+        live = np.concatenate([p.view(grad)[0].ravel() for p in params])
         assert np.any(live != 0.0)
 
     def test_backward_requires_training_forward(self):
@@ -231,7 +226,7 @@ class TestStageInputGradient:
         m, x, y = fd_setup(scheme, FD_SEEDS[scheme])
         m.forward_batch(x, train=True)
         grad = m.backward(y)
-        first = next(iter(m.stage.values()))
+        first = m.stage[0]
         backward, seen = first.backward, []
 
         def with_input_grad(theta, grad, cache, gy, input_grad=False):
@@ -316,6 +311,16 @@ class TestTraining:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=-1e-3)
+
+    @pytest.mark.parametrize("label", [2, -1, 0.5])
+    def test_labels_other_than_0_1_rejected(self, label):
+        cfg = self.small_cfg()
+        ds = make_dataset(cfg)
+        ds[0].label = label
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            train(build_fusion_model(cfg), ds, TrainConfig(batch_size=4))
 
 
 class TestAdam:
@@ -500,6 +505,45 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match=r"norm_stats.mean has shape \(3,\), expected \(3, 2\)") as exc:
             load_model(p)
         assert str(p) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda p: p.write_bytes(b"{not json\n" + p.read_bytes().partition(b"\n")[2]),
+             "invalid header JSON"),
+            (lambda p: edit_header(p, lambda h: h.update(format="eegfusion-dataset")),
+             "not a model file .format 'eegfusion-dataset'."),
+            (lambda p: edit_header(p, lambda h: h.update(format_version=2)),
+             "unsupported format version 2"),
+            (lambda p: edit_header(p, lambda h: h["norm_stats"].update(std=[["x", 1]] * 3)),
+             "norm_stats.std is not a numeric array"),
+        ],
+        ids=["header_json", "format", "format_version", "norm_stats"],
+    )
+    def test_header_errors_name_the_file(self, corrupt, message, tmp_path):
+        p = tmp_path / "m.bin"
+        save_model(build_fusion_model(ModelConfig(scheme=2, **SMALL)), p,
+                   norm_stats=NormStats(mean=np.zeros((3, 2)), std=np.ones((3, 2))))
+        corrupt(p)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_model(p)
+        assert type(exc.value) is ValueError and str(p) in str(exc.value)
+
+    def test_failed_rename_leaves_the_earlier_file_intact(self, tmp_path, monkeypatch):
+        first, second = (build_fusion_model(ModelConfig(scheme=2, **SMALL, seed=s)) for s in (0, 1))
+        p = tmp_path / "model.bin"
+        save_model(first, p)
+        before = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr("eegfusion.util.os.replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_model(second, p)
+        assert p.read_bytes() == before
+        back, _ = load_model(p)
+        assert np.array_equal(back.params, first.params.astype(np.float32).astype(float))
 
     def test_foreign_file_rejected(self, tmp_path):
         p = tmp_path / "m.bin"

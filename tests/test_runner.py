@@ -70,14 +70,15 @@ class TestConfigJson:
             ({"model": {"hidden": 2}}, "model.hidden"),
             ({"pipeline": {"frob": 1}}, "pipeline.frob"),
             ({"split": {"fraction": 0.2}}, "split.fraction"),
-            ({"explain": {"chart": True}}, "explain.chart"),
+            ({"explain": {"chart": True}}, "explain"),
             ({"pipeline": {"mode": "per_band"}}, "pipeline.mode"),
             ({"model": {"attention": False}}, "model.attention"),
             ({"train": {"optimizer": "sgd"}}, "train.optimizer"),
-            ({"explain": {"per_sample": True}}, "explain.per_sample"),
-            ({"explain": {"predicted_labels": True}}, "explain.predicted_labels"),
+            ({"explain": {"per_sample": True}}, "explain"),
+            ({"explain": {"predicted_labels": True}}, "explain"),
             ({"train": {"label_flip_second_phase": True}}, "train.label_flip_second_phase"),
             ({"model": {"dropout_rate": 0.5}}, "model.dropout_rate"),
+            ({"explain": {"svg": True}}, "explain"),
         ],
     )
     def test_unknown_nested_fields_name_their_path(self, doc, field):
@@ -91,7 +92,6 @@ class TestConfigJson:
             ({"seed": True}, "seed"),
             ({"out_dir": 3}, "out_dir"),
             ({"synth": [1, 2]}, "synth"),
-            ({"explain": {"svg": "yes"}}, "explain.svg"),
             ([1, 2], "<root>"),
             ({"synth": {"fs": "128"}}, "synth.fs"),
             ({"synth": {"coupling_strength": False}}, "synth.coupling_strength"),

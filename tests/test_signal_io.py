@@ -63,6 +63,24 @@ class TestLoadRecording:
         with pytest.raises(FileNotFoundError):
             load_recording(tmp_path / "nope.csv", fs=256.0)
 
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"samples": np.zeros(4)}, "samples must be 2-D"),
+            ({"samples": np.zeros((0, 2))}, "recording has no samples"),
+            ({"samples": np.zeros((4, 1)), "channel_names": ("a",)}, "at least 2 channels"),
+            ({"fs": 0.0}, "sample rate must be positive"),
+            ({"channel_names": ("a",)}, "1 channel names for 2 channels"),
+            ({"channel_names": ("a", "a")}, "channel names must be unique"),
+            ({"samples": [[0.0, 1.0], [2.0, np.nan]]}, "non-finite sample at row 1, channel 'b'"),
+        ],
+        ids=["ndim", "empty", "one_channel", "fs", "name_count", "duplicate_names", "non_finite"],
+    )
+    def test_recording_checks_its_fields(self, over, message):
+        kwargs = {"samples": np.zeros((4, 2)), "fs": FS, "channel_names": ("a", "b"), "id": "r"}
+        with pytest.raises(ValueError, match=message):
+            Recording(**{**kwargs, **over})
+
     def test_round_trip_exact(self, tmp_path):
         rec = make_recording(25.0)
         p = tmp_path / "rt.csv"
@@ -88,6 +106,24 @@ class TestAnnotations:
         p.write_text("{}")
         with pytest.raises(ValueError, match="seizures"):
             load_annotations(p)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("{", "invalid JSON"),
+            ('{"seizures": {}}', "'seizures' must be a list"),
+            ('{"seizures": [1]}', r"seizures\[0\] missing field 'start_s'"),
+            ('{"seizures": [{"start_s": 1}]}', r"seizures\[0\] missing field 'end_s'"),
+            ('{"seizures": [{"start_s": 1, "end_s": "9"}]}', r"seizures\[0\].end_s must be a number"),
+        ],
+        ids=["json", "not_a_list", "not_an_object", "missing_end", "non_number"],
+    )
+    def test_malformed_file_names_file_and_field(self, tmp_path, text, message):
+        p = tmp_path / "a.json"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_annotations(p)
+        assert str(p) in str(exc.value)
 
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError, match="end"):
@@ -354,6 +390,25 @@ class FakeTensor:
     def __init__(self, label, uid):
         self.label = label
         self.source_id = uid
+
+
+class TestSynthSpec:
+    @pytest.mark.parametrize(
+        "over,message",
+        [
+            ({"kind": "mixed"}, "kind must be 'coupled' or 'uncoupled'"),
+            ({"n_channels": 1}, "at least 2 channels"),
+            ({"fs": 0.0}, "sample rate must be positive"),
+            ({"duration_s": 19.0}, "duration 19.0 s shorter than one 20 s window"),
+            ({"ar_pole_radius": 1.0}, "ar_pole_radius must be in"),
+            ({"noise_std": 0.0}, "noise_std must be positive"),
+            ({"ar_freq_hz": 65.0}, "ar_freq_hz must lie in"),
+        ],
+        ids=["kind", "n_channels", "fs", "duration_s", "ar_pole_radius", "noise_std", "ar_freq_hz"],
+    )
+    def test_checks_its_fields(self, over, message):
+        with pytest.raises(ValueError, match=message):
+            SynthSpec(**{"kind": "coupled", **over})
 
 
 class TestTrainTestSplit:
