@@ -263,20 +263,20 @@ def _spectral_measures(sd: SpectralDecomposition, sigma: np.ndarray) -> dict[str
     }
 
 
-#: Cap on n_freqs * C^2 * sub-windows per stacked MVAR pass. Each pass holds
-#: about a dozen complex (T, F, C, C) arrays on its F <= n_freqs in-band
-#: frequencies, so the cap bounds its memory. It counts all n_freqs, not F:
-#: a budget on F would fit four C=19 sub-windows per pass, which is faster
-#: but raises the chunk's memory peak. A pass takes the sub-windows of a
-#: window chunk in order and may span window boundaries: at C=4 a pass holds
-#: 32 sub-windows, at C=19 one.
+#: Cap on F * C^2 * sub-windows per stacked MVAR pass, F the in-band grid
+#: frequencies. Each pass holds about a dozen complex (T, F, C, C) arrays, so
+#: the cap bounds its memory; the AIC lag design is built one sub-window at a
+#: time and does not grow with the pass. A pass takes the sub-windows of a
+#: window chunk in order and may span window boundaries: with the default
+#: bands a pass holds 47 sub-windows at C=4, fs=128 and four at C=19, fs=256.
 _CHUNK_ELEMENTS = 1 << 15
 
 #: Cap on samples * channels over the windows of one extraction chunk. A
 #: chunk holds its filtered signals, analytic signals and sub-window stacks
-#: at once (a traced peak of 7-9 MB at this cap), which stays below the
-#: memory a study's synthesis needs: a C=4, fs=128 chunk holds six windows,
-#: and a C=19, fs=256 window is a chunk of one.
+#: at once (traced peaks of 6.8 MB for a C=4, fs=128 chunk and 9.3 MB for a
+#: C=19, fs=256 window with AIC at this cap), which stays below the memory a
+#: study's synthesis needs: a C=4, fs=128 chunk holds six windows, and a
+#: C=19, fs=256 window is a chunk of one.
 _WINDOW_CHUNK_SAMPLES = 1 << 16
 
 
@@ -337,9 +337,9 @@ def build_feature_tensors(
     Every step runs once for the whole chunk: each filter over the windows
     side by side as one (N, W*C) block, one analytic-signal FFT and one PLV
     product per band, and the MVAR fits of all W*T sub-windows as one stack,
-    taken in passes of at most ``_CHUNK_ELEMENTS`` frequency-channel-pair
-    cells that may span windows. The tensors equal those of each window alone
-    byte for byte.
+    taken in passes of at most ``_CHUNK_ELEMENTS`` in-band
+    frequency-channel-pair cells that may span windows. The tensors equal
+    those of each window alone byte for byte.
 
     When a pass fails, its sub-windows are rerun one at a time (warnings and
     counters off) so that the error names the first failing sub-window and
@@ -370,9 +370,9 @@ def _chunk_tensors(
     ids = [w.source_id for w in windows]
     block = np.concatenate([w.samples for w in windows], axis=1)
     tensor = np.empty((n_w, len(FEATURE_ORDER), t_sub, c, c, len(cfg.bands)))
-    per_pass = max(1, _CHUNK_ELEMENTS // (cfg.n_freqs * c * c))
     freqs = frequency_grid(fs, cfg.n_freqs)
     keep = np.flatnonzero(np.any([_in_band(freqs, band) for band in cfg.bands], axis=0))
+    per_pass = max(1, _CHUNK_ELEMENTS // (max(1, keep.size) * c * c))
 
     def filtered(band: BandSpec) -> np.ndarray:
         return filtfilt(design_bandpass(band, fs, cfg.filter_order), block)
@@ -422,8 +422,8 @@ def build_feature_tensor(
 
     The window runs as a chunk of one through :func:`build_feature_tensors`:
     its sub-windows form MVAR passes of at most ``_CHUNK_ELEMENTS``
-    frequency-channel-pair cells, and an error names the first failing
-    sub-window with its own message.
+    in-band frequency-channel-pair cells, and an error names the first
+    failing sub-window with its own message.
     """
     return build_feature_tensors([window], cfg, diagnostics)[0]
 

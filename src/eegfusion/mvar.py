@@ -194,13 +194,14 @@ def select_order(
     order, divisor N - p. Orders whose ``Sigma_p`` has no positive
     determinant are skipped; when none has one, the order is 1.
 
-    Every order comes from one zero-padded lag design with p_max lags. Its
-    Gram, cross term and ``Y^T Y`` over the rows p_max..N-1 are shared; order
-    p takes their leading pC block and adds the rows p..p_max-1 it also
-    fits. The ridged normal equations are solved by Cholesky (LU where
-    Cholesky fails), and ``(N - p) Sigma_p = Y^T Y - b^T coef - lam coef^T
-    coef``, which follows from ``(Gram + lam I) coef = b``. The AIC values
-    match a fit per order up to rounding (the tests allow 1e-9).
+    Every order of a sub-window comes from its zero-padded lag design with
+    p_max lags. Its Gram, cross term and ``Y^T Y`` over the rows p_max..N-1
+    are shared; order p takes their leading pC block and adds the rows
+    p..p_max-1 it also fits. The ridged normal equations are solved by
+    Cholesky (LU where Cholesky fails), and ``(N - p) Sigma_p = Y^T Y - b^T
+    coef - lam coef^T coef``, which follows from ``(Gram + lam I) coef = b``.
+    The AIC values match a fit per order up to rounding (the tests allow
+    1e-9), and a stack gives each sub-window's values byte for byte.
     """
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
@@ -218,25 +219,39 @@ def select_order(
 def _aic_table(x: np.ndarray, p_max: int, ridge: float) -> np.ndarray:
     """AIC(p), p = 1..p_max, of de-meaned signals (..., N, C): shape (p_max, ...).
 
-    An order whose ``Sigma_p`` has no positive determinant reads inf.
+    The lag design is built one sub-window at a time in one reused buffer.
+    Only its Gram and cross term over the shared rows and its first p_max
+    rows, which the orders add, are kept, so a stack holds one (N, p_max C)
+    design, not one per sub-window. An order whose ``Sigma_p`` has no
+    positive determinant reads inf.
     """
     lead = x.shape[:-2]
     x = x.reshape((-1,) + x.shape[-2:])
     t_sub, n, c = x.shape
-    design = np.zeros((t_sub, n, p_max * c))
-    for k in range(1, p_max + 1):
-        design[:, k:, (k - 1) * c : k * c] = x[:, : n - k]
-    shared, y = design[:, p_max:], x[:, p_max:]
-    shared_t = np.swapaxes(shared, -1, -2)
-    gram, cross = shared_t @ shared, shared_t @ y
+    y = x[:, p_max:]
+    gram = np.empty((t_sub, p_max * c, p_max * c))
+    cross = np.empty((t_sub, p_max * c, c))
+    top = np.empty((t_sub, p_max, p_max * c))
+    # every sub-window writes the same cells, so the zero padding stays
+    design = np.zeros((n, p_max * c))
+    for t in range(t_sub):
+        for k in range(1, p_max + 1):
+            design[k:, (k - 1) * c : k * c] = x[t, : n - k]
+        shared = design[p_max:]
+        np.matmul(shared.T, shared, out=gram[t])
+        np.matmul(shared.T, y[t], out=cross[t])
+        top[t] = design[:p_max]
+    del design, shared  # the orders read only top, gram and cross
     yty = np.swapaxes(y, -1, -2) @ y
     sigmas = np.empty((p_max, t_sub, c, c))
     for p in range(1, p_max + 1):
         k = p * c
-        head, y_head = design[:, p:p_max, :k], x[:, p:p_max]
+        head, y_head = top[:, p:, :k], x[:, p:p_max]
         head_t = np.swapaxes(head, -1, -2)
-        gram_p = gram[:, :k, :k] + head_t @ head
-        b = cross[:, :k] + head_t @ y_head
+        gram_p = head_t @ head
+        gram_p += gram[:, :k, :k]
+        b = head_t @ y_head
+        b += cross[:, :k]
         diag = gram_p.reshape(t_sub, k * k)[:, :: k + 1]
         lam = (ridge if ridge > 0 else 0.0) * np.mean(diag, axis=-1)
         diag += lam[:, None]

@@ -61,23 +61,26 @@ class Recording:
             raise ValueError(f"samples must be 2-D, got shape {self.samples.shape}")
         n, c = self.samples.shape
         if n < 1:
-            raise ValueError("recording has no samples")
+            raise ValueError(
+                f"samples must hold at least one row, got shape {self.samples.shape}"
+            )
         if c < 2:
-            raise ValueError(f"need at least 2 channels, got {c}")
+            raise ValueError(f"n_channels must be >= 2, got {c}")
         if self.fs <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.fs}")
+            raise ValueError(f"fs must be positive, got {self.fs}")
         self.channel_names = tuple(self.channel_names)
         if len(self.channel_names) != c:
             raise ValueError(
-                f"{len(self.channel_names)} channel names for {c} channels"
+                f"channel_names must name {c} channels, got {len(self.channel_names)}"
             )
         if len(set(self.channel_names)) != c:
-            raise ValueError("channel names must be unique")
+            raise ValueError("channel_names must be unique")
         bad = np.argwhere(~np.isfinite(self.samples))
         if bad.size:
             r, col = bad[0]
             raise ValueError(
-                f"non-finite sample at row {r}, channel {self.channel_names[col]!r}"
+                f"samples must be finite, got {self.samples[r, col]} at row {r}, "
+                f"channel {self.channel_names[col]!r}"
             )
 
     @property
@@ -353,12 +356,12 @@ class SynthSpec:
         if self.kind not in ("coupled", "uncoupled"):
             raise ValueError(f"kind must be 'coupled' or 'uncoupled', got {self.kind!r}")
         if self.n_channels < 2:
-            raise ValueError(f"need at least 2 channels, got {self.n_channels}")
+            raise ValueError(f"n_channels must be >= 2, got {self.n_channels}")
         if self.fs <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.fs}")
+            raise ValueError(f"fs must be positive, got {self.fs}")
         if self.duration_s < WINDOW_S:
             raise ValueError(
-                f"duration {self.duration_s} s shorter than one {WINDOW_S:.0f} s window"
+                f"duration_s must be >= {WINDOW_S:g} (one window), got {self.duration_s}"
             )
         if not 0 <= self.ar_pole_radius < 1:
             raise ValueError(

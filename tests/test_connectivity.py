@@ -1,5 +1,6 @@
 """Connectivity measures, band aggregation, and the window feature tensor."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -598,8 +599,8 @@ class TestWindowChunks:
         (coupled_windows, PipelineConfig(aic=True)),
     ], ids=["broadband", "unstable", "aic"])
     def test_chunks_equal_one_window_at_a_time(self, make_windows, cfg):
-        # 8 windows: a chunk of 6 and one of 2; the MVAR passes of 32
-        # sub-windows end inside windows 3 and 6
+        # 8 windows: a chunk of 6 and one of 2; the chunk of 6 runs MVAR
+        # passes of 47 and 13 sub-windows, split inside window 4
         windows = make_windows()
         chunks = window_chunks(windows)
         assert [len(ch) for ch in chunks] == [6, 2]
@@ -644,8 +645,8 @@ class TestWindowChunks:
         assert str(chunked.value) == str(alone.value)
 
     def test_pass_spanning_windows_names_its_sub_window(self, monkeypatch):
-        # flat sub-window 43 is sub-window 3 of window 4, inside the second
-        # MVAR pass (sub-windows 32-59) of a six-window chunk
+        # flat sub-window 43 is sub-window 3 of window 4, inside the first
+        # MVAR pass (sub-windows 0-46) of a six-window chunk
         windows = coupled_windows(n_windows=6)
         filt = design_bandpass(BROADBAND, FS, 4)
         bad = split_subwindows(filtfilt(filt, windows[4].samples), 10)[3][0, 0]
@@ -676,6 +677,75 @@ class TestWindowChunks:
         with pytest.raises(ValueError) as chunked:
             build_feature_tensors(windows)
         assert str(chunked.value) == "wide fit"
+
+
+def clinical_window():
+    return coupled_windows(n_channels=19, fs=256.0, n_windows=1, seed=0, strength=0.08)[0]
+
+
+class TestMvarPasses:
+    """A chunk's MVAR work runs in passes of at most ``_CHUNK_ELEMENTS``
+    in-band frequency-channel-pair cells; the pass size moves no byte."""
+
+    def test_pass_sizes_with_the_default_bands(self, monkeypatch):
+        sizes = []
+        real = connectivity._mvar_planes
+
+        def recording(subs, *args):
+            sizes.append(len(subs))
+            return real(subs, *args)
+
+        monkeypatch.setattr(connectivity, "_mvar_planes", recording)
+        # 22 in-band frequencies at fs = 256, 43 at fs = 128
+        build_feature_tensor(clinical_window(), PipelineConfig(aic=True))
+        assert sizes == [4, 4, 2]
+        sizes.clear()
+        build_feature_tensors(coupled_windows(n_windows=6))
+        assert sizes == [47, 13]
+
+    def test_clinical_window_equals_one_sub_window_per_pass(self, monkeypatch):
+        window, cfg = clinical_window(), PipelineConfig(aic=True)
+        diag = FitDiagnostics()
+        got = build_feature_tensor(window, cfg, diag)
+        monkeypatch.setattr(connectivity, "_CHUNK_ELEMENTS", 1)
+        one_diag = FitDiagnostics()
+        want = build_feature_tensor(window, cfg, one_diag)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert diag == one_diag
+        assert diag.unstable_fits > 0
+
+    def test_failure_in_the_second_clinical_pass_names_its_sub_window(self, monkeypatch):
+        # sub-window 5 lies in the second pass (sub-windows 4-7)
+        window = clinical_window()
+        filt = design_bandpass(BROADBAND, window.fs, 4)
+        bad = split_subwindows(filtfilt(filt, window.samples), 10)[5][0, 0]
+        real_fit = connectivity.fit_mvar
+
+        def flaky_fit(x, *args):
+            if bad in np.asarray(x)[:, 0, 0]:
+                raise ValueError("flaky fit")
+            return real_fit(x, *args)
+
+        monkeypatch.setattr(connectivity, "fit_mvar", flaky_fit)
+        with pytest.raises(ValueError) as err:
+            build_feature_tensor(window, PipelineConfig(aic=True))
+        assert str(err.value) == f"window {window.source_id!r}, sub-window 5: flaky fit"
+
+    @pytest.mark.parametrize("make_chunk, cfg", [
+        (lambda: [clinical_window()], PipelineConfig(aic=True)),
+        (lambda: coupled_windows(n_windows=6), PipelineConfig()),
+    ], ids=["clinical_aic", "desk"])
+    def test_chunk_working_memory_stays_under_10_mb(self, make_chunk, cfg):
+        chunk = make_chunk()
+        build_feature_tensors(chunk, cfg)  # designs the filters, which are cached
+        tracemalloc.start()
+        try:
+            build_feature_tensors(chunk, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
 
 class TestNormalizeFeatures:
     def test_train_set_standardized(self):

@@ -163,6 +163,16 @@ class TestOrderSearch:
         assert got == tuple(select_order(sub, 8) for sub in x)
         assert type(select_order(x[0], 8)) is int
 
+    def test_stacked_table_equals_one_sub_window_at_a_time_byte_for_byte(self):
+        rng = np.random.default_rng(15)
+        a = random_stable_model(rng, 19, 3).A
+        x = simulate_var(a, 4 * 512, rng=rng).reshape(4, 512, 19)
+        x = x - x.mean(axis=1, keepdims=True)
+        got = _aic_table(x, 12, 1e-4)
+        assert got.shape == (12, 4) and np.all(np.isfinite(got))
+        for t in range(4):
+            assert got[:, t].tobytes() == _aic_table(x[t], 12, 1e-4).tobytes()
+
     def test_insufficient_samples_names_the_smallest_short_order(self):
         x = np.random.default_rng(12).standard_normal((50, 4))
         with pytest.raises(ValueError) as per_order:

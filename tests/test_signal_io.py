@@ -56,7 +56,7 @@ class TestLoadRecording:
     def test_single_column_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("a\n1\n2\n")
-        with pytest.raises(ValueError, match="2 channels"):
+        with pytest.raises(ValueError, match="n_channels must be >= 2, got 1"):
             load_recording(p, fs=256.0)
 
     def test_missing_file(self, tmp_path):
@@ -67,12 +67,12 @@ class TestLoadRecording:
         "over,message",
         [
             ({"samples": np.zeros(4)}, "samples must be 2-D"),
-            ({"samples": np.zeros((0, 2))}, "recording has no samples"),
-            ({"samples": np.zeros((4, 1)), "channel_names": ("a",)}, "at least 2 channels"),
-            ({"fs": 0.0}, "sample rate must be positive"),
-            ({"channel_names": ("a",)}, "1 channel names for 2 channels"),
-            ({"channel_names": ("a", "a")}, "channel names must be unique"),
-            ({"samples": [[0.0, 1.0], [2.0, np.nan]]}, "non-finite sample at row 1, channel 'b'"),
+            ({"samples": np.zeros((0, 2))}, r"samples must hold at least one row, got shape \(0, 2\)"),
+            ({"samples": np.zeros((4, 1)), "channel_names": ("a",)}, "n_channels must be >= 2, got 1"),
+            ({"fs": 0.0}, "fs must be positive, got 0.0"),
+            ({"channel_names": ("a",)}, "channel_names must name 2 channels, got 1"),
+            ({"channel_names": ("a", "a")}, "channel_names must be unique"),
+            ({"samples": [[0.0, 1.0], [2.0, np.nan]]}, "samples must be finite, got nan at row 1, channel 'b'"),
         ],
         ids=["ndim", "empty", "one_channel", "fs", "name_count", "duplicate_names", "non_finite"],
     )
@@ -397,9 +397,9 @@ class TestSynthSpec:
         "over,message",
         [
             ({"kind": "mixed"}, "kind must be 'coupled' or 'uncoupled'"),
-            ({"n_channels": 1}, "at least 2 channels"),
-            ({"fs": 0.0}, "sample rate must be positive"),
-            ({"duration_s": 19.0}, "duration 19.0 s shorter than one 20 s window"),
+            ({"n_channels": 1}, "n_channels must be >= 2, got 1"),
+            ({"fs": 0.0}, "fs must be positive, got 0.0"),
+            ({"duration_s": 19.0}, r"duration_s must be >= 20 \(one window\), got 19\.0"),
             ({"ar_pole_radius": 1.0}, "ar_pole_radius must be in"),
             ({"noise_std": 0.0}, "noise_std must be positive"),
             ({"ar_freq_hz": 65.0}, "ar_freq_hz must lie in"),
