@@ -12,9 +12,11 @@ Seven measures per window, in this fixed order along the first tensor axis:
 
 The first six come from a per-sub-window MVAR fit and are averaged over the
 frequency bins inside each rhythm band as mean |M(f)|^2, with ln(1 + x)
-compression applied to SM and ISM after averaging. PLV is computed in the
-time domain from band-filtered analytic phasors. The result for one 20 s
-window is a (7, T, C, C, B) tensor.
+compression applied to SM and ISM after averaging. The complex measures and
+:func:`band_aggregate` define them; the feature path computes the same band
+means from real power with :func:`band_features`, which forms no complex
+measure. PLV is computed in the time domain from band-filtered analytic
+phasors. The result for one 20 s window is a (7, T, C, C, B) tensor.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "plv_from_phases",
     "plv_matrix",
     "band_aggregate",
+    "band_features",
     "window_chunks",
     "build_feature_tensors",
     "build_feature_tensor",
@@ -62,12 +65,17 @@ FEATURE_ORDER = ("SM", "ISM", "DC", "COH", "PDC", "PCOH", "PLV")
 _LOG_COMPRESSED = ("SM", "ISM")
 
 
-def _unit_diagonal(mat: np.ndarray, what: str) -> np.ndarray:
-    """M_ij / sqrt(M_ii M_jj) of Hermitian matrices M; the diagonal is exactly 1."""
+def _diagonal_products(mat: np.ndarray, what: str) -> np.ndarray:
+    """M_ii M_jj of Hermitian matrices M, whose diagonals must be positive."""
     d = np.real(np.diagonal(mat, axis1=-2, axis2=-1))
     if np.any(d <= 0):
         raise ValueError(f"nonpositive diagonal in {what}; cannot normalize")
-    denom = np.sqrt(d[..., :, None] * d[..., None, :])
+    return d[..., :, None] * d[..., None, :]
+
+
+def _unit_diagonal(mat: np.ndarray, what: str) -> np.ndarray:
+    """M_ij / sqrt(M_ii M_jj) of Hermitian matrices M; the diagonal is exactly 1."""
+    denom = np.sqrt(_diagonal_products(mat, what))
     # complex/complex division would round d_i/d_i on the diagonal; dividing
     # the parts by the (positive real) denominator keeps the diagonal exact
     return mat.real / denom + 1j * (mat.imag / denom)
@@ -83,11 +91,11 @@ def partial_coherence(sd: SpectralDecomposition) -> np.ndarray:
     return _unit_diagonal(sd.P, "inverse spectral matrix")
 
 
-def _innovation_std(sigma: np.ndarray) -> np.ndarray:
+def _innovation_variance(sigma: np.ndarray) -> np.ndarray:
     d = np.diagonal(np.asarray(sigma, dtype=float), axis1=-2, axis2=-1)
     if np.any(d <= 0):
         raise ValueError("nonpositive innovation variance; cannot normalize")
-    return np.sqrt(d)
+    return d
 
 
 def _unit_row_power(num: np.ndarray) -> np.ndarray:
@@ -97,12 +105,12 @@ def _unit_row_power(num: np.ndarray) -> np.ndarray:
 
 def directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
     """DC_ij = s_j H_ij / sqrt(sum_m s_m^2 |H_im|^2); rows have unit power."""
-    return _unit_row_power(sd.H * _innovation_std(sigma)[..., None, None, :])
+    return _unit_row_power(sd.H * np.sqrt(_innovation_variance(sigma))[..., None, None, :])
 
 
 def partial_directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
     """PDC_ij = (1/s_j) Abar_ij / sqrt(sum_m (1/s_m^2) |Abar_im|^2), unit-power rows."""
-    return _unit_row_power(sd.Abar / _innovation_std(sigma)[..., None, None, :])
+    return _unit_row_power(sd.Abar / np.sqrt(_innovation_variance(sigma))[..., None, None, :])
 
 
 def plv_from_phases(phases: np.ndarray) -> np.ndarray:
@@ -120,18 +128,23 @@ def _phasor_plv(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
     which rounds differently from the phase differences. So the result is made
     exactly symmetric (the larger of each mirrored pair), capped at 1, and
     exactly 1 where two channels of ``columns`` (..., N, C) are equal sample
-    for sample (the diagonal, a duplicated channel). Equal channels give a
-    product within rounding of 1, and NaN ones NaN, so only pairs above
-    ``1 - 1e-6`` or NaN are compared sample by sample.
+    for sample (the diagonal, a duplicated channel). A channel equals itself
+    unless it holds a NaN, so the diagonal needs no comparison. Equal
+    channels give a product within rounding of 1, and NaN ones NaN, so only
+    off-diagonal pairs above ``1 - 1e-6`` or NaN are compared sample by sample.
     """
-    n = u.shape[-2]
+    n, c = u.shape[-2:]
     plv = np.abs(np.swapaxes(u, -1, -2) @ u.conj()) / n
     plv = np.minimum(np.maximum(plv, np.swapaxes(plv, -1, -2)), 1.0)
-    pairs = np.nonzero(~(plv <= 1.0 - 1e-6))
+    ch = np.arange(c)
+    candidate = ~(plv <= 1.0 - 1e-6)
+    candidate[..., ch, ch] = False
+    pairs = np.nonzero(candidate)
     *lead, i, j = pairs
     by_channel = np.swapaxes(columns, -1, -2)
     same = np.all(by_channel[(*lead, i)] == by_channel[(*lead, j)], axis=-1)
     plv[tuple(ix[same] for ix in pairs)] = 1.0
+    plv[..., ch, ch] = np.where(np.isnan(columns).any(axis=-2), plv[..., ch, ch], 1.0)
     return plv
 
 
@@ -175,6 +188,20 @@ def _in_band(freqs: np.ndarray, band: BandSpec) -> np.ndarray:
     return (freqs >= band.low_hz) & (freqs < band.high_hz)
 
 
+def _band_bins(freqs: np.ndarray, bands: tuple[BandSpec, ...]):
+    """Per band, its grid frequencies (a slice where they are contiguous, as
+    on an ascending grid) and their count; a band holding none is an error."""
+    for band in bands:
+        idx = np.flatnonzero(_in_band(freqs, band))
+        if not idx.size:
+            raise ValueError(
+                f"band {band.name!r} [{band.low_hz}, {band.high_hz}] Hz contains "
+                f"no grid frequencies; increase n_freqs or widen the band"
+            )
+        contiguous = idx[-1] - idx[0] == idx.size - 1
+        yield (slice(idx[0], idx[-1] + 1) if contiguous else idx), idx.size
+
+
 def band_aggregate(
     values: np.ndarray,
     bands: tuple[BandSpec, ...],
@@ -192,15 +219,57 @@ def band_aggregate(
         raise ValueError(f"unknown measure {measure!r}; expected one of {FEATURE_ORDER}")
     power = np.abs(np.asarray(values)) ** 2
     out = np.empty(power.shape[:-3] + (len(bands),) + power.shape[-2:])
-    for b, band in enumerate(bands):
-        mask = _in_band(freqs, band)
-        if not mask.any():
-            raise ValueError(
-                f"band {band.name!r} [{band.low_hz}, {band.high_hz}] Hz contains "
-                f"no grid frequencies; increase n_freqs or widen the band"
-            )
-        avg = power[..., mask, :, :].mean(axis=-3)
+    for b, (bins, count) in enumerate(_band_bins(freqs, bands)):
+        avg = power[..., bins, :, :].sum(axis=-3) / count
         out[..., b, :, :] = np.log1p(avg) if measure in _LOG_COMPRESSED else avg
+    return out
+
+
+def _squared_modulus(mat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``re^2 + im^2`` of a complex array, written into ``out``."""
+    np.square(mat.real, out=out)
+    out += np.square(mat.imag)
+    return out
+
+
+def band_features(
+    sd: SpectralDecomposition, sigma: np.ndarray, bands: tuple[BandSpec, ...]
+) -> np.ndarray:
+    """The six MVAR band features of one fit or fit stack: (6, ..., C, C, B),
+    in FEATURE_ORDER, from real power.
+
+    Equal up to rounding to :func:`band_aggregate` of each complex measure,
+    without forming one. The squared moduli ``re^2 + im^2`` of S, P, H and
+    Abar are normalized in power form, s_j^2 the innovation variances:
+
+        COH_ij = |S_ij|^2 / (S_ii S_jj),   PCOH the same on P
+        DC_ij  = s_j^2 |H_ij|^2 / sum_m s_m^2 |H_im|^2
+        PDC_ij = s_j^-2 |Abar_ij|^2 / sum_m s_m^-2 |Abar_im|^2
+
+    S and P are Hermitian, so |S_ii|^2 is the product S_ii S_ii and the unit
+    diagonals of COH and PCOH are exact. A band's value is the sum over its
+    in-band frequencies divided by their count, which keeps them exactly 1;
+    SM and ISM are compressed with ln(1 + x) after averaging. The errors are
+    those of the complex measures and of :func:`band_aggregate`, in that order.
+    """
+    var = _innovation_variance(sigma)
+    power = np.empty((len(FEATURE_ORDER) - 1,) + sd.S.shape)
+    sm, ism, dc, coh, pdc, pcoh = power
+    np.divide(_squared_modulus(sd.S, sm), _diagonal_products(sd.S, "spectral matrix"), out=coh)
+    np.divide(
+        _squared_modulus(sd.P, ism), _diagonal_products(sd.P, "inverse spectral matrix"), out=pcoh
+    )
+    _squared_modulus(sd.H, dc)
+    dc *= var[..., None, None, :]
+    dc /= dc.sum(axis=-1, keepdims=True)
+    _squared_modulus(sd.Abar, pdc)
+    pdc /= var[..., None, None, :]
+    pdc /= pdc.sum(axis=-1, keepdims=True)
+
+    out = np.empty(power.shape[:-3] + power.shape[-2:] + (len(bands),))
+    for b, (bins, count) in enumerate(_band_bins(sd.freqs, bands)):
+        out[..., b] = power[..., bins, :, :].sum(axis=-3) / count
+    np.log1p(out[:2], out=out[:2])
     return out
 
 
@@ -251,21 +320,9 @@ class WindowTensor:
         return self.values.shape
 
 
-def _spectral_measures(sd: SpectralDecomposition, sigma: np.ndarray) -> dict[str, np.ndarray]:
-    """The six MVAR measures, keyed and ordered as in FEATURE_ORDER."""
-    return {
-        "SM": sd.S,
-        "ISM": sd.P,
-        "DC": directed_coherence(sd, sigma),
-        "COH": coherence(sd),
-        "PDC": partial_directed_coherence(sd, sigma),
-        "PCOH": partial_coherence(sd),
-    }
-
-
 #: Cap on F * C^2 * sub-windows per stacked MVAR pass, F the in-band grid
-#: frequencies. Each pass holds about a dozen complex (T, F, C, C) arrays, so
-#: the cap bounds its memory; the AIC lag design is built one sub-window at a
+#: frequencies. Each pass holds about six complex and six real (T, F, C, C)
+#: arrays, so the cap bounds its memory; the AIC lag design is built one sub-window at a
 #: time and does not grow with the pass. A pass takes the sub-windows of a
 #: window chunk in order and may span window boundaries: with the default
 #: bands a pass holds 47 sub-windows at C=4, fs=128 and four at C=19, fs=256.
@@ -273,7 +330,7 @@ _CHUNK_ELEMENTS = 1 << 15
 
 #: Cap on samples * channels over the windows of one extraction chunk. A
 #: chunk holds its filtered signals, analytic signals and sub-window stacks
-#: at once (traced peaks of 6.8 MB for a C=4, fs=128 chunk and 9.3 MB for a
+#: at once (traced peaks of 6.5 MB for a C=4, fs=128 chunk and 8.6 MB for a
 #: C=19, fs=256 window with AIC at this cap), which stays below the memory a
 #: study's synthesis needs: a C=4, fs=128 chunk holds six windows, and a
 #: C=19, fs=256 window is a chunk of one.
@@ -321,8 +378,7 @@ def _mvar_planes(
         if diagnostics is not None:
             diagnostics.unstable_fits += int(np.count_nonzero(unstable_mask(model.A)))
         sd = spectral_decomposition(model, cfg.n_freqs, diagnostics, keep)
-        for k, (name, vals) in enumerate(_spectral_measures(sd, model.Sigma).items()):
-            planes[k, idx] = np.moveaxis(band_aggregate(vals, cfg.bands, sd.freqs, name), -3, -1)
+        planes[:, idx] = band_features(sd, model.Sigma, cfg.bands)
     return planes
 
 

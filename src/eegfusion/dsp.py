@@ -197,6 +197,8 @@ def analytic_signal(x: np.ndarray) -> np.ndarray:
 def _magnitude(values: np.ndarray) -> np.ndarray:
     """``|values|``; a zero sample, whose phase is undefined, is an error."""
     magnitude = np.abs(values)
+    if magnitude.min(initial=np.inf) > 0:
+        return magnitude
     # search channel by channel, so the index is the first zero sample of
     # the first channel holding one
     zero = np.flatnonzero(np.moveaxis(magnitude == 0.0, 0, -1))

@@ -261,6 +261,9 @@ def _aic_table(x: np.ndarray, p_max: int, ridge: float) -> np.ndarray:
         scatter -= np.swapaxes(b, -1, -2) @ coef
         scatter -= lam[:, None, None] * (np.swapaxes(coef, -1, -2) @ coef)
         sigmas[p - 1] = 0.5 * (scatter + np.swapaxes(scatter, -1, -2)) / (n - p)
+        # free this order's products (diag views gram_p) before the next
+        # order allocates its own
+        del gram_p, diag, b, coef
     sign, logdet = np.linalg.slogdet(sigmas)
     penalty = 2.0 * np.arange(1, p_max + 1) * c * c / n
     aic = np.where(sign > 0, logdet + penalty[:, None], np.inf)
@@ -414,10 +417,14 @@ def spectral_decomposition(
 
     freqs = frequency_grid(m.fs, n_freqs)[keep]
     lags = np.arange(1, m.p + 1)
-    # phase[k_freq, k_lag] = exp(-2j pi f k / fs)
-    phase = np.exp(-2j * np.pi * np.outer(freqs, lags) / m.fs)
-    a_f = np.einsum("fk,...kij->...fij", phase, m.A.astype(complex))
-    abar = np.eye(c) - a_f
+    # phase[k_freq, k_lag] = exp(-2j pi f k / fs); A(f) is one (F, p) @ (p, C^2)
+    # product per fit. numpy takes a single row through gemv, which rounds
+    # differently from gemm, so a lone frequency is evaluated as a pair.
+    rows = np.repeat(freqs, 2) if freqs.size == 1 else freqs
+    phase = np.exp(-2j * np.pi * np.outer(rows, lags) / m.fs)
+    a = np.asarray(m.A, dtype=float)
+    a_f = (phase @ a.reshape(a.shape[:-2] + (c * c,)))[..., : freqs.size, :]
+    abar = np.eye(c) - a_f.reshape(a_f.shape[:-1] + (c, c))
 
     h, cond = _inverse_and_cond(abar)
     for row in cond.reshape((-1, freqs.size)) if freqs.size else ():

@@ -13,7 +13,6 @@ import json
 import os
 import platform
 import time
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -109,38 +108,27 @@ class RunConfig:
     test_fraction: float = 0.15
 
 
-#: RunConfig fields that the JSON layout nests in a section; inside the
-#: section each is keyed by its name without the ``<section>_`` prefix.
-_SECTION_FIELDS = {
-    "split": ("test_fraction",),
-}
-
-
 def run_config_from_json(doc) -> RunConfig:
-    """Parse the nested JSON layout; unknown or ill-typed fields name their path."""
+    """Parse the nested JSON layout, which keys ``test_fraction`` as
+    ``split.test_fraction``; unknown or ill-typed fields name their path."""
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    flat = {k: v for k, v in doc.items() if k not in _SECTION_FIELDS}
-    hints = typing.get_type_hints(RunConfig)
-    for section, names in _SECTION_FIELDS.items():
-        for name in names:
-            if name in flat:
-                raise ConfigError(name, "unknown field")
-        sub = doc.get(section, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(section, "must be a JSON object")
-        keys = {name.removeprefix(f"{section}_"): name for name in names}
-        for key, value in sub.items():
-            if key not in keys:
-                raise ConfigError(f"{section}.{key}", "unknown field")
-            flat[keys[key]] = from_json(hints[keys[key]], value, f"{section}.{key}")
+    if "test_fraction" in doc:
+        raise ConfigError("test_fraction", "unknown field")
+    flat = {k: v for k, v in doc.items() if k != "split"}
+    split = doc.get("split", {})
+    if not isinstance(split, dict):
+        raise ConfigError("split", "must be a JSON object")
+    for key, value in split.items():
+        if key != "test_fraction":
+            raise ConfigError(f"split.{key}", "unknown field")
+        flat[key] = from_json(float, value, f"split.{key}")
     return from_json(RunConfig, flat)
 
 
 def run_config_to_json(cfg: RunConfig) -> dict:
     doc = to_json(cfg)
-    for section, names in _SECTION_FIELDS.items():
-        doc[section] = {name.removeprefix(f"{section}_"): doc.pop(name) for name in names}
+    doc["split"] = {"test_fraction": doc.pop("test_fraction")}
     return doc
 
 

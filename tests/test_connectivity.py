@@ -1,5 +1,6 @@
 """Connectivity measures, band aggregation, and the window feature tensor."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from unittest import mock
@@ -12,6 +13,7 @@ from eegfusion.connectivity import (
     FEATURE_ORDER,
     PipelineConfig,
     band_aggregate,
+    band_features,
     build_feature_tensor,
     build_feature_tensors,
     coherence,
@@ -233,6 +235,21 @@ class TestPlv:
         assert 1.0 - 1e-6 < plv[0, 1] < 1.0
         assert plv[0, 1] == plv[1, 0]
 
+    def test_nan_channel_beside_a_duplicated_clean_one(self):
+        # the diagonal is 1 wherever a channel holds no NaN, with no sample
+        # comparison; the duplicated pair is still compared and set to 1
+        phi = np.random.default_rng(17).uniform(-np.pi, np.pi, size=(3, 128, 1))
+        phases = np.concatenate([phi, phi, phi - 0.3], axis=-1)
+        phases[1, 40, 2] = np.nan
+        u = np.exp(1j * phases)
+        with np.errstate(invalid="ignore"):
+            plv = plv_from_phases(phases)
+            assert np.array_equal(plv, reference_plv(phases), equal_nan=True)
+            assert np.array_equal(connectivity._phasor_plv(u, u), plv, equal_nan=True)
+        assert np.all(plv[:, [0, 0, 1, 1], [0, 1, 0, 1]] == 1.0)
+        assert np.isnan(plv[1, 2]).all() and np.isnan(plv[1, :, 2]).all()
+        assert np.all(plv[[0, 2], 2, 2] == 1.0)
+
     def test_nan_phases_keep_the_gram_value(self):
         # a NaN never equals itself: its channel's diagonal stays NaN, and
         # a duplicated finite channel is still exactly 1
@@ -332,6 +349,77 @@ class TestBandAggregate:
         with pytest.raises(ValueError, match="unknown measure"):
             band_aggregate(np.ones((4, 1, 1)), DEFAULT_BANDS[:1],
                            np.array([3.0, 4.0, 5.0, 6.0]), "XYZ")
+
+
+def complex_band_means(sd, sigma, bands):
+    """band_aggregate of the six complex measures, laid out as band_features."""
+    measures = (
+        sd.S, sd.P, directed_coherence(sd, sigma), coherence(sd),
+        partial_directed_coherence(sd, sigma), partial_coherence(sd),
+    )
+    return np.stack([
+        np.moveaxis(band_aggregate(vals, bands, sd.freqs, name), -3, -1)
+        for name, vals in zip(FEATURE_ORDER, measures)
+    ])
+
+
+def order_stacks(window, cfg):
+    """The fit stacks of the feature path for one window: one per order."""
+    x = filtfilt(design_bandpass(cfg.broadband, window.fs, cfg.filter_order), window.samples)
+    subs = np.stack(split_subwindows(x, cfg.subwindows))
+    orders = select_order(subs, cfg.aic_max, cfg.ridge) if cfg.aic else (cfg.order,) * len(subs)
+    return [
+        fit_mvar(subs[[t for t, q in enumerate(orders) if q == p]], p, window.fs, cfg.ridge)
+        for p in sorted(set(orders))
+    ]
+
+
+class TestBandFeatures:
+    """band_features computes the band means of the complex measures from
+    real power."""
+
+    @pytest.mark.parametrize("n_channels", [4, 19])
+    @pytest.mark.parametrize("cfg", [PipelineConfig(), PipelineConfig(aic=True)],
+                             ids=["fixed", "aic"])
+    def test_matches_band_aggregate_of_the_complex_measures(self, cfg, n_channels):
+        fs, strength = (128.0, 0.15) if n_channels == 4 else (256.0, 0.08)
+        window = coupled_windows(n_channels, fs, n_windows=1, strength=strength)[0]
+        stacks = order_stacks(window, cfg)
+        assert len(stacks) >= (2 if cfg.aic else 1)
+        for m in stacks:
+            sd = spectral_decomposition(m, cfg.n_freqs)
+            got = band_features(sd, m.Sigma, cfg.bands)
+            want = complex_band_means(sd, m.Sigma, cfg.bands)
+            assert got.shape == want.shape == (6, len(m.A), n_channels, n_channels, 5)
+            for k in range(6):
+                assert np.max(np.abs(got[k] - want[k])) <= 1e-13 * np.max(np.abs(want[k]))
+
+    @pytest.mark.parametrize("n_channels", [4, 19])
+    def test_coherence_diagonals_exactly_one_in_the_tensor(self, n_channels):
+        fs = 128.0 if n_channels == 4 else 256.0
+        window = coupled_windows(n_channels, fs, n_windows=1, strength=0.08)[0]
+        t = build_feature_tensor(window, PipelineConfig(aic=True)).values
+        for name in ("COH", "PCOH"):
+            diag = np.diagonal(t[FEATURE_ORDER.index(name)], axis1=1, axis2=2)
+            assert np.all(diag == 1.0)
+
+    def test_errors_keep_the_complex_measures_order(self):
+        sd = spectral_decomposition(zero_model(c=2), n_freqs=8)
+        no_band = (BandSpec("sliver", 63.1, 63.2),)
+        bad_s = dataclasses.replace(sd, S=-sd.S)
+        bad_p = dataclasses.replace(sd, P=-sd.P)
+        bad_both = dataclasses.replace(bad_s, P=-sd.P)
+        cases = [
+            (bad_both, np.diag([0.0, 1.0]), "innovation variance"),
+            (bad_both, np.eye(2), "in spectral matrix"),
+            (bad_p, np.eye(2), "in inverse spectral matrix"),
+            (sd, np.eye(2), "no grid frequencies"),
+        ]
+        for decomposition, sigma, message in cases:
+            with pytest.raises(ValueError, match=message):
+                band_features(decomposition, sigma, no_band)
+            with pytest.raises(ValueError, match=message):
+                complex_band_means(decomposition, sigma, no_band)
 
 
 def synthetic_window(kind="uncoupled", seed=0, n_channels=4):
@@ -435,14 +523,7 @@ def oracle_tensor(window, cfg):
         m = fit_mvar(sub, p, window.fs, cfg.ridge)
         diag.unstable_fits += not is_stable(m)
         sd = spectral_decomposition(m, cfg.n_freqs, diag)
-        measures = {
-            "SM": sd.S, "ISM": sd.P,
-            "DC": directed_coherence(sd, m.Sigma), "COH": coherence(sd),
-            "PDC": partial_directed_coherence(sd, m.Sigma), "PCOH": partial_coherence(sd),
-        }
-        for name, vals in measures.items():
-            bm = band_aggregate(vals, cfg.bands, sd.freqs, name)
-            out[FEATURE_ORDER.index(name), t] = np.moveaxis(bm, 0, -1)
+        out[:-1, t] = band_features(sd, m.Sigma, cfg.bands)
     for b, band in enumerate(cfg.bands):
         out[-1, ..., b] = oracle_plv(window, band, cfg)
     return out, diag

@@ -421,10 +421,24 @@ class TestSpectralDecomposition:
         full = spectral_decomposition(m, n_freqs=64)
         keep = np.flatnonzero((full.freqs >= 2.0) & (full.freqs < 45.0))
         assert keep.size == (43 if fs == 128.0 else 22)
-        part = spectral_decomposition(m, n_freqs=64, keep=keep)
-        assert np.array_equal(part.freqs, full.freqs[keep])
-        for name in ("Abar", "H", "S", "P"):
-            assert np.array_equal(getattr(part, name), getattr(full, name)[..., keep, :, :])
+        # a lone frequency too, which numpy would take through gemv
+        for kept in (keep, keep[:1], keep[-1:]):
+            part = spectral_decomposition(m, n_freqs=64, keep=kept)
+            assert np.array_equal(part.freqs, full.freqs[kept])
+            for name in ("Abar", "H", "S", "P"):
+                assert np.array_equal(getattr(part, name), getattr(full, name)[..., kept, :, :])
+
+    @pytest.mark.parametrize("c, fs", [(4, 128.0), (19, 256.0)])
+    def test_abar_equals_the_lag_sum(self, c, fs):
+        # A(f) is one (F, p) @ (p, C^2) product; the lag sum is its definition
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((4, int(2 * fs), c))
+        x[:, 1:] += 0.6 * x[:, :-1]
+        m = fit_mvar(x, 6, fs)
+        sd = spectral_decomposition(m, n_freqs=64)
+        phase = np.exp(-2j * np.pi * np.outer(sd.freqs, np.arange(1, 7)) / fs)
+        want = np.eye(c) - np.einsum("fk,...kij->...fij", phase, m.A.astype(complex))
+        assert np.max(np.abs(sd.Abar - want)) <= 1e-15
 
     def test_singular_abar_outside_kept_frequencies_is_not_evaluated(self):
         # unit-circle AR(2) roots at 50 Hz: Abar is singular there only
