@@ -1,4 +1,4 @@
-"""Differentiable layers over one flat float64 parameter vector.
+"""Differentiable layers over one flat parameter vector, in that vector's dtype.
 
 Every weighted layer is a stack of G branches of the same shape that runs
 in one call: activations carry a leading branch axis G ahead of the sample
@@ -8,6 +8,10 @@ any coordinate. ParamRegistry.add_stage lays a stage out branch-major (all
 of branch 0's weights, then branch 1's), so the G copies of one weight sit
 one branch stride apart. Backward passes accumulate into a flat gradient of
 the same length and return the gradient w.r.t. the layer input.
+
+Every buffer a layer allocates takes the parameter vector's dtype, and inputs
+are cast to it by the caller, so a float32 vector (training) keeps each step
+in float32 and a float64 one (a freshly drawn model) in float64.
 """
 
 from __future__ import annotations
@@ -213,18 +217,19 @@ class LSTM:
         self.gate_sign[2 * hidden : 3 * hidden] = 1.0
 
     def forward(self, theta, x, cache=None):
-        h_dim = self.hidden
+        h_dim, dtype = self.hidden, theta.dtype
         cell = slice(2 * h_dim, 3 * h_dim)
+        sign = self.gate_sign.astype(dtype)  # a float64 sign would promote every step
         seq = x
         layer_caches = []
         for wx_p, wh_p, b_p in self.layer_params:
-            wx, wh, b = (p.view(theta) * self.gate_sign for p in (wx_p, wh_p, b_p))
+            wx, wh, b = (p.view(theta) * sign for p in (wx_p, wh_p, b_p))
             b = b[:, None]
             g, m, t_len, _ = seq.shape
-            out = np.empty((g, m, t_len, h_dim))
-            h = np.zeros((g, m, h_dim))
-            c = np.zeros((g, m, h_dim))
-            hw = np.empty((g, m, 4 * h_dim))
+            out = np.empty((g, m, t_len, h_dim), dtype)
+            h = np.zeros((g, m, h_dim), dtype)
+            c = np.zeros((g, m, h_dim), dtype)
+            hw = np.empty((g, m, 4 * h_dim), dtype)
             steps = []
             with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0
                 for t in range(t_len):
@@ -252,19 +257,19 @@ class LSTM:
         return seq
 
     def backward(self, theta, grad, cache, gy):
-        h_dim = self.hidden
+        h_dim, dtype = self.hidden, theta.dtype
         for (wx_p, wh_p, b_p), lc in zip(reversed(self.layer_params), reversed(cache["layers"])):
             wx_t = wx_p.view(theta).swapaxes(1, 2)
             wh_t = wh_p.view(theta).swapaxes(1, 2)
             x, out, steps = lc["x"], lc["out"], lc["steps"]
             g, m, t_len, d = x.shape
-            gx = np.zeros((g, m, t_len, d))
-            g_wx = np.zeros((g, d, 4 * h_dim))
-            g_wh = np.zeros((g, h_dim, 4 * h_dim))
-            g_b = np.zeros((g, 4 * h_dim))
-            dh_next = np.zeros((g, m, h_dim))
-            dc_next = np.zeros((g, m, h_dim))
-            one_minus_sig = np.empty((g, m, 4 * h_dim))
+            gx = np.zeros((g, m, t_len, d), dtype)
+            g_wx = np.zeros((g, d, 4 * h_dim), dtype)
+            g_wh = np.zeros((g, h_dim, 4 * h_dim), dtype)
+            g_b = np.zeros((g, 4 * h_dim), dtype)
+            dh_next = np.zeros((g, m, h_dim), dtype)
+            dc_next = np.zeros((g, m, h_dim), dtype)
+            one_minus_sig = np.empty((g, m, 4 * h_dim), dtype)
             for t in reversed(range(t_len)):
                 sig, gc, c_prev, tc = steps[t]
                 gi, gf = sig[..., :h_dim], sig[..., h_dim : 2 * h_dim]
@@ -300,7 +305,7 @@ class AttentionPool:
     Scores e_t = v . tanh(W h_t + b); softmax over t; output is the
     weight-averaged sequence. Weights are nonnegative and sum to 1. The
     products with W and W^T run once per branch, over all M * T positions as
-    one (M T, H) @ (H, H) matmul.
+    one (M T, H) @ (H, H) matmul, and so do the scores, as one (M T, H) @ (H, 1).
     """
 
     def __init__(self, hidden: int) -> None:
@@ -313,8 +318,9 @@ class AttentionPool:
         g, h_dim = x.shape[0], x.shape[-1]
         u = x.reshape(g, -1, h_dim) @ self.W.view(theta)
         u += self.b.view(theta)[:, None]
-        u = np.tanh(u, out=u).reshape(x.shape)
-        e = (u @ self.v.view(theta)[:, None, :, None])[..., 0]
+        np.tanh(u, out=u)
+        e = (u @ self.v.view(theta)[:, :, None]).reshape(x.shape[:-1])
+        u = u.reshape(x.shape)
         e = e - e.max(axis=2, keepdims=True)
         ew = np.exp(e)
         alpha = ew / ew.sum(axis=2, keepdims=True)

@@ -173,7 +173,7 @@ class FusionModel:
     # -- forward / backward ------------------------------------------------
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.params.dtype)
         if x.ndim != 6 or x.shape[1:] != self.cfg.tensor_shape:
             raise ValueError(
                 f"input shape {x.shape} does not match (M,) + {self.cfg.tensor_shape}"
@@ -254,7 +254,7 @@ class FusionModel:
         cache = self._cache
         if cache is None:
             raise RuntimeError("backward() called without a training-mode forward pass")
-        labels = np.asarray(labels, dtype=float)
+        labels = np.asarray(labels, dtype=self.params.dtype)
         m = cache["m"]
         if labels.shape != (m,):
             raise ValueError(f"labels shape {labels.shape} != ({m},)")
@@ -308,12 +308,17 @@ class TrainConfig:
 
 
 class _Adam:
-    def __init__(self, n: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Adam over one flat parameter vector. The moments and the scratch
+    buffer take the parameters' dtype, and the hyperparameters stay Python
+    floats, which NumPy applies in the array's dtype, so a float32 vector is
+    updated in float32 throughout."""
+
+    def __init__(self, params: np.ndarray, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
-        self._buf = np.empty(n)
+        self._buf = np.empty_like(params)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """Update m, v and params in place; consumes grad as scratch.
@@ -352,15 +357,20 @@ def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list
     """Seeded mini-batch Adam training; returns the model and per-epoch history.
 
     One generator seeded with ``cfg.seed`` draws each epoch's batch order.
+    Training runs in float32: the parameters and the stacked inputs are cast
+    once, and the model keeps float32 parameters, the ones ``save_model``
+    stores.
     """
     x, y = _stack_dataset(train_ds)
+    x = x.astype(np.float32)
     n = x.shape[0]
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam(m.param_count, cfg.learning_rate)
+    m.params = m.params.astype(np.float32)
+    opt = _Adam(m.params, cfg.learning_rate)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -497,7 +507,7 @@ def load_model(path) -> tuple[FusionModel, NormStats | None]:
             f"{path}: parameter payload has {params.size} floats, "
             f"expected {m.param_count}"
         )
-    m.params = params.astype(float)
+    m.params = params.astype(np.float32)  # a writable copy, the stored weights exactly
     stats = None
     if header.get("norm_stats") is not None:
         doc, shape = header["norm_stats"], (cfg.n_features, cfg.n_bands)

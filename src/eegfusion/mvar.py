@@ -172,8 +172,9 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     coef = np.empty(rhs.shape)
     for t in range(len(gram)):
-        # gram is symmetric, so its transpose is the Fortran-ordered same matrix
-        _, coef[t], info = lapack.dposv(gram[t].T, rhs[t])
+        # gram is symmetric, so its transpose is the Fortran-ordered same matrix;
+        # the returned factor is dropped at once, not held through the next solve
+        coef[t], info = lapack.dposv(gram[t].T, rhs[t])[1:]
         if info:
             try:
                 coef[t] = np.linalg.solve(gram[t], rhs[t])

@@ -270,12 +270,17 @@ def plain_lstm(layer, theta, grad, x, gy):
     return y, gy, [lc[2] for lc in layer_caches]
 
 
-def plain_attention(layer, theta, grad, x, gy):
-    """Products with W per (branch, sample), out of place."""
+def plain_attention(layer, theta, grad, x, gy, per_sample_scores=False):
+    """Products with W per (branch, sample), out of place. The scores are one
+    (M T, H) @ (H, 1) product per branch, as the layer takes them, or with
+    ``per_sample_scores`` one (T, H) @ (H, 1) product per (branch, sample)."""
     w, b, v = layer.W.view(theta), layer.b.view(theta), layer.v.view(theta)
     g, h_dim = x.shape[0], x.shape[-1]
     u = np.tanh(x @ w[:, None] + b[:, None, None, :])
-    e = (u @ v[:, None, :, None])[..., 0]
+    if per_sample_scores:
+        e = (u @ v[:, None, :, None])[..., 0]
+    else:
+        e = (u.reshape(g, -1, h_dim) @ v[:, :, None]).reshape(u.shape[:-1])
     e = e - e.max(axis=2, keepdims=True)
     ew = np.exp(e)
     alpha = ew / ew.sum(axis=2, keepdims=True)
@@ -348,3 +353,24 @@ def test_attention_bytes_equal_the_per_sample_products(g, m):
     same_bytes(y, ref_y)
     same_bytes(grad, ref_grad)
     same_bytes(gx, ref_gx)
+
+
+@pytest.mark.parametrize("g, m", BRANCHES_AND_SAMPLES)
+def test_attention_within_4_eps_of_per_sample_scores(g, m):
+    """One score product per branch rounds differently from one gemv per
+    (branch, sample). On these inputs the scores move by at most 8.9e-16,
+    4 eps of the largest |score|, and the output, weight gradient and input
+    gradient by at most 1.8 eps of each array's largest entry; the bound is
+    4 eps of it."""
+    t_len, h_dim = 10, 16
+    layer = AttentionPool(h_dim)
+    theta, grad = stacked(layer, 90 + g + m, g)
+    rng = np.random.default_rng(100 + g + m)
+    x = rng.standard_normal((g, m, t_len, h_dim))
+    gy = rng.standard_normal((g, m, h_dim))
+    ref_grad = np.zeros_like(theta)
+    y, gx = run(layer, theta, grad, x, gy)
+    ref_y, ref_gx = plain_attention(layer, theta, ref_grad, x, gy, per_sample_scores=True)
+    for got, want in ((y, ref_y), (grad, ref_grad), (gx, ref_gx)):
+        bound = 4 * np.finfo(float).eps * np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=bound)

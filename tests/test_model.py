@@ -268,7 +268,7 @@ class TestTraining:
         m = build_fusion_model(cfg)
         before = m.params.copy()
         train(m, ds, TrainConfig(epochs=3, batch_size=4, learning_rate=0.0))
-        assert np.array_equal(m.params, before)
+        assert np.array_equal(m.params, before.astype(np.float32))  # training runs in float32
 
     def test_training_is_deterministic(self):
         cfg = self.small_cfg()
@@ -325,14 +325,22 @@ class TestTraining:
 
 class TestAdam:
     def test_in_place_step_equals_textbook_formula(self):
+        self.check_against_textbook(np.float64)
+
+    def test_in_place_step_equals_textbook_formula_in_float32(self):
+        self.check_against_textbook(np.float32)
+
+    @staticmethod
+    def check_against_textbook(dtype):
         n, lr, b1, b2, eps = 257, 1e-3, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(5)
-        opt = _Adam(n, lr)
-        params = rng.standard_normal(n)
-        theta, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        params = rng.standard_normal(n).astype(dtype)
+        opt = _Adam(params, lr)
+        theta, m, v = params.copy(), np.zeros(n, dtype), np.zeros(n, dtype)
         buffers = (opt.m, opt.v)
+        assert opt.m.dtype == opt.v.dtype == opt._buf.dtype == dtype
         for t in range(1, 51):
-            grad = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 2)
+            grad = (rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 2)).astype(dtype)
             m = b1 * m + (1.0 - b1) * grad
             v = b2 * v + (1.0 - b2) * grad * grad
             m_hat = m / (1.0 - b1**t)
@@ -343,6 +351,65 @@ class TestAdam:
             assert np.array_equal(params, theta)
             assert np.array_equal(opt.m, m)
             assert np.array_equal(opt.v, v)
+        assert params.dtype == theta.dtype == dtype
+
+
+def arrays_in(obj):
+    """Every array nested in dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from arrays_in(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from arrays_in(value)
+
+
+class TestFloat32:
+    """Training runs in float32; the layers follow the parameters' dtype."""
+
+    @pytest.mark.parametrize("scheme", [1, 2])
+    def test_training_step_makes_no_float64_array(self, scheme):
+        # NumPy 2 promotes float32 with any float64 array, so a single float64
+        # constant (such as the LSTM's gate sign) would turn the step float64
+        cfg = ModelConfig(scheme=scheme, **SMALL)
+        m = build_fusion_model(cfg)
+        ds = make_dataset(cfg)
+        m.params = m.params.astype(np.float32)
+        x = np.stack([t.values for t in ds]).astype(np.float32)
+        y = np.array([t.label for t in ds], dtype=float)
+        m.forward_batch(x, train=True)
+        grad = m.backward(y)
+        opt = _Adam(m.params, 1e-3)
+        opt.step(m.params, grad.copy())
+        arrays = [*arrays_in(m._cache), grad, opt.m, opt.v, m.params]
+        assert len(arrays) > 20
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("scheme", [1, 2, 3, 4])
+    def test_backward_matches_float64_within_1e_5(self, scheme):
+        # at the same float32 parameters and inputs the two gradients differ
+        # by at most 5.4e-7 of the float64 norm at these seeds; allow 1e-5
+        m64, x, y = fd_setup(scheme, FD_SEEDS[scheme])
+        m64.params = m64.params.astype(np.float32).astype(float)
+        x = x.astype(np.float32).astype(float)
+        m32 = build_fusion_model(m64.cfg)
+        m32.params = m64.params.astype(np.float32)
+        m64.forward_batch(x, train=True)
+        assert m64.kink_margin() > 5e-3  # no ReLU flips between the precisions
+        g64 = m64.backward(y)
+        m32.forward_batch(x, train=True)
+        g32 = m32.backward(y)
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        assert np.linalg.norm(g32 - g64) <= 1e-5 * np.linalg.norm(g64)
+
+    def test_train_returns_float32_parameters(self):
+        cfg = ModelConfig(scheme=2, **SMALL)
+        m = build_fusion_model(cfg)
+        assert m.params.dtype == np.float64  # a fresh draw stays float64
+        m, _ = train(m, make_dataset(cfg), TrainConfig(epochs=1, batch_size=4))
+        assert m.params.dtype == np.float32
 
 
 class TestMetrics:

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eegfusion.connectivity import PipelineConfig, window_chunks
+from eegfusion.connectivity import PipelineConfig, normalize_features, window_chunks
+from eegfusion.dataset import read_dataset, split_dataset, write_dataset
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec
-from eegfusion.model import ModelConfig, TrainConfig
+from eegfusion.model import THRESHOLD, ModelConfig, TrainConfig, evaluate, load_model
 from eegfusion import runner
 from eegfusion.mvar import FitDiagnostics
 from eegfusion.runner import (
@@ -361,6 +362,38 @@ class TestPipelineRun:
         (out / "dataset").write_text("in the way")
         with pytest.raises(RuntimeError, match="stage 'write_dataset' failed"):
             pipeline_run(fast_config(out))
+
+
+class TestStoredModel:
+    def test_model_file_holds_exactly_the_trained_model(self, tmp_path, monkeypatch):
+        cfg = fast_config(tmp_path / "run")
+        dataset = tmp_path / "dataset"
+        tensors = extract_tensors(study_windows(cfg), cfg.pipeline, FitDiagnostics())
+        write_dataset(tensors, dataset, cfg.pipeline, cfg.test_fraction, cfg.seed)
+        trained = []
+
+        def keep(*args):
+            model, history = real_train(*args)
+            trained.append(model)
+            return model, history
+
+        real_train = runner.train
+        monkeypatch.setattr(runner, "train", keep)
+        model_path = tmp_path / "model.bin"
+        runner.train_dataset(cfg, dataset, model_path, tmp_path / "history.json")
+        [model] = trained
+        stored, stats = load_model(model_path)
+        assert model.params.dtype == stored.params.dtype == np.float32
+        assert stored.params.tobytes() == model.params.tobytes()
+
+        train_ds, test_ds = split_dataset(*read_dataset(dataset))
+        _, normed = normalize_features(train_ds)
+        in_memory = {
+            "train": evaluate(model, normed).to_dict(),
+            "test": evaluate(model, stats.apply_many(test_ds)).to_dict(),
+            "threshold": THRESHOLD,
+        }
+        assert runner.evaluate_stored(model_path, dataset) == in_memory
 
 
 class TestRunManifest:
