@@ -343,10 +343,12 @@ class _Adam:
         params -= m_hat
 
 
-def _stack_dataset(ds) -> tuple[np.ndarray, np.ndarray]:
+def _stack_dataset(ds, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs stacked in ``dtype`` and the labels as floats. Each window
+    is cast on its own, so a float32 stack makes no float64 copy of the set."""
     if not ds:
         raise ValueError("dataset is empty")
-    x = np.stack([np.asarray(t.values, dtype=float) for t in ds])
+    x = np.stack([np.asarray(t.values, dtype=dtype) for t in ds])
     y = np.array([t.label for t in ds], dtype=float)
     if not set(np.unique(y)) <= {0.0, 1.0}:
         raise ValueError("labels must be 0 or 1")
@@ -361,8 +363,7 @@ def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list
     once, and the model keeps float32 parameters, the ones ``save_model``
     stores.
     """
-    x, y = _stack_dataset(train_ds)
-    x = x.astype(np.float32)
+    x, y = _stack_dataset(train_ds, np.float32)
     n = x.shape[0]
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
@@ -449,7 +450,7 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> Metrics:
 
 def evaluate(m: FusionModel, ds) -> Metrics:
     """Confusion metrics of eval-mode predictions at THRESHOLD."""
-    x, y = _stack_dataset(ds)
+    x, y = _stack_dataset(ds, m.params.dtype)
     preds = m.forward_batch(x) >= THRESHOLD
     actual = y.astype(bool)
     tp = int(np.sum(preds & actual))

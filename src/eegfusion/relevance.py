@@ -78,7 +78,7 @@ def _embed(m: FusionModel, ds) -> np.ndarray:
     """Eval-mode concat embeddings of every sample in ds."""
     if not ds:
         raise ValueError("dataset is empty")
-    return m.embed_batch(np.stack([np.asarray(t.values, dtype=float) for t in ds]))[1]
+    return m.embed_batch(np.stack([np.asarray(t.values, dtype=m.params.dtype) for t in ds]))[1]
 
 
 def _class_batch(m, ds, v: np.ndarray, class_label: int) -> EmbeddingBatch:

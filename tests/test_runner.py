@@ -370,14 +370,13 @@ class TestStoredModel:
         dataset = tmp_path / "dataset"
         tensors = extract_tensors(study_windows(cfg), cfg.pipeline, FitDiagnostics())
         write_dataset(tensors, dataset, cfg.pipeline, cfg.test_fraction, cfg.seed)
-        trained = []
+        real_train, trained = runner.train, []
 
         def keep(*args):
             model, history = real_train(*args)
             trained.append(model)
             return model, history
 
-        real_train = runner.train
         monkeypatch.setattr(runner, "train", keep)
         model_path = tmp_path / "model.bin"
         runner.train_dataset(cfg, dataset, model_path, tmp_path / "history.json")
