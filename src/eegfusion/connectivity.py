@@ -4,19 +4,20 @@ Seven measures per window, in this fixed order along the first tensor axis:
 
     SM    cross-spectral density S(f)
     ISM   inverse spectral matrix P(f)
-    DC    directed coherence (rows of unit power)
+    DC    directed coherence (rows summing to 1)
     COH   spectral coherence
-    PDC   partial directed coherence (rows of unit power)
+    PDC   partial directed coherence (rows summing to 1)
     PCOH  partial coherence
     PLV   phase locking value
 
-The first six come from a per-sub-window MVAR fit and are averaged over the
-frequency bins inside each rhythm band as mean |M(f)|^2, with ln(1 + x)
-compression applied to SM and ISM after averaging. The complex measures and
-:func:`band_aggregate` define them; the feature path computes the same band
-means from real power with :func:`band_features`, which forms no complex
-measure. PLV is computed in the time domain from band-filtered analytic
-phasors. The result for one 20 s window is a (7, T, C, C, B) tensor.
+The first six come from a per-sub-window MVAR fit as real powers |M(f)|^2:
+SM and ISM are |S(f)|^2 and |P(f)|^2, and :func:`directed_coherence`,
+:func:`coherence`, :func:`partial_directed_coherence` and
+:func:`partial_coherence` return the other four squared. :func:`band_aggregate`
+averages a power over the frequency bins inside each rhythm band, and SM and
+ISM are compressed with ln(1 + x) after averaging. PLV is computed in the time
+domain from band-filtered analytic phasors. The result for one 20 s window is
+a (7, T, C, C, B) tensor.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ __all__ = [
 #: Feature axis order of every window tensor.
 FEATURE_ORDER = ("SM", "ISM", "DC", "COH", "PDC", "PCOH", "PLV")
 
-#: Measures compressed with ln(1 + x) after band averaging.
-_LOG_COMPRESSED = ("SM", "ISM")
-
 
 def _diagonal_products(mat: np.ndarray, what: str) -> np.ndarray:
     """M_ii M_jj of Hermitian matrices M, whose diagonals must be positive."""
@@ -73,22 +71,28 @@ def _diagonal_products(mat: np.ndarray, what: str) -> np.ndarray:
     return d[..., :, None] * d[..., None, :]
 
 
-def _unit_diagonal(mat: np.ndarray, what: str) -> np.ndarray:
-    """M_ij / sqrt(M_ii M_jj) of Hermitian matrices M; the diagonal is exactly 1."""
-    denom = np.sqrt(_diagonal_products(mat, what))
-    # complex/complex division would round d_i/d_i on the diagonal; dividing
-    # the parts by the (positive real) denominator keeps the diagonal exact
-    return mat.real / denom + 1j * (mat.imag / denom)
+def _squared_modulus(mat: np.ndarray) -> np.ndarray:
+    """``re^2 + im^2`` of a complex array, as a new real array."""
+    out = np.square(mat.real)
+    out += np.square(mat.imag)
+    return out
 
 
 def coherence(sd: SpectralDecomposition) -> np.ndarray:
-    """Coh_ij(f) = S_ij / sqrt(S_ii S_jj); the diagonal is exactly 1."""
-    return _unit_diagonal(sd.S, "spectral matrix")
+    """Squared coherence |Coh_ij(f)|^2 = |S_ij|^2 / (S_ii S_jj), (..., F, C, C).
+    S is Hermitian, so |S_ii|^2 is the product S_ii S_ii and the diagonal is
+    exactly 1."""
+    coh = _squared_modulus(sd.S)
+    coh /= _diagonal_products(sd.S, "spectral matrix")
+    return coh
 
 
 def partial_coherence(sd: SpectralDecomposition) -> np.ndarray:
-    """PCoh_ij(f) = P_ij / sqrt(P_ii P_jj) on the inverse spectral matrix."""
-    return _unit_diagonal(sd.P, "inverse spectral matrix")
+    """Squared partial coherence |PCoh_ij(f)|^2 = |P_ij|^2 / (P_ii P_jj) on the
+    inverse spectral matrix, (..., F, C, C); the diagonal is exactly 1."""
+    pcoh = _squared_modulus(sd.P)
+    pcoh /= _diagonal_products(sd.P, "inverse spectral matrix")
+    return pcoh
 
 
 def _innovation_variance(sigma: np.ndarray) -> np.ndarray:
@@ -98,19 +102,24 @@ def _innovation_variance(sigma: np.ndarray) -> np.ndarray:
     return d
 
 
-def _unit_row_power(num: np.ndarray) -> np.ndarray:
-    """num_ij / sqrt(sum_m |num_im|^2): each row scaled to unit power."""
-    return num / np.sqrt(np.sum(np.abs(num) ** 2, axis=-1, keepdims=True))
-
-
 def directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
-    """DC_ij = s_j H_ij / sqrt(sum_m s_m^2 |H_im|^2); rows have unit power."""
-    return _unit_row_power(sd.H * np.sqrt(_innovation_variance(sigma))[..., None, None, :])
+    """Squared directed coherence |DC_ij(f)|^2 = s_j^2 |H_ij|^2 / sum_m s_m^2 |H_im|^2,
+    (..., F, C, C), s_j^2 the innovation variances; each row sums to 1."""
+    var = _innovation_variance(sigma)
+    dc = _squared_modulus(sd.H)
+    dc *= var[..., None, None, :]
+    dc /= dc.sum(axis=-1, keepdims=True)
+    return dc
 
 
 def partial_directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
-    """PDC_ij = (1/s_j) Abar_ij / sqrt(sum_m (1/s_m^2) |Abar_im|^2), unit-power rows."""
-    return _unit_row_power(sd.Abar / np.sqrt(_innovation_variance(sigma))[..., None, None, :])
+    """Squared partial directed coherence |PDC_ij(f)|^2 = s_j^-2 |Abar_ij|^2 /
+    sum_m s_m^-2 |Abar_im|^2, (..., F, C, C); each row sums to 1."""
+    var = _innovation_variance(sigma)
+    pdc = _squared_modulus(sd.Abar)
+    pdc /= var[..., None, None, :]
+    pdc /= pdc.sum(axis=-1, keepdims=True)
+    return pdc
 
 
 def plv_from_phases(phases: np.ndarray) -> np.ndarray:
@@ -188,47 +197,27 @@ def _in_band(freqs: np.ndarray, band: BandSpec) -> np.ndarray:
     return (freqs >= band.low_hz) & (freqs < band.high_hz)
 
 
-def _band_bins(freqs: np.ndarray, bands: tuple[BandSpec, ...]):
-    """Per band, its grid frequencies (a slice where they are contiguous, as
-    on an ascending grid) and their count; a band holding none is an error."""
-    for band in bands:
+def band_aggregate(
+    power: np.ndarray, bands: tuple[BandSpec, ...], freqs: np.ndarray
+) -> np.ndarray:
+    """Band means of a per-frequency power (..., n_freqs, C, C): (..., C, C, B).
+
+    A band's value is the sum over the grid frequencies inside it (a slice
+    where they are contiguous, as on an ascending grid) divided by their
+    count, so a measure that is exactly 1 at every frequency stays exactly 1.
+    Band membership is half-open, [low_hz, high_hz). A band holding no grid
+    frequency is an error: widen the grid (n_freqs) or the band.
+    """
+    out = np.empty(power.shape[:-3] + power.shape[-2:] + (len(bands),))
+    for b, band in enumerate(bands):
         idx = np.flatnonzero(_in_band(freqs, band))
         if not idx.size:
             raise ValueError(
                 f"band {band.name!r} [{band.low_hz}, {band.high_hz}] Hz contains "
                 f"no grid frequencies; increase n_freqs or widen the band"
             )
-        contiguous = idx[-1] - idx[0] == idx.size - 1
-        yield (slice(idx[0], idx[-1] + 1) if contiguous else idx), idx.size
-
-
-def band_aggregate(
-    values: np.ndarray,
-    bands: tuple[BandSpec, ...],
-    freqs: np.ndarray,
-    measure: str,
-) -> np.ndarray:
-    """Average |M(f)|^2 over the grid frequencies inside each band: (B, C, C).
-
-    ``values`` is (n_freqs, C, C), or (..., n_freqs, C, C) giving
-    (..., B, C, C). Band membership is half-open, [low_hz, high_hz). SM and
-    ISM are compressed with ln(1 + x) after averaging. A band holding no grid
-    frequency is an error: widen the grid (n_freqs) or the band.
-    """
-    if measure not in FEATURE_ORDER:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {FEATURE_ORDER}")
-    power = np.abs(np.asarray(values)) ** 2
-    out = np.empty(power.shape[:-3] + (len(bands),) + power.shape[-2:])
-    for b, (bins, count) in enumerate(_band_bins(freqs, bands)):
-        avg = power[..., bins, :, :].sum(axis=-3) / count
-        out[..., b, :, :] = np.log1p(avg) if measure in _LOG_COMPRESSED else avg
-    return out
-
-
-def _squared_modulus(mat: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``re^2 + im^2`` of a complex array, written into ``out``."""
-    np.square(mat.real, out=out)
-    out += np.square(mat.imag)
+        bins = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == idx.size - 1 else idx
+        out[..., b] = power[..., bins, :, :].sum(axis=-3) / idx.size
     return out
 
 
@@ -236,39 +225,23 @@ def band_features(
     sd: SpectralDecomposition, sigma: np.ndarray, bands: tuple[BandSpec, ...]
 ) -> np.ndarray:
     """The six MVAR band features of one fit or fit stack: (6, ..., C, C, B),
-    in FEATURE_ORDER, from real power.
+    in FEATURE_ORDER.
 
-    Equal up to rounding to :func:`band_aggregate` of each complex measure,
-    without forming one. The squared moduli ``re^2 + im^2`` of S, P, H and
-    Abar are normalized in power form, s_j^2 the innovation variances:
-
-        COH_ij = |S_ij|^2 / (S_ii S_jj),   PCOH the same on P
-        DC_ij  = s_j^2 |H_ij|^2 / sum_m s_m^2 |H_im|^2
-        PDC_ij = s_j^-2 |Abar_ij|^2 / sum_m s_m^-2 |Abar_im|^2
-
-    S and P are Hermitian, so |S_ii|^2 is the product S_ii S_ii and the unit
-    diagonals of COH and PCOH are exact. A band's value is the sum over its
-    in-band frequencies divided by their count, which keeps them exactly 1;
-    SM and ISM are compressed with ln(1 + x) after averaging. The errors are
-    those of the complex measures and of :func:`band_aggregate`, in that order.
+    The band means of |S|^2, |P|^2 and the named squared measures DC, COH,
+    PDC and PCOH, with SM and ISM compressed by ln(1 + x) after averaging.
+    Every measure is formed before any band mean, so the errors come in the
+    measures' order (innovation variance, S diagonal, P diagonal) and an
+    empty band last. The six share one :func:`band_aggregate` call: a sum per
+    band over all six costs far less than six sums of one measure each.
     """
-    var = _innovation_variance(sigma)
     power = np.empty((len(FEATURE_ORDER) - 1,) + sd.S.shape)
-    sm, ism, dc, coh, pdc, pcoh = power
-    np.divide(_squared_modulus(sd.S, sm), _diagonal_products(sd.S, "spectral matrix"), out=coh)
-    np.divide(
-        _squared_modulus(sd.P, ism), _diagonal_products(sd.P, "inverse spectral matrix"), out=pcoh
-    )
-    _squared_modulus(sd.H, dc)
-    dc *= var[..., None, None, :]
-    dc /= dc.sum(axis=-1, keepdims=True)
-    _squared_modulus(sd.Abar, pdc)
-    pdc /= var[..., None, None, :]
-    pdc /= pdc.sum(axis=-1, keepdims=True)
-
-    out = np.empty(power.shape[:-3] + power.shape[-2:] + (len(bands),))
-    for b, (bins, count) in enumerate(_band_bins(sd.freqs, bands)):
-        out[..., b] = power[..., bins, :, :].sum(axis=-3) / count
+    power[0] = _squared_modulus(sd.S)
+    power[1] = _squared_modulus(sd.P)
+    power[2] = directed_coherence(sd, sigma)
+    power[3] = coherence(sd)
+    power[4] = partial_directed_coherence(sd, sigma)
+    power[5] = partial_coherence(sd)
+    out = band_aggregate(power, bands, sd.freqs)
     np.log1p(out[:2], out=out[:2])
     return out
 
@@ -503,10 +476,11 @@ class NormStats:
 
 
 def normalize_features(train: list[WindowTensor]) -> tuple[NormStats, list[WindowTensor]]:
-    """Fit per-(feature, band) mean/std on training tensors and z-score them."""
+    """Fit per-(feature, band) mean/std on training tensors and z-score them,
+    in float64 also for float32 tensors such as a stored dataset's."""
     if not train:
         raise ValueError("cannot fit normalization on an empty training set")
-    arr = np.stack([t.values for t in train])
+    arr = np.stack([t.values for t in train], dtype=float)
     mean = arr.mean(axis=(0, 2, 3, 4))
     std = arr.std(axis=(0, 2, 3, 4))
     stats = NormStats(mean=mean, std=std)

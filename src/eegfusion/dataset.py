@@ -75,23 +75,31 @@ def write_dataset(
 
 
 def read_dataset(path) -> tuple[list[WindowTensor], dict]:
-    """Load a dataset directory (or its manifest path) back into memory."""
+    """Load a dataset directory (or its manifest path) back into memory, the
+    values as the stored float32. A manifest or window entry missing a key
+    is an error that names the manifest and the key."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME if path.is_dir() else path
     if not manifest_path.exists():
         raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != _DATASET_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != _DATASET_FORMAT:
         raise ValueError(f"{manifest_path}: not a dataset manifest")
     if manifest.get("format_version") != _DATASET_VERSION:
         raise ValueError(
             f"{manifest_path}: unsupported format version {manifest.get('format_version')!r}"
         )
+    for key in ("shape", "windows", "split"):
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: manifest has no {key!r}")
     shape = tuple(manifest["shape"])
     count = int(np.prod(shape))
     base = manifest_path.parent
     tensors = []
-    for w in manifest["windows"]:
+    for k, w in enumerate(manifest["windows"]):
+        for key in ("file", "label", "source_id"):
+            if not isinstance(w, dict) or key not in w:
+                raise ValueError(f"{manifest_path}: windows[{k}] has no {key!r}")
         blob = (base / w["file"]).read_bytes()
         values = np.frombuffer(blob, dtype="<f4")
         if values.size != count:
@@ -100,7 +108,7 @@ def read_dataset(path) -> tuple[list[WindowTensor], dict]:
             )
         tensors.append(
             WindowTensor(
-                values=values.astype(float).reshape(shape),
+                values=values.astype(np.float32).reshape(shape),  # a writable copy
                 label=int(w["label"]),
                 source_id=w["source_id"],
             )

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .connectivity import FEATURE_ORDER
-from .model import FusionModel
+from .model import FusionModel, _stack_dataset
 from .util import atomic_write_text, to_json
 
 __all__ = [
@@ -76,9 +76,7 @@ def collect_embeddings(m: FusionModel, ds, class_label: int) -> EmbeddingBatch:
 
 def _embed(m: FusionModel, ds) -> np.ndarray:
     """Eval-mode concat embeddings of every sample in ds."""
-    if not ds:
-        raise ValueError("dataset is empty")
-    return m.embed_batch(np.stack([np.asarray(t.values, dtype=m.params.dtype) for t in ds]))[1]
+    return m.embed_batch(_stack_dataset(ds, m.params.dtype)[0])[1]
 
 
 def _class_batch(m, ds, v: np.ndarray, class_label: int) -> EmbeddingBatch:

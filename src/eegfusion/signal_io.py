@@ -10,6 +10,7 @@ cross-channel coupling, which is what the connectivity features measure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -206,8 +207,11 @@ def load_annotations(path) -> AnnotationSet:
         for key in ("start_s", "end_s"):
             if not isinstance(item, dict) or key not in item:
                 raise ValueError(f"{path}: seizures[{k}] missing field {key!r}")
-            if not isinstance(item[key], (int, float)):
+            value = item[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{path}: seizures[{k}].{key} must be a number")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{path}: seizures[{k}].{key} must be finite, got {value}")
         intervals.append((item["start_s"], item["end_s"]))
     return AnnotationSet.from_intervals(intervals)
 

@@ -109,7 +109,7 @@ def test_criterion_02_row_power_normalization():
             directed_coherence(sd, model.Sigma),
             partial_directed_coherence(sd, model.Sigma),
         ):
-            rows = np.sum(np.abs(measure) ** 2, axis=-1)
+            rows = np.sum(measure, axis=-1)
             worst = max(worst, np.abs(rows - 1.0).max())
             assert np.abs(rows - 1.0).max() < 1e-6
     _pass(2, f"DC/PDC row power within {worst:.2e} of 1 on the same sweep")
@@ -140,7 +140,7 @@ def test_criterion_03_mvar_recovery_and_welch_oracle():
     sd = spectral_decomposition(m, n_freqs=64)
     ki = int(np.argmin(np.abs(sd.freqs - 12.0)))
     wi = int(np.argmin(np.abs(f_w - 12.0)))
-    model_msc = float(np.abs(coherence(sd)[ki, 0, 1]) ** 2)
+    model_msc = float(coherence(sd)[ki, 0, 1])
     diff = abs(model_msc - msc[wi])
     assert diff < 0.1
     _pass(3, f"coeff err {coeff_err:.4f} < 0.05, |Coh|^2 vs Welch diff {diff:.4f} < 0.1")
@@ -155,8 +155,8 @@ def test_criterion_04_direction_sensitivity():
         x = simulate_var(a, 4096, rng=np.random.default_rng(200 + seed))
         sd = spectral_decomposition(fit_mvar(x, 2, FS), n_freqs=64)
         m = fit_mvar(x, 2, FS)
-        dc = np.abs(directed_coherence(sd, m.Sigma)).mean(axis=0)
-        pdc = np.abs(partial_directed_coherence(sd, m.Sigma)).mean(axis=0)
+        dc = np.sqrt(directed_coherence(sd, m.Sigma)).mean(axis=0)
+        pdc = np.sqrt(partial_directed_coherence(sd, m.Sigma)).mean(axis=0)
         forward = dc[1, 0] > 0.1 and pdc[1, 0] > 0.1
         silent = dc[0, 1] < 0.05 and pdc[0, 1] < 0.05
         hits += forward and silent

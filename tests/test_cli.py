@@ -52,6 +52,13 @@ class TestExitCodes:
         assert main(["extract", "--recordings", str(ghost), "--out", str(tmp_path / "d")]) == 1
         assert "ghost.json" in capsys.readouterr().err
 
+    def test_manifest_without_shape_names_file_and_key(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"format": "eegfusion-dataset", "format_version": 2}))
+        code = main(["train", "--dataset", str(tmp_path), "--model-out", str(tmp_path / "m.bin")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {manifest}: manifest has no 'shape'\n"
+
     def test_missing_report_is_exit_1(self, tmp_path, capsys):
         code = main([
             "plot", "--report", str(tmp_path / "ghost.json"),

@@ -12,6 +12,7 @@ from scipy import signal as sig
 from eegfusion.connectivity import (
     FEATURE_ORDER,
     PipelineConfig,
+    WindowTensor,
     band_aggregate,
     band_features,
     build_feature_tensor,
@@ -77,11 +78,12 @@ class TestCoherence:
         d = np.diagonal(coh, axis1=1, axis2=2)
         assert np.array_equal(d, np.ones_like(d))
 
-    def test_bounded_and_hermitian(self):
+    def test_bounded_and_exactly_symmetric(self):
         _, sd = coupled_decomposition(seed=1)
         coh = coherence(sd)
-        assert np.abs(coh).max() <= 1 + 1e-10
-        assert np.abs(coh - coh.conj().transpose(0, 2, 1)).max() < 1e-12
+        assert coh.dtype == np.float64
+        assert coh.min() >= 0.0 and coh.max() <= 1 + 1e-10
+        assert np.array_equal(coh, coh.transpose(0, 2, 1))
 
     def test_matches_welch_msc_at_resonance(self):
         r, f0 = 0.8, 12.0
@@ -92,12 +94,12 @@ class TestCoherence:
         y = simulate_var(a, 2**17, rng=np.random.default_rng(2))
         m = fit_mvar(y, 2, FS)
         sd = spectral_decomposition(m, n_freqs=64)
-        coh = np.abs(coherence(sd)[:, 0, 1])
+        coh = coherence(sd)[:, 0, 1]
         f_w, msc = sig.coherence(y[:, 0], y[:, 1], fs=FS, nperseg=4096)
         i = int(np.argmax(coh))
         j = int(np.argmin(np.abs(f_w - sd.freqs[i])))
-        assert abs(coh[i] ** 2 - msc[j]) < 0.1
-        assert abs(coh[i] - np.sqrt(msc[j])) < 0.1
+        assert abs(coh[i] - msc[j]) < 0.1
+        assert abs(np.sqrt(coh[i]) - np.sqrt(msc[j])) < 0.1
 
 
 class TestPartialCoherence:
@@ -108,7 +110,7 @@ class TestPartialCoherence:
     def test_bounded_unit_diagonal(self):
         _, sd = coupled_decomposition(seed=3)
         pcoh = partial_coherence(sd)
-        assert np.abs(pcoh).max() <= 1 + 1e-10
+        assert pcoh.min() >= 0.0 and pcoh.max() <= 1 + 1e-10
         d = np.diagonal(pcoh, axis1=1, axis2=2)
         assert np.array_equal(d, np.ones_like(d))
 
@@ -125,8 +127,8 @@ class TestPartialCoherence:
         y = simulate_var(a, 2**15, rng=np.random.default_rng(4))
         m = fit_mvar(y, 2, FS)
         sd = spectral_decomposition(m, n_freqs=64)
-        coh_13 = np.abs(coherence(sd)[:, 2, 0])
-        pcoh_13 = np.abs(partial_coherence(sd)[:, 2, 0])
+        coh_13 = coherence(sd)[:, 2, 0]
+        pcoh_13 = partial_coherence(sd)[:, 2, 0]
         i = int(np.argmax(coh_13))
         assert pcoh_13[i] < coh_13[i]
 
@@ -135,26 +137,27 @@ class TestDirectedMeasures:
     def test_zero_model_identity_patterns(self):
         sd = spectral_decomposition(zero_model(sigma=np.diag([1.0, 4.0])), 16)
         eye = np.broadcast_to(np.eye(2), (16, 2, 2))
-        assert np.allclose(np.abs(directed_coherence(sd, np.diag([1.0, 4.0]))), eye, atol=1e-15)
-        assert np.allclose(np.abs(partial_directed_coherence(sd, np.diag([1.0, 4.0]))), eye, atol=1e-15)
+        assert np.allclose(directed_coherence(sd, np.diag([1.0, 4.0])), eye, atol=1e-15)
+        assert np.allclose(partial_directed_coherence(sd, np.diag([1.0, 4.0])), eye, atol=1e-15)
 
-    def test_rows_have_unit_power(self):
+    def test_rows_sum_to_one(self):
         m, sd = coupled_decomposition(seed=5)
         for vals in (directed_coherence(sd, m.Sigma), partial_directed_coherence(sd, m.Sigma)):
-            row_power = np.sum(np.abs(vals) ** 2, axis=-1)
+            assert vals.min() >= 0.0
+            row_power = np.sum(vals, axis=-1)
             assert np.max(np.abs(row_power - 1.0)) < 1e-6
 
     def test_direction_sensitivity_forward(self):
         m, sd = coupled_decomposition(seed=6)
-        dc = np.abs(directed_coherence(sd, m.Sigma)).mean(axis=0)
-        pdc = np.abs(partial_directed_coherence(sd, m.Sigma)).mean(axis=0)
+        dc = np.sqrt(directed_coherence(sd, m.Sigma)).mean(axis=0)
+        pdc = np.sqrt(partial_directed_coherence(sd, m.Sigma)).mean(axis=0)
         # coupling 1 -> 2: the (target 2, source 1) entry carries the flow
         assert dc[1, 0] > 0.1 and dc[0, 1] < 0.05
         assert pdc[1, 0] > 0.1 and pdc[0, 1] < 0.05
 
     def test_direction_sensitivity_reversed(self):
         m, sd = coupled_decomposition(seed=6, reverse=True)
-        dc = np.abs(directed_coherence(sd, m.Sigma)).mean(axis=0)
+        dc = np.sqrt(directed_coherence(sd, m.Sigma)).mean(axis=0)
         assert dc[0, 1] > 0.1 and dc[1, 0] < 0.05
 
     def test_zero_innovation_variance_rejected(self):
@@ -315,52 +318,102 @@ class TestPlv:
 class TestBandAggregate:
     def test_constant_measure(self):
         freqs = np.linspace(1.0, 64.0, 64)
-        values = np.full((64, 2, 2), 0.5 + 0.0j)
+        power = np.full((64, 2, 2), 0.25)
         bands = DEFAULT_BANDS
-        coh = band_aggregate(values, bands, freqs, "COH")
-        assert coh.shape == (5, 2, 2)
+        coh = band_aggregate(power, bands, freqs)
+        assert coh.shape == (2, 2, 5)
         assert np.allclose(coh, 0.25, atol=1e-15)
-        sm = band_aggregate(values, bands, freqs, "SM")
-        assert np.allclose(sm, np.log1p(0.25), atol=1e-15)
 
     def test_hand_grid_arithmetic(self):
         freqs = np.array([1.0, 5.0, 6.0, 20.0])
-        values = np.zeros((4, 1, 1), dtype=complex)
-        values[1, 0, 0] = 0.3
-        values[2, 0, 0] = 0.5
-        out = band_aggregate(values, (BandSpec("theta", 4.0, 8.0),), freqs, "COH")
+        power = np.zeros((4, 1, 1))
+        power[1, 0, 0] = 0.3**2
+        power[2, 0, 0] = 0.5**2
+        out = band_aggregate(power, (BandSpec("theta", 4.0, 8.0),), freqs)
         assert abs(out[0, 0, 0] - 0.17) < 1e-15
+
+    def test_stacked_power_keeps_its_leading_axes(self):
+        power = np.random.default_rng(18).uniform(size=(3, 4, 2, 2))
+        freqs = np.array([1.0, 5.0, 6.0, 20.0])
+        out = band_aggregate(power, (BandSpec("theta", 4.0, 8.0),), freqs)
+        assert out.shape == (3, 2, 2, 1)
+        assert np.array_equal(out[..., 0], (power[:, 1] + power[:, 2]) / 2)
 
     def test_band_membership_half_open(self):
         freqs = np.array([4.0, 8.0])
-        values = np.ones((2, 1, 1), dtype=complex)
+        values = np.ones((2, 1, 1))
         values[1] = 3.0
         # 4 Hz included at the low edge, 8 Hz excluded at the high edge
-        out = band_aggregate(values, (BandSpec("theta", 4.0, 8.0),), freqs, "COH")
+        out = band_aggregate(values, (BandSpec("theta", 4.0, 8.0),), freqs)
         assert out[0, 0, 0] == 1.0
 
     def test_empty_band_rejected(self):
         freqs = (256.0 / 2) * np.arange(1, 65) / 64
         with pytest.raises(ValueError, match="no grid frequencies"):
-            band_aggregate(np.ones((64, 1, 1)), (BandSpec("sliver", 127.9, 127.95),),
-                           freqs, "COH")
+            band_aggregate(np.ones((64, 1, 1)), (BandSpec("sliver", 127.9, 127.95),), freqs)
 
-    def test_unknown_measure_rejected(self):
-        with pytest.raises(ValueError, match="unknown measure"):
-            band_aggregate(np.ones((4, 1, 1)), DEFAULT_BANDS[:1],
-                           np.array([3.0, 4.0, 5.0, 6.0]), "XYZ")
+
+def oracle_unit_diagonal(mat, what):
+    """M_ij / sqrt(M_ii M_jj) of Hermitian matrices M, the parts divided by
+    the real denominator so that the diagonal is exactly 1."""
+    d = np.real(np.diagonal(mat, axis1=-2, axis2=-1))
+    if np.any(d <= 0):
+        raise ValueError(f"nonpositive diagonal in {what}; cannot normalize")
+    denom = np.sqrt(d[..., :, None] * d[..., None, :])
+    return mat.real / denom + 1j * (mat.imag / denom)
+
+
+def oracle_unit_row_power(num):
+    """num_ij / sqrt(sum_m |num_im|^2): each row scaled to unit power."""
+    return num / np.sqrt(np.sum(np.abs(num) ** 2, axis=-1, keepdims=True))
+
+
+def complex_measures(sd, sigma):
+    """The complex DC, COH, PDC and PCOH of their definitions, in FEATURE_ORDER:
+
+        DC_ij   = s_j H_ij / sqrt(sum_m s_m^2 |H_im|^2)
+        COH_ij  = S_ij / sqrt(S_ii S_jj)
+        PDC_ij  = (1/s_j) Abar_ij / sqrt(sum_m (1/s_m^2) |Abar_im|^2)
+        PCOH_ij = P_ij / sqrt(P_ii P_jj)
+    """
+    var = np.diagonal(np.asarray(sigma, dtype=float), axis1=-2, axis2=-1)
+    if np.any(var <= 0):
+        raise ValueError("nonpositive innovation variance; cannot normalize")
+    s = np.sqrt(var)[..., None, None, :]
+    return {
+        "DC": oracle_unit_row_power(sd.H * s),
+        "COH": oracle_unit_diagonal(sd.S, "spectral matrix"),
+        "PDC": oracle_unit_row_power(sd.Abar / s),
+        "PCOH": oracle_unit_diagonal(sd.P, "inverse spectral matrix"),
+    }
+
+
+def named_measures(sd, sigma):
+    """The package's DC, COH, PDC and PCOH, keyed as complex_measures."""
+    return {
+        "DC": directed_coherence(sd, sigma),
+        "COH": coherence(sd),
+        "PDC": partial_directed_coherence(sd, sigma),
+        "PCOH": partial_coherence(sd),
+    }
 
 
 def complex_band_means(sd, sigma, bands):
-    """band_aggregate of the six complex measures, laid out as band_features."""
-    measures = (
-        sd.S, sd.P, directed_coherence(sd, sigma), coherence(sd),
-        partial_directed_coherence(sd, sigma), partial_coherence(sd),
-    )
-    return np.stack([
-        np.moveaxis(band_aggregate(vals, bands, sd.freqs, name), -3, -1)
-        for name, vals in zip(FEATURE_ORDER, measures)
-    ])
+    """Mean |M(f)|^2 of SM, ISM and the complex measures over each band's grid
+    frequencies, ln(1 + x) for SM and ISM, laid out as band_features."""
+    measures = {"SM": sd.S, "ISM": sd.P, **complex_measures(sd, sigma)}
+    planes = []
+    for name in FEATURE_ORDER[:-1]:
+        power = np.abs(measures[name]) ** 2
+        means = []
+        for band in bands:
+            in_band = (sd.freqs >= band.low_hz) & (sd.freqs < band.high_hz)
+            if not in_band.any():
+                raise ValueError(f"band {band.name!r} contains no grid frequencies")
+            means.append(power[..., in_band, :, :].mean(axis=-3))
+        means = np.stack(means, axis=-1)
+        planes.append(np.log1p(means) if name in ("SM", "ISM") else means)
+    return np.stack(planes)
 
 
 def order_stacks(window, cfg):
@@ -374,19 +427,39 @@ def order_stacks(window, cfg):
     ]
 
 
+def feature_fits(cfg, n_channels):
+    """The fit stacks of one coupled window at C=4, fs=128 or C=19, fs=256."""
+    fs, strength = (128.0, 0.15) if n_channels == 4 else (256.0, 0.08)
+    window = coupled_windows(n_channels, fs, n_windows=1, strength=strength)[0]
+    stacks = order_stacks(window, cfg)
+    assert len(stacks) >= (2 if cfg.aic else 1)
+    return stacks
+
+
+FIT_CASES = pytest.mark.parametrize("cfg", [PipelineConfig(), PipelineConfig(aic=True)],
+                                    ids=["fixed", "aic"])
+
+
 class TestBandFeatures:
-    """band_features computes the band means of the complex measures from
-    real power."""
+    """band_features and the named measures compute the band means and the
+    squared moduli of the complex measures from real power."""
 
     @pytest.mark.parametrize("n_channels", [4, 19])
-    @pytest.mark.parametrize("cfg", [PipelineConfig(), PipelineConfig(aic=True)],
-                             ids=["fixed", "aic"])
-    def test_matches_band_aggregate_of_the_complex_measures(self, cfg, n_channels):
-        fs, strength = (128.0, 0.15) if n_channels == 4 else (256.0, 0.08)
-        window = coupled_windows(n_channels, fs, n_windows=1, strength=strength)[0]
-        stacks = order_stacks(window, cfg)
-        assert len(stacks) >= (2 if cfg.aic else 1)
-        for m in stacks:
+    @FIT_CASES
+    def test_named_measures_equal_the_squared_complex_measures(self, cfg, n_channels):
+        eps = np.finfo(float).eps
+        for m in feature_fits(cfg, n_channels):
+            sd = spectral_decomposition(m, cfg.n_freqs)
+            named = named_measures(sd, m.Sigma)
+            for name, want in complex_measures(sd, m.Sigma).items():
+                got = named[name]
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert np.max(np.abs(got - np.abs(want) ** 2)) <= 4 * eps
+
+    @pytest.mark.parametrize("n_channels", [4, 19])
+    @FIT_CASES
+    def test_matches_band_means_of_the_complex_measures(self, cfg, n_channels):
+        for m in feature_fits(cfg, n_channels):
             sd = spectral_decomposition(m, cfg.n_freqs)
             got = band_features(sd, m.Sigma, cfg.bands)
             want = complex_band_means(sd, m.Sigma, cfg.bands)
@@ -840,7 +913,6 @@ class TestNormalizeFeatures:
         assert np.max(np.abs(std[nontrivial] - 1.0)) < 1e-6
 
     def test_constant_plane_unchanged(self):
-        from eegfusion.connectivity import WindowTensor
         values = np.zeros((7, 2, 2, 2, 5))
         values[0] = 3.0
         tensors = [WindowTensor(values=values.copy(), label=i % 2, source_id=str(i))
@@ -854,6 +926,19 @@ class TestNormalizeFeatures:
         a = stats.apply_many(tensors)
         b = stats.apply_many(tensors[::-1])[::-1]
         assert np.array_equal(a[0].values, b[0].values)
+
+    def test_float32_tensors_give_the_bytes_of_their_float64_casts(self):
+        rng = np.random.default_rng(19)
+        tensors = [WindowTensor(values=rng.standard_normal((7, 2, 3, 3, 5)).astype(np.float32),
+                                label=i % 2, source_id=str(i)) for i in range(4)]
+        wide = [dataclasses.replace(t, values=t.values.astype(float)) for t in tensors]
+        stats, normed = normalize_features(tensors)
+        want_stats, want = normalize_features(wide)
+        assert stats.mean.tobytes() == want_stats.mean.tobytes()
+        assert stats.std.tobytes() == want_stats.std.tobytes()
+        for a, b in zip(normed, want):
+            assert a.values.dtype == np.float64
+            assert a.values.tobytes() == b.values.tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

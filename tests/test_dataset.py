@@ -32,6 +32,14 @@ class TestRoundTrip:
             assert back.label == orig.label
             assert back.source_id == orig.source_id
 
+    def test_values_stay_the_stored_float32(self, tmp_path):
+        tensors = make_tensors(n=2)
+        write_dataset(tensors, tmp_path, PipelineConfig())
+        loaded, _ = read_dataset(tmp_path)
+        for orig, back in zip(tensors, loaded):
+            assert back.values.dtype == np.float32 and back.values.flags.writeable
+            assert back.values.tobytes() == orig.values.astype(np.float32).tobytes()
+
     def test_float64_values_quantized_to_f32(self, tmp_path):
         t = WindowTensor(
             values=np.full((7, 2, 2, 2, 5), 0.1), label=1, source_id="w"
@@ -131,6 +139,26 @@ class TestReadErrors:
         manifest["format_version"] = 99
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="99"):
+            read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("where,key", [
+        (None, "shape"), (None, "windows"), (None, "split"),
+        (1, "file"), (1, "label"), (1, "source_id"),
+    ])
+    def test_missing_manifest_key_names_manifest_and_key(self, tmp_path, where, key):
+        write_dataset(make_tensors(n=2), tmp_path, PipelineConfig())
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        del (manifest if where is None else manifest["windows"][where])[key]
+        manifest_path.write_text(json.dumps(manifest))
+        owner = "manifest" if where is None else rf"windows\[{where}\]"
+        with pytest.raises(ValueError, match=rf"{owner} has no '{key}'") as exc:
+            read_dataset(tmp_path)
+        assert str(manifest_path) in str(exc.value)
+
+    def test_manifest_that_is_not_an_object_rejected(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_text("[]")
+        with pytest.raises(ValueError, match="not a dataset manifest"):
             read_dataset(tmp_path)
 
     def test_truncated_window_file_detected(self, tmp_path):

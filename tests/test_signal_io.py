@@ -115,8 +115,14 @@ class TestAnnotations:
             ('{"seizures": [1]}', r"seizures\[0\] missing field 'start_s'"),
             ('{"seizures": [{"start_s": 1}]}', r"seizures\[0\] missing field 'end_s'"),
             ('{"seizures": [{"start_s": 1, "end_s": "9"}]}', r"seizures\[0\].end_s must be a number"),
+            ('{"seizures": [{"start_s": 1, "end_s": 9}, {"start_s": NaN, "end_s": 30}]}',
+             r"seizures\[1\].start_s must be finite, got nan"),
+            ('{"seizures": [{"start_s": 1, "end_s": Infinity}]}',
+             r"seizures\[0\].end_s must be finite, got inf"),
+            ('{"seizures": [{"start_s": true, "end_s": 30}]}', r"seizures\[0\].start_s must be a number"),
         ],
-        ids=["json", "not_a_list", "not_an_object", "missing_end", "non_number"],
+        ids=["json", "not_a_list", "not_an_object", "missing_end", "non_number", "nan", "infinite",
+             "boolean"],
     )
     def test_malformed_file_names_file_and_field(self, tmp_path, text, message):
         p = tmp_path / "a.json"
