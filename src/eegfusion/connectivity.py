@@ -465,19 +465,22 @@ class NormStats:
     std: np.ndarray
 
     def apply(self, t: WindowTensor) -> WindowTensor:
-        """Z-score; (feature, band) cells with zero spread pass through unchanged."""
+        """Z-score in float64, returned in the tensor's dtype; (feature, band)
+        cells with zero spread pass through unchanged."""
         mean = self.mean[:, None, None, None, :]
         std = self.std[:, None, None, None, :]
         scaled = np.where(std > 0, (t.values - mean) / np.where(std > 0, std, 1.0), t.values)
-        return WindowTensor(values=scaled, label=t.label, source_id=t.source_id)
+        values = scaled.astype(t.values.dtype, copy=False)
+        return WindowTensor(values=values, label=t.label, source_id=t.source_id)
 
     def apply_many(self, tensors) -> list[WindowTensor]:
         return [self.apply(t) for t in tensors]
 
 
 def normalize_features(train: list[WindowTensor]) -> tuple[NormStats, list[WindowTensor]]:
-    """Fit per-(feature, band) mean/std on training tensors and z-score them,
-    in float64 also for float32 tensors such as a stored dataset's."""
+    """Fit per-(feature, band) mean/std on training tensors and z-score them.
+    Both run in float64 also for float32 tensors such as a stored dataset's;
+    each z-scored tensor keeps its input dtype."""
     if not train:
         raise ValueError("cannot fit normalization on an empty training set")
     arr = np.stack([t.values for t in train], dtype=float)

@@ -137,6 +137,17 @@ def _designed(band: BandSpec, fs: float, order: int) -> FilterSpec:
     return spec
 
 
+def _check_filter_length(n: int, order: int) -> int:
+    """filtfilt's padding at ``order``; ValueError unless ``n`` samples exceed it."""
+    padlen = 3 * order
+    if n <= padlen:
+        raise ValueError(
+            f"signal too short for zero-phase filtering: {n} samples, "
+            f"need more than {padlen}"
+        )
+    return padlen
+
+
 def filtfilt(f: FilterSpec, x: np.ndarray) -> np.ndarray:
     """Zero-phase filtering: forward and backward pass with edge padding.
 
@@ -149,12 +160,7 @@ def filtfilt(f: FilterSpec, x: np.ndarray) -> np.ndarray:
     padlen=3 * order)`` bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    padlen = 3 * f.order
-    if x.shape[0] <= padlen:
-        raise ValueError(
-            f"signal too short for zero-phase filtering: {x.shape[0]} samples, "
-            f"need more than {padlen}"
-        )
+    padlen = _check_filter_length(x.shape[0], f.order)
     ext = np.concatenate(
         (2 * x[:1] - x[padlen:0:-1], x, 2 * x[-1:] - x[-2 : -(padlen + 2) : -1])
     )

@@ -9,6 +9,11 @@ of branch 0's weights, then branch 1's), so the G copies of one weight sit
 one branch stride apart. Backward passes accumulate into a flat gradient of
 the same length and return the gradient w.r.t. the layer input.
 
+Dense is the one affine layer, relu(x @ W + b) over the last axis of any
+(G, ..., n_in) input. ContractLast is Dense(K, 1) without its unit output
+axis, and ContractRow is ContractLast over the row axis, so all three share
+one forward and one backward.
+
 Every buffer a layer allocates takes the parameter vector's dtype, and inputs
 are cast to it by the caller, so a float32 vector (training) keeps each step
 in float32 and a float64 one (a freshly drawn model) in float64.
@@ -51,11 +56,6 @@ class Param:
         view += value
 
 
-def _per_branch(w: np.ndarray, ndim: int) -> np.ndarray:
-    """Reshape a (G, *k) weight to broadcast over a (G, ..., *k) activation."""
-    return w.reshape(w.shape[:1] + (1,) * (ndim - w.ndim) + w.shape[1:])
-
-
 class ParamRegistry:
     """Allocates blocks of the flat parameter vector to stages of layers."""
 
@@ -90,74 +90,12 @@ class ParamRegistry:
         return theta
 
 
-class ContractRow:
-    """Learned contraction of the second-to-last axis, with ReLU.
-
-    Input (G, ..., R, K) -> output (G, ..., K): y = relu(sum_r w_r x[..., r, :] + b).
-    Collapses the row-channel axis of stacked C x C connectivity matrices.
-    """
-
-    def __init__(self, n_rows: int) -> None:
-        self.w = Param((n_rows,), fan_in=n_rows)
-        self.b = Param((1,))
-        self.params = [self.w, self.b]
-
-    def forward(self, theta, x, cache=None):
-        g, k = x.shape[0], x.shape[-1]
-        xt = x.swapaxes(-1, -2).reshape(g, -1, x.shape[-2])  # (G, ...K, R)
-        s = (xt @ self.w.view(theta)[:, :, None]).reshape(x.shape[:-2] + (k,))
-        s += _per_branch(self.b.view(theta), s.ndim)
-        if cache is not None:
-            cache["xt"], cache["s"] = xt, s
-        return np.maximum(s, 0.0)
-
-    def backward(self, theta, grad, cache, gy, input_grad=True):
-        """Accumulate the weight gradients; return the input gradient, or None
-        without ``input_grad`` (a stage's first layer, whose input is data)."""
-        gs = gy * (cache["s"] > 0)
-        g = gs.shape[0]
-        self.w.add_to(grad, (gs.reshape(g, 1, -1) @ cache["xt"])[:, 0])
-        self.b.add_to(grad, gs.reshape(g, -1).sum(axis=1, keepdims=True))
-        if not input_grad:
-            return None
-        return gs[..., None, :] * _per_branch(self.w.view(theta), gs.ndim)[..., None]
-
-
-class ContractLast:
-    """Learned contraction of the last axis, with ReLU.
-
-    Input (G, ..., K) -> output (G, ...): y = relu(x . w + b). Mixes the band
-    axis (K = B) or the feature axis (K = F) down to a scalar per position.
-    """
-
-    def __init__(self, n_in: int) -> None:
-        self.w = Param((n_in,), fan_in=n_in)
-        self.b = Param((1,))
-        self.params = [self.w, self.b]
-
-    def forward(self, theta, x, cache=None):
-        g, k = x.shape[0], x.shape[-1]
-        s = (x.reshape(g, -1, k) @ self.w.view(theta)[:, :, None]).reshape(x.shape[:-1])
-        s += _per_branch(self.b.view(theta), s.ndim)
-        if cache is not None:
-            cache["x"], cache["s"] = x, s
-        return np.maximum(s, 0.0)
-
-    def backward(self, theta, grad, cache, gy, input_grad=True):
-        """Accumulate the weight gradients; return the input gradient, or None
-        without ``input_grad`` (a stage's first layer, whose input is data)."""
-        gs = gy * (cache["s"] > 0)
-        g = gs.shape[0]
-        x = cache["x"]
-        self.w.add_to(grad, (gs.reshape(g, 1, -1) @ x.reshape(g, -1, x.shape[-1]))[:, 0])
-        self.b.add_to(grad, gs.reshape(g, -1).sum(axis=1, keepdims=True))
-        if not input_grad:
-            return None
-        return gs[..., None] * _per_branch(self.w.view(theta), gs.ndim + 1)
-
-
 class Dense:
-    """Affine map on the last axis: (G, M, n_in) -> (G, M, n_out), optional ReLU."""
+    """Affine map on the last axis, optional ReLU: (G, ..., n_in) -> (G, ..., n_out).
+
+    The axes between the branch axis and the last one are read as positions,
+    so each branch's map is one (positions, n_in) @ (n_in, n_out) product.
+    """
 
     def __init__(self, n_in: int, n_out: int, relu: bool = True) -> None:
         self.W = Param((n_in, n_out), fan_in=n_in)
@@ -166,19 +104,66 @@ class Dense:
         self.params = [self.W, self.b]
 
     def forward(self, theta, x, cache=None):
-        s = x @ self.W.view(theta) + _per_branch(self.b.view(theta), x.ndim)
+        rows = x.reshape(x.shape[0], -1, x.shape[-1])  # (G, positions, n_in)
+        s = rows @ self.W.view(theta)
+        s += self.b.view(theta)[:, None]
         y = np.maximum(s, 0.0) if self.relu else s
         if cache is not None:
-            cache["x"] = x
+            cache["x"] = rows
             if self.relu:
                 cache["s"] = s
-        return y
+        return y.reshape(x.shape[:-1] + y.shape[-1:])
 
-    def backward(self, theta, grad, cache, gy):
-        gs = gy * (cache["s"] > 0) if self.relu else gy
-        self.W.add_to(grad, cache["x"].swapaxes(1, 2) @ gs)
+    def backward(self, theta, grad, cache, gy, input_grad=True):
+        """Accumulate the weight gradients; return the input gradient, or None
+        without ``input_grad`` (a stage's first layer, whose input is data)."""
+        rows = cache["x"]
+        gs = gy.reshape(rows.shape[:2] + (-1,))
+        if self.relu:
+            gs = gs * (cache["s"] > 0)
+        self.W.add_to(grad, rows.swapaxes(1, 2) @ gs)
         self.b.add_to(grad, gs.sum(axis=1))
-        return gs @ self.W.view(theta).swapaxes(1, 2)
+        if not input_grad:
+            return None
+        gx = gs @ self.W.view(theta).swapaxes(1, 2)
+        return gx.reshape(gy.shape[:-1] + gx.shape[-1:])
+
+    # the contractions call these: a per-class tracer wraps only forward/backward
+    _affine_forward, _affine_backward = forward, backward
+
+
+class ContractLast(Dense):
+    """Learned contraction of the last axis, with ReLU: Dense(K, 1) without
+    its unit output axis.
+
+    Input (G, ..., K) -> output (G, ...): y = relu(x . W[:, 0] + b). Mixes the
+    band axis (K = B) or the feature axis (K = F) down to a scalar per position.
+    """
+
+    def __init__(self, n_in: int) -> None:
+        super().__init__(n_in, 1)
+
+    def forward(self, theta, x, cache=None):
+        return self._affine_forward(theta, x, cache)[..., 0]
+
+    def backward(self, theta, grad, cache, gy, input_grad=True):
+        return self._affine_backward(theta, grad, cache, gy[..., None], input_grad)
+
+
+class ContractRow(ContractLast):
+    """Learned contraction of the second-to-last axis, with ReLU: ContractLast
+    over the row axis.
+
+    Input (G, ..., R, K) -> output (G, ..., K): y = relu(sum_r W[r, 0] x[..., r, :] + b).
+    Collapses the row-channel axis of stacked C x C connectivity matrices.
+    """
+
+    def forward(self, theta, x, cache=None):
+        return self._affine_forward(theta, x.swapaxes(-1, -2), cache)[..., 0]
+
+    def backward(self, theta, grad, cache, gy, input_grad=True):
+        gx = self._affine_backward(theta, grad, cache, gy[..., None], input_grad)
+        return None if gx is None else gx.swapaxes(-1, -2)
 
 
 class LSTM:
@@ -334,7 +319,7 @@ class AttentionPool:
         g_alpha = (x @ gy[..., None])[..., 0]
         gx = alpha[..., None] * gy[:, :, None, :]
         ge = alpha * (g_alpha - np.sum(g_alpha * alpha, axis=2, keepdims=True))
-        ga = ge[..., None] * _per_branch(self.v.view(theta), ge.ndim + 1)  # d/du
+        ga = ge[..., None] * self.v.view(theta)[:, None, None]  # d/du
         slope = np.multiply(u, u)
         ga *= np.subtract(1.0, slope, out=slope)  # d/d(W h + b), tanh' = 1 - u^2
         ga_rows = ga.reshape(g, -1, h_dim)

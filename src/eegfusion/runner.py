@@ -31,7 +31,7 @@ from .connectivity import (
     window_chunks,
 )
 from .dataset import read_dataset, split_dataset, write_dataset
-from .dsp import design_bandpass
+from .dsp import _check_filter_length, design_bandpass
 from .model import (
     THRESHOLD,
     ModelConfig,
@@ -226,6 +226,10 @@ def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
         raise ConfigError("pipeline.broadband", str(exc)) from exc
 
     n_window = int(round(WINDOW_S * fs))
+    try:  # filtfilt runs on whole windows, never on sub-windows
+        _check_filter_length(n_window, p.filter_order)
+    except ValueError as exc:
+        raise ConfigError("pipeline.filter_order", f"{n_window}-sample windows: {exc}") from exc
     if n_window % p.subwindows != 0:
         raise ConfigError(
             "pipeline.subwindows",
@@ -240,11 +244,6 @@ def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
         raise ConfigError(
             field, f"{sub_len}-sample sub-windows of {n_channels} channels: {exc}"
         ) from exc
-    if sub_len <= 3 * p.filter_order:
-        raise ConfigError(
-            "pipeline.subwindows",
-            f"{sub_len}-sample sub-windows too short for zero-phase filtering",
-        )
 
 
 def validate_run_config(cfg: RunConfig) -> None:

@@ -373,9 +373,13 @@ class SynthSpec:
             )
         if self.noise_std <= 0:
             raise ValueError(f"noise_std must be positive, got {self.noise_std}")
-        if self.ar_freq_hz < 0 or self.ar_freq_hz > self.fs / 2:
+        if not 0 < self.ar_freq_hz < self.fs / 2:
             raise ValueError(
-                f"ar_freq_hz must lie in [0, fs/2], got {self.ar_freq_hz}"
+                f"ar_freq_hz must lie in (0, fs/2), got {self.ar_freq_hz}"
+            )
+        if self.coupling_strength < 0:
+            raise ValueError(
+                f"coupling_strength must be >= 0, got {self.coupling_strength}"
             )
 
 

@@ -510,6 +510,13 @@ class TestBuildFeatureTensor:
         assert FEATURE_ORDER == ("SM", "ISM", "DC", "COH", "PDC", "PCOH", "PLV")
         assert np.isfinite(t.values).all()
 
+    def test_ten_sample_subwindows(self):
+        # the filters run on the whole window, so sub-windows shorter than
+        # their padding still give finite features
+        t = build_feature_tensor(synthetic_window(), PipelineConfig(order=1, subwindows=256))
+        assert t.shape == (7, 256, 4, 4, 5)
+        assert np.isfinite(t.values).all()
+
     def test_uncoupled_offdiagonal_coherence_low(self):
         t = build_feature_tensor(synthetic_window(seed=1))
         coh = t.values[FEATURE_ORDER.index("COH")]
@@ -937,8 +944,8 @@ class TestNormalizeFeatures:
         assert stats.mean.tobytes() == want_stats.mean.tobytes()
         assert stats.std.tobytes() == want_stats.std.tobytes()
         for a, b in zip(normed, want):
-            assert a.values.dtype == np.float64
-            assert a.values.tobytes() == b.values.tobytes()
+            assert a.values.dtype == np.float32
+            assert a.values.tobytes() == b.values.astype(np.float32).tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

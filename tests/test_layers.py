@@ -73,11 +73,11 @@ def test_contract_row_matches_einsum_reference(m):
     gy = rng.standard_normal((G, m, t_len, k))
     y, gx = run(layer, theta, grad, x, gy)
 
-    w, b = layer.w.view(theta), layer.b.view(theta)
+    w, b = layer.W.view(theta)[..., 0], layer.b.view(theta)
     s = np.einsum("g...rk,gr->g...k", x, w) + b[:, :, None, None]
     close(y, np.maximum(s, 0.0))
     gs = gy * (s > 0)
-    close(layer.w.view(grad), np.einsum("gmtk,gmtrk->gr", gs, x))
+    close(layer.W.view(grad)[..., 0], np.einsum("gmtk,gmtrk->gr", gs, x))
     close(layer.b.view(grad), gs.sum(axis=(1, 2, 3))[:, None])
     assert np.array_equal(gx, np.einsum("g...k,gr->g...rk", gs, w))  # one product each
 
@@ -93,11 +93,11 @@ def test_contract_last_matches_einsum_reference(m, shape):
     gy = rng.standard_normal((G, m) + shape[:-1])
     y, gx = run(layer, theta, grad, x, gy)
 
-    w, b = layer.w.view(theta), layer.b.view(theta)
+    w, b = layer.W.view(theta)[..., 0], layer.b.view(theta)
     s = np.einsum("g...k,gk->g...", x, w) + b.reshape((G,) + (1,) * (gy.ndim - 1))
     close(y, np.maximum(s, 0.0))
     gs = gy * (s > 0)
-    close(layer.w.view(grad), np.einsum("gn,gnk->gk", gs.reshape(G, -1), x.reshape(G, -1, k)))
+    close(layer.W.view(grad)[..., 0], np.einsum("gn,gnk->gk", gs.reshape(G, -1), x.reshape(G, -1, k)))
     close(layer.b.view(grad), gs.reshape(G, -1).sum(axis=1, keepdims=True))
     assert np.array_equal(gx, np.einsum("g...,gk->g...k", gs, w))
 

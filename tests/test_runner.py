@@ -200,6 +200,24 @@ class TestValidation:
         cfg = RunConfig(pipeline=PipelineConfig(n_freqs=8))
         assert self.field_of(cfg) == "pipeline.bands[0]"
 
+    def test_short_subwindows_pass(self):
+        # filtfilt runs on the whole 20 s window, never on a 10-sample sub-window
+        cfg = RunConfig(
+            pipeline=PipelineConfig(order=1, subwindows=256), model=ModelConfig(subwindows=256)
+        )
+        validate_run_config(cfg)
+
+    def test_window_too_short_to_filter(self):
+        # at fs=1 a window holds 20 samples; order 8 pads 24 on each side
+        slow = PipelineConfig(
+            order=1, subwindows=1, filter_order=8,
+            bands=(BandSpec("slow", 0.1, 0.3),), broadband=BandSpec("broad", 0.05, 0.45),
+        )
+        with pytest.raises(ConfigError) as exc:
+            runner.validate_pipeline(slow, 1.0, 2)
+        assert exc.value.field == "pipeline.filter_order"
+        runner.validate_pipeline(replace(slow, filter_order=6), 1.0, 2)  # pads 18
+
     def test_non_integer_workers(self, monkeypatch):
         monkeypatch.setenv("EEGFUSION_WORKERS", "abc")
         assert self.field_of(fast_config()) == "EEGFUSION_WORKERS"

@@ -409,8 +409,14 @@ class TestSynthSpec:
             ({"ar_pole_radius": 1.0}, "ar_pole_radius must be in"),
             ({"noise_std": 0.0}, "noise_std must be positive"),
             ({"ar_freq_hz": 65.0}, "ar_freq_hz must lie in"),
+            ({"ar_freq_hz": 0.0}, r"ar_freq_hz must lie in \(0, fs/2\), got 0\.0"),
+            ({"ar_freq_hz": 64.0}, r"ar_freq_hz must lie in \(0, fs/2\), got 64\.0"),
+            ({"coupling_strength": -0.1}, "coupling_strength must be >= 0, got -0.1"),
         ],
-        ids=["kind", "n_channels", "fs", "duration_s", "ar_pole_radius", "noise_std", "ar_freq_hz"],
+        ids=[
+            "kind", "n_channels", "fs", "duration_s", "ar_pole_radius", "noise_std",
+            "ar_freq_hz", "ar_freq_hz_zero", "ar_freq_hz_nyquist", "coupling_strength",
+        ],
     )
     def test_checks_its_fields(self, over, message):
         with pytest.raises(ValueError, match=message):
