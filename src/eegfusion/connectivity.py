@@ -13,11 +13,12 @@ Seven measures per window, in this fixed order along the first tensor axis:
 The first six come from a per-sub-window MVAR fit as real powers |M(f)|^2:
 SM and ISM are |S(f)|^2 and |P(f)|^2, and :func:`directed_coherence`,
 :func:`coherence`, :func:`partial_directed_coherence` and
-:func:`partial_coherence` return the other four squared. :func:`band_aggregate`
-averages a power over the frequency bins inside each rhythm band, and SM and
-ISM are compressed with ln(1 + x) after averaging. PLV is computed in the time
-domain from band-filtered analytic phasors. The result for one 20 s window is
-a (7, T, C, C, B) tensor.
+:func:`partial_coherence` return the other four squared, each into an
+optional ``out`` buffer. :func:`band_aggregate` averages a power over the
+frequency bins inside each rhythm band, and SM and ISM are compressed with
+ln(1 + x) after averaging. PLV is computed in the time domain from
+band-filtered analytic phasors. The result for one 20 s window is a
+(7, T, C, C, B) tensor.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .mvar import (
     spectral_decomposition,
     unstable_mask,
 )
-from .signal_io import LabeledWindow, split_subwindows
+from .signal_io import LabeledWindow, _subwindow_length
 
 __all__ = [
     "FEATURE_ORDER",
@@ -71,28 +72,27 @@ def _diagonal_products(mat: np.ndarray, what: str) -> np.ndarray:
     return d[..., :, None] * d[..., None, :]
 
 
-def _squared_modulus(mat: np.ndarray) -> np.ndarray:
-    """``re^2 + im^2`` of a complex array, as a new real array."""
-    out = np.square(mat.real)
+def _squared_modulus(mat: np.ndarray, out=None) -> np.ndarray:
+    """``re^2 + im^2`` of a complex array, into ``out`` or a new real array."""
+    out = np.square(mat.real, out=out)
     out += np.square(mat.imag)
     return out
 
 
-def coherence(sd: SpectralDecomposition) -> np.ndarray:
+def coherence(sd: SpectralDecomposition, out=None, sm=None) -> np.ndarray:
     """Squared coherence |Coh_ij(f)|^2 = |S_ij|^2 / (S_ii S_jj), (..., F, C, C).
     S is Hermitian, so |S_ii|^2 is the product S_ii S_ii and the diagonal is
-    exactly 1."""
-    coh = _squared_modulus(sd.S)
-    coh /= _diagonal_products(sd.S, "spectral matrix")
-    return coh
+    exactly 1. ``sm`` is SM, |S|^2, if the caller has formed it already."""
+    sm = _squared_modulus(sd.S) if sm is None else sm
+    return np.divide(sm, _diagonal_products(sd.S, "spectral matrix"), out=out)
 
 
-def partial_coherence(sd: SpectralDecomposition) -> np.ndarray:
+def partial_coherence(sd: SpectralDecomposition, out=None, ism=None) -> np.ndarray:
     """Squared partial coherence |PCoh_ij(f)|^2 = |P_ij|^2 / (P_ii P_jj) on the
-    inverse spectral matrix, (..., F, C, C); the diagonal is exactly 1."""
-    pcoh = _squared_modulus(sd.P)
-    pcoh /= _diagonal_products(sd.P, "inverse spectral matrix")
-    return pcoh
+    inverse spectral matrix, (..., F, C, C); the diagonal is exactly 1. ``ism``
+    is ISM, |P|^2, if the caller has formed it already."""
+    ism = _squared_modulus(sd.P) if ism is None else ism
+    return np.divide(ism, _diagonal_products(sd.P, "inverse spectral matrix"), out=out)
 
 
 def _innovation_variance(sigma: np.ndarray) -> np.ndarray:
@@ -102,21 +102,21 @@ def _innovation_variance(sigma: np.ndarray) -> np.ndarray:
     return d
 
 
-def directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
+def directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray, out=None) -> np.ndarray:
     """Squared directed coherence |DC_ij(f)|^2 = s_j^2 |H_ij|^2 / sum_m s_m^2 |H_im|^2,
     (..., F, C, C), s_j^2 the innovation variances; each row sums to 1."""
     var = _innovation_variance(sigma)
-    dc = _squared_modulus(sd.H)
+    dc = _squared_modulus(sd.H, out)
     dc *= var[..., None, None, :]
     dc /= dc.sum(axis=-1, keepdims=True)
     return dc
 
 
-def partial_directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray) -> np.ndarray:
+def partial_directed_coherence(sd: SpectralDecomposition, sigma: np.ndarray, out=None) -> np.ndarray:
     """Squared partial directed coherence |PDC_ij(f)|^2 = s_j^-2 |Abar_ij|^2 /
     sum_m s_m^-2 |Abar_im|^2, (..., F, C, C); each row sums to 1."""
     var = _innovation_variance(sigma)
-    pdc = _squared_modulus(sd.Abar)
+    pdc = _squared_modulus(sd.Abar, out)
     pdc /= var[..., None, None, :]
     pdc /= pdc.sum(axis=-1, keepdims=True)
     return pdc
@@ -153,7 +153,9 @@ def _phasor_plv(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
     by_channel = np.swapaxes(columns, -1, -2)
     same = np.all(by_channel[(*lead, i)] == by_channel[(*lead, j)], axis=-1)
     plv[tuple(ix[same] for ix in pairs)] = 1.0
-    plv[..., ch, ch] = np.where(np.isnan(columns).any(axis=-2), plv[..., ch, ch], 1.0)
+    # a NaN sample makes its channel's diagonal NaN, so only then are the columns scanned
+    nan = np.isnan(plv[..., ch, ch]).any() and np.isnan(columns).any(axis=-2)
+    plv[..., ch, ch] = np.where(nan, plv[..., ch, ch], 1.0)
     return plv
 
 
@@ -175,14 +177,19 @@ def plv_matrix(
 def _subwindow_stack(x: np.ndarray, n_windows: int, n_sub: int) -> np.ndarray:
     """Sub-windows of W windows held side by side in x (N, W*C): (W*T, N/T, C).
 
-    The stack is window-major, and each sub-window keeps the layout that
-    ``np.stack(split_subwindows(...))`` gives one window's signal. The layout
-    matters for the bytes: a sum along the samples rounds differently when
-    they are not contiguous.
+    One strided copy fills the window-major stack in the layout that
+    ``np.stack(split_subwindows(...))`` gives: sample-contiguous sub-windows
+    when x is (filter output), else channel-contiguous (phasors). The layout
+    decides the bytes: sums and Gram products over the samples round
+    differently when they are not contiguous.
     """
-    return np.stack(
-        [sub for cols in np.split(x, n_windows, axis=1) for sub in split_subwindows(cols, n_sub)]
-    )
+    n, c = _subwindow_length(x.shape[0], n_sub), x.shape[1] // n_windows
+    by_channel = n > 1 and c > 1 and abs(x.strides[0]) < abs(x.strides[1])
+    stack = np.empty((n_windows * n_sub,) + ((c, n) if by_channel else (n, c)), x.dtype)
+    stack = stack.swapaxes(1, 2) if by_channel else stack
+    by_window = x.reshape(n_sub, n, n_windows, c).transpose(2, 0, 1, 3)
+    np.copyto(stack.reshape(n_windows, n_sub, n, c), by_window)
+    return stack
 
 
 def _band_plv(x: np.ndarray, band: BandSpec, n_windows: int, n_sub: int) -> np.ndarray:
@@ -217,7 +224,8 @@ def band_aggregate(
                 f"no grid frequencies; increase n_freqs or widen the band"
             )
         bins = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == idx.size - 1 else idx
-        out[..., b] = power[..., bins, :, :].sum(axis=-3) / idx.size
+        # adds the contiguous C x C planes in order: the bytes of .sum(axis=-3)
+        out[..., b] = np.einsum("...fij->...ij", power[..., bins, :, :]) / idx.size
     return out
 
 
@@ -231,16 +239,17 @@ def band_features(
     PDC and PCOH, with SM and ISM compressed by ln(1 + x) after averaging.
     Every measure is formed before any band mean, so the errors come in the
     measures' order (innovation variance, S diagonal, P diagonal) and an
-    empty band last. The six share one :func:`band_aggregate` call: a sum per
-    band over all six costs far less than six sums of one measure each.
+    empty band last. Each measure writes its slot of one buffer; COH and PCOH
+    divide the SM and ISM slots. The six share one :func:`band_aggregate`
+    call: a sum per band over all six costs far less than six of one each.
     """
     power = np.empty((len(FEATURE_ORDER) - 1,) + sd.S.shape)
-    power[0] = _squared_modulus(sd.S)
-    power[1] = _squared_modulus(sd.P)
-    power[2] = directed_coherence(sd, sigma)
-    power[3] = coherence(sd)
-    power[4] = partial_directed_coherence(sd, sigma)
-    power[5] = partial_coherence(sd)
+    _squared_modulus(sd.S, power[0])
+    _squared_modulus(sd.P, power[1])
+    directed_coherence(sd, sigma, out=power[2])
+    coherence(sd, out=power[3], sm=power[0])
+    partial_directed_coherence(sd, sigma, out=power[4])
+    partial_coherence(sd, out=power[5], ism=power[1])
     out = band_aggregate(power, bands, sd.freqs)
     np.log1p(out[:2], out=out[:2])
     return out
@@ -467,9 +476,11 @@ class NormStats:
     def apply(self, t: WindowTensor) -> WindowTensor:
         """Z-score in float64, returned in the tensor's dtype; (feature, band)
         cells with zero spread pass through unchanged."""
-        mean = self.mean[:, None, None, None, :]
-        std = self.std[:, None, None, None, :]
-        scaled = np.where(std > 0, (t.values - mean) / np.where(std > 0, std, 1.0), t.values)
+        spread = self.std > 0
+        scaled = t.values - self.mean[:, None, None, None, :]
+        scaled /= np.where(spread, self.std, 1.0)[:, None, None, None, :]
+        for f, b in zip(*np.nonzero(~spread)):
+            scaled[f, ..., b] = t.values[f, ..., b]
         values = scaled.astype(t.values.dtype, copy=False)
         return WindowTensor(values=values, label=t.label, source_id=t.source_id)
 

@@ -121,10 +121,13 @@ def design_bandpass(band: BandSpec, fs: float, order: int = 4) -> FilterSpec:
 @functools.cache
 def _designed(band: BandSpec, fs: float, order: int) -> FilterSpec:
     """The validated design, made once per (band, fs, order) and then shared."""
-    sos = np.asarray(
-        _sig.butter(order // 2, [band.low_hz, band.high_hz], btype="bandpass", fs=fs, output="sos"),
-        dtype=float,
-    )
+    # at orders of several hundred butter's gain overflows (or it raises
+    # OverflowError itself); the non-finite design is refused, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        sos = _sig.butter(order // 2, [band.low_hz, band.high_hz], btype="bandpass", fs=fs, output="sos")
+    sos = np.asarray(sos, dtype=float)
+    if not np.isfinite(sos).all():
+        raise OverflowError("the design is not finite")
     zi = _sig.sosfilt_zi(sos)
     sos.flags.writeable = zi.flags.writeable = False
     spec = FilterSpec(sos=sos, order=order, band=band, fs=fs, zi=zi)

@@ -209,8 +209,9 @@ class LSTM:
         layer_caches = []
         for wx_p, wh_p, b_p in self.layer_params:
             wx, wh, b = (p.view(theta) * sign for p in (wx_p, wh_p, b_p))
-            b = b[:, None]
             g, m, t_len, _ = seq.shape
+            # each step adds the bias as a same-shape array: a broadcast add is slower
+            b = np.repeat(b[:, None], m, axis=1)
             out = np.empty((g, m, t_len, h_dim), dtype)
             h = np.zeros((g, m, h_dim), dtype)
             c = np.zeros((g, m, h_dim), dtype)
@@ -270,7 +271,7 @@ class LSTM:
                 dz *= np.subtract(1.0, sig, out=one_minus_sig)
                 np.multiply(d_gc, 1.0 - gc * gc, out=dz[..., 2 * h_dim : 3 * h_dim])
                 g_wx += x[:, :, t].swapaxes(1, 2) @ dz
-                g_b += dz.sum(axis=1)
+                g_b += np.einsum("gmk->gk", dz)  # dz.sum(axis=1), with a long inner loop
                 gx[:, :, t] = dz @ wx_t
                 # at t = 0, h_prev = 0 adds only zeros to g_wh, which starts at
                 # +0.0 and so never holds -0.0; and no earlier step reads dh_next
@@ -324,7 +325,7 @@ class AttentionPool:
         ga *= np.subtract(1.0, slope, out=slope)  # d/d(W h + b), tanh' = 1 - u^2
         ga_rows = ga.reshape(g, -1, h_dim)
         self.W.add_to(grad, x.reshape(g, -1, h_dim).swapaxes(1, 2) @ ga_rows)
-        self.b.add_to(grad, ga.sum(axis=(1, 2)))
+        self.b.add_to(grad, np.einsum("gmth->gh", ga))  # ga.sum(axis=(1, 2)), a long inner loop
         self.v.add_to(grad, (ge.reshape(g, 1, -1) @ u.reshape(g, -1, h_dim))[:, 0])
         gx += (ga_rows @ self.W.view(theta).swapaxes(1, 2)).reshape(x.shape)
         return gx

@@ -133,32 +133,28 @@ def run_config_to_json(cfg: RunConfig) -> dict:
 
 
 def validate_synth_config(s: SynthStudyConfig) -> None:
-    """Check the synth section alone, before any recording is simulated."""
+    """Check the synth section alone, before any recording is simulated. The
+    recording fields take ``SynthSpec``'s own ranges: its error, which leads
+    with the field name, becomes that field's :class:`ConfigError`."""
     if s.n_per_class < 1:
         raise ConfigError("synth.n_per_class", f"must be >= 1, got {s.n_per_class}")
     if s.windows_per_recording < 1:
         raise ConfigError(
             "synth.windows_per_recording", f"must be >= 1, got {s.windows_per_recording}"
         )
-    if s.n_channels < 2:
-        raise ConfigError("synth.n_channels", f"need >= 2 channels, got {s.n_channels}")
-    if s.fs <= 0:
-        raise ConfigError("synth.fs", f"sampling rate must be positive, got {s.fs}")
-    if not 0.0 <= s.ar_pole_radius < 1.0:
-        raise ConfigError(
-            "synth.ar_pole_radius", f"must lie in [0, 1), got {s.ar_pole_radius}"
+    try:
+        probe = SynthSpec(
+            kind="coupled",
+            n_channels=s.n_channels,
+            fs=s.fs,
+            coupling_strength=s.coupling_strength,
+            ar_pole_radius=s.ar_pole_radius,
+            ar_freq_hz=s.ar_freq_hz,
+            noise_std=s.noise_std,
         )
-    if not 0.0 < s.ar_freq_hz < s.fs / 2:
-        raise ConfigError(
-            "synth.ar_freq_hz",
-            f"must lie in (0, {s.fs / 2}) Hz at fs={s.fs}, got {s.ar_freq_hz}",
-        )
-    if s.noise_std <= 0:
-        raise ConfigError("synth.noise_std", f"must be positive, got {s.noise_std}")
-    if s.coupling_strength < 0:
-        raise ConfigError(
-            "synth.coupling_strength", f"must be >= 0, got {s.coupling_strength}"
-        )
+    except ValueError as exc:
+        name, _, message = str(exc).partition(" ")
+        raise ConfigError(f"synth.{name}", message) from exc
     if s.guard_s < 0:
         raise ConfigError("synth.guard_s", f"must be >= 0, got {s.guard_s}")
     max_windows = int(s.duration_s // WINDOW_S)
@@ -168,15 +164,6 @@ def validate_synth_config(s: SynthStudyConfig) -> None:
             f"a {s.duration_s} s recording holds at most {max_windows} windows "
             f"of {WINDOW_S:.0f} s, requested {s.windows_per_recording}",
         )
-    probe = SynthSpec(
-        kind="coupled",
-        n_channels=s.n_channels,
-        fs=s.fs,
-        coupling_strength=s.coupling_strength,
-        ar_pole_radius=s.ar_pole_radius,
-        ar_freq_hz=s.ar_freq_hz,
-        noise_std=s.noise_std,
-    )
     radius = synth_spectral_radius(probe)
     if radius >= 1.0:
         raise ConfigError(
@@ -198,6 +185,19 @@ def _extraction_workers() -> int:
     return workers
 
 
+def _check_design(band, fs: float, filter_order: int, field: str) -> None:
+    """Design ``band``'s filter; a refused band names ``field``, and a design
+    that overflows (orders of several hundred) names the order."""
+    try:
+        design_bandpass(band, fs, filter_order)
+    except OverflowError as exc:
+        raise ConfigError(
+            "pipeline.filter_order", f"band {band.name!r}: the design overflows ({exc})"
+        ) from exc
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
 def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
     """Check the pipeline against recordings of rate ``fs`` with ``n_channels``
     channels, before any window is extracted."""
@@ -209,10 +209,7 @@ def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
                 f"band {band.name!r} high edge {band.high_hz} Hz must be below "
                 f"the Nyquist frequency {fs / 2} Hz",
             )
-        try:
-            design_bandpass(band, fs, p.filter_order)
-        except ValueError as exc:
-            raise ConfigError(f"pipeline.bands[{i}]", str(exc)) from exc
+        _check_design(band, fs, p.filter_order, f"pipeline.bands[{i}]")
         if not _in_band(freqs, band).any():
             raise ConfigError(
                 f"pipeline.bands[{i}]",
@@ -220,10 +217,7 @@ def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
                 f"grid (spacing {fs / 2 / p.n_freqs} Hz at fs={fs}); increase "
                 f"pipeline.n_freqs or widen the band",
             )
-    try:
-        design_bandpass(p.broadband, fs, p.filter_order)
-    except ValueError as exc:
-        raise ConfigError("pipeline.broadband", str(exc)) from exc
+    _check_design(p.broadband, fs, p.filter_order, "pipeline.broadband")
 
     n_window = int(round(WINDOW_S * fs))
     try:  # filtfilt runs on whole windows, never on sub-windows
@@ -411,15 +405,18 @@ def _stored(model_path, dataset):
     return model, tensors, manifest
 
 
-def evaluate_stored(model_path, dataset) -> dict:
-    """The metrics document ``{train, test, threshold}`` of a stored model."""
-    model, tensors, manifest = _stored(model_path, dataset)
+def _metrics(model, tensors, manifest) -> dict:
     train_ds, test_ds = split_dataset(tensors, manifest)
     return {
         "train": evaluate(model, train_ds).to_dict(),
         "test": evaluate(model, test_ds).to_dict(),
         "threshold": THRESHOLD,
     }
+
+
+def evaluate_stored(model_path, dataset) -> dict:
+    """The metrics document ``{train, test, threshold}`` of a stored model."""
+    return _metrics(*_stored(model_path, dataset))
 
 
 def explain_stored(model_path, dataset, config_hash: str | None = None) -> RelevanceReport:
@@ -506,16 +503,17 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
     files += ["model.bin", "history.json"]
 
     def _evaluate():
-        doc = evaluate_stored(model_path, dataset)
+        stored = _stored(model_path, dataset)  # explain reads the same z-scored windows
+        doc = _metrics(*stored)
         atomic_write_text(out / "metrics.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
         files.append("metrics.json")
-        return doc
+        return stored, doc
 
-    metrics = stage("evaluate", _evaluate)
+    (model, tensors, _), metrics = stage("evaluate", _evaluate)
     warnings = to_json(diag)
 
     def _explain():
-        report = explain_stored(model_path, dataset, cfg_hash)
+        report = relevance_report(model, tensors, cfg_hash)
         write_report_json(report, out / "relevance.json")
         write_report_csv(report, out / "relevance.csv")
         write_svg(report, out / "relevance.svg")

@@ -316,16 +316,20 @@ def extract_labeled_windows(
     return windows
 
 
-def split_subwindows(samples: np.ndarray, n_sub: int = 10) -> tuple[np.ndarray, ...]:
-    """Split samples along axis 0 into ``n_sub`` equal consecutive pieces."""
-    n = samples.shape[0]
+def _subwindow_length(n: int, n_sub: int) -> int:
+    """Samples per sub-window of an n-sample window cut into ``n_sub`` equal parts."""
     if n_sub < 1:
         raise ValueError(f"n_sub must be >= 1, got {n_sub}")
     if n % n_sub:
         raise ValueError(
             f"window of {n} samples does not divide into {n_sub} sub-windows"
         )
-    step = n // n_sub
+    return n // n_sub
+
+
+def split_subwindows(samples: np.ndarray, n_sub: int = 10) -> tuple[np.ndarray, ...]:
+    """Split samples along axis 0 into ``n_sub`` equal consecutive pieces."""
+    step = _subwindow_length(samples.shape[0], n_sub)
     return tuple(samples[t * step : (t + 1) * step] for t in range(n_sub))
 
 

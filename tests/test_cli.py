@@ -91,6 +91,19 @@ class TestEarlyValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("order", [400, 1000])
+    def test_overflowing_filter_design_is_exit_2_before_output(self, tmp_path, capsys, order):
+        # at these orders scipy's butter returns a non-finite design for some
+        # default bands and raises OverflowError for others; either names the
+        # order, not a band
+        out = tmp_path / "never"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pipeline": {"filter_order": order}}))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pipeline.filter_order: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_ill_typed_field_stops_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "never"
         doc = run_config_to_json(fast_config(out))

@@ -5,6 +5,8 @@ independently coded analog Butterworth band-pass formula evaluated at the
 bilinear-transform prewarped frequencies, which the design must match exactly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import signal as sig
@@ -85,6 +87,14 @@ class TestDesignBandpass:
     def test_nonpositive_fs_rejected(self):
         with pytest.raises(ValueError):
             design_bandpass(DEFAULT_BANDS[0], 0.0)
+
+    def test_non_finite_design_is_an_overflow(self):
+        # at band-pass order 600 butter's gain overflows to a NaN design,
+        # which a NaN pole radius would otherwise pass as stable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not warned about
+            with pytest.raises(OverflowError, match="not finite"):
+                design_bandpass(DEFAULT_BANDS[0], 128.0, order=600)
 
 
 class TestDesignCache:

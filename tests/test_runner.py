@@ -27,6 +27,7 @@ from eegfusion.runner import (
     study_windows,
     validate_run_config,
 )
+from eegfusion.signal_io import SynthSpec
 from eegfusion.util import config_hash
 
 
@@ -182,6 +183,20 @@ class TestValidation:
         cfg = fast_config()
         cfg = replace(cfg, synth=replace(cfg.synth, ar_freq_hz=20.0))
         assert self.field_of(cfg) == "synth.ar_freq_hz"
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_channels", 1), ("fs", 0.0), ("ar_pole_radius", 1.0), ("noise_std", 0.0),
+        ("ar_freq_hz", 0.0), ("coupling_strength", -0.1),
+    ])
+    def test_recording_ranges_are_synth_specs(self, name, value):
+        # one definition of each range: the config error is SynthSpec's own
+        cfg = fast_config()
+        with pytest.raises(ConfigError) as exc:
+            validate_run_config(replace(cfg, synth=replace(cfg.synth, **{name: value})))
+        assert exc.value.field == f"synth.{name}"
+        with pytest.raises(ValueError) as spec_exc:
+            SynthSpec(kind="coupled", **{name: value})
+        assert str(exc.value) == f"synth.{name}: {str(spec_exc.value).removeprefix(name + ' ')}"
 
     def test_model_dims_must_match(self):
         cfg = fast_config()
