@@ -6,11 +6,18 @@ one strided copy per sub-window stack, einsum band sums and bias-gradient
 sums, in-place z-scoring, a contiguous LSTM bias, and a PLV diagonal that
 scans for NaN only when it reads NaN. Each of those keeps the operations and
 their summation order, so no digest may move. They hold for the numpy, scipy
-and OpenBLAS builds pinned in the CI workflow; another build may round
-differently.
+and OpenBLAS builds pinned in the CI workflow, with one BLAS thread; another
+build may round differently. The C=19 clinical window's bytes also move with
+the BLAS thread count, so that digest is computed in a child process that
+pins one thread whatever the suite's own environment.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +28,6 @@ from eegfusion.connectivity import (
     PipelineConfig,
     WindowTensor,
     band_aggregate,
-    build_feature_tensor,
     build_feature_tensors,
     normalize_features,
     window_chunks,
@@ -31,14 +37,10 @@ from eegfusion.layers import LSTM, AttentionPool, ParamRegistry
 from eegfusion.model import ModelConfig, TrainConfig, build_fusion_model, train
 from eegfusion.mvar import FitDiagnostics, frequency_grid
 from eegfusion.runner import RunConfig, SynthStudyConfig, study_windows
-from eegfusion.signal_io import (
-    SynthSpec,
-    extract_labeled_windows,
-    generate_synthetic,
-    split_subwindows,
-)
+from eegfusion.signal_io import split_subwindows
 
 AIC = PipelineConfig(aic=True, aic_max=12)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def digest(*arrays) -> str:
@@ -46,6 +48,29 @@ def digest(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()[:24]
+
+
+# One C=19 clinical AIC window; prints its shape, digest and FitDiagnostics
+# counts as one JSON line. Run in a child process so that the BLAS thread
+# variables take effect before numpy loads OpenBLAS.
+CLINICAL_AIC_WINDOW = """
+import hashlib, json
+import numpy as np
+from eegfusion.connectivity import PipelineConfig, build_feature_tensor
+from eegfusion.mvar import FitDiagnostics
+from eegfusion.signal_io import SynthSpec, extract_labeled_windows, generate_synthetic
+
+spec = SynthSpec(kind="coupled", n_channels=19, fs=256.0, duration_s=40.0,
+                 coupling_strength=0.08, seed=0)
+window = extract_labeled_windows(*generate_synthetic(spec), n_nonseizure=0)[0]
+diag = FitDiagnostics()
+values = build_feature_tensor(window, PipelineConfig(aic=True, aic_max=12), diag).values
+print(json.dumps({
+    "shape": list(values.shape),
+    "digest": hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:24],
+    "diagnostics": [diag.order_cap_hits, diag.unstable_fits, diag.sigma_jitter_events],
+}))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +98,17 @@ class TestPinnedDigests:
         assert (diag.order_cap_hits, diag.unstable_fits, diag.sigma_jitter_events) == (0, 0, 0)
 
     def test_clinical_aic_window(self):
-        spec = SynthSpec(kind="coupled", n_channels=19, fs=256.0, duration_s=40.0,
-                         coupling_strength=0.08, seed=0)
-        window = extract_labeled_windows(*generate_synthetic(spec), n_nonseizure=0)[0]
-        diag = FitDiagnostics()
-        values = build_feature_tensor(window, AIC, diag).values
-        assert values.shape == (7, 10, 19, 19, 5)
-        assert digest(values) == "31de523cfd7302cd658748fb"
-        assert (diag.order_cap_hits, diag.unstable_fits, diag.sigma_jitter_events) == (0, 1, 0)
+        src = str(Path(connectivity.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.update({var: "1" for var in BLAS_THREAD_VARS})
+        out = subprocess.run(
+            [sys.executable, "-c", CLINICAL_AIC_WINDOW], env=env, capture_output=True, text=True,
+            check=True, timeout=300,
+        ).stdout
+        got = json.loads(out.splitlines()[-1])
+        assert got["shape"] == [7, 10, 19, 19, 5]
+        assert got["digest"] == "31de523cfd7302cd658748fb"
+        assert got["diagnostics"] == [0, 1, 0]
 
     @pytest.mark.parametrize("scheme, want", [
         (1, "b59f8696465388ae3651d88c"),
