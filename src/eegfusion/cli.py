@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .connectivity import PipelineConfig
 from .dataset import write_dataset
 from .mvar import FitDiagnostics
 from .plotting import write_svg
@@ -32,7 +33,7 @@ from .runner import (
     validate_synth_config,
 )
 from .signal_io import load_annotations, load_recording, save_annotations, save_recording
-from .util import atomic_write_text, to_json
+from .util import atomic_write_text, field_errors, to_json
 
 __all__ = ["main"]
 
@@ -48,18 +49,17 @@ def _load_run_config(path: str | None) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Flags win over config-file values; re-validation errors name the flag."""
+    """Flags win over config-file values; a value the section refuses names
+    its field, such as ``pipeline.order`` for ``--order 0``."""
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out_dir=args.out)
-    try:
+    with field_errors("pipeline", PipelineConfig):
         if getattr(args, "order", None) is not None:
             cfg = replace(cfg, pipeline=replace(cfg.pipeline, order=args.order))
         if getattr(args, "aic", False):
             cfg = replace(cfg, pipeline=replace(cfg.pipeline, aic=True))
-    except ValueError as exc:
-        raise ConfigError("pipeline", str(exc)) from exc
     if getattr(args, "scheme", None) is not None:  # argparse admits valid schemes only
         cfg = replace(cfg, model=replace(cfg.model, scheme=args.scheme))
     return cfg
@@ -101,13 +101,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     tensors = extract_tensors(windows, cfg.pipeline, diag)
     manifest = write_dataset(tensors, args.out, cfg.pipeline, cfg.test_fraction, cfg.seed)
     print(f"wrote {len(tensors)} window tensors to {manifest}")
-    if any(to_json(diag).values()):
-        print(
-            f"warnings: {diag.unstable_fits} unstable fits, "
-            f"{diag.sigma_jitter_events} covariance jitter events, "
-            f"{diag.order_cap_hits} AIC orders at the cap",
-            file=sys.stderr,
-        )
+    warnings = to_json(diag)  # the run_manifest.json names
+    if any(warnings.values()):
+        print("warnings: " + ", ".join(f"{k}={v}" for k, v in warnings.items()), file=sys.stderr)
     return 0
 
 

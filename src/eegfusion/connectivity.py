@@ -39,7 +39,7 @@ from .mvar import (
     spectral_decomposition,
     unstable_mask,
 )
-from .signal_io import LabeledWindow, _subwindow_length
+from .signal_io import LabeledWindow, _mean_std_in_place, _subwindow_length
 
 __all__ = [
     "FEATURE_ORDER",
@@ -204,6 +204,18 @@ def _in_band(freqs: np.ndarray, band: BandSpec) -> np.ndarray:
     return (freqs >= band.low_hz) & (freqs < band.high_hz)
 
 
+def _band_bins(freqs: np.ndarray, band: BandSpec) -> np.ndarray:
+    """Indices of the grid frequencies inside ``band``; a band holding none
+    is an error: widen the grid (n_freqs) or the band."""
+    idx = np.flatnonzero(_in_band(freqs, band))
+    if not idx.size:
+        raise ValueError(
+            f"band {band.name!r} [{band.low_hz}, {band.high_hz}] Hz contains "
+            f"no grid frequencies; increase n_freqs or widen the band"
+        )
+    return idx
+
+
 def band_aggregate(
     power: np.ndarray, bands: tuple[BandSpec, ...], freqs: np.ndarray
 ) -> np.ndarray:
@@ -212,17 +224,11 @@ def band_aggregate(
     A band's value is the sum over the grid frequencies inside it (a slice
     where they are contiguous, as on an ascending grid) divided by their
     count, so a measure that is exactly 1 at every frequency stays exactly 1.
-    Band membership is half-open, [low_hz, high_hz). A band holding no grid
-    frequency is an error: widen the grid (n_freqs) or the band.
+    Band membership is half-open, [low_hz, high_hz) (:func:`_band_bins`).
     """
     out = np.empty(power.shape[:-3] + power.shape[-2:] + (len(bands),))
     for b, band in enumerate(bands):
-        idx = np.flatnonzero(_in_band(freqs, band))
-        if not idx.size:
-            raise ValueError(
-                f"band {band.name!r} [{band.low_hz}, {band.high_hz}] Hz contains "
-                f"no grid frequencies; increase n_freqs or widen the band"
-            )
+        idx = _band_bins(freqs, band)
         bins = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == idx.size - 1 else idx
         # adds the contiguous C x C planes in order: the bytes of .sum(axis=-3)
         out[..., b] = np.einsum("...fij->...ij", power[..., bins, :, :]) / idx.size
@@ -286,7 +292,7 @@ class PipelineConfig:
         if self.subwindows < 1:
             raise ValueError(f"subwindows must be >= 1, got {self.subwindows}")
         if not self.bands:
-            raise ValueError("need at least one rhythm band")
+            raise ValueError("bands must hold at least one rhythm band")
 
 
 @dataclass
@@ -337,7 +343,7 @@ def _mvar_planes(
     fs: float,
     cfg: PipelineConfig,
     keep: np.ndarray,
-    diagnostics: FitDiagnostics | None,
+    diagnostics: FitDiagnostics,
 ) -> np.ndarray:
     """The six MVAR measures of sub-windows (T, n, C), band-averaged: (6, T, C, C, B).
 
@@ -348,8 +354,7 @@ def _mvar_planes(
     """
     if cfg.aic:
         orders = select_order(subs, cfg.aic_max, cfg.ridge)
-        if diagnostics is not None:
-            diagnostics.order_cap_hits += orders.count(cfg.aic_max)
+        diagnostics.order_cap_hits += orders.count(cfg.aic_max)
     else:
         orders = (cfg.order,) * len(subs)
     c = subs.shape[-1]
@@ -357,8 +362,7 @@ def _mvar_planes(
     for p in dict.fromkeys(orders):
         idx = [t for t, q in enumerate(orders) if q == p]
         model = fit_mvar(subs[idx], p, fs, cfg.ridge)
-        if diagnostics is not None:
-            diagnostics.unstable_fits += int(np.count_nonzero(unstable_mask(model.A)))
+        diagnostics.unstable_fits += int(np.count_nonzero(unstable_mask(model.A)))
         sd = spectral_decomposition(model, cfg.n_freqs, diagnostics, keep)
         planes[:, idx] = band_features(sd, model.Sigma, cfg.bands)
     return planes
@@ -379,9 +383,10 @@ def build_feature_tensors(
     frequency-channel-pair cells that may span windows. The tensors equal
     those of each window alone byte for byte.
 
-    When a pass fails, its sub-windows are rerun one at a time (warnings and
-    counters off) so that the error names the first failing sub-window and
-    its own message. When a chunk of several windows fails, its windows are
+    Fit health is counted into ``diagnostics``, a new one when it is None.
+    When a pass fails, its sub-windows are rerun one at a time (warnings off,
+    counters thrown away) so that the error names the first failing
+    sub-window and its own message. When a chunk of several windows fails, its windows are
     rerun one at a time the same way, so the error is the one the first
     failing window raises alone. An error that no rerun reproduces is
     raised as it was raised.
@@ -390,18 +395,18 @@ def build_feature_tensors(
     if any(w.fs != fs or w.samples.shape != shape for w in windows):
         raise ValueError("a window chunk needs one sampling rate and one sample shape")
     try:
-        return _chunk_tensors(windows, cfg, diagnostics)
+        return _chunk_tensors(windows, cfg, FitDiagnostics() if diagnostics is None else diagnostics)
     except ValueError:
         if len(windows) > 1:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 for w in windows:
-                    _chunk_tensors([w], cfg, None)
+                    _chunk_tensors([w], cfg, FitDiagnostics())
         raise
 
 
 def _chunk_tensors(
-    windows: list[LabeledWindow], cfg: PipelineConfig, diagnostics: FitDiagnostics | None
+    windows: list[LabeledWindow], cfg: PipelineConfig, diagnostics: FitDiagnostics
 ) -> list[WindowTensor]:
     fs, c = windows[0].fs, windows[0].samples.shape[1]
     n_w, t_sub = len(windows), cfg.subwindows
@@ -426,7 +431,7 @@ def _chunk_tensors(
                 warnings.simplefilter("ignore")
                 for k in range(part.start, part.stop):
                     try:
-                        _mvar_planes(subs[k : k + 1], fs, cfg, keep, None)
+                        _mvar_planes(subs[k : k + 1], fs, cfg, keep, FitDiagnostics())
                     except ValueError as first:
                         w, t = divmod(k, t_sub)
                         raise ValueError(f"window {ids[w]!r}, sub-window {t}: {first}") from first
@@ -491,11 +496,12 @@ class NormStats:
 def normalize_features(train: list[WindowTensor]) -> tuple[NormStats, list[WindowTensor]]:
     """Fit per-(feature, band) mean/std on training tensors and z-score them.
     Both run in float64 also for float32 tensors such as a stored dataset's;
-    each z-scored tensor keeps its input dtype."""
+    each z-scored tensor keeps its input dtype. The statistics are the bytes
+    of ``mean`` and ``std`` of the float64 stack, computed in the stack."""
     if not train:
         raise ValueError("cannot fit normalization on an empty training set")
-    arr = np.stack([t.values for t in train], dtype=float)
-    mean = arr.mean(axis=(0, 2, 3, 4))
-    std = arr.std(axis=(0, 2, 3, 4))
+    stack = np.stack([t.values for t in train], dtype=float)
+    mean, std = _mean_std_in_place(stack, axis=(0, 2, 3, 4))
+    del stack  # before the z-scored copies are made
     stats = NormStats(mean=mean, std=std)
     return stats, stats.apply_many(train)

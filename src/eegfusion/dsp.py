@@ -90,7 +90,7 @@ def design_bandpass(band: BandSpec, fs: float, order: int = 4) -> FilterSpec:
     Parameters
     ----------
     band : BandSpec
-        Pass band; requires ``0 < low_hz < high_hz < fs / 2``.
+        Pass band (``0 < low_hz`` by construction); requires ``high_hz < fs / 2``.
     fs : float
         Sampling rate in Hz.
     order : int
@@ -106,16 +106,19 @@ def design_bandpass(band: BandSpec, fs: float, order: int = 4) -> FilterSpec:
     """
     if fs <= 0:
         raise ValueError(f"sampling rate must be positive, got {fs}")
-    if order < 2 or order % 2 != 0:
-        raise ValueError(f"order must be even and >= 2, got {order}")
-    if band.low_hz <= 0:
-        raise ValueError(f"band {band.name!r}: low edge must be > 0 Hz")
+    _check_filter_order(order)
     if band.high_hz >= fs / 2:
         raise ValueError(
-            f"band {band.name!r}: high edge {band.high_hz} Hz must be below "
-            f"the Nyquist frequency {fs / 2} Hz"
+            f"high_hz must be below the Nyquist frequency {fs / 2} Hz, got "
+            f"{band.high_hz} in band {band.name!r}"
         )
     return _designed(band, float(fs), order)
+
+
+def _check_filter_order(order: int) -> None:
+    """The band-pass order rule of :func:`design_bandpass`: even and >= 2."""
+    if order < 2 or order % 2 != 0:
+        raise ValueError(f"order must be even and >= 2, got {order}")
 
 
 @functools.cache

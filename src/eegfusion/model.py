@@ -361,14 +361,17 @@ def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list
     One generator seeded with ``cfg.seed`` draws each epoch's batch order.
     Training runs in float32: the parameters and the stacked inputs are cast
     once, and the model keeps float32 parameters, the ones ``save_model``
-    stores.
+    stores. A batch larger than the training set is a :class:`ConfigError`
+    naming ``train.batch_size``.
     """
     x, y = _stack_dataset(train_ds, np.float32)
     n = x.shape[0]
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
     if cfg.batch_size > n:
-        raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
+        raise ConfigError(
+            "train.batch_size", f"batch_size {cfg.batch_size} exceeds the {n}-window training set"
+        )
     rng = np.random.default_rng(cfg.seed)
     m.params = m.params.astype(np.float32)
     opt = _Adam(m.params, cfg.learning_rate)

@@ -456,17 +456,16 @@ def simulate_var(
     n_samples: int,
     *,
     rng: np.random.Generator | None = None,
-    noise_cov: np.ndarray | None = None,
     innovations: np.ndarray | None = None,
     burn_in: int = 200,
 ) -> np.ndarray:
     """Simulate a VAR process, discarding an initial transient.
 
-    Either pass ``rng`` (innovations drawn as standard normal, optionally
-    colored by ``noise_cov``) or pass ``innovations`` explicitly with
-    ``n_samples + burn_in`` rows. ``a`` is one coefficient stack (p, C, C),
-    giving (n_samples, C), or R stacks (R, p, C, C) driven by innovations
-    (R, n_samples + burn_in, C), giving (R, n_samples, C) from one recursion.
+    Either pass ``rng`` (innovations drawn as standard normal) or pass
+    ``innovations`` explicitly with ``n_samples + burn_in`` rows. ``a`` is one
+    coefficient stack (p, C, C), giving (n_samples, C), or R stacks
+    (R, p, C, C) driven by innovations (R, n_samples + burn_in, C), giving
+    (R, n_samples, C) from one recursion.
 
     The recursion steps sample by sample, one product per lag, in place in
     the innovations buffer: a float64 ``innovations`` array is overwritten,
@@ -482,8 +481,6 @@ def simulate_var(
         if rng is None:
             raise ValueError("need rng when innovations are not supplied")
         y = rng.standard_normal(shape)
-        if noise_cov is not None:
-            y = y @ np.linalg.cholesky(noise_cov).T
     else:
         y = np.asarray(innovations, dtype=float)
         if y.shape != shape:

@@ -9,12 +9,13 @@ reproduces every output bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,13 @@ from .connectivity import (
     FEATURE_ORDER,
     PipelineConfig,
     WindowTensor,
-    _in_band,
+    _band_bins,
     build_feature_tensors,
     normalize_features,
     window_chunks,
 )
 from .dataset import read_dataset, split_dataset, write_dataset
-from .dsp import _check_filter_length, design_bandpass
+from .dsp import BandSpec, _check_filter_length, _check_filter_order, design_bandpass
 from .model import (
     THRESHOLD,
     ModelConfig,
@@ -48,12 +49,13 @@ from .relevance import RelevanceReport, relevance_report, write_report_csv, writ
 from .signal_io import (
     WINDOW_S,
     SynthSpec,
+    _check_stable,
+    _subwindow_length,
     extract_labeled_windows,
     generate_synthetic,
     has_nonseizure_span,
-    synth_spectral_radius,
 )
-from .util import ConfigError, atomic_write_text, config_hash, from_json, to_json
+from .util import ConfigError, atomic_write_text, config_hash, field_errors, from_json, to_json
 
 __all__ = [
     "ConfigError",
@@ -132,29 +134,23 @@ def run_config_to_json(cfg: RunConfig) -> dict:
     return doc
 
 
+def _synth_spec(s: SynthStudyConfig, kind: str, **extra) -> SynthSpec:
+    """A ``kind`` recording of the study: every field that
+    :class:`SynthStudyConfig` shares with :class:`SynthSpec`, then ``extra``."""
+    shared = {f.name: getattr(s, f.name) for f in fields(SynthSpec) if hasattr(s, f.name)}
+    return SynthSpec(kind=kind, **{**shared, **extra})
+
+
 def validate_synth_config(s: SynthStudyConfig) -> None:
     """Check the synth section alone, before any recording is simulated. The
-    recording fields take ``SynthSpec``'s own ranges: its error, which leads
-    with the field name, becomes that field's :class:`ConfigError`."""
-    if s.n_per_class < 1:
-        raise ConfigError("synth.n_per_class", f"must be >= 1, got {s.n_per_class}")
-    if s.windows_per_recording < 1:
-        raise ConfigError(
-            "synth.windows_per_recording", f"must be >= 1, got {s.windows_per_recording}"
-        )
-    try:
-        probe = SynthSpec(
-            kind="coupled",
-            n_channels=s.n_channels,
-            fs=s.fs,
-            coupling_strength=s.coupling_strength,
-            ar_pole_radius=s.ar_pole_radius,
-            ar_freq_hz=s.ar_freq_hz,
-            noise_std=s.noise_std,
-        )
-    except ValueError as exc:
-        name, _, message = str(exc).partition(" ")
-        raise ConfigError(f"synth.{name}", message) from exc
+    recording fields take the checks of a coupled recording of the study
+    (``SynthSpec``'s ranges and the stability that ``generate_synthetic``
+    requires), named by :func:`util.field_errors`."""
+    for name in ("n_per_class", "windows_per_recording"):
+        if getattr(s, name) < 1:
+            raise ConfigError(f"synth.{name}", f"must be >= 1, got {getattr(s, name)}")
+    with field_errors("synth", SynthSpec):
+        _check_stable(_synth_spec(s, "coupled"))
     if s.guard_s < 0:
         raise ConfigError("synth.guard_s", f"must be >= 0, got {s.guard_s}")
     max_windows = int(s.duration_s // WINDOW_S)
@@ -163,13 +159,6 @@ def validate_synth_config(s: SynthStudyConfig) -> None:
             "synth.windows_per_recording",
             f"a {s.duration_s} s recording holds at most {max_windows} windows "
             f"of {WINDOW_S:.0f} s, requested {s.windows_per_recording}",
-        )
-    radius = synth_spectral_radius(probe)
-    if radius >= 1.0:
-        raise ConfigError(
-            "synth.coupling_strength",
-            f"coupled process unstable (spectral radius {radius:.3f}); reduce "
-            f"coupling_strength or ar_pole_radius",
         )
 
 
@@ -185,38 +174,28 @@ def _extraction_workers() -> int:
     return workers
 
 
-def _check_design(band, fs: float, filter_order: int, field: str) -> None:
-    """Design ``band``'s filter; a refused band names ``field``, and a design
-    that overflows (orders of several hundred) names the order."""
+def _check_design(band, fs: float, filter_order: int, path: str) -> None:
+    """Design ``band``'s filter; a refused band names ``path`` or its field,
+    and a design that overflows (orders of several hundred) names the order."""
     try:
-        design_bandpass(band, fs, filter_order)
+        with field_errors(path, BandSpec):
+            design_bandpass(band, fs, filter_order)
     except OverflowError as exc:
         raise ConfigError(
             "pipeline.filter_order", f"band {band.name!r}: the design overflows ({exc})"
         ) from exc
-    except ValueError as exc:
-        raise ConfigError(field, str(exc)) from exc
 
 
 def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
     """Check the pipeline against recordings of rate ``fs`` with ``n_channels``
-    channels, before any window is extracted."""
+    channels, before any window is extracted, with the checks the stages run."""
+    with field_errors("pipeline.filter_order"):
+        _check_filter_order(p.filter_order)
     freqs = frequency_grid(fs, p.n_freqs)
     for i, band in enumerate(p.bands):
-        if band.high_hz >= fs / 2:
-            raise ConfigError(
-                f"pipeline.bands[{i}].high_hz",
-                f"band {band.name!r} high edge {band.high_hz} Hz must be below "
-                f"the Nyquist frequency {fs / 2} Hz",
-            )
         _check_design(band, fs, p.filter_order, f"pipeline.bands[{i}]")
-        if not _in_band(freqs, band).any():
-            raise ConfigError(
-                f"pipeline.bands[{i}]",
-                f"band {band.name!r} holds no frequency of the {p.n_freqs}-point "
-                f"grid (spacing {fs / 2 / p.n_freqs} Hz at fs={fs}); increase "
-                f"pipeline.n_freqs or widen the band",
-            )
+        with field_errors(f"pipeline.bands[{i}]"):
+            _band_bins(freqs, band)
     _check_design(p.broadband, fs, p.filter_order, "pipeline.broadband")
 
     n_window = int(round(WINDOW_S * fs))
@@ -224,12 +203,8 @@ def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
         _check_filter_length(n_window, p.filter_order)
     except ValueError as exc:
         raise ConfigError("pipeline.filter_order", f"{n_window}-sample windows: {exc}") from exc
-    if n_window % p.subwindows != 0:
-        raise ConfigError(
-            "pipeline.subwindows",
-            f"window of {n_window} samples not divisible into {p.subwindows} parts",
-        )
-    sub_len = n_window // p.subwindows
+    with field_errors("pipeline.subwindows"):
+        sub_len = _subwindow_length(n_window, p.subwindows)
     # the fit's own sample bound, so that no order passing here fails there
     field, order_cap = ("pipeline.aic_max", p.aic_max) if p.aic else ("pipeline.order", p.order)
     try:
@@ -252,23 +227,15 @@ def validate_run_config(cfg: RunConfig) -> None:
     p = cfg.pipeline
     validate_pipeline(p, s.fs, s.n_channels)
 
-    m = cfg.model
-    if m.n_channels != s.n_channels:
-        raise ConfigError(
-            "model.n_channels", f"must equal synth.n_channels ({s.n_channels}), got {m.n_channels}"
-        )
-    if m.subwindows != p.subwindows:
-        raise ConfigError(
-            "model.subwindows", f"must equal pipeline.subwindows ({p.subwindows}), got {m.subwindows}"
-        )
-    if m.n_bands != len(p.bands):
-        raise ConfigError(
-            "model.n_bands", f"must equal the number of bands ({len(p.bands)}), got {m.n_bands}"
-        )
-    if m.n_features != len(FEATURE_ORDER):
-        raise ConfigError(
-            "model.n_features", f"must be {len(FEATURE_ORDER)}, got {m.n_features}"
-        )
+    for name, want, source in (
+        ("n_channels", s.n_channels, "synth.n_channels"),
+        ("subwindows", p.subwindows, "pipeline.subwindows"),
+        ("n_bands", len(p.bands), "the number of bands"),
+        ("n_features", len(FEATURE_ORDER), "the number of features"),
+    ):
+        got = getattr(cfg.model, name)
+        if got != want:
+            raise ConfigError(f"model.{name}", f"must equal {source} ({want}), got {got}")
 
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError(
@@ -303,17 +270,11 @@ def study_recordings(cfg: RunConfig):
     s = cfg.synth
     for class_idx, kind in enumerate(("uncoupled", "coupled")):
         for i in range(s.n_per_class):
-            spec = SynthSpec(
-                kind=kind,
-                n_channels=s.n_channels,
-                fs=s.fs,
-                duration_s=s.duration_s,
+            spec = _synth_spec(
+                s,
+                kind,
                 coupling_strength=s.coupling_strength if kind == "coupled" else 0.0,
                 seed=derive_seed(cfg.seed, class_idx, i),
-                ar_pole_radius=s.ar_pole_radius,
-                ar_freq_hz=s.ar_freq_hz,
-                noise_std=s.noise_std,
-                match_power=s.match_power,
                 rec_id=f"{kind}-{i:02d}",
             )
             yield (kind, *generate_synthetic(spec))
@@ -360,18 +321,19 @@ def extract_tensors(
 
     Windows are extracted in chunks (:func:`window_chunks`). Extraction is
     pure per chunk, so the EEGFUSION_WORKERS env var may fan the chunks out
-    over processes; results keep the input order either way.
+    over processes; results keep the input order either way, and each
+    chunk's fit health is merged into ``diagnostics`` in chunk order.
     """
-    chunks = window_chunks(windows)
-    workers = _extraction_workers()
-    if workers == 1 or len(chunks) < 2:
-        return [t for chunk in chunks for t in build_feature_tensors(chunk, pcfg, diagnostics)]
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        results = list(pool.map(_extract_chunk, [(c, pcfg) for c in chunks], chunksize=1))
-    for _, diag in results:
-        if diagnostics is not None:
+    diagnostics = FitDiagnostics() if diagnostics is None else diagnostics
+    jobs = [(chunk, pcfg) for chunk in window_chunks(windows)]
+    workers = min(_extraction_workers(), len(jobs))
+    tensors = []
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        results = pool.map(_extract_chunk, jobs, chunksize=1) if pool else map(_extract_chunk, jobs)
+        for chunk_tensors, diag in results:
             diagnostics.merge(diag)
-    return [tensor for tensors, _ in results for tensor in tensors]
+            tensors += chunk_tensors
+    return tensors
 
 
 def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dict]:
@@ -382,11 +344,6 @@ def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dic
     """
     tensors, manifest = read_dataset(dataset)
     train_ds, _ = split_dataset(tensors, manifest)
-    if cfg.train.batch_size > len(train_ds):
-        raise ConfigError(
-            "train.batch_size",
-            f"batch_size {cfg.train.batch_size} exceeds the {len(train_ds)}-window training set",
-        )
     stats, normed = normalize_features(train_ds)
     f, t, c, _, b = tensors[0].shape
     mcfg = replace(cfg.model, n_features=f, subwindows=t, n_channels=c, n_bands=b)
@@ -432,6 +389,8 @@ class RunManifest:
     config_hash: str
     seed: int
     versions: dict
+    #: the BLAS thread variables, each as set or None, and ``os.cpu_count()``
+    threads: dict
     warnings: dict
     timing_s: dict
     files: list[str]
@@ -456,6 +415,13 @@ def _versions() -> dict:
         "scipy": scipy.__version__,
         "eegfusion": __version__,
     }
+
+
+def _threads() -> dict:
+    """The settings the bytes of C=19 AIC features depend on: they differ
+    between one and two OpenBLAS threads (the C=4 desk features do not)."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {**{n: os.environ.get(n) for n in names}, "cpu_count": os.cpu_count()}
 
 
 def pipeline_run(cfg: RunConfig) -> RunManifest:
@@ -528,6 +494,7 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
         config_hash=cfg_hash,
         seed=cfg.seed,
         versions=_versions(),
+        threads=_threads(),
         warnings=warnings,
         timing_s=timing,
         files=files,

@@ -412,6 +412,16 @@ def synth_spectral_radius(spec: SynthSpec) -> float:
     return float(companion_radius(_synth_coefficients(spec, spec.kind == "coupled")))
 
 
+def _check_stable(spec: SynthSpec) -> None:
+    """ValueError unless ``spec``'s process is stable (spectral radius < 1)."""
+    radius = synth_spectral_radius(spec)
+    if radius >= 1.0:
+        raise ValueError(
+            f"coupling_strength makes the process unstable (spectral radius "
+            f"{radius:.3f}); reduce coupling_strength or ar_pole_radius"
+        )
+
+
 def _innovations(spec: SynthSpec, n_rows: int) -> np.ndarray:
     e = np.empty((n_rows, spec.n_channels))
     np.random.default_rng(spec.seed).standard_normal(out=e)
@@ -419,15 +429,17 @@ def _innovations(spec: SynthSpec, n_rows: int) -> np.ndarray:
     return e
 
 
-def _std_in_place(y: np.ndarray) -> np.ndarray:
-    """``y.std(axis=0)`` bit for bit, computed in y's own buffer, which it overwrites."""
-    mean = y.sum(axis=0, keepdims=True)
-    mean /= y.shape[0]
+def _mean_std_in_place(y: np.ndarray, axis=0) -> tuple[np.ndarray, np.ndarray]:
+    """``y.mean(axis)`` and ``y.std(axis)`` bit for bit: the operations of
+    numpy's own, computed in y's buffer, which they overwrite."""
+    mean = y.sum(axis=axis, keepdims=True)
+    n = y.size // mean.size
+    mean /= n
     y -= mean
     np.square(y, out=y)
-    var = y.sum(axis=0)
-    var /= y.shape[0]
-    return np.sqrt(var, out=var)
+    var = y.sum(axis=axis)
+    var /= n
+    return mean.reshape(var.shape), np.sqrt(var, out=var)
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[Recording, AnnotationSet]:
@@ -445,12 +457,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Recording, AnnotationSet]:
     innovations; its standard deviation is taken in its own buffer, which is
     then dropped, and the coupled samples are scaled in place.
     """
-    radius = synth_spectral_radius(spec)
-    if radius >= 1.0:
-        raise ValueError(
-            f"synthetic process unstable (spectral radius {radius:.3f}); "
-            f"reduce coupling_strength or ar_pole_radius"
-        )
+    _check_stable(spec)
     burn = 500
     e = _innovations(spec, int(round(spec.duration_s * spec.fs)) + burn)
     a1, a2 = _ar2(spec)
@@ -459,7 +466,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Recording, AnnotationSet]:
         y = lfilter([1.0], uncoupled, e, axis=0)
     else:
         if spec.match_power:
-            twin_std = _std_in_place(lfilter([1.0], uncoupled, e, axis=0)[burn:])
+            _, twin_std = _mean_std_in_place(lfilter([1.0], uncoupled, e, axis=0)[burn:])
         modes = np.fft.rfft(e, axis=1)
         shift = np.exp(-2j * np.pi * np.arange(modes.shape[1]) / spec.n_channels)
         for k, lag1 in enumerate(a1 + spec.coupling_strength * shift):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -18,6 +19,7 @@ __all__ = [
     "atomic_write_text",
     "to_json",
     "from_json",
+    "field_errors",
 ]
 
 
@@ -74,7 +76,7 @@ def from_json(tp, doc, path: str = ""):
     round trip. NaN and infinities, which Python's JSON parser
     accepts, do not pass for a number. Each error is a :class:`ConfigError`
     naming the dotted path below ``path``, such as ``pipeline.bands[0].low_hz``;
-    a ``ValueError`` from a dataclass's own checks names that dataclass's path.
+    a ``ValueError`` from a dataclass's own checks is named by :func:`field_errors`.
     """
     where = path or "<root>"
     if dataclasses.is_dataclass(tp):
@@ -91,10 +93,8 @@ def from_json(tp, doc, path: str = ""):
             if required and name not in doc:
                 raise ConfigError(prefix + name, "required field is missing")
         kwargs = {key: from_json(hints[key], value, prefix + key) for key, value in doc.items()}
-        try:
+        with field_errors(path, tp):
             return tp(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(where, str(exc)) from exc
     if typing.get_origin(tp) is tuple:
         if not isinstance(doc, list):
             raise ConfigError(where, "must be a list")
@@ -107,3 +107,20 @@ def from_json(tp, doc, path: str = ""):
     if bad or (tp is float and not math.isfinite(doc)):
         raise ConfigError(where, f"must be {_SCALARS[tp]}, got {doc!r}")
     return doc
+
+
+@contextlib.contextmanager
+def field_errors(path: str, tp=None):
+    """Run a check of the config entry at ``path``: a ``ValueError`` it
+    raises becomes a :class:`ConfigError`. When the check is dataclass
+    ``tp``'s own, a message that leads with one of ``tp``'s field names, such
+    as "order must be >= 1, got 0", names that field below ``path``
+    (``pipeline.order: must be >= 1, got 0``); any other message names
+    ``path`` itself."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if tp is not None and rest and name in {f.name for f in dataclasses.fields(tp)}:
+            raise ConfigError(f"{path}.{name}" if path else name, rest) from exc
+        raise ConfigError(path or "<root>", str(exc)) from exc

@@ -104,6 +104,22 @@ class TestEarlyValidation:
         assert err.startswith("config error: pipeline.filter_order: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_odd_filter_order_names_the_field_before_output(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pipeline": {"filter_order": 3}}))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: pipeline.filter_order: order must be even and >= 2, got 3\n"
+        )
+        assert not out.exists()
+
+    def test_refused_order_flag_names_the_field(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(["run", "--order", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: pipeline.order: must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_ill_typed_field_stops_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "never"
         doc = run_config_to_json(fast_config(out))
@@ -319,7 +335,7 @@ class TestSubcommandChain:
             "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
             "--out", str(tmp_path / "ds"), "--config", cfg_path,
         ]) == 0
-        assert f"{hits} AIC orders at the cap" in capsys.readouterr().err
+        assert f"order_cap_hits={hits}" in capsys.readouterr().err
 
     def test_eval_prints_the_run_metrics_file(self, tmp_path, capsys):
         run = tmp_path / "run"

@@ -966,12 +966,13 @@ def test_pipeline_config_json_round_trip():
         ("n_freqs", 0, "n_freqs must be >= 1"),
         ("ridge", -1e-4, "ridge must be >= 0"),
         ("subwindows", 0, "subwindows must be >= 1"),
-        ("bands", [], "need at least one rhythm band"),
+        ("bands", [], "bands must hold at least one rhythm band"),
     ],
 )
 def test_pipeline_config_checks_its_fields(field, value, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as spec_exc:
         PipelineConfig(**{field: tuple(value) if field == "bands" else value})
-    with pytest.raises(ConfigError, match=message) as exc:
+    with pytest.raises(ConfigError) as exc:
         run_config_from_json({"pipeline": {field: value}})
-    assert exc.value.field == "pipeline"
+    assert exc.value.field == f"pipeline.{field}"
+    assert str(exc.value) == f"pipeline.{field}: {str(spec_exc.value).removeprefix(field + ' ')}"

@@ -469,9 +469,3 @@ class TestSimulateVar:
     def test_explicit_innovations_shape_checked(self):
         with pytest.raises(ValueError, match="innovations shape"):
             simulate_var(stable_var2_coeffs(), 100, innovations=np.zeros((50, 2)))
-
-    def test_noise_cov_colors_innovations(self):
-        a = np.zeros((1, 2, 2))
-        cov = np.array([[2.0, 1.2], [1.2, 1.5]])
-        y = simulate_var(a, 2**16, rng=np.random.default_rng(11), noise_cov=cov)
-        assert np.max(np.abs(np.cov(y.T) - cov)) < 0.1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -121,13 +122,17 @@ class TestConfigJson:
         assert type(cfg.synth.fs) is int and cfg.test_fraction == 0
         assert run_config_to_json(cfg)["synth"]["fs"] == 128
 
-    def test_section_value_errors_keep_section_path(self):
-        with pytest.raises(ConfigError, match="scheme") as exc:
+    def test_section_value_errors_name_their_field(self):
+        with pytest.raises(ConfigError) as exc:
             run_config_from_json({"model": {"scheme": 5}})
-        assert exc.value.field == "model"
-        with pytest.raises(ConfigError, match="epochs") as exc:
+        assert str(exc.value) == "model.scheme: must be 1..4, got 5"
+        with pytest.raises(ConfigError) as exc:
             run_config_from_json({"train": {"epochs": 0}})
-        assert exc.value.field == "train"
+        assert str(exc.value) == "train.epochs: must be >= 1, got 0"
+        # a message that leads with no field name names the entry itself
+        with pytest.raises(ConfigError, match="need 0 < low < high") as exc:
+            run_config_from_json({"pipeline": {"broadband": {"name": "b", "low_hz": 5, "high_hz": 1}}})
+        assert exc.value.field == "pipeline.broadband"
 
     def test_dense_sizes_parsed_as_tuple(self):
         cfg = run_config_from_json({"model": {"dense_sizes": [8, 4]}})
@@ -154,6 +159,11 @@ class TestValidation:
             pipeline=PipelineConfig(bands=bands),
         )
         assert self.field_of(cfg) == "pipeline.bands[4].high_hz"
+        cfg = RunConfig(pipeline=PipelineConfig(broadband=BandSpec("broadband", 0.5, 70.0)))
+        with pytest.raises(ConfigError) as exc:
+            validate_run_config(cfg)
+        assert exc.value.field == "pipeline.broadband.high_hz"
+        assert "Nyquist frequency 64.0 Hz, got 70.0" in str(exc.value)
 
     def test_oversized_batch(self):
         cfg = fast_config(train=TrainConfig(epochs=1, batch_size=64))
@@ -214,6 +224,12 @@ class TestValidation:
         # at fs=128 an 8-point grid steps by 8 Hz, so delta [2, 4) holds none
         cfg = RunConfig(pipeline=PipelineConfig(n_freqs=8))
         assert self.field_of(cfg) == "pipeline.bands[0]"
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_bad_filter_order_is_checked_before_the_bands(self, order):
+        # the band loop would otherwise blame bands[0] for the order
+        cfg = RunConfig(pipeline=PipelineConfig(filter_order=order))
+        assert self.field_of(cfg) == "pipeline.filter_order"
 
     def test_short_subwindows_pass(self):
         # filtfilt runs on the whole 20 s window, never on a 10-sample sub-window
@@ -295,6 +311,19 @@ class TestExtractTensors:
             assert par_diag == seq_diag
             assert (seq_diag.order_cap_hits > 0) == pcfg.aic
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_diagnostics_do_not_change_the_tensors(self, monkeypatch, workers):
+        # 7 windows form chunks of 6 and 1; the counters are merged per chunk
+        synth = SynthStudyConfig(n_per_class=1, windows_per_recording=7)
+        windows = study_windows(RunConfig(synth=synth))[:7]
+        pcfg = PipelineConfig(aic=True, aic_max=3)
+        monkeypatch.setenv("EEGFUSION_WORKERS", workers)
+        diag = FitDiagnostics()
+        with_diag = extract_tensors(windows, pcfg, diag)
+        without = extract_tensors(windows, pcfg)
+        assert diag.order_cap_hits > 0
+        assert [t.values.tobytes() for t in with_diag] == [t.values.tobytes() for t in without]
+
 
 class RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
@@ -353,6 +382,17 @@ class TestPipelineRun:
         assert list(manifest.warnings) == [f.name for f in dataclasses.fields(FitDiagnostics)]
         doc = json.loads((out / "run_manifest.json").read_text())
         assert doc == manifest.to_dict()
+
+    def test_manifest_records_the_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        pipeline_run(fast_config(tmp_path / "run"))
+        doc = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+        assert doc["threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2",
+            "cpu_count": os.cpu_count(),
+        }
 
     def test_hash_excludes_output_location(self, tmp_path):
         cfg = fast_config(tmp_path / "a")
@@ -431,7 +471,7 @@ class TestStoredModel:
 class TestRunManifest:
     def test_write_refuses_missing_files(self, tmp_path):
         manifest = RunManifest(
-            config_hash="x", seed=0, versions={}, warnings={}, timing_s={},
+            config_hash="x", seed=0, versions={}, threads={}, warnings={}, timing_s={},
             files=["ghost.bin"], config={},
         )
         with pytest.raises(RuntimeError, match="ghost.bin"):

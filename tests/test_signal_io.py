@@ -26,7 +26,7 @@ from eegfusion.signal_io import (
     synth_spectral_radius,
     train_test_split,
 )
-from eegfusion.signal_io import _innovations, _std_in_place, _synth_coefficients
+from eegfusion.signal_io import _innovations, _mean_std_in_place, _synth_coefficients
 
 FS = 128.0
 
@@ -312,11 +312,15 @@ class TestPinnedSynthesis:
             tracemalloc.stop()
         assert peak <= 1.1 * 2 * series_bytes
 
-    @pytest.mark.parametrize("shape", [(28_160, 4), (51_200, 19)])
-    def test_in_place_std_is_numpy_std(self, shape):
+    @pytest.mark.parametrize("shape, axis", [
+        ((28_160, 4), 0), ((51_200, 19), 0), ((40, 7, 10, 4, 4, 5), (0, 2, 3, 4)),
+    ])
+    def test_in_place_mean_std_are_numpy_mean_std(self, shape, axis):
         y = 3.0 + 2.0 * np.random.default_rng(shape[1]).standard_normal(shape)
-        want = y.std(axis=0)
-        assert _std_in_place(y).tobytes() == want.tobytes()
+        want_mean, want_std = y.mean(axis=axis), y.std(axis=axis)
+        mean, std = _mean_std_in_place(y, axis)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert std.tobytes() == want_std.tobytes()
 
 class TestGenerateSynthetic:
     @pytest.mark.parametrize("n_channels", [2, 4, 19])
