@@ -33,9 +33,9 @@ from .dsp import BROADBAND, DEFAULT_BANDS, BandSpec, design_bandpass, filtfilt, 
 from .mvar import (
     FitDiagnostics,
     SpectralDecomposition,
+    fit_aic,
     fit_mvar,
     frequency_grid,
-    select_order,
     spectral_decomposition,
     unstable_mask,
 )
@@ -347,21 +347,22 @@ def _mvar_planes(
 ) -> np.ndarray:
     """The six MVAR measures of sub-windows (T, n, C), band-averaged: (6, T, C, C, B).
 
-    With AIC one order search covers the stack and each sub-window picks its
-    order; sub-windows of one order are fitted and decomposed as one stack.
-    :func:`unstable_mask` counts each fit stack's unstable fits, by the
-    squaring certificate and eigenvalues only where it cannot decide.
+    With AIC one order search covers the stack, each sub-window picks its
+    order, and the search's fits at those orders (:func:`fit_aic`) are
+    decomposed as one stack per order. :func:`unstable_mask` counts each fit
+    stack's unstable fits, by the squaring certificate and eigenvalues only
+    where it cannot decide.
     """
     if cfg.aic:
-        orders = select_order(subs, cfg.aic_max, cfg.ridge)
+        orders, models = fit_aic(subs, fs, cfg.aic_max, cfg.ridge)
         diagnostics.order_cap_hits += orders.count(cfg.aic_max)
     else:
         orders = (cfg.order,) * len(subs)
+        models = {cfg.order: fit_mvar(subs, cfg.order, fs, cfg.ridge)}
     c = subs.shape[-1]
     planes = np.empty((len(FEATURE_ORDER) - 1, len(subs), c, c, len(cfg.bands)))
-    for p in dict.fromkeys(orders):
+    for p, model in models.items():
         idx = [t for t, q in enumerate(orders) if q == p]
-        model = fit_mvar(subs[idx], p, fs, cfg.ridge)
         diagnostics.unstable_fits += int(np.count_nonzero(unstable_mask(model.A)))
         sd = spectral_decomposition(model, cfg.n_freqs, diagnostics, keep)
         planes[:, idx] = band_features(sd, model.Sigma, cfg.bands)

@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _sig
 
 __all__ = [
     "BandSpec",
@@ -124,14 +123,15 @@ def _check_filter_order(order: int) -> None:
 @functools.cache
 def _designed(band: BandSpec, fs: float, order: int) -> FilterSpec:
     """The validated design, made once per (band, fs, order) and then shared."""
+    from scipy import signal  # imported on first use: it dominates the package import
     # at orders of several hundred butter's gain overflows (or it raises
     # OverflowError itself); the non-finite design is refused, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        sos = _sig.butter(order // 2, [band.low_hz, band.high_hz], btype="bandpass", fs=fs, output="sos")
+        sos = signal.butter(order // 2, [band.low_hz, band.high_hz], btype="bandpass", fs=fs, output="sos")
     sos = np.asarray(sos, dtype=float)
     if not np.isfinite(sos).all():
         raise OverflowError("the design is not finite")
-    zi = _sig.sosfilt_zi(sos)
+    zi = signal.sosfilt_zi(sos)
     sos.flags.writeable = zi.flags.writeable = False
     spec = FilterSpec(sos=sos, order=order, band=band, fs=fs, zi=zi)
     pole_radius = np.abs(spec.poles()).max()
@@ -165,6 +165,8 @@ def filtfilt(f: FilterSpec, x: np.ndarray) -> np.ndarray:
     result equals ``scipy.signal.sosfiltfilt(sos, x, axis=0, padtype="odd",
     padlen=3 * order)`` bit for bit.
     """
+    from scipy import signal
+
     x = np.asarray(x, dtype=float)
     padlen = _check_filter_length(x.shape[0], f.order)
     ext = np.concatenate(
@@ -173,8 +175,8 @@ def filtfilt(f: FilterSpec, x: np.ndarray) -> np.ndarray:
     zi = f.zi.reshape(f.zi.shape + (1,) * (x.ndim - 1))
     # scipy's compiled filter loop takes writable buffers only; sos is shared
     sos = f.sos.copy()
-    y, _ = _sig.sosfilt(sos, ext, axis=0, zi=zi * ext[:1])
-    y, _ = _sig.sosfilt(sos, y[::-1], axis=0, zi=zi * y[-1:])
+    y, _ = signal.sosfilt(sos, ext, axis=0, zi=zi * ext[:1])
+    y, _ = signal.sosfilt(sos, y[::-1], axis=0, zi=zi * y[-1:])
     return y[::-1][padlen:-padlen]
 
 

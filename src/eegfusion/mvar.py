@@ -24,6 +24,7 @@ __all__ = [
     "SpectralDecomposition",
     "FitDiagnostics",
     "fit_mvar",
+    "fit_aic",
     "select_order",
     "is_stable",
     "companion_matrix",
@@ -155,10 +156,18 @@ def fit_mvar(x: np.ndarray, p: int, fs: float, ridge: float = 1e-4) -> MvarModel
         coef = np.linalg.solve(gram, lags_t @ response)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular regularized normal equations") from exc
+    return _solved_model(response, lags, coef, fs)
+
+
+def _solved_model(response: np.ndarray, lags: np.ndarray, coef: np.ndarray, fs: float) -> MvarModel:
+    """The model of solved lag coefficients ``coef`` (..., pC, C): Sigma from
+    the explicit residuals, divisor N - p (the rows of ``response``)."""
     resid = response - lags @ coef
-    sigma = np.swapaxes(resid, -1, -2) @ resid / (n - p)
+    sigma = np.swapaxes(resid, -1, -2) @ resid / resid.shape[-2]
     sigma = 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
     # coef rows are lag-major: block k holds A(k) transposed
+    c = coef.shape[-1]
+    p = coef.shape[-2] // c
     a = np.ascontiguousarray(np.swapaxes(coef.reshape(coef.shape[:-2] + (p, c, c)), -1, -2))
     return MvarModel(p=p, A=a, Sigma=sigma, fs=float(fs))
 
@@ -204,27 +213,66 @@ def select_order(
     The AIC values match a fit per order up to rounding (the tests allow
     1e-9), and a stack gives each sub-window's values byte for byte.
     """
+    x = _demeaned(x)
+    orders, _ = _aic_search(x.reshape((-1,) + x.shape[-2:]), p_max, ridge)
+    return orders if x.ndim == 3 else orders[0]
+
+
+def fit_aic(
+    x: np.ndarray, fs: float, p_max: int = 12, ridge: float = 1e-4
+) -> tuple[int, MvarModel] | tuple[tuple[int, ...], dict[int, MvarModel]]:
+    """Each sub-window fitted at the order :func:`select_order` picks, from
+    the order search's own solutions.
+
+    ``x`` is one sub-window (N, C), giving its order and model, or a stack
+    (T, N, C), giving one order per sub-window as a tuple and a dict that
+    maps each order, in order of first appearance, to the stacked model of
+    its sub-windows in input order. The coefficients are the search's
+    Cholesky solutions of the ridged normal equations, which ``fit_mvar``
+    solves by LU, and Sigma comes from the explicit residuals as there, so
+    the two fits differ by rounding only. Each sub-window of a stack gets
+    the model it gets alone, byte for byte.
+    """
+    x = _demeaned(x)
+    stack = x.reshape((-1,) + x.shape[-2:])
+    orders, coefs = _aic_search(stack, p_max, ridge)
+    models = {}
+    for p in dict.fromkeys(orders):
+        idx = [t for t, q in enumerate(orders) if q == p]
+        response, lags = _lag_design(stack[idx], p)
+        models[p] = _solved_model(response, lags, np.stack([coefs[t] for t in idx]), fs)
+    if x.ndim == 3:
+        return orders, models
+    m = models[orders[0]]
+    return orders[0], MvarModel(p=m.p, A=m.A[0], Sigma=m.Sigma[0], fs=m.fs)
+
+
+def _aic_search(x: np.ndarray, p_max: int, ridge: float) -> tuple[tuple[int, ...], list]:
+    """The AIC orders of de-meaned sub-windows (T, N, C) and each one's
+    coefficients (pC, C) at its order."""
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
-    x = _demeaned(x)
     n, c = x.shape[-2:]
     # orders 1..top have enough samples; a larger p_max fails on top + 1, as
     # a fit per order would after fitting the orders below it
     top = min(p_max, (n - 1) // (c + 1))
-    orders = np.argmin(_aic_table(x, top, ridge), axis=0) + 1 if top >= 1 else None
+    if top >= 1:
+        solved = []
+        orders = tuple(int(p) for p in np.argmin(_aic_table(x, top, ridge, solved), axis=0) + 1)
     if top < p_max:
         _check_order(n, c, top + 1)
-    return tuple(int(p) for p in orders) if x.ndim == 3 else int(orders)
+    return orders, [solved[p - 1][t] for t, p in enumerate(orders)]
 
 
-def _aic_table(x: np.ndarray, p_max: int, ridge: float) -> np.ndarray:
+def _aic_table(x: np.ndarray, p_max: int, ridge: float, solved: list | None = None) -> np.ndarray:
     """AIC(p), p = 1..p_max, of de-meaned signals (..., N, C): shape (p_max, ...).
 
     The lag design is built one sub-window at a time in one reused buffer.
     Only its Gram and cross term over the shared rows and its first p_max
     rows, which the orders add, are kept, so a stack holds one (N, p_max C)
     design, not one per sub-window. An order whose ``Sigma_p`` has no
-    positive determinant reads inf.
+    positive determinant reads inf. A list ``solved`` receives each order's
+    coefficients, (T, pC, C) for the T signals.
     """
     lead = x.shape[:-2]
     x = x.reshape((-1,) + x.shape[-2:])
@@ -257,6 +305,8 @@ def _aic_table(x: np.ndarray, p_max: int, ridge: float) -> np.ndarray:
         lam = (ridge if ridge > 0 else 0.0) * np.mean(diag, axis=-1)
         diag += lam[:, None]
         coef = _cholesky_solve(gram_p, b)
+        if solved is not None:
+            solved.append(coef)
         # (N - p) Sigma_p = Y^T Y - b^T coef - lam coef^T coef
         scatter = yty + np.swapaxes(y_head, -1, -2) @ y_head
         scatter -= np.swapaxes(b, -1, -2) @ coef

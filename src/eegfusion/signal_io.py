@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .mvar import companion_radius
 
@@ -457,6 +456,8 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Recording, AnnotationSet]:
     innovations; its standard deviation is taken in its own buffer, which is
     then dropped, and the coupled samples are scaled in place.
     """
+    from scipy.signal import lfilter  # imported on first use, as in dsp
+
     _check_stable(spec)
     burn = 500
     e = _innovations(spec, int(round(spec.duration_s * spec.fs)) + burn)

@@ -32,7 +32,7 @@ from eegfusion.dsp import (
     instantaneous_phase,
 )
 from eegfusion.mvar import (
-    FitDiagnostics, MvarModel, fit_mvar, is_stable, select_order, simulate_var,
+    FitDiagnostics, MvarModel, fit_aic, fit_mvar, is_stable, select_order, simulate_var,
     spectral_decomposition,
 )
 from eegfusion.signal_io import (
@@ -589,18 +589,23 @@ class TestBuildFeatureTensor:
             assert plane.min() >= 0.0 and plane.max() <= 1.0 + 1e-10
 
 
-def oracle_tensor(window, cfg):
+def oracle_tensor(window, cfg, refit=False):
     """The feature tensor rebuilt one fit and one sub-window at a time from
-    the public per-fit functions, with the diagnostics those fits add up to."""
+    the public per-fit functions, with the diagnostics those fits add up to.
+    With AIC each sub-window takes the search's own fit, or with ``refit``
+    a ``fit_mvar`` of the order ``select_order`` picks."""
     diag = FitDiagnostics()
     t_sub, c = cfg.subwindows, window.samples.shape[1]
     out = np.empty((7, t_sub, c, c, len(cfg.bands)))
 
     x = filtfilt(design_bandpass(cfg.broadband, window.fs, cfg.filter_order), window.samples)
     for t, sub in enumerate(split_subwindows(x, t_sub)):
-        p = select_order(sub, cfg.aic_max, cfg.ridge) if cfg.aic else cfg.order
+        if cfg.aic and not refit:
+            p, m = fit_aic(sub, window.fs, cfg.aic_max, cfg.ridge)
+        else:
+            p = select_order(sub, cfg.aic_max, cfg.ridge) if cfg.aic else cfg.order
+            m = fit_mvar(sub, p, window.fs, cfg.ridge)
         diag.order_cap_hits += cfg.aic and p == cfg.aic_max
-        m = fit_mvar(sub, p, window.fs, cfg.ridge)
         diag.unstable_fits += not is_stable(m)
         sd = spectral_decomposition(m, cfg.n_freqs, diag)
         out[:-1, t] = band_features(sd, m.Sigma, cfg.bands)
@@ -844,6 +849,46 @@ def clinical_window():
     return coupled_windows(n_channels=19, fs=256.0, n_windows=1, seed=0, strength=0.08)[0]
 
 
+class TestAicFits:
+    """With AIC the features read the order search's own fits. A refit of
+    the chosen order by ``fit_mvar`` solves the same ridged normal equations
+    by LU, so the two differ by rounding only, within README's tolerance."""
+
+    @pytest.mark.parametrize("duplicate, want_counts", [
+        (False, (0, 1, 0)),
+        (True, (0, 1, 10)),
+    ], ids=["clean", "duplicated-channel"])
+    def test_equal_a_refit_at_the_chosen_order(self, duplicate, want_counts):
+        window, cfg = clinical_window(), PipelineConfig(aic=True)
+        if duplicate:
+            samples = window.samples.copy()
+            samples[:, 1] = samples[:, 0]
+            window = dataclasses.replace(window, samples=samples)
+        x = filtfilt(design_bandpass(cfg.broadband, window.fs, cfg.filter_order), window.samples)
+        subs = np.stack(split_subwindows(x, cfg.subwindows))
+        orders, models = fit_aic(subs, window.fs, cfg.aic_max, cfg.ridge)
+        assert orders == select_order(subs, cfg.aic_max, cfg.ridge)
+        for p, m in models.items():
+            ref = fit_mvar(subs[[t for t, q in enumerate(orders) if q == p]], p, window.fs, cfg.ridge)
+            assert np.abs(m.A - ref.A).max() <= 1e-10 * np.abs(ref.A).max()
+            assert np.abs(m.Sigma - ref.Sigma).max() <= 1e-10 * np.abs(ref.Sigma).max()
+
+        diag = FitDiagnostics()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the jittered Sigmas
+            got = build_feature_tensor(window, cfg, diag).values
+            want, want_diag = oracle_tensor(window, cfg, refit=True)
+        assert diag == want_diag
+        assert (diag.order_cap_hits, diag.unstable_fits, diag.sigma_jitter_events) == want_counts
+        # ISM and PCOH read the inverse of a jittered, near-singular Sigma
+        loose = {"ISM", "PCOH"} if duplicate else set()
+        for f, name in enumerate(FEATURE_ORDER[:-1]):
+            if name in loose:
+                np.testing.assert_allclose(got[f], want[f], rtol=1e-2, atol=0)
+            else:
+                np.testing.assert_allclose(got[f], want[f], rtol=1e-8, atol=1e-12)
+
+
 class TestMvarPasses:
     """A chunk's MVAR work runs in passes of at most ``_CHUNK_ELEMENTS``
     in-band frequency-channel-pair cells; the pass size moves no byte."""
@@ -880,14 +925,14 @@ class TestMvarPasses:
         window = clinical_window()
         filt = design_bandpass(BROADBAND, window.fs, 4)
         bad = split_subwindows(filtfilt(filt, window.samples), 10)[5][0, 0]
-        real_fit = connectivity.fit_mvar
+        real_fit = connectivity.fit_aic
 
         def flaky_fit(x, *args):
             if bad in np.asarray(x)[:, 0, 0]:
                 raise ValueError("flaky fit")
             return real_fit(x, *args)
 
-        monkeypatch.setattr(connectivity, "fit_mvar", flaky_fit)
+        monkeypatch.setattr(connectivity, "fit_aic", flaky_fit)
         with pytest.raises(ValueError) as err:
             build_feature_tensor(window, PipelineConfig(aic=True))
         assert str(err.value) == f"window {window.source_id!r}, sub-window 5: flaky fit"

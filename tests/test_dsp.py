@@ -5,12 +5,16 @@ independently coded analog Butterworth band-pass formula evaluated at the
 bilinear-transform prewarped frequencies, which the design must match exactly.
 """
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import signal as sig
 
+import eegfusion
 from eegfusion.dsp import (
     BROADBAND,
     DEFAULT_BANDS,
@@ -271,3 +275,13 @@ class TestUnitPhasor:
         u = unit_phasor(values)
         assert np.array_equal(values, [3.0 + 4.0j, -2.0j])
         assert np.max(np.abs(u - [0.6 + 0.8j, -1.0j])) <= 1e-15
+
+
+def test_package_import_leaves_scipy_signal_unloaded():
+    # scipy.signal dominates the import; eval, explain and plot never filter
+    src = str(Path(eegfusion.__file__).resolve().parents[1])
+    code = "import sys; import eegfusion, eegfusion.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.split() == ["False"]

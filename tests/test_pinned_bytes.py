@@ -9,7 +9,13 @@ their summation order, so no digest may move. They hold for the numpy, scipy
 and OpenBLAS builds pinned in the CI workflow, with one BLAS thread; another
 build may round differently. The C=19 clinical window's bytes also move with
 the BLAS thread count, so that digest is computed in a child process that
-pins one thread whatever the suite's own environment.
+pins one thread whatever the suite's own environment; through
+``runner.extract_tensors``, which pins one thread itself, the child gets the
+same bytes under any thread variable.
+
+The two AIC digests were recorded again when the features began to read the
+order search's own fits (Cholesky solutions) in place of an LU refit of the
+chosen order; the other digests did not move.
 """
 
 import hashlib
@@ -51,26 +57,50 @@ def digest(*arrays) -> str:
 
 
 # One C=19 clinical AIC window; prints its shape, digest and FitDiagnostics
-# counts as one JSON line. Run in a child process so that the BLAS thread
-# variables take effect before numpy loads OpenBLAS.
+# counts, and whether the runner can pin one BLAS thread, as one JSON line.
+# With the argument "runner" the features come from runner.extract_tensors.
+# Run in a child process so that the BLAS thread variables take effect before
+# numpy loads OpenBLAS.
 CLINICAL_AIC_WINDOW = """
-import hashlib, json
+import hashlib, json, sys
 import numpy as np
 from eegfusion.connectivity import PipelineConfig, build_feature_tensor
 from eegfusion.mvar import FitDiagnostics
+from eegfusion.runner import _threads, extract_tensors
 from eegfusion.signal_io import SynthSpec, extract_labeled_windows, generate_synthetic
 
 spec = SynthSpec(kind="coupled", n_channels=19, fs=256.0, duration_s=40.0,
                  coupling_strength=0.08, seed=0)
 window = extract_labeled_windows(*generate_synthetic(spec), n_nonseizure=0)[0]
-diag = FitDiagnostics()
-values = build_feature_tensor(window, PipelineConfig(aic=True, aic_max=12), diag).values
+diag, cfg = FitDiagnostics(), PipelineConfig(aic=True, aic_max=12)
+if sys.argv[1:] == ["runner"]:
+    values = extract_tensors([window], cfg, diag)[0].values
+else:
+    values = build_feature_tensor(window, cfg, diag).values
 print(json.dumps({
     "shape": list(values.shape),
     "digest": hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:24],
     "diagnostics": [diag.order_cap_hits, diag.unstable_fits, diag.sigma_jitter_events],
+    "pinned": _threads()["pinned"],
 }))
 """
+CLINICAL_AIC_DIGEST = "7b16eec65c4ad5b3a67672cd"
+
+
+def clinical_window_in_child(threads: str | None, *args: str) -> dict:
+    """CLINICAL_AIC_WINDOW's JSON line from a child process whose BLAS thread
+    variables are all ``threads``, or all unset for None."""
+    src = str(Path(connectivity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for var in BLAS_THREAD_VARS:
+        env.pop(var, None)
+        if threads is not None:
+            env[var] = threads
+    out = subprocess.run(
+        [sys.executable, "-c", CLINICAL_AIC_WINDOW, *args], env=env, capture_output=True,
+        text=True, check=True, timeout=300,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -94,20 +124,20 @@ class TestPinnedDigests:
     def test_desk_chunk_aic(self, desk_chunk):
         diag = FitDiagnostics()
         tensors = build_feature_tensors(desk_chunk, AIC, diag)
-        assert digest(*(t.values for t in tensors)) == "6e83317c562ac99161f912ee"
+        assert digest(*(t.values for t in tensors)) == "294cc125b3378e75564137b1"
         assert (diag.order_cap_hits, diag.unstable_fits, diag.sigma_jitter_events) == (0, 0, 0)
 
     def test_clinical_aic_window(self):
-        src = str(Path(connectivity.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        env.update({var: "1" for var in BLAS_THREAD_VARS})
-        out = subprocess.run(
-            [sys.executable, "-c", CLINICAL_AIC_WINDOW], env=env, capture_output=True, text=True,
-            check=True, timeout=300,
-        ).stdout
-        got = json.loads(out.splitlines()[-1])
+        got = clinical_window_in_child("1")
         assert got["shape"] == [7, 10, 19, 19, 5]
-        assert got["digest"] == "31de523cfd7302cd658748fb"
+        assert got["digest"] == CLINICAL_AIC_DIGEST
+        assert got["diagnostics"] == [0, 1, 0]
+
+    @pytest.mark.parametrize("threads", ["2", None], ids=["two-threads", "unset"])
+    def test_clinical_aic_window_through_the_runner_pins_one_thread(self, threads):
+        got = clinical_window_in_child(threads, "runner")
+        assert got["pinned"] is True
+        assert got["digest"] == CLINICAL_AIC_DIGEST
         assert got["diagnostics"] == [0, 1, 0]
 
     @pytest.mark.parametrize("scheme, want", [
