@@ -40,6 +40,7 @@ from .mvar import (
     unstable_mask,
 )
 from .signal_io import LabeledWindow, _mean_std_in_place, _subwindow_length
+from .util import one_blas_thread
 
 __all__ = [
     "FEATURE_ORDER",
@@ -369,6 +370,7 @@ def _mvar_planes(
     return planes
 
 
+@one_blas_thread()
 def build_feature_tensors(
     windows: list[LabeledWindow],
     cfg: PipelineConfig = PipelineConfig(),
@@ -382,7 +384,8 @@ def build_feature_tensors(
     product per band, and the MVAR fits of all W*T sub-windows as one stack,
     taken in passes of at most ``_CHUNK_ELEMENTS`` in-band
     frequency-channel-pair cells that may span windows. The tensors equal
-    those of each window alone byte for byte.
+    those of each window alone byte for byte, with one OpenBLAS thread
+    (:func:`util.one_blas_thread`) whatever the count outside.
 
     Fit health is counted into ``diagnostics``, a new one when it is None.
     When a pass fails, its sub-windows are rerun one at a time (warnings off,

@@ -10,8 +10,6 @@ reproduces every output bit for bit.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 import json
 import os
 import platform
@@ -58,6 +56,7 @@ from .signal_io import (
     has_nonseizure_span,
 )
 from .util import ConfigError, atomic_write_text, config_hash, field_errors, from_json, to_json
+from .util import _openblas_thread_calls
 
 __all__ = [
     "ConfigError",
@@ -310,50 +309,12 @@ def study_windows(cfg: RunConfig) -> list:
     return cut_windows(((rec, ann) for _, rec, ann in study_recordings(cfg)), cfg)
 
 
-@functools.cache
-def _openblas_thread_calls() -> tuple:
-    """The (get, set) thread-count calls of the OpenBLAS builds that the
-    numpy and scipy wheels bundle, or () unless both are found."""
-    calls = []
-    for pkg, suffix in ((np, "64_"), (scipy, "")):
-        libs = sorted((Path(pkg.__file__).parents[1] / f"{pkg.__name__}.libs").glob("libscipy_openblas*"))
-        try:
-            lib = ctypes.CDLL(str(libs[0]))
-            get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}") for op in ("get", "set"))
-        except (IndexError, OSError, AttributeError):
-            return ()
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        calls.append((get, set_))
-    return tuple(calls)
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block, or the decorated function, with one thread in each
-    bundled OpenBLAS, then restore the counts they had. C=19 AIC features
-    differ in bytes between one and two threads, and the program's own
-    parallelism is processes. Where the libraries are not found it does
-    nothing (the manifest's ``threads.pinned`` reads false)."""
-    calls = _openblas_thread_calls()
-    old = [get() for get, _ in calls]
-    for _, set_ in calls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), n in zip(calls, old):
-            set_(n)
-
-
-@one_blas_thread()
 def _extract_chunk(args):
     chunk, pcfg = args
     diag = FitDiagnostics()
     return build_feature_tensors(chunk, pcfg, diag), diag
 
 
-@one_blas_thread()
 def extract_tensors(
     windows, pcfg: PipelineConfig, diagnostics: FitDiagnostics | None = None
 ) -> list[WindowTensor]:
@@ -376,7 +337,6 @@ def extract_tensors(
     return tensors
 
 
-@one_blas_thread()
 def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dict]:
     """Fit ``cfg.model`` on the training side of a stored dataset.
 
@@ -412,13 +372,11 @@ def _metrics(model, tensors, manifest) -> dict:
     }
 
 
-@one_blas_thread()
 def evaluate_stored(model_path, dataset) -> dict:
     """The metrics document ``{train, test, threshold}`` of a stored model."""
     return _metrics(*_stored(model_path, dataset))
 
 
-@one_blas_thread()
 def explain_stored(model_path, dataset, config_hash: str | None = None) -> RelevanceReport:
     """Relevance report of a stored model over every stored window, in order."""
     model, tensors, _ = _stored(model_path, dataset)
@@ -433,7 +391,7 @@ class RunManifest:
     seed: int
     versions: dict
     #: the BLAS thread variables, each as set or None, ``os.cpu_count()``, and
-    #: ``pinned``: whether the compute stages ran with one OpenBLAS thread
+    #: ``pinned``: whether feature extraction ran with one OpenBLAS thread
     threads: dict
     warnings: dict
     timing_s: dict
@@ -462,15 +420,14 @@ def _versions() -> dict:
 
 
 def _threads() -> dict:
-    """The settings the bytes of C=19 AIC features depend on: they differ
-    between one and two OpenBLAS threads (the C=4 desk features do not),
-    which only matters where :func:`one_blas_thread` cannot pin one."""
+    """The BLAS thread settings; ``pinned`` says whether feature extraction
+    ran with one OpenBLAS thread (:func:`util.one_blas_thread`). Only where
+    it is false do the bytes of C=19 features depend on the variables."""
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {n: os.environ.get(n) for n in names}
     return {**env, "cpu_count": os.cpu_count(), "pinned": bool(_openblas_thread_calls())}
 
 
-@one_blas_thread()
 def pipeline_run(cfg: RunConfig) -> RunManifest:
     """Run the full study under ``cfg.out_dir`` and return its manifest.
 

@@ -1,15 +1,20 @@
-"""Canonical JSON hashing, atomic file writes and the config JSON codec."""
+"""JSON hashing and config codec, atomic writes and the OpenBLAS thread pin."""
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
 import typing
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 __all__ = [
     "ConfigError",
@@ -124,3 +129,38 @@ def field_errors(path: str, tp=None):
         if tp is not None and rest and name in {f.name for f in dataclasses.fields(tp)}:
             raise ConfigError(f"{path}.{name}" if path else name, rest) from exc
         raise ConfigError(path or "<root>", str(exc)) from exc
+
+
+@functools.cache
+def _openblas_thread_calls() -> tuple:
+    """The (get, set) thread-count calls of the OpenBLAS builds that the
+    numpy and scipy wheels bundle, or () unless both are found."""
+    calls = []
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        libs = sorted((Path(pkg.__file__).parents[1] / f"{pkg.__name__}.libs").glob("libscipy_openblas*"))
+        try:
+            lib = ctypes.CDLL(str(libs[0]))
+            get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}") for op in ("get", "set"))
+        except (IndexError, OSError, AttributeError):
+            return ()
+        set_.argtypes, set_.restype = [ctypes.c_int], None  # get returns ctypes' default c_int
+        calls.append((get, set_))
+    return tuple(calls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block, or the decorated function, with one thread in each
+    bundled OpenBLAS, then restore the counts they had. Feature extraction
+    runs under it: C=19 features differ in bytes between one and two
+    threads. Where the libraries are not found it does nothing (the
+    manifest's ``threads.pinned`` reads false)."""
+    calls = _openblas_thread_calls()
+    old = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(calls, old):
+            set_(n)

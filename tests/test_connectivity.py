@@ -39,7 +39,7 @@ from eegfusion.signal_io import (
     LabeledWindow, SynthSpec, extract_labeled_windows, generate_synthetic, split_subwindows,
 )
 from eegfusion.runner import RunConfig, run_config_from_json, study_windows
-from eegfusion.util import ConfigError, from_json, to_json
+from eegfusion.util import ConfigError, from_json, one_blas_thread, to_json
 
 FS = 128.0
 
@@ -420,11 +420,9 @@ def order_stacks(window, cfg):
     """The fit stacks of the feature path for one window: one per order."""
     x = filtfilt(design_bandpass(cfg.broadband, window.fs, cfg.filter_order), window.samples)
     subs = np.stack(split_subwindows(x, cfg.subwindows))
-    orders = select_order(subs, cfg.aic_max, cfg.ridge) if cfg.aic else (cfg.order,) * len(subs)
-    return [
-        fit_mvar(subs[[t for t, q in enumerate(orders) if q == p]], p, window.fs, cfg.ridge)
-        for p in sorted(set(orders))
-    ]
+    if cfg.aic:
+        return list(fit_aic(subs, window.fs, cfg.aic_max, cfg.ridge)[1].values())
+    return [fit_mvar(subs, cfg.order, window.fs, cfg.ridge)]
 
 
 def feature_fits(cfg, n_channels):
@@ -589,11 +587,13 @@ class TestBuildFeatureTensor:
             assert plane.min() >= 0.0 and plane.max() <= 1.0 + 1e-10
 
 
+@one_blas_thread()
 def oracle_tensor(window, cfg, refit=False):
     """The feature tensor rebuilt one fit and one sub-window at a time from
     the public per-fit functions, with the diagnostics those fits add up to.
     With AIC each sub-window takes the search's own fit, or with ``refit``
-    a ``fit_mvar`` of the order ``select_order`` picks."""
+    a ``fit_mvar`` of the order ``select_order`` picks. It runs with one
+    OpenBLAS thread, as the feature path does."""
     diag = FitDiagnostics()
     t_sub, c = cfg.subwindows, window.samples.shape[1]
     out = np.empty((7, t_sub, c, c, len(cfg.bands)))

@@ -6,24 +6,22 @@ one strided copy per sub-window stack, einsum band sums and bias-gradient
 sums, in-place z-scoring, a contiguous LSTM bias, and a PLV diagonal that
 scans for NaN only when it reads NaN. Each of those keeps the operations and
 their summation order, so no digest may move. They hold for the numpy, scipy
-and OpenBLAS builds pinned in the CI workflow, with one BLAS thread; another
-build may round differently. The C=19 clinical window's bytes also move with
-the BLAS thread count, so that digest is computed in a child process that
-pins one thread whatever the suite's own environment; through
-``runner.extract_tensors``, which pins one thread itself, the child gets the
-same bytes under any thread variable.
+and OpenBLAS builds pinned in the CI workflow; another build may round
+differently. The C=19 clinical window's bytes would also move with the BLAS
+thread count, but feature extraction runs with one OpenBLAS thread
+whatever the count outside it, so that digest is taken in-process with both
+bundled OpenBLAS builds set to two threads. Training, evaluation and
+relevance run with whatever count is set, and their bytes at C=19 are the
+same under one and two threads.
 
 The two AIC digests were recorded again when the features began to read the
 order search's own fits (Cholesky solutions) in place of an LU refit of the
 chosen order; the other digests did not move.
 """
 
+import contextlib
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,19 +32,22 @@ from eegfusion.connectivity import (
     PipelineConfig,
     WindowTensor,
     band_aggregate,
+    build_feature_tensor,
     build_feature_tensors,
     normalize_features,
     window_chunks,
 )
 from eegfusion.dsp import DEFAULT_BANDS, analytic_signal, design_bandpass, filtfilt, unit_phasor
 from eegfusion.layers import LSTM, AttentionPool, ParamRegistry
-from eegfusion.model import ModelConfig, TrainConfig, build_fusion_model, train
+from eegfusion.model import ModelConfig, TrainConfig, build_fusion_model, evaluate, train
 from eegfusion.mvar import FitDiagnostics, frequency_grid
+from eegfusion.relevance import relevance_report
 from eegfusion.runner import RunConfig, SynthStudyConfig, study_windows
-from eegfusion.signal_io import split_subwindows
+from eegfusion.signal_io import SynthSpec, extract_labeled_windows, generate_synthetic, split_subwindows
+from eegfusion.util import _openblas_thread_calls, one_blas_thread
 
 AIC = PipelineConfig(aic=True, aic_max=12)
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CLINICAL_AIC_DIGEST = "7b16eec65c4ad5b3a67672cd"
 
 
 def digest(*arrays) -> str:
@@ -56,51 +57,34 @@ def digest(*arrays) -> str:
     return h.hexdigest()[:24]
 
 
-# One C=19 clinical AIC window; prints its shape, digest and FitDiagnostics
-# counts, and whether the runner can pin one BLAS thread, as one JSON line.
-# With the argument "runner" the features come from runner.extract_tensors.
-# Run in a child process so that the BLAS thread variables take effect before
-# numpy loads OpenBLAS.
-CLINICAL_AIC_WINDOW = """
-import hashlib, json, sys
-import numpy as np
-from eegfusion.connectivity import PipelineConfig, build_feature_tensor
-from eegfusion.mvar import FitDiagnostics
-from eegfusion.runner import _threads, extract_tensors
-from eegfusion.signal_io import SynthSpec, extract_labeled_windows, generate_synthetic
-
-spec = SynthSpec(kind="coupled", n_channels=19, fs=256.0, duration_s=40.0,
-                 coupling_strength=0.08, seed=0)
-window = extract_labeled_windows(*generate_synthetic(spec), n_nonseizure=0)[0]
-diag, cfg = FitDiagnostics(), PipelineConfig(aic=True, aic_max=12)
-if sys.argv[1:] == ["runner"]:
-    values = extract_tensors([window], cfg, diag)[0].values
-else:
-    values = build_feature_tensor(window, cfg, diag).values
-print(json.dumps({
-    "shape": list(values.shape),
-    "digest": hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:24],
-    "diagnostics": [diag.order_cap_hits, diag.unstable_fits, diag.sigma_jitter_events],
-    "pinned": _threads()["pinned"],
-}))
-"""
-CLINICAL_AIC_DIGEST = "7b16eec65c4ad5b3a67672cd"
+def blas_counts() -> list[int]:
+    """The thread counts of numpy's and scipy's bundled OpenBLAS."""
+    return [get() for get, _ in _openblas_thread_calls()]
 
 
-def clinical_window_in_child(threads: str | None, *args: str) -> dict:
-    """CLINICAL_AIC_WINDOW's JSON line from a child process whose BLAS thread
-    variables are all ``threads``, or all unset for None."""
-    src = str(Path(connectivity.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    for var in BLAS_THREAD_VARS:
-        env.pop(var, None)
-        if threads is not None:
-            env[var] = threads
-    out = subprocess.run(
-        [sys.executable, "-c", CLINICAL_AIC_WINDOW, *args], env=env, capture_output=True,
-        text=True, check=True, timeout=300,
-    ).stdout
-    return json.loads(out.splitlines()[-1])
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Set both bundled OpenBLAS builds to ``n`` threads for the block."""
+    calls = _openblas_thread_calls()
+    assert len(calls) == 2  # the CI workflow installs the numpy and scipy wheels
+    old = blas_counts()
+    for _, set_ in calls:
+        set_(n)
+    try:
+        yield
+    finally:
+        for (_, set_), k in zip(calls, old):
+            set_(k)
+
+
+def test_one_blas_thread_restores_the_old_counts():
+    with blas_threads(2):
+        with one_blas_thread():
+            assert blas_counts() == [1, 1]
+        assert blas_counts() == [2, 2]
+        with pytest.raises(ValueError), one_blas_thread():
+            raise ValueError
+        assert blas_counts() == [2, 2]
 
 
 @pytest.fixture(scope="module")
@@ -128,17 +112,16 @@ class TestPinnedDigests:
         assert (diag.order_cap_hits, diag.unstable_fits, diag.sigma_jitter_events) == (0, 0, 0)
 
     def test_clinical_aic_window(self):
-        got = clinical_window_in_child("1")
-        assert got["shape"] == [7, 10, 19, 19, 5]
-        assert got["digest"] == CLINICAL_AIC_DIGEST
-        assert got["diagnostics"] == [0, 1, 0]
-
-    @pytest.mark.parametrize("threads", ["2", None], ids=["two-threads", "unset"])
-    def test_clinical_aic_window_through_the_runner_pins_one_thread(self, threads):
-        got = clinical_window_in_child(threads, "runner")
-        assert got["pinned"] is True
-        assert got["digest"] == CLINICAL_AIC_DIGEST
-        assert got["diagnostics"] == [0, 1, 0]
+        spec = SynthSpec(kind="coupled", n_channels=19, fs=256.0, duration_s=40.0,
+                         coupling_strength=0.08, seed=0)
+        window = extract_labeled_windows(*generate_synthetic(spec), n_nonseizure=0)[0]
+        diag = FitDiagnostics()
+        with blas_threads(2):
+            values = build_feature_tensor(window, AIC, diag).values
+            assert blas_counts() == [2, 2]
+        assert values.shape == (7, 10, 19, 19, 5)
+        assert digest(values) == CLINICAL_AIC_DIGEST
+        assert (diag.order_cap_hits, diag.unstable_fits, diag.sigma_jitter_events) == (0, 1, 0)
 
     @pytest.mark.parametrize("scheme, want", [
         (1, "b59f8696465388ae3651d88c"),
@@ -295,3 +278,24 @@ def test_lstm_and_attention_pool_pinned_gradients(dtype, want):
     gx = lstm.backward(theta, grad, c_lstm, pool.backward(theta, grad, c_pool, np.ones_like(y)))
     assert y.dtype == grad.dtype == gx.dtype == dtype
     assert digest(y, grad, gx) == want
+
+
+@pytest.mark.parametrize("scheme", [1, 2, 3, 4])
+def test_training_bytes_do_not_move_with_the_blas_threads(scheme):
+    """Training, evaluation and relevance at C=19 give the same bytes under
+    one and two OpenBLAS threads, so no stage but extraction pins one. The
+    tensor values are random: which BLAS calls run depends on the shapes
+    only."""
+    rng = np.random.default_rng(12)
+    tensors = [WindowTensor(rng.standard_normal((7, 10, 19, 19, 5)), k % 2, f"w{k}") for k in range(32)]
+    mcfg = ModelConfig(scheme=scheme, n_channels=19)
+    got = []
+    for n in (1, 2):
+        with blas_threads(n):
+            net, _ = train(build_fusion_model(mcfg), tensors, TrainConfig(epochs=2, batch_size=16))
+            docs = [evaluate(net, tensors).to_dict()]
+            if scheme in (1, 2):
+                docs.append(relevance_report(net, tensors).to_dict())
+        got.append((net.params.tobytes(), json.dumps(docs)))
+    assert net.params.dtype == np.float32
+    assert got[0] == got[1]

@@ -394,27 +394,6 @@ class TestPipelineRun:
             "cpu_count": os.cpu_count(), "pinned": True,
         }
 
-    def test_one_blas_thread_restores_the_old_counts(self):
-        calls = runner._openblas_thread_calls()
-        assert len(calls) == 2  # numpy's and scipy's bundled OpenBLAS
-
-        def counts():
-            return [get() for get, _ in calls]
-
-        before = counts()
-        try:
-            for _, set_ in calls:
-                set_(2)
-            with runner.one_blas_thread():
-                assert counts() == [1, 1]
-            assert counts() == [2, 2]
-            with pytest.raises(ValueError), runner.one_blas_thread():
-                raise ValueError
-            assert counts() == [2, 2]
-        finally:
-            for (_, set_), n in zip(calls, before):
-                set_(n)
-
     def test_hash_excludes_output_location(self, tmp_path):
         cfg = fast_config(tmp_path / "a")
         doc = run_config_to_json(cfg)
