@@ -85,7 +85,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _indexed_recordings(index_path: Path, cfg: RunConfig):
     """Load each indexed recording, checking the pipeline against it first."""
-    for entry in json.loads(index_path.read_text())["recordings"]:
+    for k, entry in enumerate(json.loads(index_path.read_text())["recordings"]):
+        for key in ("csv", "annotations", "fs"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(f"{index_path}: recordings[{k}].{key} is missing")
         rec = load_recording(index_path.parent / entry["csv"], fs=entry["fs"])
         validate_pipeline(cfg.pipeline, rec.fs, rec.n_channels)
         yield rec, load_annotations(index_path.parent / entry["annotations"])

@@ -92,7 +92,11 @@ def read_dataset(path) -> tuple[list[WindowTensor], dict]:
     for key in ("shape", "windows", "split"):
         if key not in manifest:
             raise ValueError(f"{manifest_path}: manifest has no {key!r}")
-    shape = tuple(manifest["shape"])
+    shape = manifest["shape"]
+    if not (isinstance(shape, list) and len(shape) == 5
+            and all(type(n) is int and n >= 1 for n in shape)):
+        raise ValueError(f"{manifest_path}: shape must be five positive integers, got {shape!r}")
+    shape = tuple(shape)
     count = int(np.prod(shape))
     base = manifest_path.parent
     tensors = []

@@ -41,6 +41,7 @@ from .layers import (
 from .util import ConfigError, atomic_write_bytes, from_json, to_json
 
 __all__ = [
+    "ArchConfig",
     "ModelConfig",
     "FusionModel",
     "TrainConfig",
@@ -66,30 +67,38 @@ _EVAL_CHUNK = 16
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    """Architecture settings; dims must match the dataset tensors."""
+class ArchConfig:
+    """What a run chooses of the network; the input dims come from the data."""
 
     scheme: int = 2
-    n_channels: int = 4
-    subwindows: int = 10
-    n_bands: int = 5
-    n_features: int = len(FEATURE_ORDER)
     embed_dim: int = 16
     lstm_hidden: int = 16
     lstm_layers: int = 1
     dense_sizes: tuple[int, ...] = (16,)
     seed: int = 0
+    _positive = ("embed_dim", "lstm_hidden")  # a class attribute, not a field
 
     def __post_init__(self) -> None:
         if self.scheme not in (1, 2, 3, 4):
             raise ValueError(f"scheme must be 1..4, got {self.scheme}")
-        for name in ("n_channels", "subwindows", "n_bands", "n_features", "embed_dim", "lstm_hidden"):
+        for name in self._positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lstm_layers not in (1, 2):
             raise ValueError(f"lstm_layers must be 1 or 2, got {self.lstm_layers}")
         if any(w < 1 for w in self.dense_sizes):
             raise ValueError(f"dense_sizes must all be >= 1, got {self.dense_sizes}")
+
+
+@dataclass(frozen=True)
+class ModelConfig(ArchConfig):
+    """An architecture and the dims of the tensors it reads."""
+
+    n_channels: int = 4
+    subwindows: int = 10
+    n_bands: int = 5
+    n_features: int = len(FEATURE_ORDER)
+    _positive = ("n_channels", "subwindows", "n_bands", "n_features", *ArchConfig._positive)
 
     @property
     def tensor_shape(self) -> tuple[int, int, int, int, int]:
@@ -489,6 +498,8 @@ def load_model(path) -> tuple[FusionModel, NormStats | None]:
         header = json.loads(data[:nl])
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid header JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     if header.get("format") != _MODEL_FORMAT:
         raise ValueError(f"{path}: not a model file (format {header.get('format')!r})")
     if header.get("format_version") != _MODEL_VERSION:

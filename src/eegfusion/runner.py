@@ -15,7 +15,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ import scipy
 
 from . import __version__
 from .connectivity import (
-    FEATURE_ORDER,
     PipelineConfig,
     WindowTensor,
     _band_bins,
@@ -35,6 +34,7 @@ from .dataset import read_dataset, split_dataset, write_dataset
 from .dsp import BandSpec, _check_filter_length, _check_filter_order, design_bandpass
 from .model import (
     THRESHOLD,
+    ArchConfig,
     ModelConfig,
     TrainConfig,
     build_fusion_model,
@@ -106,9 +106,13 @@ class RunConfig:
     seed: int = 0
     synth: SynthStudyConfig = field(default_factory=SynthStudyConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
+    model: ArchConfig = field(default_factory=ArchConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     test_fraction: float = 0.15
+
+    def __post_init__(self) -> None:
+        if isinstance(self.model, ModelConfig):  # train_dataset would drop its dims
+            raise ConfigError("model", "takes an ArchConfig: the model dims come from the dataset")
 
 
 def run_config_from_json(doc) -> RunConfig:
@@ -219,25 +223,13 @@ def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
 def validate_run_config(cfg: RunConfig) -> None:
     """Check every stage's preconditions before any work starts.
 
-    Raises :class:`ConfigError` naming the offending field; a passing config
-    is guaranteed to reach the training stage without input-shape errors.
+    Raises :class:`ConfigError` naming the offending field. A passing config
+    reaches training without input-shape errors: the model dims come from the data.
     """
     s = cfg.synth
     validate_synth_config(s)
     _extraction_workers()
-    p = cfg.pipeline
-    validate_pipeline(p, s.fs, s.n_channels)
-
-    for name, want, source in (
-        ("n_channels", s.n_channels, "synth.n_channels"),
-        ("subwindows", p.subwindows, "pipeline.subwindows"),
-        ("n_bands", len(p.bands), "the number of bands"),
-        ("n_features", len(FEATURE_ORDER), "the number of features"),
-    ):
-        got = getattr(cfg.model, name)
-        if got != want:
-            raise ConfigError(f"model.{name}", f"must equal {source} ({want}), got {got}")
-
+    validate_pipeline(cfg.pipeline, s.fs, s.n_channels)
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError(
             "split.test_fraction", f"must lie in (0, 1), got {cfg.test_fraction}"
@@ -338,16 +330,14 @@ def extract_tensors(
 
 
 def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dict]:
-    """Fit ``cfg.model`` on the training side of a stored dataset.
-
-    The model dims come from the tensor shape. Writes the model file, with
-    the training side's norm stats, and the per-epoch history; returns it.
-    """
+    """Fit the ``cfg.model`` architecture, with the dims of the manifest's
+    shape, on the training side of a stored dataset. Writes the model file,
+    with the training side's norm stats, and the per-epoch history; returns it."""
     tensors, manifest = read_dataset(dataset)
     train_ds, _ = split_dataset(tensors, manifest)
     stats, normed = normalize_features(train_ds)
-    f, t, c, _, b = tensors[0].shape
-    mcfg = replace(cfg.model, n_features=f, subwindows=t, n_channels=c, n_bands=b)
+    f, t, c, _, b = manifest["shape"]
+    mcfg = ModelConfig(**vars(cfg.model), n_features=f, subwindows=t, n_channels=c, n_bands=b)
     model, history = train(build_fusion_model(mcfg), normed, cfg.train)
     save_model(model, model_path, stats)
     atomic_write_text(history_path, json.dumps(history, indent=2) + "\n")

@@ -170,9 +170,10 @@ def load_recording(path, fs: float) -> Recording:
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no sample rows")
-    return Recording(
-        samples=np.vstack(rows), fs=fs, channel_names=tuple(names), id=path.stem
-    )
+    try:
+        return Recording(samples=np.vstack(rows), fs=fs, channel_names=tuple(names), id=path.stem)
+    except ValueError as exc:  # Recording's own checks
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_recording(rec: Recording, path) -> None:

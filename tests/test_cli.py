@@ -196,6 +196,22 @@ class TestEarlyValidation:
         assert "train.batch_size" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("key", ["csv", "annotations", "fs"])
+    def test_index_entry_missing_a_key_names_the_index_and_key(self, tmp_path, capsys, key):
+        cfg_path = write_config(fast_config(tmp_path / "rec"), tmp_path / "cfg.json")
+        assert main(["synth", "--config", cfg_path]) == 0
+        index_path = tmp_path / "rec" / "recordings.json"
+        index = json.loads(index_path.read_text())
+        del index["recordings"][1][key]
+        index_path.write_text(json.dumps(index))
+        capsys.readouterr()
+        assert main([
+            "extract", "--recordings", str(index_path), "--out", str(tmp_path / "ds"),
+            "--config", cfg_path,
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {index_path}: recordings[1].{key} is missing\n"
+        assert not (tmp_path / "ds").exists()
+
 
 class TestOverrides:
     def test_seed_flag_beats_config_value(self, tmp_path, capsys):
@@ -384,7 +400,6 @@ class TestRunCommand:
         # p * (C + 1) rows, so 63 is the largest order and 64 must not pass
         doc = {
             "synth": {"n_channels": 3, "n_per_class": 2, "windows_per_recording": 4},
-            "model": {"n_channels": 3},
             "train": {"batch_size": 1},
         }
         aic = {"aic": True} if key == "aic_max" else {}

@@ -156,6 +156,20 @@ class TestReadErrors:
             read_dataset(tmp_path)
         assert str(manifest_path) in str(exc.value)
 
+    @pytest.mark.parametrize("shape", [
+        [7, 10, 4, 4], 5, [7, 10, 4, 4, 0], [7, 10, 4, 4, 5.0], [7, 10, 4, 4, True], "7x10",
+    ], ids=["four_axes", "int", "zero", "float", "bool", "string"])
+    def test_shape_that_is_not_five_positive_ints_names_the_manifest(self, tmp_path, shape):
+        # the model dims come from this field, so a bad one must not reach training
+        write_dataset(make_tensors(n=2), tmp_path, PipelineConfig())
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["shape"] = shape
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="shape must be five positive integers") as exc:
+            read_dataset(tmp_path)
+        assert str(manifest_path) in str(exc.value)
+
     def test_manifest_that_is_not_an_object_rejected(self, tmp_path):
         (tmp_path / MANIFEST_NAME).write_text("[]")
         with pytest.raises(ValueError, match="not a dataset manifest"):

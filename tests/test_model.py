@@ -585,6 +585,9 @@ class TestSaveLoad:
         [
             (lambda p: p.write_bytes(b"{not json\n" + p.read_bytes().partition(b"\n")[2]),
              "invalid header JSON"),
+            # valid JSON that is not an object used to fail on header.get
+            (lambda p: p.write_bytes(b"[1, 2]\n" + p.read_bytes().partition(b"\n")[2]),
+             "header is not a JSON object"),
             (lambda p: edit_header(p, lambda h: h.update(format="eegfusion-dataset")),
              "not a model file .format 'eegfusion-dataset'."),
             (lambda p: edit_header(p, lambda h: h.update(format_version=2)),
@@ -592,7 +595,7 @@ class TestSaveLoad:
             (lambda p: edit_header(p, lambda h: h["norm_stats"].update(std=[["x", 1]] * 3)),
              "norm_stats.std is not a numeric array"),
         ],
-        ids=["header_json", "format", "format_version", "norm_stats"],
+        ids=["header_json", "header_list", "format", "format_version", "norm_stats"],
     )
     def test_header_errors_name_the_file(self, corrupt, message, tmp_path):
         p = tmp_path / "m.bin"

@@ -12,7 +12,7 @@ import pytest
 from eegfusion.connectivity import PipelineConfig, normalize_features, window_chunks
 from eegfusion.dataset import read_dataset, split_dataset, write_dataset
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec
-from eegfusion.model import THRESHOLD, ModelConfig, TrainConfig, evaluate, load_model
+from eegfusion.model import THRESHOLD, ArchConfig, ModelConfig, TrainConfig, evaluate, load_model
 from eegfusion import runner
 from eegfusion.mvar import FitDiagnostics
 from eegfusion.runner import (
@@ -46,10 +46,7 @@ def fast_config(out_dir="run", **over) -> RunConfig:
             bands=(BandSpec("slow", 2.0, 6.0), BandSpec("fast", 6.0, 12.0)),
             broadband=BandSpec("broadband", 0.5, 12.0),
         ),
-        model=ModelConfig(
-            scheme=2, n_channels=2, n_bands=2,
-            embed_dim=4, lstm_hidden=4, dense_sizes=(8,),
-        ),
+        model=ArchConfig(scheme=2, embed_dim=4, lstm_hidden=4, dense_sizes=(8,)),
         train=TrainConfig(epochs=2, batch_size=4),
         test_fraction=0.25,
     )
@@ -208,17 +205,18 @@ class TestValidation:
             SynthSpec(kind="coupled", **{name: value})
         assert str(exc.value) == f"synth.{name}: {str(spec_exc.value).removeprefix(name + ' ')}"
 
-    def test_model_dims_must_match(self):
-        cfg = fast_config()
-        assert self.field_of(
-            replace(cfg, model=replace(cfg.model, n_channels=3))
-        ) == "model.n_channels"
-        assert self.field_of(
-            replace(cfg, model=replace(cfg.model, n_bands=5))
-        ) == "model.n_bands"
-        assert self.field_of(
-            replace(cfg, model=replace(cfg.model, subwindows=5))
-        ) == "model.subwindows"
+    @pytest.mark.parametrize("name", ["n_channels", "subwindows", "n_bands", "n_features"])
+    def test_model_dims_are_unknown_fields(self, name):
+        # the dims come from the dataset, so the config has no field for them
+        with pytest.raises(ConfigError) as exc:
+            run_config_from_json({"model": {name: 3}})
+        assert str(exc.value) == f"model.{name}: unknown field"
+
+    def test_model_config_is_refused(self):
+        # a ModelConfig's dims would be dropped for the dataset's
+        with pytest.raises(ConfigError) as exc:
+            replace(fast_config(), model=ModelConfig(n_channels=2, n_bands=2))
+        assert exc.value.field == "model"
 
     def test_band_without_grid_frequency(self):
         # at fs=128 an 8-point grid steps by 8 Hz, so delta [2, 4) holds none
@@ -233,10 +231,7 @@ class TestValidation:
 
     def test_short_subwindows_pass(self):
         # filtfilt runs on the whole 20 s window, never on a 10-sample sub-window
-        cfg = RunConfig(
-            pipeline=PipelineConfig(order=1, subwindows=256), model=ModelConfig(subwindows=256)
-        )
-        validate_run_config(cfg)
+        validate_run_config(RunConfig(pipeline=PipelineConfig(order=1, subwindows=256)))
 
     def test_window_too_short_to_filter(self):
         # at fs=1 a window holds 20 samples; order 8 pads 24 on each side
@@ -428,6 +423,14 @@ class TestPipelineRun:
         assert "explain_skipped" in manifest.warnings
         assert not any("relevance" in f for f in manifest.files)
         assert not (out / "relevance.json").exists()
+
+    def test_model_dims_come_from_the_dataset(self, tmp_path):
+        cfg = fast_config(tmp_path / "run")
+        pipeline_run(replace(cfg, synth=replace(cfg.synth, n_channels=3, coupling_strength=0.2)))
+        stored, _ = load_model(tmp_path / "run" / "model.bin")
+        header = json.loads((tmp_path / "run" / "model.bin").read_bytes().split(b"\n")[0])
+        assert header["model_config"]["n_channels"] == stored.cfg.n_channels == 3
+        assert stored.cfg == ModelConfig(**vars(cfg.model), n_channels=3, n_bands=2)
 
     def test_stage_failures_name_the_stage(self, tmp_path):
         out = tmp_path / "run"

@@ -59,6 +59,20 @@ class TestLoadRecording:
         with pytest.raises(ValueError, match="n_channels must be >= 2, got 1"):
             load_recording(p, fs=256.0)
 
+    @pytest.mark.parametrize("text, fs, message", [
+        ("a,a\n1,2\n", 256.0, "channel_names must be unique"),
+        ("a\n1\n2\n", 256.0, "n_channels must be >= 2, got 1"),
+        ("a,b\n1,2\n3,nan\n", 256.0, "samples must be finite, got nan at row 1, channel 'b'"),
+        ("a,b\n1,2\n", 0.0, "fs must be positive, got 0.0"),
+    ], ids=["duplicate_names", "one_channel", "non_finite", "fs"])
+    def test_recording_checks_name_the_file(self, tmp_path, text, fs, message):
+        # among many recordings, the error must say which file is at fault
+        p = tmp_path / "r.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_recording(p, fs=fs)
+        assert str(exc.value) == f"{p}: {message}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_recording(tmp_path / "nope.csv", fs=256.0)
