@@ -26,14 +26,14 @@ from .runner import (
     explain_stored,
     extract_tensors,
     pipeline_run,
-    run_config_from_json,
     study_recordings,
     train_dataset,
     validate_pipeline,
-    validate_synth_config,
 )
-from .signal_io import load_annotations, load_recording, save_annotations, save_recording
-from .util import atomic_write_text, field_errors, to_json
+from .signal_io import (
+    load_annotations, load_recording, save_annotations, save_recording, train_test_split,
+)
+from .util import atomic_write_text, field_errors, from_json, read_json, to_json
 
 __all__ = ["main"]
 
@@ -45,7 +45,7 @@ def _load_run_config(path: str | None) -> RunConfig:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"invalid JSON: {exc}") from exc
-    return run_config_from_json(doc)
+    return from_json(RunConfig, doc)
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -67,7 +67,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_run_config(args.config), args)
-    validate_synth_config(cfg.synth)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index = []
@@ -84,12 +83,21 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _indexed_recordings(index_path: Path, cfg: RunConfig):
-    """Load each indexed recording, checking the pipeline against it first."""
-    for k, entry in enumerate(json.loads(index_path.read_text())["recordings"]):
+    """Load each indexed recording, checking the pipeline against it first.
+    A malformed index is an error that names the index file."""
+    doc = read_json(index_path)
+    entries = doc.get("recordings") if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{index_path}: 'recordings' must be a list")
+    for k, entry in enumerate(entries):
         for key in ("csv", "annotations", "fs"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"{index_path}: recordings[{k}].{key} is missing")
-        rec = load_recording(index_path.parent / entry["csv"], fs=entry["fs"])
+        try:
+            fs = from_json(float, entry["fs"], f"recordings[{k}].fs")
+        except ConfigError as exc:  # the index is input, not config: exit 1
+            raise ValueError(f"{index_path}: {exc}") from None
+        rec = load_recording(index_path.parent / entry["csv"], fs=fs)
         validate_pipeline(cfg.pipeline, rec.fs, rec.n_channels)
         yield rec, load_annotations(index_path.parent / entry["annotations"])
 
@@ -100,9 +108,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     windows = cut_windows(_indexed_recordings(index_path, cfg), cfg)
     if not windows:
         raise RuntimeError(f"{index_path}: no extractable windows")
+    with field_errors("split.test_fraction"):  # the split that train and eval will take
+        train_test_split(windows, cfg.split.test_fraction, cfg.seed)
     diag = FitDiagnostics()
     tensors = extract_tensors(windows, cfg.pipeline, diag)
-    manifest = write_dataset(tensors, args.out, cfg.pipeline, cfg.test_fraction, cfg.seed)
+    manifest = write_dataset(tensors, args.out, cfg.pipeline, cfg.split.test_fraction, cfg.seed)
     print(f"wrote {len(tensors)} window tensors to {manifest}")
     warnings = to_json(diag)  # the run_manifest.json names
     if any(warnings.values()):

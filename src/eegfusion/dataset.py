@@ -15,7 +15,7 @@ import numpy as np
 
 from .connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
 from .signal_io import train_test_split
-from .util import atomic_write_text, config_hash, to_json
+from .util import ConfigError, atomic_write_text, config_hash, from_json, read_json, to_json
 
 __all__ = ["MANIFEST_NAME", "write_dataset", "read_dataset", "split_dataset"]
 
@@ -82,7 +82,7 @@ def read_dataset(path) -> tuple[list[WindowTensor], dict]:
     manifest_path = path / MANIFEST_NAME if path.is_dir() else path
     if not manifest_path.exists():
         raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("format") != _DATASET_FORMAT:
         raise ValueError(f"{manifest_path}: not a dataset manifest")
     if manifest.get("format_version") != _DATASET_VERSION:
@@ -96,6 +96,14 @@ def read_dataset(path) -> tuple[list[WindowTensor], dict]:
     if not (isinstance(shape, list) and len(shape) == 5
             and all(type(n) is int and n >= 1 for n in shape)):
         raise ValueError(f"{manifest_path}: shape must be five positive integers, got {shape!r}")
+    split = manifest["split"]
+    for key, tp in (("test_fraction", float), ("seed", int)):
+        if not isinstance(split, dict) or key not in split:
+            raise ValueError(f"{manifest_path}: split has no {key!r}")
+        try:
+            from_json(tp, split[key], f"split.{key}")
+        except ConfigError as exc:  # a bad file, not a bad config: exit 1
+            raise ValueError(f"{manifest_path}: {exc}") from None
     shape = tuple(shape)
     count = int(np.prod(shape))
     base = manifest_path.parent

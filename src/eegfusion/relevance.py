@@ -19,13 +19,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .connectivity import FEATURE_ORDER
 from .model import FusionModel, _stack_dataset
-from .util import atomic_write_text, to_json
+from .util import atomic_write_text, read_json, to_json
 
 __all__ = [
     "EmbeddingBatch",
@@ -177,7 +176,9 @@ def write_report_json(report: RelevanceReport, path) -> None:
 
 
 def load_report_json(path) -> RelevanceReport:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: report is not a JSON object")
     for key in ("feature_order", "classes"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")

@@ -50,22 +50,22 @@ from .signal_io import (
     WINDOW_S,
     SynthSpec,
     _check_stable,
+    _check_test_fraction,
     _subwindow_length,
+    _test_count,
     extract_labeled_windows,
     generate_synthetic,
     has_nonseizure_span,
 )
-from .util import ConfigError, atomic_write_text, config_hash, field_errors, from_json, to_json
+from .util import ConfigError, atomic_write_text, config_hash, field_errors, to_json
 from .util import _openblas_thread_calls
 
 __all__ = [
     "ConfigError",
     "SynthStudyConfig",
+    "SplitConfig",
     "RunConfig",
     "RunManifest",
-    "run_config_from_json",
-    "run_config_to_json",
-    "validate_synth_config",
     "validate_pipeline",
     "validate_run_config",
     "derive_seed",
@@ -83,7 +83,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SynthStudyConfig:
     """Shape of the synthetic two-class study: how many recordings of each
-    class to simulate and how many 20 s windows to keep per recording."""
+    class to simulate and how many 20 s windows to keep per recording. The
+    recording fields take a coupled ``SynthSpec``'s ranges and stability check."""
 
     n_per_class: int = 10
     windows_per_recording: int = 10
@@ -97,6 +98,30 @@ class SynthStudyConfig:
     noise_std: float = 1.0
     guard_s: float = 60.0
 
+    def __post_init__(self) -> None:
+        for name in ("n_per_class", "windows_per_recording"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_stable(_synth_spec(self, "coupled"))
+        if self.guard_s < 0:
+            raise ValueError(f"guard_s must be >= 0, got {self.guard_s}")
+        max_windows = int(self.duration_s // WINDOW_S)
+        if max_windows < self.windows_per_recording:
+            raise ValueError(
+                f"windows_per_recording must be <= {max_windows}, the {WINDOW_S:.0f} s "
+                f"windows a {self.duration_s} s recording holds, got {self.windows_per_recording}"
+            )
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    """The stratified train/test split (:func:`signal_io.train_test_split`)."""
+
+    test_fraction: float = 0.15
+
+    def __post_init__(self) -> None:
+        _check_test_fraction(self.test_fraction)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -108,35 +133,17 @@ class RunConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     model: ArchConfig = field(default_factory=ArchConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    test_fraction: float = 0.15
+    split: SplitConfig = field(default_factory=SplitConfig)
 
     def __post_init__(self) -> None:
         if isinstance(self.model, ModelConfig):  # train_dataset would drop its dims
             raise ConfigError("model", "takes an ArchConfig: the model dims come from the dataset")
 
-
-def run_config_from_json(doc) -> RunConfig:
-    """Parse the nested JSON layout, which keys ``test_fraction`` as
-    ``split.test_fraction``; unknown or ill-typed fields name their path."""
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    if "test_fraction" in doc:
-        raise ConfigError("test_fraction", "unknown field")
-    flat = {k: v for k, v in doc.items() if k != "split"}
-    split = doc.get("split", {})
-    if not isinstance(split, dict):
-        raise ConfigError("split", "must be a JSON object")
-    for key, value in split.items():
-        if key != "test_fraction":
-            raise ConfigError(f"split.{key}", "unknown field")
-        flat[key] = from_json(float, value, f"split.{key}")
-    return from_json(RunConfig, flat)
-
-
-def run_config_to_json(cfg: RunConfig) -> dict:
-    doc = to_json(cfg)
-    doc["split"] = {"test_fraction": doc.pop("test_fraction")}
-    return doc
+    @property
+    def test_fraction(self) -> float:
+        # read by perfbench/workloads.py (fusion_train): the benchmark's code
+        # stays the same across the revisions it compares
+        return self.split.test_fraction
 
 
 def _synth_spec(s: SynthStudyConfig, kind: str, **extra) -> SynthSpec:
@@ -144,27 +151,6 @@ def _synth_spec(s: SynthStudyConfig, kind: str, **extra) -> SynthSpec:
     :class:`SynthStudyConfig` shares with :class:`SynthSpec`, then ``extra``."""
     shared = {f.name: getattr(s, f.name) for f in fields(SynthSpec) if hasattr(s, f.name)}
     return SynthSpec(kind=kind, **{**shared, **extra})
-
-
-def validate_synth_config(s: SynthStudyConfig) -> None:
-    """Check the synth section alone, before any recording is simulated. The
-    recording fields take the checks of a coupled recording of the study
-    (``SynthSpec``'s ranges and the stability that ``generate_synthetic``
-    requires), named by :func:`util.field_errors`."""
-    for name in ("n_per_class", "windows_per_recording"):
-        if getattr(s, name) < 1:
-            raise ConfigError(f"synth.{name}", f"must be >= 1, got {getattr(s, name)}")
-    with field_errors("synth", SynthSpec):
-        _check_stable(_synth_spec(s, "coupled"))
-    if s.guard_s < 0:
-        raise ConfigError("synth.guard_s", f"must be >= 0, got {s.guard_s}")
-    max_windows = int(s.duration_s // WINDOW_S)
-    if max_windows < s.windows_per_recording:
-        raise ConfigError(
-            "synth.windows_per_recording",
-            f"a {s.duration_s} s recording holds at most {max_windows} windows "
-            f"of {WINDOW_S:.0f} s, requested {s.windows_per_recording}",
-        )
 
 
 def _extraction_workers() -> int:
@@ -221,27 +207,18 @@ def validate_pipeline(p: PipelineConfig, fs: float, n_channels: int) -> None:
 
 
 def validate_run_config(cfg: RunConfig) -> None:
-    """Check every stage's preconditions before any work starts.
+    """Check the rules that span sections before any work starts; each
+    section has checked itself at construction.
 
     Raises :class:`ConfigError` naming the offending field. A passing config
     reaches training without input-shape errors: the model dims come from the data.
     """
     s = cfg.synth
-    validate_synth_config(s)
     _extraction_workers()
     validate_pipeline(cfg.pipeline, s.fs, s.n_channels)
-    if not 0.0 < cfg.test_fraction < 1.0:
-        raise ConfigError(
-            "split.test_fraction", f"must lie in (0, 1), got {cfg.test_fraction}"
-        )
     n_class = s.n_per_class * s.windows_per_recording
-    n_test = int(round(n_class * cfg.test_fraction))
-    if n_test < 1 or n_class - n_test < 1:
-        raise ConfigError(
-            "split.test_fraction",
-            f"splitting {n_class} windows per class at {cfg.test_fraction} leaves "
-            f"an empty train or test side",
-        )
+    with field_errors("split.test_fraction"):
+        n_test = _test_count(n_class, cfg.split.test_fraction)
     n_train = 2 * (n_class - n_test)
     if cfg.train.batch_size > n_train:
         raise ConfigError(
@@ -430,7 +407,7 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
     validate_run_config(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_doc = run_config_to_json(cfg)
+    cfg_doc = to_json(cfg)
     # out_dir does not influence any output bytes, so it stays out of the hash
     cfg_hash = config_hash({k: v for k, v in cfg_doc.items() if k != "out_dir"})
     timing: dict[str, float] = {}
@@ -453,7 +430,7 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
     dataset, model_path = out / "dataset", out / "model.bin"
     manifest_path = stage(
         "write_dataset",
-        lambda: write_dataset(tensors, dataset, cfg.pipeline, cfg.test_fraction, cfg.seed),
+        lambda: write_dataset(tensors, dataset, cfg.pipeline, cfg.split.test_fraction, cfg.seed),
     )
     del windows, tensors  # every later stage reads the stored dataset
     stored = json.loads(manifest_path.read_text())["windows"]

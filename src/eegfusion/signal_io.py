@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .mvar import companion_radius
+from .util import read_json
 
 __all__ = [
     "WINDOW_S",
@@ -191,12 +192,7 @@ def save_annotations(ann: AnnotationSet, path) -> None:
 
 def load_annotations(path) -> AnnotationSet:
     """Read ``{"seizures": [{"start_s": ..., "end_s": ...}, ...]}``."""
-    path = Path(path)
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or "seizures" not in doc:
         raise ValueError(f"{path}: missing top-level 'seizures' list")
     items = doc["seizures"]
@@ -493,24 +489,34 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Recording, AnnotationSet]:
     return rec, AnnotationSet.from_intervals(intervals)
 
 
-def train_test_split(ds, test_fraction: float = 0.15, seed: int = 0):
-    """Stratified split of labeled items; per class, round(n * fraction) go to test."""
+def _check_test_fraction(test_fraction: float) -> None:
+    """ValueError unless 0 < test_fraction < 1."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+
+
+def _test_count(n: int, test_fraction: float) -> int:
+    """Windows of an n-window class that go to test, round(n * test_fraction);
+    ValueError unless both sides keep at least one."""
+    n_test = int(round(n * test_fraction))
+    if not 0 < n_test < n:
+        raise ValueError(f"a class of {n} windows split at {test_fraction} leaves a side empty")
+    return n_test
+
+
+def train_test_split(ds, test_fraction: float = 0.15, seed: int = 0):
+    """Stratified split of labeled items; per class, round(n * fraction) go to test."""
+    _check_test_fraction(test_fraction)
     by_label: dict[int, list[int]] = {}
     for i, item in enumerate(ds):
         by_label.setdefault(item.label, []).append(i)
     if len(by_label) < 2:
         raise ValueError("need samples from both classes to split")
-    for label, idxs in by_label.items():
-        if len(idxs) < 2:
-            raise ValueError(f"class {label} has only {len(idxs)} sample(s); need >= 2")
     rng = np.random.default_rng(seed)
     test_idx: set[int] = set()
     for label in sorted(by_label):
         idxs = by_label[label]
-        n_test = int(round(len(idxs) * test_fraction))
-        pick = rng.permutation(len(idxs))[:n_test]
+        pick = rng.permutation(len(idxs))[: _test_count(len(idxs), test_fraction)]
         test_idx.update(idxs[i] for i in pick)
     train = [ds[i] for i in range(len(ds)) if i not in test_idx]
     test = [ds[i] for i in range(len(ds)) if i in test_idx]

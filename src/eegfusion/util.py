@@ -1,4 +1,4 @@
-"""JSON hashing and config codec, atomic writes and the OpenBLAS thread pin."""
+"""JSON hashing, reading and config codec, atomic writes and the OpenBLAS thread pin."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ __all__ = [
     "config_hash",
     "atomic_write_bytes",
     "atomic_write_text",
+    "read_json",
     "to_json",
     "from_json",
     "field_errors",
@@ -57,6 +58,15 @@ def atomic_write_bytes(path, data: bytes) -> None:
 def atomic_write_text(path, text: str) -> None:
     """:func:`atomic_write_bytes` of the UTF-8 text."""
     atomic_write_bytes(path, text.encode())
+
+
+def read_json(path):
+    """The JSON document in file ``path``; invalid JSON is a ``ValueError``
+    that names the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def to_json(obj):

@@ -11,13 +11,16 @@ from eegfusion.connectivity import PipelineConfig
 from eegfusion.dataset import read_dataset, split_dataset
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec, design_bandpass
 from eegfusion.model import TrainConfig, evaluate, load_model
-from eegfusion.runner import (
-    RunConfig, SynthStudyConfig, run_config_from_json, run_config_to_json, validate_run_config,
-)
+from eegfusion.runner import RunConfig, SplitConfig, SynthStudyConfig, validate_run_config
+from eegfusion.util import from_json, to_json
 
 
 def write_config(cfg: RunConfig, path) -> str:
-    path.write_text(json.dumps(run_config_to_json(cfg), indent=2))
+    return write_doc(to_json(cfg), path)
+
+
+def write_doc(doc: dict, path) -> str:
+    path.write_text(json.dumps(doc, indent=2))
     return str(path)
 
 
@@ -122,7 +125,7 @@ class TestEarlyValidation:
 
     def test_ill_typed_field_stops_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "never"
-        doc = run_config_to_json(fast_config(out))
+        doc = to_json(fast_config(out))
         doc["train"]["epochs"] = 2.5
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -140,9 +143,9 @@ class TestEarlyValidation:
 
     def test_unstable_synth_stops_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "never"
-        cfg = fast_config(out)
-        cfg = replace(cfg, synth=replace(cfg.synth, coupling_strength=0.9))
-        path = write_config(cfg, tmp_path / "cfg.json")
+        doc = to_json(fast_config(out))
+        doc["synth"]["coupling_strength"] = 0.9
+        path = write_doc(doc, tmp_path / "cfg.json")
         assert main(["synth", "--config", path]) == 2
         assert "synth.coupling_strength" in capsys.readouterr().err
         assert not out.exists()
@@ -211,6 +214,77 @@ class TestEarlyValidation:
         ]) == 1
         assert capsys.readouterr().err == f"error: {index_path}: recordings[1].{key} is missing\n"
         assert not (tmp_path / "ds").exists()
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("{ nope", "invalid JSON: "),
+        (json.dumps({"entries": []}), "'recordings' must be a list"),
+        (json.dumps({"recordings": 3}), "'recordings' must be a list"),
+        (json.dumps([]), "'recordings' must be a list"),
+    ], ids=["invalid_json", "no_recordings", "int_recordings", "list_index"])
+    def test_malformed_index_names_the_index(self, tmp_path, capsys, text, message):
+        index_path = tmp_path / "recordings.json"
+        index_path.write_text(text)
+        assert main(["extract", "--recordings", str(index_path), "--out", str(tmp_path / "ds")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {index_path}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("fs", ["128", True, None])
+    def test_index_fs_that_is_not_a_number_names_the_index(self, tmp_path, capsys, fs):
+        cfg_path = write_config(fast_config(tmp_path / "rec"), tmp_path / "cfg.json")
+        assert main(["synth", "--config", cfg_path]) == 0
+        index_path = tmp_path / "rec" / "recordings.json"
+        index = json.loads(index_path.read_text())
+        index["recordings"][1]["fs"] = fs
+        index_path.write_text(json.dumps(index))
+        capsys.readouterr()
+        assert main([
+            "extract", "--recordings", str(index_path), "--out", str(tmp_path / "ds"),
+            "--config", cfg_path,
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {index_path}: recordings[1].fs: must be a finite number, got {fs!r}\n"
+        )
+        assert not (tmp_path / "ds").exists()
+
+    def test_extract_refuses_a_fraction_out_of_range(self, tmp_path, capsys):
+        cfg = fast_config(tmp_path / "rec")
+        assert main(["synth", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 0
+        doc = to_json(cfg)
+        doc["split"]["test_fraction"] = 1.5
+        capsys.readouterr()
+        ds_dir = tmp_path / "ds"
+        assert main([
+            "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
+            "--out", str(ds_dir), "--config", write_doc(doc, tmp_path / "bad.json"),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "config error: split.test_fraction: must lie in (0, 1), got 1.5\n"
+        )
+        assert not ds_dir.exists()
+
+    def test_extract_refuses_a_split_that_leaves_a_side_empty(self, tmp_path, capsys):
+        # one recording per class gives 2 windows per class, and 0.2 sends
+        # round(0.4) = 0 of them to test; run refuses the same config
+        cfg = fast_config(tmp_path / "rec")
+        cfg = replace(cfg, synth=replace(cfg.synth, n_per_class=1), split=SplitConfig(0.2))
+        cfg_path = write_config(cfg, tmp_path / "cfg.json")
+        assert main(["synth", "--config", cfg_path]) == 0
+        capsys.readouterr()
+        ds_dir = tmp_path / "ds"
+        assert main([
+            "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
+            "--out", str(ds_dir), "--config", cfg_path,
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "config error: split.test_fraction: a class of 2 windows split at 0.2 "
+            "leaves a side empty\n"
+        )
+        assert not ds_dir.exists()
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("config error: split.test_fraction: ")
+        assert not (tmp_path / "run").exists()
 
 
 class TestOverrides:
@@ -408,4 +482,4 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
-        validate_run_config(run_config_from_json({**doc, "pipeline": {**aic, key: 63}}))
+        validate_run_config(from_json(RunConfig, {**doc, "pipeline": {**aic, key: 63}}))

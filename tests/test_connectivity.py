@@ -38,7 +38,7 @@ from eegfusion.mvar import (
 from eegfusion.signal_io import (
     LabeledWindow, SynthSpec, extract_labeled_windows, generate_synthetic, split_subwindows,
 )
-from eegfusion.runner import RunConfig, run_config_from_json, study_windows
+from eegfusion.runner import RunConfig, study_windows
 from eegfusion.util import ConfigError, from_json, one_blas_thread, to_json
 
 FS = 128.0
@@ -1018,6 +1018,6 @@ def test_pipeline_config_checks_its_fields(field, value, message):
     with pytest.raises(ValueError, match=message) as spec_exc:
         PipelineConfig(**{field: tuple(value) if field == "bands" else value})
     with pytest.raises(ConfigError) as exc:
-        run_config_from_json({"pipeline": {field: value}})
+        from_json(RunConfig, {"pipeline": {field: value}})
     assert exc.value.field == f"pipeline.{field}"
     assert str(exc.value) == f"pipeline.{field}: {str(spec_exc.value).removeprefix(field + ' ')}"

@@ -170,6 +170,31 @@ class TestReadErrors:
             read_dataset(tmp_path)
         assert str(manifest_path) in str(exc.value)
 
+    def test_invalid_json_names_the_manifest(self, tmp_path):
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest_path.write_text("{ nope")
+        with pytest.raises(ValueError, match="invalid JSON") as exc:
+            read_dataset(tmp_path)
+        assert str(exc.value).startswith(f"{manifest_path}: ")
+
+    @pytest.mark.parametrize("split, message", [
+        ({"seed": 0}, "split has no 'test_fraction'"),
+        ({"test_fraction": 0.25}, "split has no 'seed'"),
+        ([0.25, 0], "split has no 'test_fraction'"),
+        ({"test_fraction": "0.25", "seed": 0}, "split.test_fraction: must be a finite number"),
+        ({"test_fraction": 0.25, "seed": "0"}, "split.seed: must be an integer"),
+        ({"test_fraction": 0.25, "seed": 1.5}, "split.seed: must be an integer"),
+    ], ids=["no_fraction", "no_seed", "list", "string_fraction", "string_seed", "float_seed"])
+    def test_bad_split_record_names_the_manifest(self, tmp_path, split, message):
+        write_dataset(make_tensors(n=2), tmp_path, PipelineConfig())
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["split"] = split
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as exc:
+            read_dataset(tmp_path)
+        assert str(exc.value).startswith(f"{manifest_path}: {message}")
+
     def test_manifest_that_is_not_an_object_rejected(self, tmp_path):
         (tmp_path / MANIFEST_NAME).write_text("[]")
         with pytest.raises(ValueError, match="not a dataset manifest"):

@@ -1,6 +1,7 @@
 """README's examples parse with the code they document.
 
-The JSON config example must pass ``run_config_from_json`` and
+The JSON config example must parse as a ``RunConfig`` with
+``util.from_json``, where each section checks itself, and pass
 ``validate_run_config``, and every ``eegfusion`` command line of its shell
 blocks must parse with the CLI's own argument parser, so a deleted or
 renamed field or flag fails here rather than in a reader's shell.
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from eegfusion.cli import build_parser
-from eegfusion.runner import run_config_from_json, validate_run_config
+from eegfusion.runner import RunConfig, validate_run_config
+from eegfusion.util import from_json
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -33,7 +35,7 @@ COMMANDS = [
 
 def test_json_config_example_is_a_valid_run_config():
     (block,) = fenced_blocks("json")
-    validate_run_config(run_config_from_json(json.loads(block)))
+    validate_run_config(from_json(RunConfig, json.loads(block)))
 
 
 def test_stage_chain_is_documented():

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps package functions and methods by name, and the
 suite under ``tests/`` does not run the benchmark. Loading its name tables
 here makes a deletion or rename in ``src`` that would break a traced
-benchmark run fail in this suite instead.
+benchmark run fail in this suite instead. The config surface that
+``perfbench/workloads.py`` builds its studies with is checked the same way.
 """
 
 import importlib
@@ -11,6 +12,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from eegfusion import model, runner
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -36,3 +39,11 @@ def test_traced_method_is_defined_on_its_class(mod_name, cls_name, meth, span):
     # the tracer patches the class's own attribute, so an inherited one fails it
     cls = getattr(importlib.import_module(f"eegfusion.{mod_name}"), cls_name)
     assert callable(cls.__dict__.get(meth)), f"eegfusion.{mod_name}.{cls_name} defines no {meth}"
+
+
+def test_workload_config_surface_exists():
+    # the tiny desk_study and fusion_train configs, built and read as the workloads do
+    synth = runner.SynthStudyConfig(n_per_class=2, windows_per_recording=4, duration_s=100.0)
+    cfg = runner.RunConfig(seed=0, synth=synth, train=model.TrainConfig(epochs=10, batch_size=4))
+    runner.validate_run_config(cfg)
+    assert runner.RunConfig().test_fraction == cfg.split.test_fraction == 0.15

@@ -238,6 +238,19 @@ class TestReportFiles:
         with pytest.raises(ValueError, match="feature_order"):
             load_report_json(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("{ nope", "invalid JSON: "),
+        (json.dumps("feature_order classes"), "report is not a JSON object"),
+        ("[]", "report is not a JSON object"),
+    ], ids=["invalid", "string", "list"])
+    def test_unreadable_report_names_the_file(self, tmp_path, text, message):
+        # a string holding both key names passed the key check by substring
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_report_json(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
     def test_csv_layout_and_values(self, tmp_path):
         m = small_model()
         report = relevance_report(m, small_dataset(m.cfg))

@@ -19,17 +19,16 @@ from eegfusion.runner import (
     ConfigError,
     RunConfig,
     RunManifest,
+    SplitConfig,
     SynthStudyConfig,
     derive_seed,
     extract_tensors,
     pipeline_run,
-    run_config_from_json,
-    run_config_to_json,
     study_windows,
     validate_run_config,
 )
 from eegfusion.signal_io import SynthSpec
-from eegfusion.util import config_hash
+from eegfusion.util import config_hash, from_json, to_json
 
 
 def fast_config(out_dir="run", **over) -> RunConfig:
@@ -48,19 +47,39 @@ def fast_config(out_dir="run", **over) -> RunConfig:
         ),
         model=ArchConfig(scheme=2, embed_dim=4, lstm_hidden=4, dense_sizes=(8,)),
         train=TrainConfig(epochs=2, batch_size=4),
-        test_fraction=0.25,
+        split=SplitConfig(test_fraction=0.25),
     )
     return replace(cfg, **over) if over else cfg
+
+
+def refusal(doc) -> ConfigError:
+    """The error that a config document is refused with, at parse or validation."""
+    with pytest.raises(ConfigError) as exc:
+        validate_run_config(from_json(RunConfig, doc))
+    return exc.value
+
+
+def fast_doc(**synth) -> dict:
+    """fast_config's JSON document, with these synth values."""
+    doc = to_json(fast_config())
+    doc["synth"].update(synth)
+    return doc
 
 
 class TestConfigJson:
     def test_defaults_round_trip(self):
         cfg = fast_config()
-        assert run_config_from_json(run_config_to_json(cfg)) == cfg
+        assert from_json(RunConfig, to_json(cfg)) == cfg
+
+    def test_document_layout_is_unchanged(self):
+        # the split section keeps its JSON key, so config hashes keep their bytes
+        doc = to_json(RunConfig())
+        assert list(doc) == ["out_dir", "seed", "synth", "pipeline", "model", "train", "split"]
+        assert doc["split"] == {"test_fraction": 0.15}
 
     def test_unknown_top_level_field(self):
         with pytest.raises(ConfigError, match="unknown field") as exc:
-            run_config_from_json({"frobnicate": 1})
+            from_json(RunConfig, {"frobnicate": 1})
         assert exc.value.field == "frobnicate"
 
     @pytest.mark.parametrize(
@@ -83,7 +102,7 @@ class TestConfigJson:
     )
     def test_unknown_nested_fields_name_their_path(self, doc, field):
         with pytest.raises(ConfigError) as exc:
-            run_config_from_json(doc)
+            from_json(RunConfig, doc)
         assert exc.value.field == field
 
     def test_type_errors_name_their_path(self):
@@ -111,31 +130,33 @@ class TestConfigJson:
         ]
         for doc, field in cases:
             with pytest.raises(ConfigError) as exc:
-                run_config_from_json(doc)
+                from_json(RunConfig, doc)
             assert exc.value.field == field, doc
 
     def test_ints_pass_for_floats_unchanged(self):
-        cfg = run_config_from_json({"synth": {"fs": 128}, "split": {"test_fraction": 0}})
-        assert type(cfg.synth.fs) is int and cfg.test_fraction == 0
-        assert run_config_to_json(cfg)["synth"]["fs"] == 128
+        # no int lies in (0, 1), so test_fraction has no int case
+        cfg = from_json(RunConfig, {"synth": {"fs": 128}})
+        assert type(cfg.synth.fs) is int
+        assert to_json(cfg)["synth"]["fs"] == 128
 
     def test_section_value_errors_name_their_field(self):
         with pytest.raises(ConfigError) as exc:
-            run_config_from_json({"model": {"scheme": 5}})
+            from_json(RunConfig, {"model": {"scheme": 5}})
         assert str(exc.value) == "model.scheme: must be 1..4, got 5"
         with pytest.raises(ConfigError) as exc:
-            run_config_from_json({"train": {"epochs": 0}})
+            from_json(RunConfig, {"train": {"epochs": 0}})
         assert str(exc.value) == "train.epochs: must be >= 1, got 0"
         # a message that leads with no field name names the entry itself
         with pytest.raises(ConfigError, match="need 0 < low < high") as exc:
-            run_config_from_json({"pipeline": {"broadband": {"name": "b", "low_hz": 5, "high_hz": 1}}})
+            broadband = {"name": "b", "low_hz": 5, "high_hz": 1}
+            from_json(RunConfig, {"pipeline": {"broadband": broadband}})
         assert exc.value.field == "pipeline.broadband"
 
     def test_dense_sizes_parsed_as_tuple(self):
-        cfg = run_config_from_json({"model": {"dense_sizes": [8, 4]}})
+        cfg = from_json(RunConfig, {"model": {"dense_sizes": [8, 4]}})
         assert cfg.model.dense_sizes == (8, 4)
         with pytest.raises(ConfigError) as exc:
-            run_config_from_json({"model": {"dense_sizes": 8}})
+            from_json(RunConfig, {"model": {"dense_sizes": 8}})
         assert exc.value.field == "model.dense_sizes"
 
 
@@ -177,19 +198,19 @@ class TestValidation:
         assert self.field_of(cfg) == "pipeline.order"
 
     def test_unstable_coupling_rejected(self):
-        cfg = fast_config()
-        cfg = replace(cfg, synth=replace(cfg.synth, coupling_strength=0.9))
-        assert self.field_of(cfg) == "synth.coupling_strength"
+        assert refusal(fast_doc(coupling_strength=0.9)).field == "synth.coupling_strength"
 
     def test_too_many_windows_for_duration(self):
-        cfg = fast_config()
-        cfg = replace(cfg, synth=replace(cfg.synth, windows_per_recording=4))
-        assert self.field_of(cfg) == "synth.windows_per_recording"
+        assert refusal(fast_doc(windows_per_recording=4)).field == "synth.windows_per_recording"
 
     def test_ar_frequency_beyond_nyquist(self):
-        cfg = fast_config()
-        cfg = replace(cfg, synth=replace(cfg.synth, ar_freq_hz=20.0))
-        assert self.field_of(cfg) == "synth.ar_freq_hz"
+        assert refusal(fast_doc(ar_freq_hz=20.0)).field == "synth.ar_freq_hz"
+
+    def test_sections_check_themselves(self):
+        with pytest.raises(ValueError, match="^coupling_strength makes the process unstable"):
+            SynthStudyConfig(coupling_strength=0.9)
+        with pytest.raises(ValueError, match=r"^test_fraction must lie in \(0, 1\), got 1.5"):
+            SplitConfig(test_fraction=1.5)
 
     @pytest.mark.parametrize("name, value", [
         ("n_channels", 1), ("fs", 0.0), ("ar_pole_radius", 1.0), ("noise_std", 0.0),
@@ -197,19 +218,17 @@ class TestValidation:
     ])
     def test_recording_ranges_are_synth_specs(self, name, value):
         # one definition of each range: the config error is SynthSpec's own
-        cfg = fast_config()
-        with pytest.raises(ConfigError) as exc:
-            validate_run_config(replace(cfg, synth=replace(cfg.synth, **{name: value})))
-        assert exc.value.field == f"synth.{name}"
+        error = refusal(fast_doc(**{name: value}))
+        assert error.field == f"synth.{name}"
         with pytest.raises(ValueError) as spec_exc:
             SynthSpec(kind="coupled", **{name: value})
-        assert str(exc.value) == f"synth.{name}: {str(spec_exc.value).removeprefix(name + ' ')}"
+        assert str(error) == f"synth.{name}: {str(spec_exc.value).removeprefix(name + ' ')}"
 
     @pytest.mark.parametrize("name", ["n_channels", "subwindows", "n_bands", "n_features"])
     def test_model_dims_are_unknown_fields(self, name):
         # the dims come from the dataset, so the config has no field for them
         with pytest.raises(ConfigError) as exc:
-            run_config_from_json({"model": {name: 3}})
+            from_json(RunConfig, {"model": {name: 3}})
         assert str(exc.value) == f"model.{name}: unknown field"
 
     def test_model_config_is_refused(self):
@@ -254,8 +273,9 @@ class TestValidation:
         assert self.field_of(fast_config()) == "EEGFUSION_WORKERS"
 
     def test_degenerate_split(self):
-        assert self.field_of(fast_config(test_fraction=0.0)) == "split.test_fraction"
-        assert self.field_of(fast_config(test_fraction=0.05)) == "split.test_fraction"
+        for fraction in (0.0, 0.05):
+            doc = {**fast_doc(), "split": {"test_fraction": fraction}}
+            assert refusal(doc).field == "split.test_fraction"
 
 
 class TestDeriveSeed:
@@ -391,7 +411,7 @@ class TestPipelineRun:
 
     def test_hash_excludes_output_location(self, tmp_path):
         cfg = fast_config(tmp_path / "a")
-        doc = run_config_to_json(cfg)
+        doc = to_json(cfg)
         expected = config_hash({k: v for k, v in doc.items() if k != "out_dir"})
         manifest = pipeline_run(cfg)
         assert manifest.config_hash == expected
@@ -445,7 +465,7 @@ class TestStoredModel:
         cfg = fast_config(tmp_path / "run")
         dataset = tmp_path / "dataset"
         tensors = extract_tensors(study_windows(cfg), cfg.pipeline, FitDiagnostics())
-        write_dataset(tensors, dataset, cfg.pipeline, cfg.test_fraction, cfg.seed)
+        write_dataset(tensors, dataset, cfg.pipeline, cfg.split.test_fraction, cfg.seed)
         real_train, trained = runner.train, []
 
         def keep(*args):

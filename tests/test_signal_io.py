@@ -472,3 +472,11 @@ class TestTrainTestSplit:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             train_test_split([FakeTensor(1, str(i)) for i in range(10)], 0.2)
+
+    @pytest.mark.parametrize("n, fraction", [(2, 0.2), (2, 0.8), (1, 0.5), (4, 0.1)])
+    def test_empty_side_rejected(self, n, fraction):
+        # round(n * fraction) windows of a class go to test; 0 or n leaves a side
+        # empty, here on the seizure side only
+        ds = [FakeTensor(0, f"n{i}") for i in range(10)] + [FakeTensor(1, f"p{i}") for i in range(n)]
+        with pytest.raises(ValueError, match=f"^a class of {n} windows split at {fraction} "):
+            train_test_split(ds, fraction)
