@@ -24,8 +24,8 @@ from .runner import (
     cut_windows,
     evaluate_stored,
     explain_stored,
-    extract_tensors,
     pipeline_run,
+    stream_tensors,
     study_recordings,
     train_dataset,
     validate_pipeline,
@@ -105,15 +105,21 @@ def _indexed_recordings(index_path: Path, cfg: RunConfig):
 def _cmd_extract(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_run_config(args.config), args)
     index_path = Path(args.recordings)
-    windows = cut_windows(_indexed_recordings(index_path, cfg), cfg)
+    # every recording is loaded and checked, and every window cut, before any compute
+    windows = list(cut_windows(_indexed_recordings(index_path, cfg), cfg))
     if not windows:
         raise RuntimeError(f"{index_path}: no extractable windows")
+    labels = {w.label for w in windows}
+    if len(labels) < 2:  # the recordings' fault, not the fraction's: exit 1
+        raise ValueError(
+            f"{index_path}: every window has label {labels.pop()}; the split needs both classes"
+        )
     with field_errors("split.test_fraction"):  # the split that train and eval will take
         train_test_split(windows, cfg.split.test_fraction, cfg.seed)
     diag = FitDiagnostics()
-    tensors = extract_tensors(windows, cfg.pipeline, diag)
+    tensors = stream_tensors(windows, cfg.pipeline, diag)
     manifest = write_dataset(tensors, args.out, cfg.pipeline, cfg.split.test_fraction, cfg.seed)
-    print(f"wrote {len(tensors)} window tensors to {manifest}")
+    print(f"wrote {len(windows)} window tensors to {manifest}")
     warnings = to_json(diag)  # the run_manifest.json names
     if any(warnings.values()):
         print("warnings: " + ", ".join(f"{k}={v}" for k, v in warnings.items()), file=sys.stderr)

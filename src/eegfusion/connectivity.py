@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,17 +327,18 @@ _CHUNK_ELEMENTS = 1 << 15
 _WINDOW_CHUNK_SAMPLES = 1 << 16
 
 
-def window_chunks(windows) -> list[list[LabeledWindow]]:
+def window_chunks(windows) -> Iterator[list[LabeledWindow]]:
     """Split windows, in order, into chunks for :func:`build_feature_tensors`:
     runs of consecutive windows of equal ``fs`` and sample shape, each at
     most ``_WINDOW_CHUNK_SAMPLES`` samples * channels and at least one window.
+
+    Each chunk is yielded as soon as it is full or the next window's rate or
+    shape differs, so windows that arrive lazily are never all held at once.
     """
-    chunks = []
     for _, run in itertools.groupby(windows, key=lambda w: (w.fs, w.samples.shape)):
-        run = list(run)
-        size = max(1, _WINDOW_CHUNK_SAMPLES // run[0].samples.size)
-        chunks += [run[i : i + size] for i in range(0, len(run), size)]
-    return chunks
+        for first in run:
+            size = max(1, _WINDOW_CHUNK_SAMPLES // first.samples.size)
+            yield [first, *itertools.islice(run, size - 1)]
 
 
 def _mvar_planes(

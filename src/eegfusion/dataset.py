@@ -9,12 +9,13 @@ per-window label/id/file, so a dataset directory is self-describing.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from .connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
-from .signal_io import train_test_split
+from .signal_io import _check_test_fraction, train_test_split
 from .util import ConfigError, atomic_write_text, config_hash, from_json, read_json, to_json
 
 __all__ = ["MANIFEST_NAME", "write_dataset", "read_dataset", "split_dataset"]
@@ -26,7 +27,7 @@ _DATASET_VERSION = 2
 
 
 def write_dataset(
-    tensors: list[WindowTensor],
+    tensors: Iterable[WindowTensor],
     out_dir,
     pipeline_cfg: PipelineConfig,
     test_fraction: float = 0.15,
@@ -34,43 +35,56 @@ def write_dataset(
 ) -> Path:
     """Write window tensors and return the manifest path.
 
-    The manifest records ``test_fraction`` and ``seed`` as the train/test
-    split that :func:`split_dataset` applies. Window files are written first;
-    the manifest goes last and atomically, so its presence implies a
-    complete dataset.
+    ``tensors`` may be any iterable: each window file is written as its
+    tensor arrives, so a generator's tensors are never all held at once. The
+    manifest records ``test_fraction`` and ``seed`` as the train/test split
+    that :func:`split_dataset` applies. It goes last and atomically, so its
+    presence implies a complete dataset: a manifest already in ``out_dir`` is
+    removed first, and on any error, the iterable's included, the window
+    files written so far are removed again.
     """
-    if not tensors:
-        raise ValueError("refusing to write an empty dataset")
-    shape = tensors[0].values.shape
-    if len(shape) != 5:
-        raise ValueError(f"expected 5-axis window tensors, got shape {shape}")
     out_dir = Path(out_dir)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    windows = []
-    for i, t in enumerate(tensors):
-        if t.values.shape != shape:
-            raise ValueError(
-                f"window {t.source_id!r} has shape {t.values.shape}, expected {shape}"
-            )
-        fname = f"w{i:05d}.bin"
-        (out_dir / fname).write_bytes(
-            np.ascontiguousarray(t.values, dtype="<f4").tobytes()
-        )
-        windows.append({"file": fname, "label": int(t.label), "source_id": t.source_id})
-    cfg_doc = to_json(pipeline_cfg)
-    manifest = {
-        "format": _DATASET_FORMAT,
-        "format_version": _DATASET_VERSION,
-        "shape": list(shape),
-        "feature_order": list(FEATURE_ORDER),
-        "bands": cfg_doc["bands"],
-        "config": cfg_doc,
-        "config_hash": config_hash(cfg_doc),
-        "split": {"test_fraction": test_fraction, "seed": seed},
-        "windows": windows,
-    }
     manifest_path = out_dir / MANIFEST_NAME
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.unlink(missing_ok=True)
+    windows, shape = [], None
+    try:
+        for i, t in enumerate(tensors):
+            if shape is None:
+                shape = t.values.shape
+                if len(shape) != 5:
+                    raise ValueError(f"expected 5-axis window tensors, got shape {shape}")
+            elif t.values.shape != shape:
+                raise ValueError(
+                    f"window {t.source_id!r} has shape {t.values.shape}, expected {shape}"
+                )
+            fname = f"w{i:05d}.bin"
+            windows.append({"file": fname, "label": int(t.label), "source_id": t.source_id})
+            (out_dir / fname).write_bytes(
+                np.ascontiguousarray(t.values, dtype="<f4").tobytes()
+            )
+        if not windows:
+            raise ValueError("refusing to write an empty dataset")
+        cfg_doc = to_json(pipeline_cfg)
+        manifest = {
+            "format": _DATASET_FORMAT,
+            "format_version": _DATASET_VERSION,
+            "shape": list(shape),
+            "feature_order": list(FEATURE_ORDER),
+            "bands": cfg_doc["bands"],
+            "config": cfg_doc,
+            "config_hash": config_hash(cfg_doc),
+            "split": {"test_fraction": test_fraction, "seed": seed},
+            "windows": windows,
+        }
+        atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        for w in windows:
+            (out_dir / w["file"]).unlink(missing_ok=True)
+        if created:
+            out_dir.rmdir()
+        raise
     return manifest_path
 
 
@@ -104,6 +118,10 @@ def read_dataset(path) -> tuple[list[WindowTensor], dict]:
             from_json(tp, split[key], f"split.{key}")
         except ConfigError as exc:  # a bad file, not a bad config: exit 1
             raise ValueError(f"{manifest_path}: {exc}") from None
+    try:
+        _check_test_fraction(split["test_fraction"])
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: split.{exc}") from None
     shape = tuple(shape)
     count = int(np.prod(shape))
     base = manifest_path.parent

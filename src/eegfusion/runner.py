@@ -14,6 +14,7 @@ import json
 import os
 import platform
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -48,6 +49,7 @@ from .plotting import write_svg
 from .relevance import RelevanceReport, relevance_report, write_report_csv, write_report_json
 from .signal_io import (
     WINDOW_S,
+    LabeledWindow,
     SynthSpec,
     _check_stable,
     _check_test_fraction,
@@ -72,6 +74,7 @@ __all__ = [
     "study_recordings",
     "cut_windows",
     "study_windows",
+    "stream_tensors",
     "extract_tensors",
     "train_dataset",
     "evaluate_stored",
@@ -250,32 +253,35 @@ def study_recordings(cfg: RunConfig):
             yield (kind, *generate_synthetic(spec))
 
 
-def cut_windows(recordings, cfg: RunConfig) -> list:
-    """Cut labeled windows from ``(recording, annotations)`` pairs, in order.
+def cut_windows(recordings, cfg: RunConfig) -> Iterator[LabeledWindow]:
+    """Cut labeled windows from ``(recording, annotations)`` pairs, in order,
+    yielding each recording's windows before the next recording is taken.
 
     Each recording gives its first ``windows_per_recording`` seizure slices
     plus, when it has a guarded seizure-free span, ``windows_per_recording``
     non-seizure draws seeded by the recording's position i in the sequence.
     """
     s = cfg.synth
-    windows = []
     for i, (rec, ann) in enumerate(recordings):
         n_free = s.windows_per_recording if has_nonseizure_span(rec, ann, s.guard_s) else 0
         ws = extract_labeled_windows(
             rec, ann, n_free, seed=derive_seed(cfg.seed, 0, i, 1), guard_s=s.guard_s
         )
-        windows += [w for w in ws if w.label == 1][: s.windows_per_recording]
-        windows += [w for w in ws if w.label == 0]
-    return windows
+        yield from [w for w in ws if w.label == 1][: s.windows_per_recording]
+        yield from (w for w in ws if w.label == 0)
 
 
-def study_windows(cfg: RunConfig) -> list:
+def _study_stream(cfg: RunConfig) -> Iterator[LabeledWindow]:
+    return cut_windows(((rec, ann) for _, rec, ann in study_recordings(cfg)), cfg)
+
+
+def study_windows(cfg: RunConfig) -> list[LabeledWindow]:
     """Simulate the study's recordings and cut their windows (:func:`cut_windows`).
 
     Coupled recordings are annotated end to end and give seizure slices;
     uncoupled ones, which come first, give non-seizure draws.
     """
-    return cut_windows(((rec, ann) for _, rec, ann in study_recordings(cfg)), cfg)
+    return list(_study_stream(cfg))
 
 
 def _extract_chunk(args):
@@ -284,26 +290,38 @@ def _extract_chunk(args):
     return build_feature_tensors(chunk, pcfg, diag), diag
 
 
-def extract_tensors(
+def stream_tensors(
     windows, pcfg: PipelineConfig, diagnostics: FitDiagnostics | None = None
-) -> list[WindowTensor]:
-    """Feature tensors for every window, in input order.
+) -> Iterator[WindowTensor]:
+    """Feature tensors for every window, in input order, yielded chunk by chunk.
 
-    Windows are extracted in chunks (:func:`window_chunks`). Extraction is
-    pure per chunk, so the EEGFUSION_WORKERS env var may fan the chunks out
-    over processes; results keep the input order either way, and each
-    chunk's fit health is merged into ``diagnostics`` in chunk order.
+    Windows are extracted in chunks (:func:`window_chunks`). Run in one
+    process, each chunk is cut from ``windows`` only when the previous one's
+    tensors have been taken, so a lazy ``windows`` is held one chunk at a
+    time. Extraction is pure per chunk, so the EEGFUSION_WORKERS env var may
+    fan the chunks out over processes; they are then all listed first, to
+    size the pool. Results keep the input order either way, and each chunk's
+    fit health is merged into ``diagnostics`` in chunk order.
     """
     diagnostics = FitDiagnostics() if diagnostics is None else diagnostics
-    jobs = [(chunk, pcfg) for chunk in window_chunks(windows)]
-    workers = min(_extraction_workers(), len(jobs))
-    tensors = []
+    chunks = window_chunks(windows)
+    workers = _extraction_workers()
+    if workers > 1:
+        chunks = list(chunks)
+        workers = min(workers, len(chunks))
+    jobs = ((chunk, pcfg) for chunk in chunks)
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         results = pool.map(_extract_chunk, jobs, chunksize=1) if pool else map(_extract_chunk, jobs)
         for chunk_tensors, diag in results:
             diagnostics.merge(diag)
-            tensors += chunk_tensors
-    return tensors
+            yield from chunk_tensors
+
+
+def extract_tensors(
+    windows, pcfg: PipelineConfig, diagnostics: FitDiagnostics | None = None
+) -> list[WindowTensor]:
+    """Feature tensors for every window, in input order (:func:`stream_tensors`)."""
+    return list(stream_tensors(windows, pcfg, diagnostics))
 
 
 def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dict]:
@@ -395,14 +413,63 @@ def _threads() -> dict:
     return {**env, "cpu_count": os.cpu_count(), "pinned": bool(_openblas_thread_calls())}
 
 
+class _StageFailed(RuntimeError):
+    """A stage of a run failed; the message leads with ``stage '<name>' failed``."""
+
+
+class _StageClock:
+    """Each stage's own accumulated seconds, where stages interleave: time a
+    stage spends waiting on the stage it pulls items from is charged to that one."""
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+        self._name: str | None = None
+        self._t0 = time.perf_counter()
+
+    def _switch(self, name: str | None) -> None:
+        now = time.perf_counter()
+        if self._name is not None:
+            self.seconds[self._name] = self.seconds.get(self._name, 0.0) + now - self._t0
+        self._name, self._t0 = name, now
+
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Charge the block's time to ``name``, and prefix its failure with the name."""
+        outer = self._name
+        self._switch(name)
+        try:
+            yield
+        except (ConfigError, _StageFailed):
+            raise
+        except Exception as exc:
+            raise _StageFailed(f"stage {name!r} failed: {exc}") from exc
+        finally:
+            self._switch(outer)
+
+    def stream(self, name: str, items) -> Iterator:
+        """Yield ``items``, the work of producing each charged to stage ``name``."""
+        items = iter(items)
+        while True:
+            with self.stage(name):
+                try:
+                    item = next(items)
+                except StopIteration:
+                    return
+            yield item
+
+
 def pipeline_run(cfg: RunConfig) -> RunManifest:
     """Run the full study under ``cfg.out_dir`` and return its manifest.
 
-    Training, evaluation and explanation read the stored dataset and model
-    file, so a run equals the CLI chain synth -> extract -> train -> eval ->
-    explain. Stage failures abort with the stage name prefixed to the error
-    message. The manifest (run_manifest.json) is written last, so its
-    presence marks a completed run.
+    Synthesis, extraction and the dataset write form one stream: each
+    recording is cut into windows as it is simulated, each chunk of windows
+    is extracted as it fills, and each tensor is written as it arrives, so
+    memory holds one recording and one chunk at a time. Training, evaluation
+    and explanation read the stored dataset and model file, so a run equals
+    the CLI chain synth -> extract -> train -> eval -> explain. Stage
+    failures abort with the stage name prefixed to the error message, and
+    ``timing_s`` holds each stage's own seconds. The manifest
+    (run_manifest.json) is written last, so its presence marks a completed run.
     """
     validate_run_config(cfg)
     out = Path(cfg.out_dir)
@@ -410,54 +477,39 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
     cfg_doc = to_json(cfg)
     # out_dir does not influence any output bytes, so it stays out of the hash
     cfg_hash = config_hash({k: v for k, v in cfg_doc.items() if k != "out_dir"})
-    timing: dict[str, float] = {}
-    files: list[str] = []
+    clock = _StageClock()
     diag = FitDiagnostics()
 
-    def stage(name: str, fn):
-        t0 = time.perf_counter()
-        try:
-            result = fn()
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
-        timing[name] = round(time.perf_counter() - t0, 6)
-        return result
-
-    windows = stage("synthesize", lambda: study_windows(cfg))
-    tensors = stage("extract", lambda: extract_tensors(windows, cfg.pipeline, diag))
     dataset, model_path = out / "dataset", out / "model.bin"
-    manifest_path = stage(
-        "write_dataset",
-        lambda: write_dataset(tensors, dataset, cfg.pipeline, cfg.split.test_fraction, cfg.seed),
-    )
-    del windows, tensors  # every later stage reads the stored dataset
-    stored = json.loads(manifest_path.read_text())["windows"]
-    files += ["dataset/" + name for name in [manifest_path.name] + [w["file"] for w in stored]]
+    windows = clock.stream("synthesize", _study_stream(cfg))
+    tensors = clock.stream("extract", stream_tensors(windows, cfg.pipeline, diag))
+    with clock.stage("write_dataset"):
+        manifest_path = write_dataset(
+            tensors, dataset, cfg.pipeline, cfg.split.test_fraction, cfg.seed
+        )
+    written = json.loads(manifest_path.read_text())["windows"]
+    files = ["dataset/" + name for name in [manifest_path.name] + [w["file"] for w in written]]
 
-    stage("train", lambda: train_dataset(cfg, dataset, model_path, out / "history.json"))
+    with clock.stage("train"):
+        train_dataset(cfg, dataset, model_path, out / "history.json")
     files += ["model.bin", "history.json"]
 
-    def _evaluate():
+    with clock.stage("evaluate"):
         stored = _stored(model_path, dataset)  # explain reads the same z-scored windows
-        doc = _metrics(*stored)
-        atomic_write_text(out / "metrics.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        files.append("metrics.json")
-        return stored, doc
-
-    (model, tensors, _), metrics = stage("evaluate", _evaluate)
+        metrics = _metrics(*stored)
+        text = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
+        atomic_write_text(out / "metrics.json", text)
+    files.append("metrics.json")
+    model, tensors, _ = stored
     warnings = to_json(diag)
 
-    def _explain():
-        report = relevance_report(model, tensors, cfg_hash)
-        write_report_json(report, out / "relevance.json")
-        write_report_csv(report, out / "relevance.csv")
-        write_svg(report, out / "relevance.svg")
-        files.extend(["relevance.json", "relevance.csv", "relevance.svg"])
-
     if cfg.model.scheme in (1, 2):
-        stage("explain", _explain)
+        with clock.stage("explain"):
+            report = relevance_report(model, tensors, cfg_hash)
+            write_report_json(report, out / "relevance.json")
+            write_report_csv(report, out / "relevance.csv")
+            write_svg(report, out / "relevance.svg")
+        files.extend(["relevance.json", "relevance.csv", "relevance.svg"])
     else:
         warnings["explain_skipped"] = f"scheme {cfg.model.scheme} concatenates no per-feature branches"
 
@@ -467,7 +519,7 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
         versions=_versions(),
         threads=_threads(),
         warnings=warnings,
-        timing_s=timing,
+        timing_s={name: round(sec, 6) for name, sec in clock.seconds.items()},
         files=files,
         config=cfg_doc,
         metrics=metrics,

@@ -286,6 +286,26 @@ class TestEarlyValidation:
         assert capsys.readouterr().err.startswith("config error: split.test_fraction: ")
         assert not (tmp_path / "run").exists()
 
+    def test_extract_of_one_class_is_an_input_error_naming_the_index(self, tmp_path, capsys):
+        # uncoupled recordings give non-seizure windows only: the index is at
+        # fault, not split.test_fraction
+        cfg_path = write_config(fast_config(tmp_path / "rec"), tmp_path / "cfg.json")
+        assert main(["synth", "--config", cfg_path]) == 0
+        index_path = tmp_path / "rec" / "recordings.json"
+        index = json.loads(index_path.read_text())
+        index["recordings"] = [e for e in index["recordings"] if e["kind"] == "uncoupled"]
+        index_path.write_text(json.dumps(index))
+        capsys.readouterr()
+        ds_dir = tmp_path / "ds"
+        assert main([
+            "extract", "--recordings", str(index_path), "--out", str(ds_dir),
+            "--config", cfg_path,
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {index_path}: every window has label 0; the split needs both classes\n"
+        )
+        assert not ds_dir.exists()
+
 
 class TestOverrides:
     def test_seed_flag_beats_config_value(self, tmp_path, capsys):

@@ -715,7 +715,7 @@ class TestWindowChunks:
         assert [len(ch) for ch in window_chunks(desk)] == [6, 6, 1]
         clinical = [blank(5120, 19, 256.0)] * 2
         assert [len(ch) for ch in window_chunks(clinical)] == [1, 1]
-        assert window_chunks([]) == []
+        assert list(window_chunks([])) == []
 
     def test_chunk_plv_matches_phase_oracle_on_the_desk_study(self):
         # unit phasors z / |z| round differently from exp(j angle(z))
@@ -768,7 +768,7 @@ class TestWindowChunks:
         # 8 windows: a chunk of 6 and one of 2; the chunk of 6 runs MVAR
         # passes of 47 and 13 sub-windows, split inside window 4
         windows = make_windows()
-        chunks = window_chunks(windows)
+        chunks = list(window_chunks(windows))
         assert [len(ch) for ch in chunks] == [6, 2]
         diag = FitDiagnostics()
         got = [t for ch in chunks for t in build_feature_tensors(ch, cfg, diag)]
@@ -785,7 +785,7 @@ class TestWindowChunks:
         fast = coupled_windows(fs=256.0, n_windows=1, seed=2, strength=0.08)
         narrow = coupled_windows(n_channels=3, n_windows=2, seed=3)
         windows = desk[:2] + fast + desk[2:] + narrow
-        chunks = window_chunks(windows)
+        chunks = list(window_chunks(windows))
         ids = [[w.source_id for w in ch] for ch in chunks]
         assert ids == [[w.source_id for w in windows[a:b]] for a, b in ((0, 2), (2, 3), (3, 4), (4, 6))]
         cfg = PipelineConfig()

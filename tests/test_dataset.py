@@ -122,6 +122,26 @@ class TestWriteErrors:
         with pytest.raises(ValueError, match="5-axis"):
             write_dataset([t], tmp_path, PipelineConfig())
 
+    def test_failing_iterable_leaves_no_window_files(self, tmp_path):
+        # each window file is written as its tensor arrives, then removed again
+        def tensors():
+            yield from make_tensors(n=2)
+            assert sorted(p.name for p in out.iterdir()) == ["w00000.bin", "w00001.bin"]
+            raise RuntimeError("extraction failed")
+
+        out = tmp_path / "ds"
+        with pytest.raises(RuntimeError, match="extraction failed"):
+            write_dataset(tensors(), out, PipelineConfig())
+        assert not out.exists()
+
+    def test_rewrite_removes_the_old_manifest_first(self, tmp_path):
+        # a failed rewrite must not leave the old manifest over its files
+        write_dataset(make_tensors(n=2), tmp_path, PipelineConfig())
+        flat = WindowTensor(values=np.zeros((7, 4, 4)), label=0, source_id="w")
+        with pytest.raises(ValueError, match="5-axis"):
+            write_dataset([flat], tmp_path, PipelineConfig())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w00000.bin", "w00001.bin"]
+
 
 class TestReadErrors:
     def test_missing_manifest(self, tmp_path):
@@ -184,7 +204,9 @@ class TestReadErrors:
         ({"test_fraction": "0.25", "seed": 0}, "split.test_fraction: must be a finite number"),
         ({"test_fraction": 0.25, "seed": "0"}, "split.seed: must be an integer"),
         ({"test_fraction": 0.25, "seed": 1.5}, "split.seed: must be an integer"),
-    ], ids=["no_fraction", "no_seed", "list", "string_fraction", "string_seed", "float_seed"])
+        ({"test_fraction": 1.5, "seed": 0}, "split.test_fraction must lie in (0, 1), got 1.5"),
+    ], ids=["no_fraction", "no_seed", "list", "string_fraction", "string_seed", "float_seed",
+            "fraction_out_of_range"])
     def test_bad_split_record_names_the_manifest(self, tmp_path, split, message):
         write_dataset(make_tensors(n=2), tmp_path, PipelineConfig())
         manifest_path = tmp_path / MANIFEST_NAME

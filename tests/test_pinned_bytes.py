@@ -91,7 +91,7 @@ def test_one_blas_thread_restores_the_old_counts():
 def desk_chunk():
     """Six C=4, fs=128 windows: three non-seizure, three seizure; one chunk."""
     cfg = RunConfig(synth=SynthStudyConfig(n_per_class=1, windows_per_recording=3, duration_s=100.0))
-    chunks = window_chunks(study_windows(cfg))
+    chunks = list(window_chunks(study_windows(cfg)))
     assert [len(c) for c in chunks] == [6]
     return chunks[0]
 

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from eegfusion.connectivity import PipelineConfig, normalize_features, window_ch
 from eegfusion.dataset import read_dataset, split_dataset, write_dataset
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec
 from eegfusion.model import THRESHOLD, ArchConfig, ModelConfig, TrainConfig, evaluate, load_model
-from eegfusion import runner
+from eegfusion import connectivity, runner
+from eegfusion.cli import main
 from eegfusion.mvar import FitDiagnostics
 from eegfusion.runner import (
     ConfigError,
@@ -458,6 +461,110 @@ class TestPipelineRun:
         (out / "dataset").write_text("in the way")
         with pytest.raises(RuntimeError, match="stage 'write_dataset' failed"):
             pipeline_run(fast_config(out))
+
+
+def stop_before_training(monkeypatch) -> list[int]:
+    """Make a run stop at its train stage; the list gets the traced peak
+    of the stages before it, when tracemalloc is on."""
+    peaks = []
+
+    def stop(*args):
+        if tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        raise RuntimeError("stopped before training")
+
+    monkeypatch.setattr(runner, "train_dataset", stop)
+    return peaks
+
+
+def fail_second_chunk(monkeypatch, dataset: Path) -> list[list[str]]:
+    """Chunks of two windows, the second of which fails to extract; the
+    list gets the window files on disk when it fails."""
+    monkeypatch.setattr(connectivity, "_WINDOW_CHUNK_SAMPLES", 2 * 640 * 2)  # fast_config windows
+    real, seen = runner.build_feature_tensors, []
+
+    def flaky(chunk, *args):
+        seen.append(sorted(p.name for p in dataset.glob("w*.bin")))
+        if len(seen) == 2:
+            raise ValueError("second chunk failed")
+        return real(chunk, *args)
+
+    monkeypatch.setattr(runner, "build_feature_tensors", flaky)
+    return seen
+
+
+class TestStreamedRun:
+    """Synthesis, extraction and the dataset write run as one stream."""
+
+    def test_traced_peak_does_not_grow_with_the_study(self, tmp_path, monkeypatch):
+        # at n_per_class=6, lists of the study's 120 windows and tensors
+        # would take 15 MB alone; a stream holds one recording and one chunk
+        peaks = stop_before_training(monkeypatch)
+        for n, traced in ((2, False), (2, True), (6, True)):  # the first designs the filters
+            cfg = RunConfig(out_dir=str(tmp_path / f"run{n}"), synth=SynthStudyConfig(n_per_class=n))
+            if traced:
+                tracemalloc.start()
+            try:
+                with pytest.raises(RuntimeError, match="stage 'train' failed"):
+                    pipeline_run(cfg)
+            finally:
+                tracemalloc.stop()
+        small, large = peaks
+        assert large < 10e6
+        assert large - small < 0.5e6
+
+    def test_stage_times_are_each_stages_own(self, tmp_path, monkeypatch):
+        # extraction pulls windows from synthesis and the write pulls tensors
+        # from extraction; neither is charged the time of the stage it waits on
+        def slow(fn):
+            def wrapped(*args):
+                time.sleep(0.1)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(runner, "generate_synthetic", slow(runner.generate_synthetic))
+        monkeypatch.setattr(runner, "build_feature_tensors", slow(runner.build_feature_tensors))
+        timing = pipeline_run(fast_config(tmp_path / "run")).timing_s
+        assert timing["synthesize"] >= 0.4  # four recordings
+        assert 0.1 <= timing["extract"] < 0.4  # one chunk
+        assert timing["write_dataset"] < 0.1
+
+    def test_failed_chunk_of_a_run_leaves_no_dataset(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        seen = fail_second_chunk(monkeypatch, out / "dataset")
+        with pytest.raises(RuntimeError, match="stage 'extract' failed: .*second chunk failed"):
+            pipeline_run(fast_config(out))
+        assert seen == [[], ["w00000.bin", "w00001.bin"]]
+        assert not (out / "dataset").exists()
+
+    def test_failed_chunk_of_an_extract_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(to_json(fast_config(tmp_path / "rec"))))
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        ds_dir = tmp_path / "ds"
+        seen = fail_second_chunk(monkeypatch, ds_dir)
+        assert main([
+            "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
+            "--out", str(ds_dir), "--config", str(cfg_path),
+        ]) == 1
+        assert capsys.readouterr().err == "error: second chunk failed\n"
+        assert seen == [[], ["w00000.bin", "w00001.bin"]]
+        assert not ds_dir.exists()
+
+    def test_parallel_run_writes_the_sequential_dataset(self, tmp_path, monkeypatch):
+        # chunks of two windows, so that the workers share the run's four chunks
+        monkeypatch.setattr(connectivity, "_WINDOW_CHUNK_SAMPLES", 2 * 640 * 2)
+        stop_before_training(monkeypatch)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("EEGFUSION_WORKERS", workers)
+            with pytest.raises(RuntimeError, match="stage 'train' failed"):
+                pipeline_run(fast_config(tmp_path / workers))
+        files = sorted(p.name for p in (tmp_path / "1" / "dataset").iterdir())
+        assert len(files) == 1 + 8
+        for name in files:
+            assert (tmp_path / "1" / "dataset" / name).read_bytes() == (
+                tmp_path / "2" / "dataset" / name
+            ).read_bytes(), name
 
 
 class TestStoredModel:
