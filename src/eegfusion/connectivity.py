@@ -283,16 +283,11 @@ class PipelineConfig:
     broadband: BandSpec = BROADBAND
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.aic_max < 1:
-            raise ValueError(f"aic_max must be >= 1, got {self.aic_max}")
-        if self.n_freqs < 1:
-            raise ValueError(f"n_freqs must be >= 1, got {self.n_freqs}")
+        for name in ("order", "aic_max", "n_freqs", "subwindows"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.ridge < 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
-        if self.subwindows < 1:
-            raise ValueError(f"subwindows must be >= 1, got {self.subwindows}")
         if not self.bands:
             raise ValueError("bands must hold at least one rhythm band")
 

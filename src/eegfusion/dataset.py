@@ -9,6 +9,9 @@ per-window label/id/file, so a dataset directory is self-describing.
 from __future__ import annotations
 
 import json
+import re
+import shutil
+import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import numpy as np
 
 from .connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
 from .signal_io import _check_test_fraction, train_test_split
-from .util import ConfigError, atomic_write_text, config_hash, from_json, read_json, to_json
+from .util import ConfigError, config_hash, from_json, read_json, to_json
 
 __all__ = ["MANIFEST_NAME", "write_dataset", "read_dataset", "split_dataset"]
 
@@ -38,32 +41,35 @@ def write_dataset(
     ``tensors`` may be any iterable: each window file is written as its
     tensor arrives, so a generator's tensors are never all held at once. The
     manifest records ``test_fraction`` and ``seed`` as the train/test split
-    that :func:`split_dataset` applies. It goes last and atomically, so its
-    presence implies a complete dataset: a manifest already in ``out_dir`` is
-    removed first, and on any error, the iterable's included, the window
-    files written so far are removed again.
+    that :func:`split_dataset` applies. The files go into a fresh hidden
+    sibling of ``out_dir``, which replaces ``out_dir`` whole once the manifest
+    is written; on any error, the iterable's included, ``out_dir`` keeps what
+    it held. An ``out_dir`` holding other files is refused before any is read.
     """
     out_dir = Path(out_dir)
-    created = not out_dir.exists()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = out_dir / MANIFEST_NAME
-    manifest_path.unlink(missing_ok=True)
+    if out_dir.exists():  # it is replaced whole, so it may hold only a dataset's files
+        for p in out_dir.iterdir():
+            ours = p.name == MANIFEST_NAME or re.fullmatch(r"w\d{5,}\.bin", p.name)
+            if not (ours and p.is_file()):
+                raise FileExistsError(f"{out_dir}: holds {p.name!r}, which is not a dataset "
+                                      "file; refusing to replace the directory")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    root = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    staging, old = root / "new", root / "old"
+    staging.mkdir()  # under the umask, as out_dir would be
     windows, shape = [], None
     try:
         for i, t in enumerate(tensors):
-            if shape is None:
-                shape = t.values.shape
-                if len(shape) != 5:
-                    raise ValueError(f"expected 5-axis window tensors, got shape {shape}")
-            elif t.values.shape != shape:
+            shape = shape or t.values.shape
+            if len(shape) != 5:
+                raise ValueError(f"expected 5-axis window tensors, got shape {shape}")
+            if t.values.shape != shape:
                 raise ValueError(
                     f"window {t.source_id!r} has shape {t.values.shape}, expected {shape}"
                 )
             fname = f"w{i:05d}.bin"
             windows.append({"file": fname, "label": int(t.label), "source_id": t.source_id})
-            (out_dir / fname).write_bytes(
-                np.ascontiguousarray(t.values, dtype="<f4").tobytes()
-            )
+            (staging / fname).write_bytes(np.ascontiguousarray(t.values, dtype="<f4").tobytes())
         if not windows:
             raise ValueError("refusing to write an empty dataset")
         cfg_doc = to_json(pipeline_cfg)
@@ -78,14 +84,15 @@ def write_dataset(
             "split": {"test_fraction": test_fraction, "seed": seed},
             "windows": windows,
         }
-        atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    except BaseException:
-        for w in windows:
-            (out_dir / w["file"]).unlink(missing_ok=True)
-        if created:
-            out_dir.rmdir()
-        raise
-    return manifest_path
+        (staging / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        if out_dir.exists():
+            out_dir.rename(old)
+        staging.rename(out_dir)
+    finally:
+        if old.exists() and not out_dir.exists():  # the swap failed halfway
+            old.rename(out_dir)
+        shutil.rmtree(root)
+    return out_dir / MANIFEST_NAME
 
 
 def read_dataset(path) -> tuple[list[WindowTensor], dict]:

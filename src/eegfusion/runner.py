@@ -10,6 +10,7 @@ reproduces every output bit for bit.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import platform
@@ -157,7 +158,7 @@ def _synth_spec(s: SynthStudyConfig, kind: str, **extra) -> SynthSpec:
 
 
 def _extraction_workers() -> int:
-    """Worker processes for feature extraction, from EEGFUSION_WORKERS."""
+    """Extraction worker processes: EEGFUSION_WORKERS, at most the CPUs we may run on."""
     raw = os.environ.get("EEGFUSION_WORKERS", "1") or "1"
     try:
         workers = int(raw)
@@ -165,7 +166,8 @@ def _extraction_workers() -> int:
         raise ConfigError("EEGFUSION_WORKERS", f"must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ConfigError("EEGFUSION_WORKERS", f"must be >= 1, got {workers}")
-    return workers
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, cpus or 1)
 
 
 def _check_design(band, fs: float, filter_order: int, path: str) -> None:
@@ -284,8 +286,7 @@ def study_windows(cfg: RunConfig) -> list[LabeledWindow]:
     return list(_study_stream(cfg))
 
 
-def _extract_chunk(args):
-    chunk, pcfg = args
+def _extract_chunk(chunk, pcfg):
     diag = FitDiagnostics()
     return build_feature_tensors(chunk, pcfg, diag), diag
 
@@ -295,26 +296,26 @@ def stream_tensors(
 ) -> Iterator[WindowTensor]:
     """Feature tensors for every window, in input order, yielded chunk by chunk.
 
-    Windows are extracted in chunks (:func:`window_chunks`). Run in one
-    process, each chunk is cut from ``windows`` only when the previous one's
-    tensors have been taken, so a lazy ``windows`` is held one chunk at a
-    time. Extraction is pure per chunk, so the EEGFUSION_WORKERS env var may
-    fan the chunks out over processes; they are then all listed first, to
-    size the pool. Results keep the input order either way, and each chunk's
-    fit health is merged into ``diagnostics`` in chunk order.
+    Windows are extracted in chunks (:func:`window_chunks`), in rounds of one
+    chunk per extraction worker; a round is cut from ``windows`` only when the
+    last round's tensors have been taken, so a lazy ``windows`` is held one
+    round at a time. Extraction is pure per chunk, so a round of several runs
+    over a process pool sized by the first round. Results keep the input
+    order, and each chunk's fit health is merged into ``diagnostics`` in order.
     """
     diagnostics = FitDiagnostics() if diagnostics is None else diagnostics
     chunks = window_chunks(windows)
     workers = _extraction_workers()
-    if workers > 1:
-        chunks = list(chunks)
-        workers = min(workers, len(chunks))
-    jobs = ((chunk, pcfg) for chunk in chunks)
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        results = pool.map(_extract_chunk, jobs, chunksize=1) if pool else map(_extract_chunk, jobs)
-        for chunk_tensors, diag in results:
-            diagnostics.merge(diag)
-            yield from chunk_tensors
+    rounds = iter(lambda: list(itertools.islice(chunks, workers)), [])
+    first = next(rounds, [])  # short of `workers` only when it holds every chunk
+    with ProcessPoolExecutor(len(first)) if len(first) > 1 else contextlib.nullcontext() as pool:
+        run = pool.map if pool else map
+        for jobs in itertools.chain([first], rounds):
+            results = list(run(_extract_chunk, jobs, itertools.repeat(pcfg)))
+            jobs.clear()  # the round's windows are not held while its tensors are taken
+            for chunk_tensors, diag in results:
+                diagnostics.merge(diag)
+                yield from chunk_tensors
 
 
 def extract_tensors(
@@ -484,11 +485,8 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
     windows = clock.stream("synthesize", _study_stream(cfg))
     tensors = clock.stream("extract", stream_tensors(windows, cfg.pipeline, diag))
     with clock.stage("write_dataset"):
-        manifest_path = write_dataset(
-            tensors, dataset, cfg.pipeline, cfg.split.test_fraction, cfg.seed
-        )
-    written = json.loads(manifest_path.read_text())["windows"]
-    files = ["dataset/" + name for name in [manifest_path.name] + [w["file"] for w in written]]
+        write_dataset(tensors, dataset, cfg.pipeline, cfg.split.test_fraction, cfg.seed)
+    files = sorted(f"dataset/{p.name}" for p in dataset.iterdir())  # the manifest, then w*.bin
 
     with clock.stage("train"):
         train_dataset(cfg, dataset, model_path, out / "history.json")
@@ -497,8 +495,7 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
     with clock.stage("evaluate"):
         stored = _stored(model_path, dataset)  # explain reads the same z-scored windows
         metrics = _metrics(*stored)
-        text = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
-        atomic_write_text(out / "metrics.json", text)
+        atomic_write_text(out / "metrics.json", json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     files.append("metrics.json")
     model, tensors, _ = stored
     warnings = to_json(diag)

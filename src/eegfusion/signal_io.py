@@ -371,8 +371,9 @@ class SynthSpec:
             raise ValueError(
                 f"ar_pole_radius must be in [0, 1), got {self.ar_pole_radius}"
             )
-        if self.noise_std <= 0:
-            raise ValueError(f"noise_std must be positive, got {self.noise_std}")
+        # measured: the features (~noise_std**4 and its inverse) leave the floats near 1e+-75
+        if not 1e-50 <= self.noise_std <= 1e50:
+            raise ValueError(f"noise_std must lie in [1e-50, 1e+50], got {self.noise_std}")
         if not 0 < self.ar_freq_hz < self.fs / 2:
             raise ValueError(
                 f"ar_freq_hz must lie in (0, fs/2), got {self.ar_freq_hz}"

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from test_runner import fast_config
 
+from eegfusion import runner
 from eegfusion.cli import main
 from eegfusion.connectivity import PipelineConfig
 from eegfusion.dataset import read_dataset, split_dataset
@@ -150,6 +151,21 @@ class TestEarlyValidation:
         assert "synth.coupling_strength" in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("noise_std", [1e300, 1e200, 1e-160, 1e-200, 1e-300])
+    def test_noise_the_floats_cannot_hold_stops_before_any_output(
+        self, tmp_path, capsys, noise_std
+    ):
+        # synthesis or the spectral measures would overflow or underflow
+        out = tmp_path / "never"
+        doc = to_json(fast_config(out))
+        doc["synth"]["noise_std"] = noise_std
+        path = write_doc(doc, tmp_path / "cfg.json")
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: synth.noise_std: must lie in [1e-50, 1e+50], got {noise_std}\n"
+        )
+        assert not out.exists()
 
     def test_extract_checks_the_pipeline_against_the_recordings(self, tmp_path, capsys):
         # the default pipeline's beta band (13-30 Hz) lies above the 16 Hz
@@ -467,6 +483,88 @@ class TestSubcommandChain:
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc["classes"]) == {"non_seizure", "seizure"}
+
+
+def dataset_files(ds_dir) -> tuple[list[str], list[str]]:
+    """The files in a dataset directory, and those its manifest names."""
+    manifest = json.loads((ds_dir / "manifest.json").read_text())
+    named = ["manifest.json"] + [w["file"] for w in manifest["windows"]]
+    return sorted(p.name for p in ds_dir.iterdir()), sorted(named)
+
+
+def windows_per_recording(cfg: RunConfig, n: int) -> RunConfig:
+    return replace(cfg, synth=replace(cfg.synth, windows_per_recording=n))
+
+
+class TestDatasetDirectory:
+    """A dataset directory is replaced whole, and only when it holds a dataset."""
+
+    def test_smaller_rerun_of_run_leaves_only_its_files(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        for n, windows in ((3, 12), (2, 8)):
+            cfg = windows_per_recording(fast_config(out), n)
+            assert main(["run", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 0
+            on_disk, named = dataset_files(out / "dataset")
+            assert on_disk == named and len(named) == 1 + windows
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == sorted(
+            manifest["files"] + ["run_manifest.json"]
+        )
+        capsys.readouterr()
+
+    def test_smaller_rerun_of_extract_leaves_only_its_files(self, tmp_path, capsys):
+        cfg = windows_per_recording(fast_config(tmp_path / "rec"), 3)
+        assert main(["synth", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 0
+        ds_dir = tmp_path / "ds"
+        for n, windows in ((3, 12), (2, 8)):
+            cfg_path = write_config(windows_per_recording(cfg, n), tmp_path / "cfg.json")
+            assert main([
+                "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
+                "--out", str(ds_dir), "--config", cfg_path,
+            ]) == 0
+            on_disk, named = dataset_files(ds_dir)
+            assert on_disk == named and len(named) == 1 + windows
+        assert not list(tmp_path.glob(".*"))
+        capsys.readouterr()
+
+    def test_run_refuses_a_foreign_dataset_directory_before_any_compute(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "run"
+        (out / "dataset").mkdir(parents=True)
+        (out / "dataset" / "notes.txt").write_text("mine")
+        monkeypatch.setattr(runner, "generate_synthetic", None)  # any synthesis fails
+        assert main(["run", "--config", write_config(fast_config(out), tmp_path / "cfg.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: stage 'write_dataset' failed: {out / 'dataset'}: holds 'notes.txt', "
+            "which is not a dataset file; refusing to replace the directory\n"
+        )
+        assert [p.name for p in out.iterdir()] == ["dataset"]
+        assert [p.name for p in (out / "dataset").iterdir()] == ["notes.txt"]
+        assert (out / "dataset" / "notes.txt").read_text() == "mine"
+
+    def test_extract_refuses_a_foreign_directory_before_any_compute(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg_path = write_config(fast_config(tmp_path / "rec"), tmp_path / "cfg.json")
+        assert main(["synth", "--config", cfg_path]) == 0
+        ds_dir = tmp_path / "ds"
+        ds_dir.mkdir()
+        (ds_dir / "w00000.bin").write_bytes(b"")
+        (ds_dir / "notes.txt").write_text("mine")
+        capsys.readouterr()
+        monkeypatch.setattr(runner, "build_feature_tensors", None)  # any extraction fails
+        assert main([
+            "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
+            "--out", str(ds_dir), "--config", cfg_path,
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ds_dir}: holds 'notes.txt', which is not a dataset file; "
+            "refusing to replace the directory\n"
+        )
+        assert sorted(p.name for p in ds_dir.iterdir()) == ["notes.txt", "w00000.bin"]
+        assert (ds_dir / "notes.txt").read_text() == "mine"
+        assert not list(tmp_path.glob(".*"))
 
 
 class TestRunCommand:

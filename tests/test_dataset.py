@@ -21,6 +21,11 @@ def make_tensors(n=3, shape=(7, 10, 4, 4, 5), seed=0):
     return out
 
 
+def staged_files(out_dir) -> list[str]:
+    """The window files in the hidden staging sibling of ``out_dir``."""
+    return sorted(p.name for p in out_dir.parent.glob(f".{out_dir.name}.*/**/w*.bin"))
+
+
 class TestRoundTrip:
     def test_values_labels_ids_survive(self, tmp_path):
         tensors = make_tensors()
@@ -123,24 +128,69 @@ class TestWriteErrors:
             write_dataset([t], tmp_path, PipelineConfig())
 
     def test_failing_iterable_leaves_no_window_files(self, tmp_path):
-        # each window file is written as its tensor arrives, then removed again
+        # each window file is written into the staging directory as its
+        # tensor arrives, and the staging directory is removed on failure
         def tensors():
             yield from make_tensors(n=2)
-            assert sorted(p.name for p in out.iterdir()) == ["w00000.bin", "w00001.bin"]
+            assert staged_files(out) == ["w00000.bin", "w00001.bin"]
             raise RuntimeError("extraction failed")
 
         out = tmp_path / "ds"
         with pytest.raises(RuntimeError, match="extraction failed"):
             write_dataset(tensors(), out, PipelineConfig())
         assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_rewrite_removes_the_old_manifest_first(self, tmp_path):
-        # a failed rewrite must not leave the old manifest over its files
-        write_dataset(make_tensors(n=2), tmp_path, PipelineConfig())
-        flat = WindowTensor(values=np.zeros((7, 4, 4)), label=0, source_id="w")
-        with pytest.raises(ValueError, match="5-axis"):
-            write_dataset([flat], tmp_path, PipelineConfig())
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["w00000.bin", "w00001.bin"]
+    @pytest.mark.parametrize("failure", ["first_tensor", "after_two_tensors"])
+    def test_failed_rewrite_keeps_the_previous_dataset(self, tmp_path, failure):
+        out = tmp_path / "ds"
+        write_dataset(make_tensors(n=3), out, PipelineConfig())
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def tensors():
+            if failure == "after_two_tensors":
+                yield from make_tensors(n=2, seed=1)
+            yield WindowTensor(values=np.zeros((7, 4, 4)), label=0, source_id="w")
+
+        with pytest.raises(ValueError, match="5-axis|has shape"):
+            write_dataset(tensors(), out, PipelineConfig())
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [t.source_id for t in read_dataset(out)[0]] == [
+            t.source_id for t in make_tensors(n=3)
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["ds"]
+
+    def test_smaller_rewrite_leaves_only_its_own_files(self, tmp_path):
+        write_dataset(make_tensors(n=3), tmp_path / "ds", PipelineConfig())
+        manifest = write_dataset(make_tensors(n=2, seed=1), tmp_path / "ds", PipelineConfig())
+        named = [w["file"] for w in json.loads(manifest.read_text())["windows"]]
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [MANIFEST_NAME, *named]
+        assert named == ["w00000.bin", "w00001.bin"]
+        assert [p.name for p in tmp_path.iterdir()] == ["ds"]
+
+    @pytest.mark.parametrize(
+        "name", ["notes.txt", "w00001.bin.bak", "manifest.json.tmp", "manifestXjson", "w1.bin", "sub"]
+    )
+    def test_directory_holding_a_foreign_entry_is_refused(self, tmp_path, name):
+        out = tmp_path / "ds"
+        write_dataset(make_tensors(n=2), out, PipelineConfig())
+        foreign = out / name
+        if name == "sub":
+            foreign.mkdir()
+            (foreign / "keep.txt").write_text("mine")
+        else:
+            foreign.write_text("mine")
+        before = sorted(p.name for p in out.rglob("*"))
+
+        def tensors():
+            raise AssertionError("read before the directory was checked")
+            yield
+
+        with pytest.raises(FileExistsError, match=rf"^{out}: holds '{name}'"):
+            write_dataset(tensors(), out, PipelineConfig())
+        assert sorted(p.name for p in out.rglob("*")) == before
+        assert (foreign / "keep.txt" if name == "sub" else foreign).read_text() == "mine"
+        assert [p.name for p in tmp_path.iterdir()] == ["ds"]
 
 
 class TestReadErrors:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_dataset import staged_files
 
 from eegfusion.connectivity import PipelineConfig, normalize_features, window_chunks
 from eegfusion.dataset import read_dataset, split_dataset, write_dataset
@@ -27,6 +28,7 @@ from eegfusion.runner import (
     derive_seed,
     extract_tensors,
     pipeline_run,
+    stream_tensors,
     study_windows,
     validate_run_config,
 )
@@ -218,6 +220,9 @@ class TestValidation:
     @pytest.mark.parametrize("name, value", [
         ("n_channels", 1), ("fs", 0.0), ("ar_pole_radius", 1.0), ("noise_std", 0.0),
         ("ar_freq_hz", 0.0), ("coupling_strength", -0.1),
+        # noise the synthesis or the features cannot hold in floats
+        ("noise_std", 1e300), ("noise_std", 1e200), ("noise_std", 1e-160),
+        ("noise_std", 1e-200), ("noise_std", 1e-300),
     ])
     def test_recording_ranges_are_synth_specs(self, name, value):
         # one definition of each range: the config error is SynthSpec's own
@@ -347,6 +352,7 @@ class RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
 
     sizes: list[int] = []
+    rounds: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -357,22 +363,62 @@ class RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def map(self, fn, *iterables, chunksize=1):
+        jobs = list(zip(*iterables))
+        self.rounds.append(len(jobs))
+        return (fn(*job) for job in jobs)
+
+
+def fake_pool(monkeypatch, workers: str, cpus: int) -> None:
+    """RecordingExecutor for the pool, on a process that may run on ``cpus`` CPUs."""
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(RecordingExecutor, "rounds", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setenv("EEGFUSION_WORKERS", workers)
+
+
+def thirteen_desk_windows():
+    """13 desk-size windows (C=4, fs=128): chunks of 6, 6 and 1."""
+    return study_windows(RunConfig(synth=SynthStudyConfig(
+        n_per_class=1, windows_per_recording=7)))[:13]
 
 
 class TestExtractionPool:
     @pytest.mark.parametrize("workers, size", [("2", 2), ("8", 3), ("64", 3)])
     def test_pool_is_no_larger_than_the_chunk_count(self, monkeypatch, workers, size):
-        # 13 desk-size windows form 3 chunks; a larger pool would idle
-        windows = study_windows(RunConfig(synth=SynthStudyConfig(
-            n_per_class=1, windows_per_recording=7)))[:13]
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(RecordingExecutor, "sizes", [])
-        monkeypatch.setenv("EEGFUSION_WORKERS", workers)
+        # 3 chunks; a larger pool would idle
+        windows = thirteen_desk_windows()
+        fake_pool(monkeypatch, workers, cpus=64)
         tensors = extract_tensors(windows, PipelineConfig())
         assert RecordingExecutor.sizes == [size]
         assert [t.source_id for t in tensors] == [w.source_id for w in windows]
+
+    @pytest.mark.parametrize("workers, cpus, size", [("64", 2, 2), ("3", 2, 2), ("2", 1, None)])
+    def test_pool_is_no_larger_than_the_cpus(self, monkeypatch, workers, cpus, size):
+        windows = thirteen_desk_windows()
+        fake_pool(monkeypatch, workers, cpus)
+        tensors = extract_tensors(windows, PipelineConfig())
+        assert RecordingExecutor.sizes == ([size] if size else [])
+        assert RecordingExecutor.rounds == ([2, 1] if size else [])
+        assert [t.source_id for t in tensors] == [w.source_id for w in windows]
+
+    def test_parent_holds_one_round_of_chunks(self, monkeypatch):
+        # a round is cut from the windows only when the last one's tensors are taken
+        taken = []
+
+        def counted(windows):
+            for w in windows:
+                taken.append(w.source_id)
+                yield w
+
+        windows = thirteen_desk_windows()
+        fake_pool(monkeypatch, "2", cpus=2)
+        tensors = stream_tensors(counted(windows), PipelineConfig())
+        first = [next(tensors) for _ in range(12)]
+        assert len(taken) == 12  # chunks 1 and 2, not chunk 3's window
+        assert [t.source_id for t in first + list(tensors)] == [w.source_id for w in windows]
+        assert RecordingExecutor.rounds == [2, 1]
 
     def test_nonpositive_workers_stop_extraction(self, monkeypatch):
         monkeypatch.setenv("EEGFUSION_WORKERS", "0")
@@ -479,12 +525,12 @@ def stop_before_training(monkeypatch) -> list[int]:
 
 def fail_second_chunk(monkeypatch, dataset: Path) -> list[list[str]]:
     """Chunks of two windows, the second of which fails to extract; the
-    list gets the window files on disk when it fails."""
+    list gets the window files staged for ``dataset`` when each chunk starts."""
     monkeypatch.setattr(connectivity, "_WINDOW_CHUNK_SAMPLES", 2 * 640 * 2)  # fast_config windows
     real, seen = runner.build_feature_tensors, []
 
     def flaky(chunk, *args):
-        seen.append(sorted(p.name for p in dataset.glob("w*.bin")))
+        seen.append(staged_files(dataset))
         if len(seen) == 2:
             raise ValueError("second chunk failed")
         return real(chunk, *args)
@@ -496,9 +542,12 @@ def fail_second_chunk(monkeypatch, dataset: Path) -> list[list[str]]:
 class TestStreamedRun:
     """Synthesis, extraction and the dataset write run as one stream."""
 
-    def test_traced_peak_does_not_grow_with_the_study(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_traced_peak_does_not_grow_with_the_study(self, tmp_path, monkeypatch, workers):
         # at n_per_class=6, lists of the study's 120 windows and tensors
-        # would take 15 MB alone; a stream holds one recording and one chunk
+        # would take 15 MB alone; a stream holds one recording and one round
+        # of chunks, one chunk per worker
+        monkeypatch.setenv("EEGFUSION_WORKERS", workers)
         peaks = stop_before_training(monkeypatch)
         for n, traced in ((2, False), (2, True), (6, True)):  # the first designs the filters
             cfg = RunConfig(out_dir=str(tmp_path / f"run{n}"), synth=SynthStudyConfig(n_per_class=n))
@@ -536,6 +585,7 @@ class TestStreamedRun:
             pipeline_run(fast_config(out))
         assert seen == [[], ["w00000.bin", "w00001.bin"]]
         assert not (out / "dataset").exists()
+        assert list(out.iterdir()) == []
 
     def test_failed_chunk_of_an_extract_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -550,6 +600,7 @@ class TestStreamedRun:
         assert capsys.readouterr().err == "error: second chunk failed\n"
         assert seen == [[], ["w00000.bin", "w00001.bin"]]
         assert not ds_dir.exists()
+        assert not list(tmp_path.glob(".*"))
 
     def test_parallel_run_writes_the_sequential_dataset(self, tmp_path, monkeypatch):
         # chunks of two windows, so that the workers share the run's four chunks

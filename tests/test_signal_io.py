@@ -425,7 +425,7 @@ class TestSynthSpec:
             ({"fs": 0.0}, "fs must be positive, got 0.0"),
             ({"duration_s": 19.0}, r"duration_s must be >= 20 \(one window\), got 19\.0"),
             ({"ar_pole_radius": 1.0}, "ar_pole_radius must be in"),
-            ({"noise_std": 0.0}, "noise_std must be positive"),
+            ({"noise_std": 0.0}, r"noise_std must lie in \[1e-50, 1e\+50\], got 0\.0"),
             ({"ar_freq_hz": 65.0}, "ar_freq_hz must lie in"),
             ({"ar_freq_hz": 0.0}, r"ar_freq_hz must lie in \(0, fs/2\), got 0\.0"),
             ({"ar_freq_hz": 64.0}, r"ar_freq_hz must lie in \(0, fs/2\), got 64\.0"),
