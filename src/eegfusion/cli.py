@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .connectivity import PipelineConfig
+from .connectivity import PipelineConfig, refuse_flat_channels
 from .dataset import write_dataset
 from .mvar import FitDiagnostics
 from .plotting import write_svg
@@ -116,6 +116,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         )
     with field_errors("split.test_fraction"):  # the split that train and eval will take
         train_test_split(windows, cfg.split.test_fraction, cfg.seed)
+    try:
+        refuse_flat_channels(windows, cfg.pipeline.subwindows)
+    except ValueError as exc:
+        raise ValueError(f"{index_path}: {exc}") from None
     diag = FitDiagnostics()
     tensors = stream_tensors(windows, cfg.pipeline, diag)
     manifest = write_dataset(tensors, args.out, cfg.pipeline, cfg.split.test_fraction, cfg.seed)

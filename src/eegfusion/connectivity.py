@@ -57,6 +57,7 @@ __all__ = [
     "band_aggregate",
     "band_features",
     "window_chunks",
+    "refuse_flat_channels",
     "build_feature_tensors",
     "build_feature_tensor",
     "normalize_features",
@@ -367,6 +368,29 @@ def _mvar_planes(
     return planes
 
 
+def refuse_flat_channels(windows, n_sub: int) -> None:
+    """Raise ValueError naming the first window, sub-window and channel whose
+    raw samples are all equal over that sub-window.
+
+    A flat channel carries no signal: its MVAR innovation variance is 0 and
+    its phase is undefined. One min and one max per window find it, taken
+    over a channel-major copy: numpy reduces its contiguous rows several
+    times faster than the strided sample axis of (T, n, C). A NaN sample
+    makes both NaN, so a channel holding NaN is not flat.
+    """
+    for w in windows:
+        x = w.samples
+        n = _subwindow_length(x.shape[0], n_sub)
+        subs = np.ascontiguousarray(x.T).reshape(x.shape[1], n_sub, n)
+        flat = subs.min(axis=-1) == subs.max(axis=-1)
+        if flat.any():
+            t, ch = (int(i) for i in np.argwhere(flat.T)[0])
+            raise ValueError(
+                f"window {w.source_id!r}, sub-window {t}: channel {ch} is flat "
+                f"(every sample is {float(subs[ch, t, 0])!r})"
+            )
+
+
 @one_blas_thread()
 def build_feature_tensors(
     windows: list[LabeledWindow],
@@ -384,17 +408,20 @@ def build_feature_tensors(
     those of each window alone byte for byte, with one OpenBLAS thread
     (:func:`util.one_blas_thread`) whatever the count outside.
 
-    Fit health is counted into ``diagnostics``, a new one when it is None.
-    When a pass fails, its sub-windows are rerun one at a time (warnings off,
-    counters thrown away) so that the error names the first failing
-    sub-window and its own message. When a chunk of several windows fails, its windows are
-    rerun one at a time the same way, so the error is the one the first
-    failing window raises alone. An error that no rerun reproduces is
-    raised as it was raised.
+    A window with a flat channel is refused before any filtering
+    (:func:`refuse_flat_channels`). Fit health is counted into
+    ``diagnostics``, a new one when it is None. When a pass fails, its
+    sub-windows are rerun one at a time (warnings off, counters thrown away)
+    so that the error names the first failing sub-window and its own message.
+    When a chunk of several windows fails, its windows are rerun one at a
+    time the same way, so the error is the one the first failing window
+    raises alone. An error that no rerun reproduces is raised as it was
+    raised.
     """
     fs, shape = windows[0].fs, windows[0].samples.shape
     if any(w.fs != fs or w.samples.shape != shape for w in windows):
         raise ValueError("a window chunk needs one sampling rate and one sample shape")
+    refuse_flat_channels(windows, cfg.subwindows)
     try:
         return _chunk_tensors(windows, cfg, FitDiagnostics() if diagnostics is None else diagnostics)
     except ValueError:

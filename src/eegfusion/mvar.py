@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 __all__ = [
     "MvarModel",
@@ -45,16 +45,18 @@ _COND_LIMIT = 1e12
 _BOUND_GATE = 1e10
 
 #: Squarings of a companion matrix (powers up to C^4096) before
-#: :func:`unstable_mask` leaves an undecided fit to the eigenvalue rule.
+#: :func:`unstable_mask` leaves an undecided fit to the trace test and then
+#: the eigenvalue rule.
 _SQUARINGS = 12
 
 #: A power C^k whose Frobenius norm is at most this certifies the fit stable:
 #: rho(C) <= ||C^k||^(1/k) <= 2^(-1/k) < 1.
 _CERTIFY_NORM = 0.5
 
-#: A power whose norm exceeds this (or is not finite) leaves the squarings for
-#: the eigenvalue rule. It bounds each squaring's rounding to about
-#: n eps 1e8 (2.5e-6 at n = 114), far inside the certificate's margin.
+#: A power whose norm exceeds this leaves the squarings for the trace test,
+#: or for the eigenvalue rule when it is not finite. It bounds each
+#: squaring's rounding to about n eps 1e8 (2.5e-6 at n = 114), far inside
+#: either certificate's margin.
 _GROWTH_GUARD = 1e4
 
 
@@ -172,26 +174,6 @@ def _solved_model(response: np.ndarray, lags: np.ndarray, coef: np.ndarray, fs: 
     return MvarModel(p=p, A=a, Sigma=sigma, fs=float(fs))
 
 
-def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve each symmetric system ``gram[t] @ coef[t] = rhs[t]`` by Cholesky.
-
-    One LAPACK ``posv`` call per matrix. A matrix that is not positive
-    definite to working precision is solved by LU instead, as ``fit_mvar``
-    solves it, so an exactly singular one raises the same error.
-    """
-    coef = np.empty(rhs.shape)
-    for t in range(len(gram)):
-        # gram is symmetric, so its transpose is the Fortran-ordered same matrix;
-        # the returned factor is dropped at once, not held through the next solve
-        coef[t], info = lapack.dposv(gram[t].T, rhs[t])[1:]
-        if info:
-            try:
-                coef[t] = np.linalg.solve(gram[t], rhs[t])
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("singular regularized normal equations") from exc
-    return coef
-
-
 def select_order(
     x: np.ndarray, p_max: int = 12, ridge: float = 1e-4
 ) -> int | tuple[int, ...]:
@@ -296,15 +278,9 @@ def _aic_table(x: np.ndarray, p_max: int, ridge: float, solved: list | None = No
     for p in range(1, p_max + 1):
         k = p * c
         head, y_head = top[:, p:, :k], x[:, p:p_max]
-        head_t = np.swapaxes(head, -1, -2)
-        gram_p = head_t @ head
-        gram_p += gram[:, :k, :k]
-        b = head_t @ y_head
+        b = np.swapaxes(head, -1, -2) @ y_head
         b += cross[:, :k]
-        diag = gram_p.reshape(t_sub, k * k)[:, :: k + 1]
-        lam = (ridge if ridge > 0 else 0.0) * np.mean(diag, axis=-1)
-        diag += lam[:, None]
-        coef = _cholesky_solve(gram_p, b)
+        lam, coef = _ridged_solve(gram[:, :k, :k], head, b, ridge)
         if solved is not None:
             solved.append(coef)
         # (N - p) Sigma_p = Y^T Y - b^T coef - lam coef^T coef
@@ -312,14 +288,47 @@ def _aic_table(x: np.ndarray, p_max: int, ridge: float, solved: list | None = No
         scatter -= np.swapaxes(b, -1, -2) @ coef
         scatter -= lam[:, None, None] * (np.swapaxes(coef, -1, -2) @ coef)
         sigmas[p - 1] = 0.5 * (scatter + np.swapaxes(scatter, -1, -2)) / (n - p)
-        # free this order's products (diag views gram_p) before the next
-        # order allocates its own
-        del gram_p, diag, b, coef
+        # free this order's products before the next order allocates its own
+        del b, coef
     sign, logdet = np.linalg.slogdet(sigmas)
     penalty = 2.0 * np.arange(1, p_max + 1) * c * c / n
     aic = np.where(sign > 0, logdet + penalty[:, None], np.inf)
     aic[np.isnan(aic)] = np.inf
     return aic.reshape((p_max,) + lead)
+
+
+def _ridged_solve(
+    gram: np.ndarray, head: np.ndarray, b: np.ndarray, ridge: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``(gram[t] + head[t]^T head[t] + lam[t] I) coef[t] = b[t]`` for
+    each t, ``lam = ridge * mean(diag)`` of the unridged matrix: (lam, coef).
+
+    Each system is built and factored in one Fortran-ordered scratch: the
+    copied ``gram`` block, the boundary rows ``head`` added to its lower
+    triangle by ``syrk``, the ridge added to that triangle's diagonal, then
+    ``posv`` in place. A system that is not positive definite to working
+    precision is rebuilt whole and solved by LU, as ``fit_mvar`` solves it,
+    so an exactly singular one raises the same error.
+    """
+    t_sub, k, c = b.shape
+    lam, coef = np.empty(t_sub), np.empty((t_sub, k, c))
+    scratch = np.empty((k, k), order="F")
+    diag = scratch.reshape(-1, order="F")[:: k + 1]
+    for t in range(t_sub):
+        np.copyto(scratch, gram[t])
+        if head.shape[1]:
+            blas.dsyrk(1.0, head[t], beta=1.0, c=scratch, trans=1, lower=1, overwrite_c=1)
+        lam[t] = (ridge if ridge > 0 else 0.0) * np.mean(diag)
+        diag += lam[t]
+        coef[t], info = lapack.dposv(scratch, b[t], lower=1, overwrite_a=1)[1:]
+        if info:
+            full = gram[t] + head[t].T @ head[t]
+            full.reshape(-1)[:: k + 1] += lam[t]
+            try:
+                coef[t] = np.linalg.solve(full, b[t])
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("singular regularized normal equations") from exc
+    return lam, coef
 
 
 def companion_matrix(a: np.ndarray) -> np.ndarray:
@@ -363,28 +372,38 @@ def unstable_mask(a: np.ndarray) -> np.ndarray:
 
     Each companion matrix is squared up to ``_SQUARINGS`` times, all fits
     at once. By Gelfand's formula rho(C)^k <= ||C^k||_F, so a fit whose power
-    falls to ``_CERTIFY_NORM`` is stable. A fit whose power exceeds
-    ``_GROWTH_GUARD`` or is not finite, or that is still undecided after the
-    squarings, is decided by the eigenvalue rule itself; a fit at radius
+    falls to ``_CERTIFY_NORM`` is stable. A fit whose finite power exceeds
+    ``_GROWTH_GUARD``, or that is still undecided after the squarings, is
+    unstable if ``|tr C^k| >= 2n``: rho^k >= |tr C^k| / n >= 2, the stable
+    side's margin mirrored. Every other such fit, and every fit whose power
+    is not finite, is decided by the eigenvalue rule itself; a fit at radius
     exactly 1 always is, and non-finite coefficients raise as they do there.
     """
     comp = companion_matrix(a)
     n = comp.shape[-1]
     comp = comp.reshape((-1, n, n))
     power, left = comp, np.arange(len(comp))
+    mask = np.zeros(len(comp), dtype=bool)
     fallback = []
     for squaring in range(_SQUARINGS + 1):
         if squaring:
             power = power @ power
         norm = np.linalg.norm(power, axis=(-2, -1))
-        escaped = ~(norm <= _GROWTH_GUARD)  # NaN norms escape too
-        fallback.append(left[escaped])
-        going = ~escaped & (norm > _CERTIFY_NORM)
+        going = norm > _CERTIFY_NORM
+        decide = ~(norm <= _GROWTH_GUARD)  # NaN norms escape too
+        if squaring == _SQUARINGS:
+            decide |= going
+        if decide.any():
+            tested = decide & np.isfinite(norm)
+            unstable = np.zeros_like(decide)
+            unstable[tested] = np.abs(np.trace(power[tested], axis1=-2, axis2=-1)) >= 2 * n
+            mask[left[unstable]] = True
+            fallback.append(left[decide & ~unstable])
+            going &= ~decide
         power, left = power[going], left[going]
         if not len(left):
             break
-    idx = np.concatenate(fallback + [left])
-    mask = np.zeros(len(comp), dtype=bool)
+    idx = np.concatenate(fallback) if fallback else []
     if len(idx):
         mask[idx] = _spectral_radius(comp[idx]) >= 1.0
     return mask.reshape(np.shape(a)[:-3])
@@ -478,7 +497,9 @@ def spectral_decomposition(
     abar = np.eye(c) - a_f.reshape(a_f.shape[:-1] + (c, c))
 
     h, cond = _inverse_and_cond(abar)
-    for row in cond.reshape((-1, freqs.size)) if freqs.size else ():
+    # rows are walked only when some value exceeds the limit; argmax picks a
+    # row's first NaN, which compares below it, so such a row never raises
+    for row in cond.reshape((-1, freqs.size)) if np.any(cond > _COND_LIMIT) else ():
         worst = int(np.argmax(row))
         if row[worst] > _COND_LIMIT:
             raise ValueError(

@@ -13,6 +13,7 @@ from eegfusion.dataset import read_dataset, split_dataset
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec, design_bandpass
 from eegfusion.model import TrainConfig, evaluate, load_model
 from eegfusion.runner import RunConfig, SplitConfig, SynthStudyConfig, validate_run_config
+from eegfusion.signal_io import load_recording, save_recording
 from eegfusion.util import from_json, to_json
 
 
@@ -321,6 +322,42 @@ class TestEarlyValidation:
             f"error: {index_path}: every window has label 0; the split needs both classes\n"
         )
         assert not ds_dir.exists()
+
+    def test_extract_refuses_a_flat_channel_before_any_extraction(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(fast_config(tmp_path / "rec"), tmp_path / "cfg.json")
+        assert main(["synth", "--config", cfg_path]) == 0
+        index_path = tmp_path / "rec" / "recordings.json"
+        entry = json.loads(index_path.read_text())["recordings"][-1]
+        rec = load_recording(tmp_path / "rec" / entry["csv"], fs=entry["fs"])
+        rec.samples[:, 1] = 0.0
+        save_recording(rec, tmp_path / "rec" / entry["csv"])
+        capsys.readouterr()
+        monkeypatch.setattr("eegfusion.cli.stream_tensors", None)  # never reached
+        ds_dir = tmp_path / "ds"
+        assert main([
+            "extract", "--recordings", str(index_path), "--out", str(ds_dir),
+            "--config", cfg_path,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {index_path}: window '{rec.id}@")
+        assert err.endswith(", sub-window 0: channel 1 is flat (every sample is 0.0)\n")
+        assert not ds_dir.exists()
+
+    def test_run_refuses_a_flat_channel_and_leaves_no_dataset(self, tmp_path, capsys, monkeypatch):
+        real = runner.generate_synthetic
+
+        def third_flat(spec):
+            rec, ann = real(spec)
+            if rec.id == "coupled-00":
+                rec.samples[:, 1] = 0.0
+            return rec, ann
+
+        monkeypatch.setattr(runner, "generate_synthetic", third_flat)
+        cfg_path = write_config(fast_config(tmp_path / "run"), tmp_path / "cfg.json")
+        assert main(["run", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert "sub-window 0: channel 1 is flat (every sample is 0.0)" in err
+        assert not (tmp_path / "run" / "dataset").exists()
 
 
 class TestOverrides:

@@ -24,6 +24,7 @@ from eegfusion.connectivity import (
     partial_directed_coherence,
     plv_from_phases,
     plv_matrix,
+    refuse_flat_channels,
     window_chunks,
 )
 from eegfusion import connectivity, mvar
@@ -650,14 +651,15 @@ class TestStackedFeaturePath:
         assert diag == want_diag
 
     def test_unstable_count_equals_eigenvalue_oracle(self, monkeypatch):
-        # the growing window's fits sit just above radius 1, where the
-        # squaring certificate cannot decide and eigenvalues count them
+        # the growing window's fits sit just above radius 1, where no power
+        # falls to the stable bound; the trace of C^4096 certifies each one
+        # unstable, so no eigenvalue is computed
         eigen = mock.Mock(wraps=mvar._spectral_radius)
         monkeypatch.setattr(mvar, "_spectral_radius", eigen)
         window, cfg = growing_windows(n_windows=1)[0], PipelineConfig()
         diag = FitDiagnostics()
         build_feature_tensor(window, cfg, diag)
-        assert eigen.called
+        assert not eigen.called
         assert diag.unstable_fits > 0
         assert diag.unstable_fits == oracle_tensor(window, cfg)[1].unstable_fits
 
@@ -843,6 +845,54 @@ class TestWindowChunks:
         with pytest.raises(ValueError) as chunked:
             build_feature_tensors(windows)
         assert str(chunked.value) == "wide fit"
+
+
+class TestFlatChannels:
+    """A channel whose raw samples are all equal over a sub-window is refused
+    before any filtering, naming the window, sub-window and channel."""
+
+    @pytest.fixture
+    def filtered(self, monkeypatch):
+        calls, real = [], connectivity.filtfilt
+        monkeypatch.setattr(connectivity, "filtfilt", lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("cfg", [PipelineConfig(), PipelineConfig(aic=True)], ids=["fixed", "aic"])
+    def test_zero_channel_is_refused_before_filtering(self, filtered, cfg):
+        window = with_zero_channel(coupled_windows(n_windows=1)[0], ch=2)
+        with pytest.raises(ValueError) as exc:
+            build_feature_tensor(window, cfg)
+        assert str(exc.value) == (
+            f"window {window.source_id!r}, sub-window 0: channel 2 is flat (every sample is 0.0)"
+        )
+        assert filtered == []
+
+    def test_constant_over_one_sub_window_names_it(self, filtered):
+        windows = coupled_windows(n_windows=5)
+        samples = windows[3].samples.copy()
+        samples[3 * 256 : 4 * 256, 1] = 3.25
+        windows[3] = dataclasses.replace(windows[3], samples=samples)
+        with pytest.raises(ValueError) as exc:
+            build_feature_tensors(windows)
+        assert str(exc.value) == (
+            f"window {windows[3].source_id!r}, sub-window 3: channel 1 is flat (every sample is 3.25)"
+        )
+        assert filtered == []
+
+    def test_nan_channel_is_not_flat(self):
+        window = coupled_windows(n_windows=1)[0]
+        samples = window.samples.copy()
+        samples[:, 1] = np.nan
+        nan_window = dataclasses.replace(window, samples=samples)
+        refuse_flat_channels([window, nan_window], 10)
+        with pytest.raises(ValueError) as exc:
+            build_feature_tensor(nan_window)
+        assert "flat" not in str(exc.value)
+
+    def test_a_varying_sample_is_not_flat(self):
+        window = with_zero_channel(coupled_windows(n_windows=1)[0])
+        window.samples[np.arange(0, 2560, 256) + 255, 1] = 1e-300
+        refuse_flat_channels([window], 10)
 
 
 def clinical_window():

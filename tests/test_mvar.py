@@ -16,7 +16,7 @@ from eegfusion.mvar import (
     FitDiagnostics,
     MvarModel,
     _aic_table,
-    _cholesky_solve,
+    _ridged_solve,
     companion_matrix,
     companion_radius,
     fit_mvar,
@@ -27,6 +27,9 @@ from eegfusion.mvar import (
     unstable_mask,
 )
 from eegfusion import mvar
+from eegfusion.connectivity import _subwindow_stack
+from eegfusion.dsp import BROADBAND, design_bandpass, filtfilt
+from eegfusion.signal_io import extract_labeled_windows, generate_synthetic, SynthSpec
 
 FS = 128.0
 
@@ -138,9 +141,31 @@ def aic_oracle(x, p_max, ridge=1e-4):
     return out
 
 
+def clinical_subwindows(seed):
+    """The broadband sub-windows (100, 512, 19) of the ten seizure windows
+    of a C=19, fs=256 coupled recording, as the feature path fits them."""
+    spec = SynthSpec(kind="coupled", n_channels=19, fs=256.0, duration_s=200.0,
+                     coupling_strength=0.08, seed=seed)
+    windows = extract_labeled_windows(*generate_synthetic(spec), n_nonseizure=0)
+    assert len(windows) == 10
+    filt = design_bandpass(BROADBAND, 256.0, 4)
+    return np.concatenate([_subwindow_stack(filtfilt(filt, w.samples), 1, 10) for w in windows])
+
+
 class TestOrderSearch:
     """select_order gets every order from one shared lag design; it must
     choose as a fit per order does."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_clinical_orders_equal_a_fit_per_order(self, seed):
+        subs = clinical_subwindows(seed)
+        n, c = subs.shape[1:]
+        aic = np.empty((12, len(subs)))
+        for p in range(1, 13):
+            sign, logdet = np.linalg.slogdet(fit_mvar(subs, p, 256.0).Sigma)
+            assert np.all(sign > 0)
+            aic[p - 1] = logdet + 2.0 * p * c * c / n
+        assert select_order(subs, 12) == tuple(int(p) + 1 for p in np.argmin(aic, axis=0))
 
     @pytest.mark.parametrize("c", [2, 4, 19])
     def test_matches_a_fit_per_order(self, c):
@@ -208,7 +233,34 @@ class TestOrderSearch:
     def test_cholesky_failure_falls_back_to_lu(self):
         gram = np.array([[[1.0, 2.0], [2.0, 1.0]]])  # symmetric, indefinite
         rhs = np.array([[[1.0], [3.0]]])
-        assert np.array_equal(_cholesky_solve(gram, rhs), np.linalg.solve(gram, rhs))
+        lam, coef = _ridged_solve(gram, np.empty((1, 0, 2)), rhs, 0.0)
+        assert lam.tolist() == [0.0]
+        assert np.array_equal(coef, np.linalg.solve(gram, rhs))
+
+    def test_lu_fallback_rebuilds_the_boundary_rows_and_ridge(self):
+        rng = np.random.default_rng(16)
+        gram = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+        head, rhs = rng.standard_normal((1, 1, 2)), rng.standard_normal((1, 2, 3))
+        lam, coef = _ridged_solve(gram, head, rhs, 1e-4)
+        full = gram[0] + head[0].T @ head[0]
+        assert lam[0] == 1e-4 * np.mean(np.diag(full))
+        want = np.linalg.solve(full + lam[0] * np.eye(2), rhs[0])
+        assert np.allclose(coef[0], want, rtol=1e-12, atol=0)
+
+    def test_ridge_zero_singular_system_raises_through_the_fallback(self, monkeypatch):
+        x = np.random.default_rng(13).standard_normal((300, 3))
+        x[:, 1] = 0.0
+        infos, real = [], mvar.lapack.dposv
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            infos.append(out[-1])
+            return out
+
+        monkeypatch.setattr(mvar.lapack, "dposv", spy)
+        with pytest.raises(ValueError, match="singular regularized normal equations"):
+            select_order(x, p_max=4, ridge=0.0)
+        assert infos == [2]  # the zero channel's pivot: Cholesky fails, LU raises
 
 
 class TestStability:
@@ -250,6 +302,8 @@ MASK_CASES = {
     "ar1_1.05": ar1(1.05, 0.0),
     "identity": ar1(1.0, 1.0),  # radius exactly 1: unstable
     "just_stable": ar1(1.0 - 1e-6, 0.0),  # certificate undecided: falls back
+    "just_unstable": ar1(1.0 + 1e-6, 0.0),  # |tr C^4096| ~ 1 < 2n: falls back
+    "overflowing": ar1(1e200, 0.0),  # ||C||_F overflows: falls back
     "transient_growth": np.array([[[0.5, 50.0], [0.0, 0.5]]]),  # ||C|| = 50, rho = 0.5
 }
 
@@ -274,6 +328,7 @@ def fallback_fits(monkeypatch):
 
 
 class TestUnstableMask:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the overflowing case
     @pytest.mark.parametrize("name", list(MASK_CASES))
     def test_case_equals_eigenvalue_rule(self, name):
         a = MASK_CASES[name]
@@ -286,26 +341,44 @@ class TestUnstableMask:
         assert not unstable_mask(MASK_CASES["just_stable"])
         assert calls == [1, 1]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the overflowing case
+    def test_radius_just_above_one_and_an_overflowing_power_fall_back(self, monkeypatch):
+        calls = fallback_fits(monkeypatch)
+        assert unstable_mask(MASK_CASES["just_unstable"])
+        assert unstable_mask(MASK_CASES["overflowing"])
+        assert calls == [1, 1]
+
+    def test_clear_instability_is_certified_by_the_trace(self, monkeypatch):
+        # 1.05^256 escapes the growth guard with trace 2.6e5 >= 2n = 4
+        calls = fallback_fits(monkeypatch)
+        assert unstable_mask(MASK_CASES["ar1_1.05"])
+        assert unstable_mask(np.stack([MASK_CASES["ar1_1.05"], MASK_CASES["ar1_0.9"]])).tolist() == [
+            True, False,
+        ]
+        assert calls == []
+
     def test_transient_growth_is_certified(self, monkeypatch):
         calls = fallback_fits(monkeypatch)
         assert not unstable_mask(MASK_CASES["transient_growth"])
         assert calls == []
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the overflowing case
     def test_mixed_stack_keeps_leading_shape(self):
         cases = list(MASK_CASES.values())
         a = np.stack(cases + cases[::-1]).reshape(2, len(cases), 1, 2, 2)
         assert_mask_is_eigen_rule(a)
-        assert unstable_mask(a).sum() == 4
+        assert unstable_mask(a).sum() == 8
 
     @pytest.mark.parametrize("c", [4, 19])
     def test_random_stacks_near_radius_one(self, c):
         rng = np.random.default_rng(c)
-        for p in (1, 2, 4):
-            a = rng.standard_normal((24, p, c, c))
-            # scaling lag k by s**k scales every companion eigenvalue by s
-            s = rng.uniform(0.95, 1.05, 24) / companion_radius(a)
-            a *= (s[:, None] ** np.arange(1, p + 1))[:, :, None, None]
-            assert_mask_is_eigen_rule(a.reshape(4, 6, p, c, c))
+        for low, high in ((0.95, 1.05), (1.0, 1.001)):
+            for p in (1, 2, 4):
+                a = rng.standard_normal((24, p, c, c))
+                # scaling lag k by s**k scales every companion eigenvalue by s
+                s = rng.uniform(low, high, 24) / companion_radius(a)
+                a *= (s[:, None] ** np.arange(1, p + 1))[:, :, None, None]
+                assert_mask_is_eigen_rule(a.reshape(4, 6, p, c, c))
 
     def test_nan_coefficient_raises_as_the_eigenvalue_rule(self):
         a = np.stack([MASK_CASES["ar1_0.9"]] * 2)
@@ -409,6 +482,38 @@ class TestSpectralDecomposition:
         m = MvarModel(p=2, A=a, Sigma=np.ones((2, 1, 1)), fs=FS)
         with pytest.raises(ValueError, match="32"):
             spectral_decomposition(m, n_freqs=64)
+
+    @pytest.mark.parametrize("rows, raised", [
+        ([[1, 1, 1, 1]] * 3, None),
+        ([[1, np.nan, 2e13, 1], [1, 1, 1, 1], [1, 1, 1, 1]], None),
+        ([[2e13, 1, np.nan, 1], [1, 1, 1, 1], [1, 1, 1, 1]], None),
+        ([[1, np.nan, 2e13, 1], [1, 1, 3e13, 1], [1, 1, 1, 1]], "f = 48.0000 Hz (condition 3.000e+13)"),
+        ([[1, 1, 1, 1], [1, 5e12, 1, 4e12], [1, 1, 1, 1]], "f = 32.0000 Hz (condition 5.000e+12)"),
+    ], ids=["none", "nan_row", "nan_after_limit", "nan_row_then_singular", "worst_of_row"])
+    def test_abar_condition_rows_decide_as_each_row_alone(self, monkeypatch, rows, raised):
+        # the first fit whose row's argmax exceeds the limit raises, naming
+        # that row's worst frequency; argmax picks a row's first NaN, so a
+        # row holding NaN never raises
+        real = mvar._inverse_and_cond
+
+        def fake_abar_cond(m):
+            inv, cond = real(m)
+            return (inv, np.array(rows, dtype=float)) if m.ndim == 4 else (inv, cond)
+
+        monkeypatch.setattr(mvar, "_inverse_and_cond", fake_abar_cond)
+        m = MvarModel(p=1, A=np.zeros((3, 1, 1, 1)), Sigma=np.ones((3, 1, 1)), fs=FS)
+        if raised is None:
+            spectral_decomposition(m, n_freqs=4)
+        else:
+            with pytest.raises(ValueError) as exc:
+                spectral_decomposition(m, n_freqs=4)
+            assert str(exc.value) == f"Abar(f) numerically singular at {raised}"
+
+    def test_abar_conditions_below_the_limit_walk_no_row(self, monkeypatch):
+        calls, real = [], np.argmax
+        monkeypatch.setattr(mvar.np, "argmax", lambda *a, **k: calls.append(1) or real(*a, **k))
+        spectral_decomposition(random_stable_model(np.random.default_rng(17), 4, 3), n_freqs=16)
+        assert calls == []
 
     @pytest.mark.parametrize("c, fs", [(4, 128.0), (19, 256.0)])
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])

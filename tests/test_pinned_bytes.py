@@ -16,7 +16,12 @@ same under one and two threads.
 
 The two AIC digests were recorded again when the features began to read the
 order search's own fits (Cholesky solutions) in place of an LU refit of the
-chosen order; the other digests did not move.
+chosen order, and again when the order search began to build each order's
+normal equations in place (``syrk`` adds the boundary rows to the shared
+Gram's lower triangle, and ``posv`` factors it there). That moved AIC values
+by at most 4.4e-11 and the AIC features by at most 2.6e-12 of each family's
+largest value (ISM), on the clinical and desk windows; no chosen order
+moved. The other digests did not move.
 """
 
 import contextlib
@@ -47,7 +52,7 @@ from eegfusion.signal_io import SynthSpec, extract_labeled_windows, generate_syn
 from eegfusion.util import _openblas_thread_calls, one_blas_thread
 
 AIC = PipelineConfig(aic=True, aic_max=12)
-CLINICAL_AIC_DIGEST = "7b16eec65c4ad5b3a67672cd"
+CLINICAL_AIC_DIGEST = "0b6fb2d6765990ad426978a2"
 
 
 def digest(*arrays) -> str:
@@ -108,7 +113,7 @@ class TestPinnedDigests:
     def test_desk_chunk_aic(self, desk_chunk):
         diag = FitDiagnostics()
         tensors = build_feature_tensors(desk_chunk, AIC, diag)
-        assert digest(*(t.values for t in tensors)) == "294cc125b3378e75564137b1"
+        assert digest(*(t.values for t in tensors)) == "3d7c0337024a500f47dfde5e"
         assert (diag.order_cap_hits, diag.unstable_fits, diag.sigma_jitter_events) == (0, 0, 0)
 
     def test_clinical_aic_window(self):

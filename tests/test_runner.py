@@ -347,6 +347,20 @@ class TestExtractTensors:
         assert diag.order_cap_hits > 0
         assert [t.values.tobytes() for t in with_diag] == [t.values.tobytes() for t in without]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_flat_channel_is_refused_in_each_path(self, monkeypatch, workers):
+        # window 8 sits in the second chunk, which the second worker extracts
+        windows = thirteen_desk_windows()
+        samples = windows[8].samples.copy()
+        samples[:, 3] = -1.5
+        windows[8] = replace(windows[8], samples=samples)
+        monkeypatch.setenv("EEGFUSION_WORKERS", workers)
+        with pytest.raises(ValueError) as exc:
+            extract_tensors(windows, PipelineConfig())
+        assert str(exc.value) == (
+            f"window {windows[8].source_id!r}, sub-window 0: channel 3 is flat (every sample is -1.5)"
+        )
+
 
 class RecordingExecutor:
     """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
