@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .connectivity import PipelineConfig, refuse_flat_channels
+from .connectivity import PipelineConfig, refuse_bad_channels
 from .dataset import write_dataset
 from .mvar import FitDiagnostics
 from .plotting import write_svg
@@ -52,7 +52,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     """Flags win over config-file values; a value the section refuses names
     its field, such as ``pipeline.order`` for ``--order 0``."""
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+        with field_errors("", RunConfig):
+            cfg = replace(cfg, seed=args.seed)
     if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out_dir=args.out)
     with field_errors("pipeline", PipelineConfig):
@@ -117,7 +118,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     with field_errors("split.test_fraction"):  # the split that train and eval will take
         train_test_split(windows, cfg.split.test_fraction, cfg.seed)
     try:
-        refuse_flat_channels(windows, cfg.pipeline.subwindows)
+        refuse_bad_channels(windows, cfg.pipeline.subwindows)
     except ValueError as exc:
         raise ValueError(f"{index_path}: {exc}") from None
     diag = FitDiagnostics()

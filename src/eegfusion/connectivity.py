@@ -57,7 +57,7 @@ __all__ = [
     "band_aggregate",
     "band_features",
     "window_chunks",
-    "refuse_flat_channels",
+    "refuse_bad_channels",
     "build_feature_tensors",
     "build_feature_tensor",
     "normalize_features",
@@ -368,27 +368,31 @@ def _mvar_planes(
     return planes
 
 
-def refuse_flat_channels(windows, n_sub: int) -> None:
+def refuse_bad_channels(windows, n_sub: int) -> None:
     """Raise ValueError naming the first window, sub-window and channel whose
-    raw samples are all equal over that sub-window.
+    raw samples over that sub-window are all equal (flat) or not all finite.
 
     A flat channel carries no signal: its MVAR innovation variance is 0 and
-    its phase is undefined. One min and one max per window find it, taken
-    over a channel-major copy: numpy reduces its contiguous rows several
-    times faster than the strided sample axis of (T, n, C). A NaN sample
-    makes both NaN, so a channel holding NaN is not flat.
+    its phase is undefined; the zero-phase filter would spread a NaN or
+    infinity over its whole channel. One min and one max per window find
+    both, taken over a channel-major copy: numpy reduces its contiguous rows
+    several times faster than the strided sample axis of (T, n, C). A NaN
+    makes both NaN and an infinity one of them, so neither reads as flat.
     """
     for w in windows:
         x = w.samples
         n = _subwindow_length(x.shape[0], n_sub)
         subs = np.ascontiguousarray(x.T).reshape(x.shape[1], n_sub, n)
-        flat = subs.min(axis=-1) == subs.max(axis=-1)
-        if flat.any():
-            t, ch = (int(i) for i in np.argwhere(flat.T)[0])
-            raise ValueError(
-                f"window {w.source_id!r}, sub-window {t}: channel {ch} is flat "
-                f"(every sample is {float(subs[ch, t, 0])!r})"
-            )
+        lo, hi = subs.min(axis=-1), subs.max(axis=-1)
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        bad = ~finite | (lo == hi)
+        if bad.any():
+            t, ch = (int(i) for i in np.argwhere(bad.T)[0])
+            where = f"window {w.source_id!r}, sub-window {t}: channel {ch}"
+            if finite[ch, t]:
+                raise ValueError(f"{where} is flat (every sample is {float(subs[ch, t, 0])!r})")
+            odd = hi[ch, t] if np.isfinite(lo[ch, t]) else lo[ch, t]
+            raise ValueError(f"{where} holds a non-finite sample ({float(odd)!r})")
 
 
 @one_blas_thread()
@@ -408,36 +412,20 @@ def build_feature_tensors(
     those of each window alone byte for byte, with one OpenBLAS thread
     (:func:`util.one_blas_thread`) whatever the count outside.
 
-    A window with a flat channel is refused before any filtering
-    (:func:`refuse_flat_channels`). Fit health is counted into
-    ``diagnostics``, a new one when it is None. When a pass fails, its
-    sub-windows are rerun one at a time (warnings off, counters thrown away)
-    so that the error names the first failing sub-window and its own message.
-    When a chunk of several windows fails, its windows are rerun one at a
-    time the same way, so the error is the one the first failing window
-    raises alone. An error that no rerun reproduces is raised as it was
-    raised.
+    A window with a flat or non-finite channel is refused before any
+    filtering (:func:`refuse_bad_channels`). Fit health is counted into
+    ``diagnostics``, a new one when it is None. A failing MVAR pass is
+    rerun one sub-window at a time (warnings off, counters thrown away), so
+    the error names the first failing window and sub-window with its own
+    message; one the rerun does not reproduce is raised as it was raised. A
+    band's PLV error names the window of its first zero-magnitude sample.
     """
     fs, shape = windows[0].fs, windows[0].samples.shape
     if any(w.fs != fs or w.samples.shape != shape for w in windows):
         raise ValueError("a window chunk needs one sampling rate and one sample shape")
-    refuse_flat_channels(windows, cfg.subwindows)
-    try:
-        return _chunk_tensors(windows, cfg, FitDiagnostics() if diagnostics is None else diagnostics)
-    except ValueError:
-        if len(windows) > 1:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for w in windows:
-                    _chunk_tensors([w], cfg, FitDiagnostics())
-        raise
-
-
-def _chunk_tensors(
-    windows: list[LabeledWindow], cfg: PipelineConfig, diagnostics: FitDiagnostics
-) -> list[WindowTensor]:
-    fs, c = windows[0].fs, windows[0].samples.shape[1]
-    n_w, t_sub = len(windows), cfg.subwindows
+    refuse_bad_channels(windows, cfg.subwindows)
+    diagnostics = FitDiagnostics() if diagnostics is None else diagnostics
+    c, n_w, t_sub = shape[1], len(windows), cfg.subwindows
     ids = [w.source_id for w in windows]
     block = np.concatenate([w.samples for w in windows], axis=1)
     tensor = np.empty((n_w, len(FEATURE_ORDER), t_sub, c, c, len(cfg.bands)))
@@ -468,12 +456,14 @@ def _chunk_tensors(
     tensor[:, :-1] = np.swapaxes(planes, 0, 1)
 
     for b, band in enumerate(cfg.bands):
+        x = None
         try:
-            tensor[:, -1, ..., b] = _band_plv(filtered(band), band, n_w, t_sub)
-        except ValueError as exc:
-            if n_w > 1:  # build_feature_tensors reruns the windows one at a time
-                raise
-            raise ValueError(f"window {ids[0]!r}, band {band.name!r} PLV: {exc}") from exc
+            x = filtered(band)
+            tensor[:, -1, ..., b] = _band_plv(x, band, n_w, t_sub)
+        except ValueError as exc:  # a zero analytic sample in block column j: window j // c
+            zero = [] if x is None else np.flatnonzero(np.any(analytic_signal(x) == 0, axis=0))
+            w = zero[0] // c if len(zero) else 0
+            raise ValueError(f"window {ids[w]!r}, band {band.name!r} PLV: {exc}") from exc
 
     finite = np.isfinite(tensor).reshape(n_w, -1).all(axis=1)
     if not finite.all():

@@ -88,6 +88,8 @@ class ArchConfig:
             raise ValueError(f"lstm_layers must be 1 or 2, got {self.lstm_layers}")
         if any(w < 1 for w in self.dense_sizes):
             raise ValueError(f"dense_sizes must all be >= 1, got {self.dense_sizes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -312,8 +314,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate <= 1:  # Adam moves each weight by about this per step
+            raise ValueError(f"learning_rate must lie in [0, 1], got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class _Adam:

@@ -388,7 +388,8 @@ def unstable_mask(a: np.ndarray) -> np.ndarray:
     for squaring in range(_SQUARINGS + 1):
         if squaring:
             power = power @ power
-        norm = np.linalg.norm(power, axis=(-2, -1))
+        with np.errstate(over="ignore"):  # an infinite norm escapes to eigenvalues
+            norm = np.linalg.norm(power, axis=(-2, -1))
         going = norm > _CERTIFY_NORM
         decide = ~(norm <= _GROWTH_GUARD)  # NaN norms escape too
         if squaring == _SQUARINGS:

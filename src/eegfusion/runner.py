@@ -142,6 +142,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if isinstance(self.model, ModelConfig):  # train_dataset would drop its dims
             raise ConfigError("model", "takes an ArchConfig: the model dims come from the dataset")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def test_fraction(self) -> float:

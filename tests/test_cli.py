@@ -125,6 +125,12 @@ class TestEarlyValidation:
         assert capsys.readouterr().err == "config error: pipeline.order: must be >= 1, got 0\n"
         assert not out.exists()
 
+    def test_negative_seed_flag_names_the_field(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(["run", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_ill_typed_field_stops_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "never"
         doc = to_json(fast_config(out))

@@ -24,7 +24,7 @@ from eegfusion.connectivity import (
     partial_directed_coherence,
     plv_from_phases,
     plv_matrix,
-    refuse_flat_channels,
+    refuse_bad_channels,
     window_chunks,
 )
 from eegfusion import connectivity, mvar
@@ -761,6 +761,29 @@ class TestWindowChunks:
             f"zero-magnitude analytic sample at index 0"
         )
 
+    def test_zero_band_signal_of_a_later_window_names_it(self, monkeypatch):
+        # theta of channel 1 of window 2 alone is silent: the zero analytic
+        # samples lie in its block column, so the chunk names window 2
+        windows = coupled_windows(n_windows=5)
+        mark, real = windows[2].samples[0, 1], connectivity.filtfilt
+
+        def silent_theta(f, x):
+            y = real(f, x)
+            if f.band.name == "theta":
+                y[:, x[0] == mark] = 0.0
+            return y
+
+        monkeypatch.setattr(connectivity, "filtfilt", silent_theta)
+        with pytest.raises(ValueError) as alone:
+            build_feature_tensor(windows[2])
+        with pytest.raises(ValueError) as chunked:
+            build_feature_tensors(windows)
+        assert str(alone.value) == (
+            f"window {windows[2].source_id!r}, band 'theta' PLV: phase undefined: "
+            f"zero-magnitude analytic sample at index 0"
+        )
+        assert str(chunked.value) == str(alone.value)
+
     @pytest.mark.parametrize("make_windows, cfg", [
         (coupled_windows, PipelineConfig()),
         (growing_windows, PipelineConfig()),
@@ -799,17 +822,22 @@ class TestWindowChunks:
         with pytest.raises(ValueError, match="one sampling rate and one sample shape"):
             build_feature_tensors(desk[:2] + fast, cfg)
 
-    def test_failure_names_the_first_failing_window(self):
+    @pytest.mark.parametrize("aic", [False, True], ids=["fixed", "aic"])
+    def test_failure_names_the_first_failing_window(self, aic):
+        # an exact copy of a channel makes the unridged normal equations
+        # singular: a real fit failure, found by the pass rerun in the chunk
         windows = coupled_windows(n_windows=5)
-        bad = with_zero_channel(windows[2])
-        cfg = PipelineConfig()
+        windows[2].samples[:, 3] = windows[2].samples[:, 0]
+        cfg = PipelineConfig(ridge=0.0, aic=aic)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ValueError) as alone:
-                build_feature_tensor(bad, cfg)
+                build_feature_tensor(windows[2], cfg)
             with pytest.raises(ValueError) as chunked:
-                build_feature_tensors(windows[:2] + [bad] + windows[3:], cfg)
-        assert str(alone.value).startswith(f"window {bad.source_id!r}, sub-window 0: ")
+                build_feature_tensors(windows, cfg)
+        assert str(alone.value) == (
+            f"window {windows[2].source_id!r}, sub-window 0: singular regularized normal equations"
+        )
         assert str(chunked.value) == str(alone.value)
 
     def test_pass_spanning_windows_names_its_sub_window(self, monkeypatch):
@@ -848,8 +876,9 @@ class TestWindowChunks:
 
 
 class TestFlatChannels:
-    """A channel whose raw samples are all equal over a sub-window is refused
-    before any filtering, naming the window, sub-window and channel."""
+    """A channel whose raw samples are all equal over a sub-window, or not
+    all finite, is refused before any filtering, naming the window,
+    sub-window and channel."""
 
     @pytest.fixture
     def filtered(self, monkeypatch):
@@ -879,20 +908,31 @@ class TestFlatChannels:
         )
         assert filtered == []
 
-    def test_nan_channel_is_not_flat(self):
-        window = coupled_windows(n_windows=1)[0]
-        samples = window.samples.copy()
-        samples[:, 1] = np.nan
-        nan_window = dataclasses.replace(window, samples=samples)
-        refuse_flat_channels([window, nan_window], 10)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_refused_not_flat(self, filtered, value):
+        windows = coupled_windows(n_windows=3)
+        windows[1].samples[7 * 256 + 5, 2] = value
         with pytest.raises(ValueError) as exc:
-            build_feature_tensor(nan_window)
+            build_feature_tensors(windows)
+        assert str(exc.value) == (
+            f"window {windows[1].source_id!r}, sub-window 7: channel 2 holds a "
+            f"non-finite sample ({value!r})"
+        )
         assert "flat" not in str(exc.value)
+        assert filtered == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_channel_is_not_flat(self, value):
+        window = coupled_windows(n_windows=1)[0]
+        window.samples[:, 1] = value
+        with pytest.raises(ValueError) as exc:
+            refuse_bad_channels([window], 10)
+        assert str(exc.value).endswith(f"sub-window 0: channel 1 holds a non-finite sample ({value!r})")
 
     def test_a_varying_sample_is_not_flat(self):
         window = with_zero_channel(coupled_windows(n_windows=1)[0])
         window.samples[np.arange(0, 2560, 256) + 255, 1] = 1e-300
-        refuse_flat_channels([window], 10)
+        refuse_bad_channels([window], 10)
 
 
 def clinical_window():

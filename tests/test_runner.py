@@ -148,6 +148,19 @@ class TestConfigJson:
         with pytest.raises(ConfigError) as exc:
             from_json(RunConfig, {"model": {"scheme": 5}})
         assert str(exc.value) == "model.scheme: must be 1..4, got 5"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"seed": -1}, "seed: must be >= 0, got -1"),
+        ({"model": {"seed": -1}}, "model.seed: must be >= 0, got -1"),
+        ({"train": {"seed": -1}}, "train.seed: must be >= 0, got -1"),
+        ({"train": {"learning_rate": 1.5}}, "train.learning_rate: must lie in [0, 1], got 1.5"),
+    ])
+    def test_seeds_and_learning_rate_are_refused_out_of_range(self, doc, message):
+        # numpy's generators refuse a negative seed only once synthesis or
+        # training starts, and a learning rate of 1e300 overflows its float32 cast
+        with pytest.raises(ConfigError) as exc:
+            from_json(RunConfig, doc)
+        assert str(exc.value) == message
         with pytest.raises(ConfigError) as exc:
             from_json(RunConfig, {"train": {"epochs": 0}})
         assert str(exc.value) == "train.epochs: must be >= 1, got 0"
