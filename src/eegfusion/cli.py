@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .connectivity import PipelineConfig, refuse_bad_channels
@@ -66,6 +66,28 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+@dataclass(frozen=True, kw_only=True)
+class IndexEntry:
+    """One indexed recording; ``csv`` and ``annotations`` are relative to the index."""
+
+    id: str | None = None
+    csv: str
+    annotations: str
+    fs: float
+    kind: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.fs <= 0:
+            raise ValueError(f"fs must be positive, got {self.fs}")
+
+
+@dataclass(frozen=True)
+class RecordingsIndex:
+    """The ``recordings.json`` that ``synth`` writes and ``extract`` reads."""
+
+    recordings: tuple[IndexEntry, ...]
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_run_config(args.config), args)
     out = Path(cfg.out_dir)
@@ -74,33 +96,27 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     for kind, rec, ann in study_recordings(cfg):
         save_recording(rec, out / f"{rec.id}.csv")
         save_annotations(ann, out / f"{rec.id}.json")
-        index.append(
-            {"id": rec.id, "csv": f"{rec.id}.csv", "annotations": f"{rec.id}.json",
-             "fs": rec.fs, "kind": kind}
-        )
-    atomic_write_text(out / "recordings.json", json.dumps({"recordings": index}, indent=2) + "\n")
+        index.append(IndexEntry(
+            id=rec.id, csv=f"{rec.id}.csv", annotations=f"{rec.id}.json", fs=rec.fs, kind=kind
+        ))
+    text = json.dumps(to_json(RecordingsIndex(tuple(index))), indent=2) + "\n"
+    atomic_write_text(out / "recordings.json", text)
     print(f"wrote {len(index)} recordings to {out}")
     return 0
 
 
 def _indexed_recordings(index_path: Path, cfg: RunConfig):
     """Load each indexed recording, checking the pipeline against it first.
-    A malformed index is an error that names the index file."""
-    doc = read_json(index_path)
-    entries = doc.get("recordings") if isinstance(doc, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError(f"{index_path}: 'recordings' must be a list")
-    for k, entry in enumerate(entries):
-        for key in ("csv", "annotations", "fs"):
-            if not isinstance(entry, dict) or key not in entry:
-                raise ValueError(f"{index_path}: recordings[{k}].{key} is missing")
+    A malformed index, or an entry whose files cannot be read, is an error
+    that names the index file and the entry."""
+    for k, entry in enumerate(read_json(RecordingsIndex, index_path).recordings):
         try:
-            fs = from_json(float, entry["fs"], f"recordings[{k}].fs")
-        except ConfigError as exc:  # the index is input, not config: exit 1
-            raise ValueError(f"{index_path}: {exc}") from None
-        rec = load_recording(index_path.parent / entry["csv"], fs=fs)
+            rec = load_recording(index_path.parent / entry.csv, fs=entry.fs)
+            ann = load_annotations(index_path.parent / entry.annotations, rec.duration_s)
+        except OSError as exc:
+            raise ValueError(f"{index_path}: recordings[{k}]: {exc}") from None
         validate_pipeline(cfg.pipeline, rec.fs, rec.n_channels)
-        yield rec, load_annotations(index_path.parent / entry["annotations"])
+        yield rec, ann
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -108,12 +124,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     index_path = Path(args.recordings)
     # every recording is loaded and checked, and every window cut, before any compute
     windows = list(cut_windows(_indexed_recordings(index_path, cfg), cfg))
-    if not windows:
-        raise RuntimeError(f"{index_path}: no extractable windows")
-    labels = {w.label for w in windows}
+    labels = sorted({w.label for w in windows})
     if len(labels) < 2:  # the recordings' fault, not the fraction's: exit 1
         raise ValueError(
-            f"{index_path}: every window has label {labels.pop()}; the split needs both classes"
+            f"{index_path}: recordings: their windows have labels {labels}; "
+            "the split needs both classes"
         )
     with field_errors("split.test_fraction"):  # the split that train and eval will take
         train_test_split(windows, cfg.split.test_fraction, cfg.seed)

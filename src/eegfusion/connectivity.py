@@ -287,6 +287,10 @@ class PipelineConfig:
         for name in ("order", "aic_max", "n_freqs", "subwindows"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # bounds on work (README: "Each size field has an upper bound")
+        for name, top in (("n_freqs", 512), ("filter_order", 64)):
+            if getattr(self, name) > top:
+                raise ValueError(f"{name} must be <= {top}, got {getattr(self, name)}")
         if self.ridge < 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
         if not self.bands:

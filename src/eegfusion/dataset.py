@@ -9,24 +9,72 @@ per-window label/id/file, so a dataset directory is self-describing.
 from __future__ import annotations
 
 import json
+import math
 import re
 import shutil
 import tempfile
 from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
+from .dsp import BandSpec
 from .signal_io import _check_test_fraction, train_test_split
-from .util import ConfigError, config_hash, from_json, read_json, to_json
+from .util import check_format, config_hash, read_json, to_json
 
-__all__ = ["MANIFEST_NAME", "write_dataset", "read_dataset", "split_dataset"]
+__all__ = ["MANIFEST_NAME", "DatasetManifest", "write_dataset", "read_dataset", "split_dataset"]
 
 MANIFEST_NAME = "manifest.json"
 
-_DATASET_FORMAT = "eegfusion-dataset"
-_DATASET_VERSION = 2
+
+@dataclass(frozen=True)
+class SplitRecord:
+    """The train/test split that :func:`split_dataset` applies."""
+
+    test_fraction: float
+    seed: int
+
+    def __post_init__(self) -> None:
+        _check_test_fraction(self.test_fraction)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+@dataclass(frozen=True)
+class WindowRecord:
+    """One window's tensor file (relative to the manifest), label and id."""
+
+    file: str
+    label: int
+    source_id: str
+
+    def __post_init__(self) -> None:
+        if self.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {self.label}")
+
+
+@dataclass(frozen=True)
+class DatasetManifest:
+    """A dataset's ``manifest.json``."""
+
+    shape: tuple[int, ...]
+    feature_order: tuple[str, ...]
+    bands: tuple[BandSpec, ...]
+    config: PipelineConfig
+    config_hash: str
+    split: SplitRecord
+    windows: tuple[WindowRecord, ...]
+    format: str = "eegfusion-dataset"
+    format_version: int = 2
+
+    def __post_init__(self) -> None:
+        check_format(self)
+        if len(self.shape) != 5 or min(self.shape) < 1:
+            raise ValueError(f"shape must be five positive integers, got {list(self.shape)}")
+        if self.feature_order != FEATURE_ORDER:
+            raise ValueError(f"feature_order must be {list(FEATURE_ORDER)}")
 
 
 def write_dataset(
@@ -61,30 +109,26 @@ def write_dataset(
     try:
         for i, t in enumerate(tensors):
             shape = shape or t.values.shape
-            if len(shape) != 5:
-                raise ValueError(f"expected 5-axis window tensors, got shape {shape}")
             if t.values.shape != shape:
                 raise ValueError(
                     f"window {t.source_id!r} has shape {t.values.shape}, expected {shape}"
                 )
             fname = f"w{i:05d}.bin"
-            windows.append({"file": fname, "label": int(t.label), "source_id": t.source_id})
+            windows.append(WindowRecord(fname, int(t.label), t.source_id))
             (staging / fname).write_bytes(np.ascontiguousarray(t.values, dtype="<f4").tobytes())
         if not windows:
             raise ValueError("refusing to write an empty dataset")
-        cfg_doc = to_json(pipeline_cfg)
-        manifest = {
-            "format": _DATASET_FORMAT,
-            "format_version": _DATASET_VERSION,
-            "shape": list(shape),
-            "feature_order": list(FEATURE_ORDER),
-            "bands": cfg_doc["bands"],
-            "config": cfg_doc,
-            "config_hash": config_hash(cfg_doc),
-            "split": {"test_fraction": test_fraction, "seed": seed},
-            "windows": windows,
-        }
-        (staging / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        manifest = DatasetManifest(
+            shape=shape,
+            feature_order=FEATURE_ORDER,
+            bands=pipeline_cfg.bands,
+            config=pipeline_cfg,
+            config_hash=config_hash(to_json(pipeline_cfg)),
+            split=SplitRecord(test_fraction, seed),
+            windows=tuple(windows),
+        )
+        text = json.dumps(to_json(manifest), indent=2, sort_keys=True) + "\n"
+        (staging / MANIFEST_NAME).write_text(text)
         if out_dir.exists():
             out_dir.rename(old)
         staging.rename(out_dir)
@@ -95,65 +139,41 @@ def write_dataset(
     return out_dir / MANIFEST_NAME
 
 
-def read_dataset(path) -> tuple[list[WindowTensor], dict]:
+def read_dataset(path) -> tuple[list[WindowTensor], DatasetManifest]:
     """Load a dataset directory (or its manifest path) back into memory, the
-    values as the stored float32. A manifest or window entry missing a key
-    is an error that names the manifest and the key."""
-    path = Path(path)
-    manifest_path = path / MANIFEST_NAME if path.is_dir() else path
+    values as the stored float32. A malformed manifest, or a window file
+    that cannot be read or holds the wrong size, is an error that names the
+    manifest and the field."""
+    manifest_path = dataset_manifest(path)
     if not manifest_path.exists():
         raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict) or manifest.get("format") != _DATASET_FORMAT:
-        raise ValueError(f"{manifest_path}: not a dataset manifest")
-    if manifest.get("format_version") != _DATASET_VERSION:
-        raise ValueError(
-            f"{manifest_path}: unsupported format version {manifest.get('format_version')!r}"
-        )
-    for key in ("shape", "windows", "split"):
-        if key not in manifest:
-            raise ValueError(f"{manifest_path}: manifest has no {key!r}")
-    shape = manifest["shape"]
-    if not (isinstance(shape, list) and len(shape) == 5
-            and all(type(n) is int and n >= 1 for n in shape)):
-        raise ValueError(f"{manifest_path}: shape must be five positive integers, got {shape!r}")
-    split = manifest["split"]
-    for key, tp in (("test_fraction", float), ("seed", int)):
-        if not isinstance(split, dict) or key not in split:
-            raise ValueError(f"{manifest_path}: split has no {key!r}")
-        try:
-            from_json(tp, split[key], f"split.{key}")
-        except ConfigError as exc:  # a bad file, not a bad config: exit 1
-            raise ValueError(f"{manifest_path}: {exc}") from None
-    try:
-        _check_test_fraction(split["test_fraction"])
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: split.{exc}") from None
-    shape = tuple(shape)
-    count = int(np.prod(shape))
-    base = manifest_path.parent
+    manifest = read_json(DatasetManifest, manifest_path)
+    count = math.prod(manifest.shape)
     tensors = []
-    for k, w in enumerate(manifest["windows"]):
-        for key in ("file", "label", "source_id"):
-            if not isinstance(w, dict) or key not in w:
-                raise ValueError(f"{manifest_path}: windows[{k}] has no {key!r}")
-        blob = (base / w["file"]).read_bytes()
-        values = np.frombuffer(blob, dtype="<f4")
-        if values.size != count:
+    for k, w in enumerate(manifest.windows):
+        field = f"{manifest_path}: windows[{k}].file"
+        try:
+            blob = (manifest_path.parent / w.file).read_bytes()
+        except OSError as exc:
+            raise ValueError(f"{field}: {exc}") from None
+        if len(blob) != 4 * count:
             raise ValueError(
-                f"{w['file']}: has {values.size} floats, expected {count} for shape {shape}"
+                f"{field}: {w.file} has {len(blob) / 4:g} floats, "
+                f"expected {count} for shape {list(manifest.shape)}"
             )
-        tensors.append(
-            WindowTensor(
-                values=values.astype(np.float32).reshape(shape),  # a writable copy
-                label=int(w["label"]),
-                source_id=w["source_id"],
-            )
+        values = np.frombuffer(blob, dtype="<f4").reshape(manifest.shape)
+        tensors.append(  # a writable copy
+            WindowTensor(values=values.astype(np.float32), label=w.label, source_id=w.source_id)
         )
     return tensors, manifest
 
 
-def split_dataset(tensors: list, manifest: dict) -> tuple[list, list]:
+def dataset_manifest(path) -> Path:
+    """The manifest of dataset directory ``path``, or ``path`` when it names one."""
+    path = Path(path)
+    return path / MANIFEST_NAME if path.is_dir() else path
+
+
+def split_dataset(tensors: list, manifest: DatasetManifest) -> tuple[list, list]:
     """The (train, test) sides of a dataset, as its manifest's split record defines."""
-    split = manifest["split"]
-    return train_test_split(tensors, split["test_fraction"], seed=split["seed"])
+    return train_test_split(tensors, manifest.split.test_fraction, seed=manifest.split.seed)

@@ -38,7 +38,7 @@ from .layers import (
     LSTM,
     ParamRegistry,
 )
-from .util import ConfigError, atomic_write_bytes, from_json, to_json
+from .util import ConfigError, atomic_write_bytes, check_format, read_json, to_json
 
 __all__ = [
     "ArchConfig",
@@ -58,8 +58,9 @@ __all__ = [
 
 #: Probability at or above which a window is called a seizure.
 THRESHOLD = 0.5
-_MODEL_FORMAT = "eegfusion-model"
-_MODEL_VERSION = 1
+#: Bound of every model width and dim: a model is built whole before it is
+#: trained or loaded, and 35 scheme-1 LSTMs 512 wide hold 37 M weights.
+MAX_DIM = 512
 #: Samples per eval-mode pass through the branches. A pass holds (G, M, T, H)
 #: activations for all G branches at once, so scoring a whole dataset runs in
 #: slices of about one training batch.
@@ -84,10 +85,12 @@ class ArchConfig:
         for name in self._positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if getattr(self, name) > MAX_DIM:
+                raise ValueError(f"{name} must be <= {MAX_DIM}, got {getattr(self, name)}")
         if self.lstm_layers not in (1, 2):
             raise ValueError(f"lstm_layers must be 1 or 2, got {self.lstm_layers}")
-        if any(w < 1 for w in self.dense_sizes):
-            raise ValueError(f"dense_sizes must all be >= 1, got {self.dense_sizes}")
+        if not all(1 <= w <= MAX_DIM for w in self.dense_sizes):
+            raise ValueError(f"dense_sizes must all lie in [1, {MAX_DIM}], got {self.dense_sizes}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -476,20 +479,46 @@ def evaluate(m: FusionModel, ds) -> Metrics:
     return metrics_from_counts(tp, fp, fn, tn)
 
 
+@dataclass(frozen=True)
+class NormStatsRecord:
+    """A model header's z-scoring statistics, (features, bands) rows each."""
+
+    mean: tuple[tuple[float, ...], ...]
+    std: tuple[tuple[float, ...], ...]
+
+
+@dataclass(frozen=True)
+class ModelHeader:
+    """The JSON line that opens a model file; the parameters follow it."""
+
+    model_config: ModelConfig
+    feature_order: tuple[str, ...]
+    param_count: int
+    norm_stats: NormStatsRecord | None = None
+    format: str = "eegfusion-model"
+    format_version: int = 1
+
+    def __post_init__(self) -> None:
+        check_format(self)
+        if self.feature_order != FEATURE_ORDER:
+            raise ValueError(f"feature_order must be {list(FEATURE_ORDER)}")
+        if self.norm_stats is not None:
+            shape = (self.model_config.n_features, self.model_config.n_bands)
+            for rows in (self.norm_stats.mean, self.norm_stats.std):
+                if len(rows) != shape[0] or any(len(r) != shape[1] for r in rows):
+                    raise ValueError(
+                        f"norm_stats must hold mean and std of shape {shape} (features, bands)"
+                    )
+
+
 def save_model(m: FusionModel, path, norm_stats: NormStats | None = None) -> None:
     """One JSON header line, then the flat parameters as little-endian f32."""
-    header = {
-        "format": _MODEL_FORMAT,
-        "format_version": _MODEL_VERSION,
-        "model_config": to_json(m.cfg),
-        "feature_order": list(FEATURE_ORDER),
-        "param_count": m.param_count,
-        "norm_stats": None
-        if norm_stats is None
-        else {"mean": norm_stats.mean.tolist(), "std": norm_stats.std.tolist()},
-    }
-    blob = json.dumps(header, sort_keys=True).encode() + b"\n" + m.params.astype("<f4").tobytes()
-    atomic_write_bytes(path, blob)
+    record = None if norm_stats is None else NormStatsRecord(
+        *(tuple(map(tuple, a.tolist())) for a in (norm_stats.mean, norm_stats.std))
+    )
+    header = ModelHeader(m.cfg, FEATURE_ORDER, m.param_count, record)
+    text = json.dumps(to_json(header), sort_keys=True)
+    atomic_write_bytes(path, text.encode() + b"\n" + m.params.astype("<f4").tobytes())
 
 
 def load_model(path) -> tuple[FusionModel, NormStats | None]:
@@ -498,55 +527,21 @@ def load_model(path) -> tuple[FusionModel, NormStats | None]:
     nl = data.find(b"\n")
     if nl < 0:
         raise ValueError(f"{path}: missing header line")
-    try:
-        header = json.loads(data[:nl])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid header JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
-    if header.get("format") != _MODEL_FORMAT:
-        raise ValueError(f"{path}: not a model file (format {header.get('format')!r})")
-    if header.get("format_version") != _MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported format version {header.get('format_version')!r}")
-    try:
-        cfg = from_json(ModelConfig, header.get("model_config"), "model_config")
-    except ConfigError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    for key in ("param_count", "feature_order"):
-        if key not in header:
-            raise ValueError(f"{path}: header has no {key!r}")
-    if header["feature_order"] != list(FEATURE_ORDER):
+    header = read_json(ModelHeader, path, data[:nl])
+    payload = data[nl + 1 :]
+    if len(payload) != 4 * header.param_count:
         raise ValueError(
-            f"{path}: feature_order {header['feature_order']} differs from {list(FEATURE_ORDER)}"
+            f"{path}: param_count: the parameter payload holds {len(payload) / 4:g} floats, "
+            f"not {header.param_count}"
         )
-    m = build_fusion_model(cfg)
-    params = np.frombuffer(data[nl + 1 :], dtype="<f4")
-    if params.size != header["param_count"] or params.size != m.param_count:
+    m = build_fusion_model(header.model_config)
+    if m.param_count != header.param_count:
         raise ValueError(
-            f"{path}: parameter payload has {params.size} floats, "
-            f"expected {m.param_count}"
+            f"{path}: model_config: builds {m.param_count} parameters, "
+            f"not param_count {header.param_count}"
         )
-    m.params = params.astype(np.float32)  # a writable copy, the stored weights exactly
-    stats = None
-    if header.get("norm_stats") is not None:
-        doc, shape = header["norm_stats"], (cfg.n_features, cfg.n_bands)
-        stats = NormStats(
-            mean=_norm_stat(path, doc, "mean", shape), std=_norm_stat(path, doc, "std", shape)
-        )
-    return m, stats
-
-
-def _norm_stat(path, doc, key: str, shape: tuple[int, int]) -> np.ndarray:
-    """One z-scoring statistic of a model header, checked against the model dims."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValueError(f"{path}: norm_stats has no {key!r}")
-    try:
-        value = np.array(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: norm_stats.{key} is not a numeric array: {exc}") from exc
-    if value.shape != shape:
-        raise ValueError(
-            f"{path}: norm_stats.{key} has shape {value.shape}, expected {shape} "
-            f"(features, bands)"
-        )
-    return value
+    m.params = np.frombuffer(payload, dtype="<f4").astype(np.float32)  # a writable copy
+    stats = header.norm_stats
+    if stats is None:
+        return m, None
+    return m, NormStats(np.array(stats.mean, dtype=float), np.array(stats.std, dtype=float))

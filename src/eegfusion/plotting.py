@@ -25,11 +25,9 @@ _MARGIN = 16
 def svg_bars(report: RelevanceReport) -> str:
     """Horizontal percentage bars, one panel per class."""
     classes = sorted(report.classes)
-    if not classes:
-        raise ValueError("report has no classes to plot")
     features = list(report.feature_order)
     peak = max(
-        report.classes[c]["percent"][f] for c in classes for f in features
+        report.classes[c].percent[f] for c in classes for f in features
     )
     peak = max(peak, 1e-9)
     width = _MARGIN * 2 + _LABEL_W + _BAR_AREA + _VALUE_W
@@ -43,7 +41,7 @@ def svg_bars(report: RelevanceReport) -> str:
     ]
     y = _MARGIN
     for cls in classes:
-        percents = report.classes[cls]["percent"]
+        percents = report.classes[cls].percent
         parts.append(
             f'<text x="{_MARGIN}" y="{y + 16}" font-size="15" font-weight="bold">'
             f"feature relevance: {cls}</text>"

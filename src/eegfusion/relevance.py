@@ -136,13 +136,37 @@ def feature_relevance(
     return {"percent": percent, "raw": raw}
 
 
-@dataclass
-class RelevanceReport:
-    """Per-class feature percentages plus raw per-neuron contributions."""
+@dataclass(frozen=True)
+class ClassRelevance:
+    """One class's percent and raw totals per feature, c_i^+ per input, and sample count."""
 
-    classes: dict[str, dict]
+    percent: dict[str, float]
+    raw: dict[str, float]
+    c_plus: tuple[float, ...]
+    n_samples: int
+
+    def __getitem__(self, name: str):
+        # read by key in perfbench/test_perfbench.py, whose code the compared revisions share
+        return getattr(self, name)
+
+
+@dataclass(frozen=True)
+class RelevanceReport:
+    """Per-class feature relevance; ``relevance.json`` is its JSON form."""
+
+    classes: dict[str, ClassRelevance]
     feature_order: tuple[str, ...]
     config_hash: str | None = None
+
+    def __post_init__(self) -> None:
+        if not self.classes:
+            raise ValueError("classes must hold at least one class")
+        for name, rel in self.classes.items():
+            if set(rel.percent) != set(self.feature_order) or set(rel.raw) != set(rel.percent):
+                raise ValueError(
+                    f"classes {name!r}: percent and raw must be keyed by the features of "
+                    f"feature_order {list(self.feature_order)}"
+                )
 
     def to_dict(self) -> dict:
         return to_json(self)
@@ -155,17 +179,14 @@ def relevance_report(m: FusionModel, ds, config_hash: str | None = None) -> Rele
     if not labels:
         raise ValueError("dataset is empty")
     v = _embed(m, ds)
-    classes: dict[str, dict] = {}
+    classes: dict[str, ClassRelevance] = {}
     for label in labels:
         batch = _class_batch(m, ds, v, label)
         c_plus = net_contribution(contributions(activation_potentials(batch, w)))
         rel = feature_relevance(c_plus, batch.group_map)
-        classes[CLASS_NAMES[label]] = {
-            "percent": rel["percent"],
-            "raw": rel["raw"],
-            "c_plus": c_plus.tolist(),
-            "n_samples": int(batch.V.shape[0]),
-        }
+        classes[CLASS_NAMES[label]] = ClassRelevance(
+            rel["percent"], rel["raw"], tuple(c_plus.tolist()), int(batch.V.shape[0])
+        )
     return RelevanceReport(
         classes=classes, feature_order=FEATURE_ORDER, config_hash=config_hash
     )
@@ -176,17 +197,7 @@ def write_report_json(report: RelevanceReport, path) -> None:
 
 
 def load_report_json(path) -> RelevanceReport:
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: report is not a JSON object")
-    for key in ("feature_order", "classes"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing field {key!r}")
-    return RelevanceReport(
-        classes=doc["classes"],
-        feature_order=tuple(doc["feature_order"]),
-        config_hash=doc.get("config_hash"),
-    )
+    return read_json(RelevanceReport, path)
 
 
 def write_report_csv(report: RelevanceReport, path) -> None:
@@ -195,5 +206,5 @@ def write_report_csv(report: RelevanceReport, path) -> None:
     writer.writerow(["feature", "class", "percent", "raw_c_plus"])
     for cls, payload in sorted(report.classes.items()):
         for name in report.feature_order:
-            writer.writerow([name, cls, repr(payload["percent"][name]), repr(payload["raw"][name])])
+            writer.writerow([name, cls, repr(payload.percent[name]), repr(payload.raw[name])])
     atomic_write_text(path, buf.getvalue())

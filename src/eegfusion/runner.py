@@ -32,7 +32,7 @@ from .connectivity import (
     normalize_features,
     window_chunks,
 )
-from .dataset import read_dataset, split_dataset, write_dataset
+from .dataset import dataset_manifest, read_dataset, split_dataset, write_dataset
 from .dsp import BandSpec, _check_filter_length, _check_filter_order, design_bandpass
 from .model import (
     THRESHOLD,
@@ -106,6 +106,10 @@ class SynthStudyConfig:
         for name in ("n_per_class", "windows_per_recording"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # bounds on work (README), checked before the stability check's 2C x 2C matrix
+        for name, top in (("n_channels", 256), ("duration_s", 3600.0)):
+            if getattr(self, name) > top:
+                raise ValueError(f"{name} must be <= {top:g}, got {getattr(self, name)}")
         _check_stable(_synth_spec(self, "coupled"))
         if self.guard_s < 0:
             raise ValueError(f"guard_s must be >= 0, got {self.guard_s}")
@@ -327,14 +331,23 @@ def extract_tensors(
     return list(stream_tensors(windows, pcfg, diagnostics))
 
 
+def _split(dataset, tensors, manifest) -> tuple[list, list]:
+    """The stored split's (train, test) sides; a split record that leaves a
+    side empty is an error naming the manifest and its ``split`` field."""
+    try:
+        return split_dataset(tensors, manifest)
+    except ValueError as exc:
+        raise ValueError(f"{dataset_manifest(dataset)}: split: {exc}") from None
+
+
 def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dict]:
     """Fit the ``cfg.model`` architecture, with the dims of the manifest's
     shape, on the training side of a stored dataset. Writes the model file,
     with the training side's norm stats, and the per-epoch history; returns it."""
     tensors, manifest = read_dataset(dataset)
-    train_ds, _ = split_dataset(tensors, manifest)
+    train_ds, _ = _split(dataset, tensors, manifest)
     stats, normed = normalize_features(train_ds)
-    f, t, c, _, b = manifest["shape"]
+    f, t, c, _, b = manifest.shape
     mcfg = ModelConfig(**vars(cfg.model), n_features=f, subwindows=t, n_channels=c, n_bands=b)
     model, history = train(build_fusion_model(mcfg), normed, cfg.train)
     save_model(model, model_path, stats)
@@ -343,16 +356,27 @@ def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dic
 
 
 def _stored(model_path, dataset):
-    """A model file, and a dataset z-scored with the model's norm stats."""
+    """A model file, and a dataset z-scored with the model's norm stats. A
+    model whose input shape is not the dataset's names the model file."""
     model, stats = load_model(model_path)
     tensors, manifest = read_dataset(dataset)
+    if model.cfg.tensor_shape != manifest.shape:
+        raise ValueError(
+            f"{model_path}: model_config: reads tensors of shape {list(model.cfg.tensor_shape)}, "
+            f"the dataset holds {list(manifest.shape)}"
+        )
     if stats is not None:
-        tensors = stats.apply_many(tensors)
+        with np.errstate(over="ignore"):
+            tensors = stats.apply_many(tensors)
+        if not all(np.isfinite(t.values).all() for t in tensors):
+            raise ValueError(
+                f"{model_path}: norm_stats: z-score the dataset past the float32 range"
+            )
     return model, tensors, manifest
 
 
-def _metrics(model, tensors, manifest) -> dict:
-    train_ds, test_ds = split_dataset(tensors, manifest)
+def _metrics(dataset, model, tensors, manifest) -> dict:
+    train_ds, test_ds = _split(dataset, tensors, manifest)
     return {
         "train": evaluate(model, train_ds).to_dict(),
         "test": evaluate(model, test_ds).to_dict(),
@@ -362,7 +386,7 @@ def _metrics(model, tensors, manifest) -> dict:
 
 def evaluate_stored(model_path, dataset) -> dict:
     """The metrics document ``{train, test, threshold}`` of a stored model."""
-    return _metrics(*_stored(model_path, dataset))
+    return _metrics(dataset, *_stored(model_path, dataset))
 
 
 def explain_stored(model_path, dataset, config_hash: str | None = None) -> RelevanceReport:
@@ -496,7 +520,7 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
 
     with clock.stage("evaluate"):
         stored = _stored(model_path, dataset)  # explain reads the same z-scored windows
-        metrics = _metrics(*stored)
+        metrics = _metrics(dataset, *stored)
         atomic_write_text(out / "metrics.json", json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     files.append("metrics.json")
     model, tensors, _ = stored

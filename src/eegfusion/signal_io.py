@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .mvar import companion_radius
-from .util import read_json
+from .util import read_json, to_json
 
 __all__ = [
     "WINDOW_S",
@@ -98,6 +98,27 @@ class Recording:
 
 
 @dataclass(frozen=True)
+class Seizure:
+    """One annotated seizure interval, in seconds from the recording's start."""
+
+    start_s: float
+    end_s: float
+
+    def __post_init__(self) -> None:
+        if self.start_s < 0:
+            raise ValueError(f"start_s must be >= 0, got {self.start_s}")
+        if self.end_s <= self.start_s:
+            raise ValueError(f"end_s must be > start_s {self.start_s}, got {self.end_s}")
+
+
+@dataclass(frozen=True)
+class AnnotationFile:
+    """An annotations file: ``{"seizures": [{"start_s": ..., "end_s": ...}, ...]}``."""
+
+    seizures: tuple[Seizure, ...]
+
+
+@dataclass(frozen=True)
 class AnnotationSet:
     """Seizure intervals in seconds, sorted and non-overlapping."""
 
@@ -105,18 +126,10 @@ class AnnotationSet:
 
     @classmethod
     def from_intervals(cls, intervals) -> "AnnotationSet":
-        """Validate, sort, and merge overlapping or touching intervals."""
-        items = []
-        for k, (start, end) in enumerate(intervals):
-            start, end = float(start), float(end)
-            if start < 0:
-                raise ValueError(f"interval {k}: start {start} < 0")
-            if end <= start:
-                raise ValueError(f"interval {k}: end {end} <= start {start}")
-            items.append((start, end))
-        items.sort()
+        """Validate (as :class:`Seizure`), sort, and merge overlapping or touching intervals."""
+        seizures = [Seizure(float(start), float(end)) for start, end in intervals]
         merged: list[tuple[float, float]] = []
-        for start, end in items:
+        for start, end in sorted((s.start_s, s.end_s) for s in seizures):
             if merged and start <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], end))
             else:
@@ -186,30 +199,22 @@ def save_recording(rec: Recording, path) -> None:
 
 
 def save_annotations(ann: AnnotationSet, path) -> None:
-    doc = {"seizures": [{"start_s": s, "end_s": e} for s, e in ann.intervals]}
+    doc = to_json(AnnotationFile(tuple(Seizure(s, e) for s, e in ann.intervals)))
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_annotations(path) -> AnnotationSet:
-    """Read ``{"seizures": [{"start_s": ..., "end_s": ...}, ...]}``."""
-    doc = read_json(path)
-    if not isinstance(doc, dict) or "seizures" not in doc:
-        raise ValueError(f"{path}: missing top-level 'seizures' list")
-    items = doc["seizures"]
-    if not isinstance(items, list):
-        raise ValueError(f"{path}: 'seizures' must be a list")
-    intervals = []
-    for k, item in enumerate(items):
-        for key in ("start_s", "end_s"):
-            if not isinstance(item, dict) or key not in item:
-                raise ValueError(f"{path}: seizures[{k}] missing field {key!r}")
-            value = item[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{path}: seizures[{k}].{key} must be a number")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{path}: seizures[{k}].{key} must be finite, got {value}")
-        intervals.append((item["start_s"], item["end_s"]))
-    return AnnotationSet.from_intervals(intervals)
+def load_annotations(path, duration_s: float = math.inf) -> AnnotationSet:
+    """Read an :class:`AnnotationFile` for a recording of ``duration_s``
+    seconds; a malformed file, or a seizure that ends past the recording,
+    is an error naming the file and the field."""
+    seizures = read_json(AnnotationFile, path).seizures
+    for k, s in enumerate(seizures):
+        if s.end_s > duration_s + _TOL_S:
+            raise ValueError(
+                f"{path}: seizures[{k}].end_s: must be <= the recording's {duration_s:g} s, "
+                f"got {s.end_s}"
+            )
+    return AnnotationSet.from_intervals((s.start_s, s.end_s) for s in seizures)
 
 
 def _window(rec: Recording, offset_s: float, label: int, w_len: int) -> LabeledWindow:

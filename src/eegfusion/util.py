@@ -1,4 +1,4 @@
-"""JSON hashing, reading and config codec, atomic writes and the OpenBLAS thread pin."""
+"""JSON hashing and typed codec for configs and files, atomic writes and the OpenBLAS thread pin."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import types
 import typing
 from pathlib import Path
 
@@ -23,6 +24,7 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "read_json",
+    "check_format",
     "to_json",
     "from_json",
     "field_errors",
@@ -60,33 +62,48 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
-def read_json(path):
-    """The JSON document in file ``path``; invalid JSON is a ``ValueError``
-    that names the file."""
+def read_json(tp, path, text=None):
+    """File ``path``'s JSON document, or its part ``text``, as a ``tp`` (:func:`from_json`);
+    the file is input, not config, so any error is a ``ValueError`` naming the file."""
     try:
-        return json.loads(Path(path).read_text())
+        return from_json(tp, json.loads(Path(path).read_text() if text is None else text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def check_format(doc) -> None:
+    """ValueError unless file document ``doc`` holds its class's defaults in
+    ``format`` and ``format_version``, the tags of the file's kind."""
+    for name in ("format", "format_version"):
+        want, got = getattr(type(doc), name), getattr(doc, name)
+        if got != want:
+            raise ValueError(f"{name} must be {want!r}, got {got!r}")
 
 
 def to_json(obj):
     """JSON form of a dataclass: nested dataclasses become objects keyed by
-    field name, tuples become lists, everything else stays as it is."""
+    field name, tuples become lists, dicts map their values, the rest stays."""
     if dataclasses.is_dataclass(obj):
         return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, tuple):
         return [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
     return obj
 
 
 _SCALARS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per dataclass
 
 
 def from_json(tp, doc, path: str = ""):
     """Build a value of type ``tp`` from its JSON form, checking every type.
 
-    ``tp`` is a dataclass (absent fields take their defaults), ``tuple[X, ...]``,
-    bool, int, float or str. A bool never passes for a number; an int passes
+    ``tp`` is a dataclass (absent fields take their defaults, unknown ones
+    are refused), ``tuple[X, ...]``, ``dict[str, X]``, ``X | None``, bool,
+    int, float or str. A bool never passes for a number; an int passes
     for a float and is kept as given, so a config hashes the same after a
     round trip. NaN and infinities, which Python's JSON parser
     accepts, do not pass for a number. Each error is a :class:`ConfigError`
@@ -94,10 +111,16 @@ def from_json(tp, doc, path: str = ""):
     a ``ValueError`` from a dataclass's own checks is named by :func:`field_errors`.
     """
     where = path or "<root>"
+    if tp in _SCALARS:
+        allowed = (int, float) if tp is float else (tp,)
+        bad = not isinstance(doc, allowed) or (isinstance(doc, bool) and tp is not bool)
+        if bad or (tp is float and not math.isfinite(doc)):
+            raise ConfigError(where, f"must be {_SCALARS[tp]}, got {doc!r}")
+        return doc
     if dataclasses.is_dataclass(tp):
         if not isinstance(doc, dict):
             raise ConfigError(where, "must be a JSON object")
-        hints = typing.get_type_hints(tp)
+        hints = _type_hints(tp)
         fields = {f.name: f for f in dataclasses.fields(tp) if f.init}
         prefix = f"{path}." if path else ""
         for key in doc:
@@ -110,18 +133,18 @@ def from_json(tp, doc, path: str = ""):
         kwargs = {key: from_json(hints[key], value, prefix + key) for key, value in doc.items()}
         with field_errors(path, tp):
             return tp(**kwargs)
-    if typing.get_origin(tp) is tuple:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        return None if doc is None else from_json(args[0], doc, path)
+    if origin is tuple:
         if not isinstance(doc, list):
             raise ConfigError(where, "must be a list")
-        item = typing.get_args(tp)[0]
-        return tuple(from_json(item, v, f"{path}[{i}]") for i, v in enumerate(doc))
-    if tp not in _SCALARS:
-        raise TypeError(f"{where}: config fields of type {tp!r} are not supported")
-    allowed = (int, float) if tp is float else (tp,)
-    bad = not isinstance(doc, allowed) or (isinstance(doc, bool) and tp is not bool)
-    if bad or (tp is float and not math.isfinite(doc)):
-        raise ConfigError(where, f"must be {_SCALARS[tp]}, got {doc!r}")
-    return doc
+        return tuple(from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(doc))
+    if origin is dict:
+        if not isinstance(doc, dict):
+            raise ConfigError(where, "must be a JSON object")
+        return {key: from_json(args[1], v, f"{path}.{key}") for key, v in doc.items()}
+    raise TypeError(f"{where}: config fields of type {tp!r} are not supported")
 
 
 @contextlib.contextmanager

@@ -62,7 +62,7 @@ class TestExitCodes:
         manifest.write_text(json.dumps({"format": "eegfusion-dataset", "format_version": 2}))
         code = main(["train", "--dataset", str(tmp_path), "--model-out", str(tmp_path / "m.bin")])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {manifest}: manifest has no 'shape'\n"
+        assert capsys.readouterr().err == f"error: {manifest}: shape: required field is missing\n"
 
     def test_missing_report_is_exit_1(self, tmp_path, capsys):
         code = main([
@@ -235,16 +235,19 @@ class TestEarlyValidation:
             "extract", "--recordings", str(index_path), "--out", str(tmp_path / "ds"),
             "--config", cfg_path,
         ]) == 1
-        assert capsys.readouterr().err == f"error: {index_path}: recordings[1].{key} is missing\n"
+        assert capsys.readouterr().err == (
+            f"error: {index_path}: recordings[1].{key}: required field is missing\n"
+        )
         assert not (tmp_path / "ds").exists()
 
 
     @pytest.mark.parametrize("text, message", [
         ("{ nope", "invalid JSON: "),
-        (json.dumps({"entries": []}), "'recordings' must be a list"),
-        (json.dumps({"recordings": 3}), "'recordings' must be a list"),
-        (json.dumps([]), "'recordings' must be a list"),
-    ], ids=["invalid_json", "no_recordings", "int_recordings", "list_index"])
+        (json.dumps({}), "recordings: required field is missing"),
+        (json.dumps({"recordings": [], "entries": []}), "entries: unknown field"),
+        (json.dumps({"recordings": 3}), "recordings: must be a list"),
+        (json.dumps([]), "<root>: must be a JSON object"),
+    ], ids=["invalid_json", "no_recordings", "unknown_key", "int_recordings", "list_index"])
     def test_malformed_index_names_the_index(self, tmp_path, capsys, text, message):
         index_path = tmp_path / "recordings.json"
         index_path.write_text(text)
@@ -325,7 +328,8 @@ class TestEarlyValidation:
             "--config", cfg_path,
         ]) == 1
         assert capsys.readouterr().err == (
-            f"error: {index_path}: every window has label 0; the split needs both classes\n"
+            f"error: {index_path}: recordings: their windows have labels [0]; "
+            "the split needs both classes\n"
         )
         assert not ds_dir.exists()
 
@@ -411,7 +415,7 @@ class TestSubcommandChain:
         tensors, manifest = read_dataset(ds_dir)
         # 2 uncoupled recordings x 2 free windows + 2 coupled x 2 seizure slices
         assert len(tensors) == 8
-        assert manifest["shape"] == [7, 10, 2, 2, 2]
+        assert manifest.shape == (7, 10, 2, 2, 2)
         assert sorted({t.label for t in tensors}) == [0, 1]
 
         model_path = tmp_path / "model.bin"

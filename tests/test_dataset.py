@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from eegfusion.connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
-from eegfusion.dataset import MANIFEST_NAME, read_dataset, split_dataset, write_dataset
+from eegfusion.dataset import (
+    MANIFEST_NAME, SplitRecord, read_dataset, split_dataset, write_dataset,
+)
 from eegfusion.signal_io import train_test_split
 from eegfusion.util import config_hash, to_json
 
@@ -74,13 +76,12 @@ class TestManifest:
         cfg = PipelineConfig(order=3, aic=True)
         write_dataset(make_tensors(n=2), tmp_path, cfg, test_fraction=0.25, seed=7)
         _, manifest = read_dataset(tmp_path)
-        assert manifest["shape"] == [7, 10, 4, 4, 5]
-        assert manifest["feature_order"] == list(FEATURE_ORDER)
-        assert manifest["split"] == {"test_fraction": 0.25, "seed": 7}
-        cfg_doc = to_json(cfg)
-        assert manifest["config"] == cfg_doc
-        assert manifest["config_hash"] == config_hash(cfg_doc)
-        assert manifest["bands"] == cfg_doc["bands"]
+        assert manifest.shape == (7, 10, 4, 4, 5)
+        assert manifest.feature_order == FEATURE_ORDER
+        assert manifest.split == SplitRecord(test_fraction=0.25, seed=7)
+        assert manifest.config == cfg
+        assert manifest.config_hash == config_hash(to_json(cfg))
+        assert manifest.bands == cfg.bands
 
     def test_lists_every_window_file(self, tmp_path):
         write_dataset(make_tensors(n=4), tmp_path, PipelineConfig())
@@ -124,7 +125,7 @@ class TestWriteErrors:
 
     def test_wrong_rank_refused(self, tmp_path):
         t = WindowTensor(values=np.zeros((7, 4, 4)), label=0, source_id="w")
-        with pytest.raises(ValueError, match="5-axis"):
+        with pytest.raises(ValueError, match=r"shape must be five positive integers, got \[7, 4"):
             write_dataset([t], tmp_path, PipelineConfig())
 
     def test_failing_iterable_leaves_no_window_files(self, tmp_path):
@@ -152,7 +153,7 @@ class TestWriteErrors:
                 yield from make_tensors(n=2, seed=1)
             yield WindowTensor(values=np.zeros((7, 4, 4)), label=0, source_id="w")
 
-        with pytest.raises(ValueError, match="5-axis|has shape"):
+        with pytest.raises(ValueError, match="shape must be five positive integers|has shape"):
             write_dataset(tensors(), out, PipelineConfig())
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert [t.source_id for t in read_dataset(out)[0]] == [
@@ -199,8 +200,11 @@ class TestReadErrors:
             read_dataset(tmp_path)
 
     def test_foreign_json_rejected(self, tmp_path):
-        (tmp_path / MANIFEST_NAME).write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError, match="not a dataset manifest"):
+        write_dataset(make_tensors(n=1), tmp_path, PipelineConfig())
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        manifest["format"] = "something-else"
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="format: must be 'eegfusion-dataset'"):
             read_dataset(tmp_path)
 
     def test_future_version_rejected(self, tmp_path):
@@ -221,24 +225,29 @@ class TestReadErrors:
         manifest = json.loads(manifest_path.read_text())
         del (manifest if where is None else manifest["windows"][where])[key]
         manifest_path.write_text(json.dumps(manifest))
-        owner = "manifest" if where is None else rf"windows\[{where}\]"
-        with pytest.raises(ValueError, match=rf"{owner} has no '{key}'") as exc:
+        field = key if where is None else f"windows[{where}].{key}"
+        with pytest.raises(ValueError) as exc:
             read_dataset(tmp_path)
-        assert str(manifest_path) in str(exc.value)
+        assert str(exc.value) == f"{manifest_path}: {field}: required field is missing"
 
-    @pytest.mark.parametrize("shape", [
-        [7, 10, 4, 4], 5, [7, 10, 4, 4, 0], [7, 10, 4, 4, 5.0], [7, 10, 4, 4, True], "7x10",
+    @pytest.mark.parametrize("shape, message", [
+        ([7, 10, 4, 4], "shape: must be five positive integers, got [7, 10, 4, 4]"),
+        (5, "shape: must be a list"),
+        ([7, 10, 4, 4, 0], "shape: must be five positive integers, got [7, 10, 4, 4, 0]"),
+        ([7, 10, 4, 4, 5.0], "shape[4]: must be an integer, got 5.0"),
+        ([7, 10, 4, 4, True], "shape[4]: must be an integer, got True"),
+        ("7x10", "shape: must be a list"),
     ], ids=["four_axes", "int", "zero", "float", "bool", "string"])
-    def test_shape_that_is_not_five_positive_ints_names_the_manifest(self, tmp_path, shape):
+    def test_shape_that_is_not_five_positive_ints_names_the_manifest(self, tmp_path, shape, message):
         # the model dims come from this field, so a bad one must not reach training
         write_dataset(make_tensors(n=2), tmp_path, PipelineConfig())
         manifest_path = tmp_path / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
         manifest["shape"] = shape
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="shape must be five positive integers") as exc:
+        with pytest.raises(ValueError) as exc:
             read_dataset(tmp_path)
-        assert str(manifest_path) in str(exc.value)
+        assert str(exc.value).startswith(f"{manifest_path}: {message}")
 
     def test_invalid_json_names_the_manifest(self, tmp_path):
         manifest_path = tmp_path / MANIFEST_NAME
@@ -248,15 +257,16 @@ class TestReadErrors:
         assert str(exc.value).startswith(f"{manifest_path}: ")
 
     @pytest.mark.parametrize("split, message", [
-        ({"seed": 0}, "split has no 'test_fraction'"),
-        ({"test_fraction": 0.25}, "split has no 'seed'"),
-        ([0.25, 0], "split has no 'test_fraction'"),
+        ({"seed": 0}, "split.test_fraction: required field is missing"),
+        ({"test_fraction": 0.25}, "split.seed: required field is missing"),
+        ([0.25, 0], "split: must be a JSON object"),
         ({"test_fraction": "0.25", "seed": 0}, "split.test_fraction: must be a finite number"),
         ({"test_fraction": 0.25, "seed": "0"}, "split.seed: must be an integer"),
         ({"test_fraction": 0.25, "seed": 1.5}, "split.seed: must be an integer"),
-        ({"test_fraction": 1.5, "seed": 0}, "split.test_fraction must lie in (0, 1), got 1.5"),
+        ({"test_fraction": 1.5, "seed": 0}, "split.test_fraction: must lie in (0, 1), got 1.5"),
+        ({"test_fraction": 0.25, "seed": -1}, "split.seed: must be >= 0, got -1"),
     ], ids=["no_fraction", "no_seed", "list", "string_fraction", "string_seed", "float_seed",
-            "fraction_out_of_range"])
+            "fraction_out_of_range", "negative_seed"])
     def test_bad_split_record_names_the_manifest(self, tmp_path, split, message):
         write_dataset(make_tensors(n=2), tmp_path, PipelineConfig())
         manifest_path = tmp_path / MANIFEST_NAME
@@ -269,7 +279,7 @@ class TestReadErrors:
 
     def test_manifest_that_is_not_an_object_rejected(self, tmp_path):
         (tmp_path / MANIFEST_NAME).write_text("[]")
-        with pytest.raises(ValueError, match="not a dataset manifest"):
+        with pytest.raises(ValueError, match="<root>: must be a JSON object"):
             read_dataset(tmp_path)
 
     def test_truncated_window_file_detected(self, tmp_path):

@@ -2,11 +2,14 @@
 
 The JSON config example must parse as a ``RunConfig`` with
 ``util.from_json``, where each section checks itself, and pass
-``validate_run_config``, and every ``eegfusion`` command line of its shell
-blocks must parse with the CLI's own argument parser, so a deleted or
-renamed field or flag fails here rather than in a reader's shell.
+``validate_run_config``, every ``eegfusion`` command line of its shell
+blocks must parse with the CLI's own argument parser, and the field list of
+each on-disk format must be its dataclass's, so a deleted or renamed field
+or flag fails here rather than in a reader's shell.
 """
 
+import dataclasses
+import importlib
 import json
 import re
 import shlex
@@ -47,3 +50,21 @@ def test_stage_chain_is_documented():
 def test_command_example_parses(argv):
     args = build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+#: (module, dataclass, fields) of each row of the README's on-disk formats table.
+FORMAT_ROWS = re.findall(r"^\| [^|]+ \| `(\w+)\.(\w+)` \| ([^|]+) \|$", README, flags=re.M)
+
+
+def test_on_disk_formats_list_every_file_dataclass():
+    assert {cls for _, cls, _ in FORMAT_ROWS} == {
+        "RecordingsIndex", "IndexEntry", "AnnotationFile", "Seizure", "DatasetManifest",
+        "SplitRecord", "WindowRecord", "ModelHeader", "NormStatsRecord", "RelevanceReport",
+        "ClassRelevance",
+    }
+
+
+@pytest.mark.parametrize("module, cls, listed", FORMAT_ROWS, ids=[r[1] for r in FORMAT_ROWS])
+def test_on_disk_format_fields_are_the_dataclass_fields(module, cls, listed):
+    tp = getattr(importlib.import_module(f"eegfusion.{module}"), cls)
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(tp)]

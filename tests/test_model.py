@@ -524,9 +524,9 @@ class TestSaveLoad:
 
     def test_bad_model_config_is_a_file_error(self, tmp_path):
         p = tmp_path / "m.bin"
-        p.write_bytes(b'{"format": "eegfusion-model", "format_version": 1, '
-                      b'"model_config": {"scheme": 2.5}}\n')
-        with pytest.raises(ValueError, match="model_config.scheme") as exc:
+        save_model(build_fusion_model(ModelConfig(scheme=2, **SMALL)), p)
+        edit_header(p, lambda h: h["model_config"].update(scheme=2.5))
+        with pytest.raises(ValueError, match="model_config.scheme: must be an integer") as exc:
             load_model(p)
         assert type(exc.value) is ValueError
 
@@ -567,16 +567,21 @@ class TestSaveLoad:
         save_model(build_fusion_model(ModelConfig(scheme=2, **SMALL)), p,
                    norm_stats=NormStats(mean=np.zeros((3, 2)), std=np.ones((3, 2))))
         edit_header(p, lambda h: h["norm_stats"].pop("mean"))
-        with pytest.raises(ValueError, match="norm_stats has no 'mean'") as exc:
+        with pytest.raises(ValueError, match="norm_stats.mean: required field is missing") as exc:
             load_model(p)
         assert type(exc.value) is ValueError and str(p) in str(exc.value)
 
-    def test_norm_stats_of_wrong_shape_rejected_at_load(self, tmp_path):
+    @pytest.mark.parametrize("mean, message", [
+        ([0.0] * 3, r"norm_stats.mean\[0\]: must be a list$"),
+        ([[0.0]] * 3, r"norm_stats: must hold mean and std of shape \(3, 2\) \(features, bands\)"),
+    ], ids=["flat", "one_band"])
+    def test_norm_stats_of_wrong_shape_rejected_at_load(self, tmp_path, mean, message):
         # (features,) stats used to load, then failed to broadcast in NormStats.apply
         p = tmp_path / "m.bin"
         save_model(build_fusion_model(ModelConfig(scheme=2, **SMALL)), p,
-                   norm_stats=NormStats(mean=np.zeros(3), std=np.ones(3)))
-        with pytest.raises(ValueError, match=r"norm_stats.mean has shape \(3,\), expected \(3, 2\)") as exc:
+                   norm_stats=NormStats(mean=np.zeros((3, 2)), std=np.ones((3, 2))))
+        edit_header(p, lambda h: h["norm_stats"].update(mean=mean))
+        with pytest.raises(ValueError, match=message) as exc:
             load_model(p)
         assert str(p) in str(exc.value)
 
@@ -584,16 +589,16 @@ class TestSaveLoad:
         "corrupt,message",
         [
             (lambda p: p.write_bytes(b"{not json\n" + p.read_bytes().partition(b"\n")[2]),
-             "invalid header JSON"),
+             "invalid JSON"),
             # valid JSON that is not an object used to fail on header.get
             (lambda p: p.write_bytes(b"[1, 2]\n" + p.read_bytes().partition(b"\n")[2]),
-             "header is not a JSON object"),
+             "<root>: must be a JSON object"),
             (lambda p: edit_header(p, lambda h: h.update(format="eegfusion-dataset")),
-             "not a model file .format 'eegfusion-dataset'."),
+             "format: must be 'eegfusion-model', got 'eegfusion-dataset'"),
             (lambda p: edit_header(p, lambda h: h.update(format_version=2)),
-             "unsupported format version 2"),
+             "format_version: must be 1, got 2"),
             (lambda p: edit_header(p, lambda h: h["norm_stats"].update(std=[["x", 1]] * 3)),
-             "norm_stats.std is not a numeric array"),
+             r"norm_stats.std\[0\]\[0\]: must be a finite number, got 'x'"),
         ],
         ids=["header_json", "header_list", "format", "format_version", "norm_stats"],
     )
@@ -624,8 +629,9 @@ class TestSaveLoad:
 
     def test_foreign_file_rejected(self, tmp_path):
         p = tmp_path / "m.bin"
-        p.write_bytes(b'{"format": "other"}\n')
-        with pytest.raises(ValueError, match="not a model file"):
+        save_model(build_fusion_model(ModelConfig(scheme=2, **SMALL)), p)
+        edit_header(p, lambda h: h.update(format="other"))
+        with pytest.raises(ValueError, match="format: must be 'eegfusion-model', got 'other'"):
             load_model(p)
 
     def test_truncated_payload_rejected(self, tmp_path):

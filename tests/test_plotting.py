@@ -6,15 +6,15 @@ import pytest
 
 from eegfusion.connectivity import FEATURE_ORDER
 from eegfusion.plotting import svg_bars, write_svg
-from eegfusion.relevance import RelevanceReport
+from eegfusion.relevance import ClassRelevance, RelevanceReport
 
 
-def flat_report():
+def flat_report(seizure_percent=None):
     percent = {name: 100.0 / 7.0 for name in FEATURE_ORDER}
     raw = {name: 1.0 for name in FEATURE_ORDER}
     classes = {
-        "non_seizure": {"percent": percent, "raw": raw, "c_plus": [], "n_samples": 3},
-        "seizure": {"percent": percent, "raw": raw, "c_plus": [], "n_samples": 3},
+        "non_seizure": ClassRelevance(percent, raw, (), 3),
+        "seizure": ClassRelevance(seizure_percent or percent, raw, (), 3),
     }
     return RelevanceReport(classes=classes, feature_order=FEATURE_ORDER)
 
@@ -35,10 +35,8 @@ class TestSvgBars:
         assert svg.count("14.29%") == 2 * len(FEATURE_ORDER)
 
     def test_bar_lengths_scale_with_percent(self):
-        report = flat_report()
-        report.classes["seizure"]["percent"] = {
-            name: (50.0 if name == "DC" else 50.0 / 6.0) for name in FEATURE_ORDER
-        }
+        percent = {name: (50.0 if name == "DC" else 50.0 / 6.0) for name in FEATURE_ORDER}
+        report = flat_report(percent)
         root = ET.fromstring(svg_bars(report))
         widths = [
             float(el.get("width"))
@@ -57,6 +55,5 @@ class TestSvgBars:
         assert a == svg_bars(report).encode()
 
     def test_empty_report_rejected(self):
-        report = RelevanceReport(classes={}, feature_order=FEATURE_ORDER)
         with pytest.raises(ValueError, match="classes"):
-            svg_bars(report)
+            svg_bars(RelevanceReport(classes={}, feature_order=FEATURE_ORDER))

@@ -178,9 +178,9 @@ class TestRelevanceReport:
         assert report.feature_order == FEATURE_ORDER
         assert report.config_hash == "abc123"
         for payload in report.classes.values():
-            assert payload["n_samples"] == 6
-            assert len(payload["c_plus"]) == m.n_embed
-            assert sum(payload["percent"].values()) == pytest.approx(100.0, abs=1e-6)
+            assert payload.n_samples == 6
+            assert len(payload.c_plus) == m.n_embed
+            assert sum(payload.percent.values()) == pytest.approx(100.0, abs=1e-6)
 
     def test_sample_order_invariance(self):
         m = small_model()
@@ -189,8 +189,8 @@ class TestRelevanceReport:
         backward = relevance_report(m, list(reversed(ds)))
         for cls in forward.classes:
             for name in FEATURE_ORDER:
-                assert forward.classes[cls]["percent"][name] == pytest.approx(
-                    backward.classes[cls]["percent"][name], abs=1e-12
+                assert forward.classes[cls].percent[name] == pytest.approx(
+                    backward.classes[cls].percent[name], abs=1e-12
                 )
 
     def test_duplicating_dataset_changes_nothing(self):
@@ -200,8 +200,8 @@ class TestRelevanceReport:
         twice = relevance_report(m, ds + ds)
         for cls in once.classes:
             for name in FEATURE_ORDER:
-                assert once.classes[cls]["percent"][name] == pytest.approx(
-                    twice.classes[cls]["percent"][name], abs=1e-12
+                assert once.classes[cls].percent[name] == pytest.approx(
+                    twice.classes[cls].percent[name], abs=1e-12
                 )
 
     @pytest.mark.parametrize("scheme", [3, 4])
@@ -240,8 +240,8 @@ class TestReportFiles:
 
     @pytest.mark.parametrize("text, message", [
         ("{ nope", "invalid JSON: "),
-        (json.dumps("feature_order classes"), "report is not a JSON object"),
-        ("[]", "report is not a JSON object"),
+        (json.dumps("feature_order classes"), "<root>: must be a JSON object"),
+        ("[]", "<root>: must be a JSON object"),
     ], ids=["invalid", "string", "list"])
     def test_unreadable_report_names_the_file(self, tmp_path, text, message):
         # a string holding both key names passed the key check by substring
@@ -263,8 +263,8 @@ class TestReportFiles:
         # class blocks are sorted; values survive the repr round trip
         assert rows[1][1] == "non_seizure"
         for name, cls, percent, raw in rows[1:]:
-            assert float(percent) == report.classes[cls]["percent"][name]
-            assert float(raw) == report.classes[cls]["raw"][name]
+            assert float(percent) == report.classes[cls].percent[name]
+            assert float(raw) == report.classes[cls].raw[name]
 
     @pytest.mark.parametrize("write", [write_report_json, write_report_csv])
     def test_failed_rename_leaves_the_earlier_file_intact(self, write, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 property test over documents built from ``RunConfig``'s field types."""
 
 import dataclasses
+import types
 import typing
 
 from hypothesis import given, settings
@@ -18,11 +19,7 @@ TINY = {
 }
 
 #: Fields whose valid values scale the work, so they take no far edge.
-SIZES = {
-    "synth.n_per_class", "synth.n_channels", "synth.fs", "synth.duration_s",
-    "pipeline.n_freqs", "model.embed_dim", "model.lstm_hidden", "model.dense_sizes",
-    "train.epochs",
-}
+SIZES = {"synth.n_per_class", "synth.fs", "train.epochs"}
 
 INTS = (-1, 0, 1, 2, 3)
 #: 64 Hz is the study's Nyquist rate, and 45 Hz the default bands' top.
@@ -36,6 +33,15 @@ def edges(tp, path: str, default):
     the tiny study's value ``default``, a far value unless the field is one
     of ``SIZES``, and values of the wrong type."""
     far = path not in SIZES
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        return st.one_of(st.none(), edges(args[0], path, default))
+    if origin is dict:  # dict[str, X]: the default, or up to three edge entries
+        keys = st.sampled_from(("", "x", *default))
+        return st.one_of(
+            st.sampled_from(WRONG + (to_json(default),)),
+            st.dictionaries(keys, edges(args[1], path, next(iter(default.values()))), max_size=3),
+        )
     if tp is bool:
         return st.sampled_from((True, False, 0, None))
     if tp is int:
@@ -50,10 +56,9 @@ def edges(tp, path: str, default):
             for name, field_tp in typing.get_type_hints(tp).items()
         }))
     # tuple[X, ...]: the default, or up to three edge items
-    item = typing.get_args(tp)[0]
     return st.one_of(
         st.sampled_from(WRONG + (to_json(default),)),
-        st.lists(edges(item, path, default[0]), max_size=3),
+        st.lists(edges(args[0], path, default[0]), max_size=3),
     )
 
 

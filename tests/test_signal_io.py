@@ -125,18 +125,25 @@ class TestAnnotations:
         "text,message",
         [
             ("{", "invalid JSON"),
-            ('{"seizures": {}}', "'seizures' must be a list"),
-            ('{"seizures": [1]}', r"seizures\[0\] missing field 'start_s'"),
-            ('{"seizures": [{"start_s": 1}]}', r"seizures\[0\] missing field 'end_s'"),
-            ('{"seizures": [{"start_s": 1, "end_s": "9"}]}', r"seizures\[0\].end_s must be a number"),
+            ('{"seizures": {}}', "seizures: must be a list"),
+            ('{"seizures": [1]}', r"seizures\[0\]: must be a JSON object"),
+            ('{"seizures": [{"start_s": 1}]}', r"seizures\[0\].end_s: required field is missing"),
+            ('{"seizures": [{"start_s": 1, "end_s": "9"}]}',
+             r"seizures\[0\].end_s: must be a finite number, got '9'"),
             ('{"seizures": [{"start_s": 1, "end_s": 9}, {"start_s": NaN, "end_s": 30}]}',
-             r"seizures\[1\].start_s must be finite, got nan"),
+             r"seizures\[1\].start_s: must be a finite number, got nan"),
             ('{"seizures": [{"start_s": 1, "end_s": Infinity}]}',
-             r"seizures\[0\].end_s must be finite, got inf"),
-            ('{"seizures": [{"start_s": true, "end_s": 30}]}', r"seizures\[0\].start_s must be a number"),
+             r"seizures\[0\].end_s: must be a finite number, got inf"),
+            ('{"seizures": [{"start_s": true, "end_s": 30}]}',
+             r"seizures\[0\].start_s: must be a finite number, got True"),
+            ('{"seizures": [{"start_s": -1, "end_s": 30}]}',
+             r"seizures\[0\].start_s: must be >= 0, got -1"),
+            ('{"seizures": [{"start_s": 9, "end_s": 9}]}',
+             r"seizures\[0\].end_s: must be > start_s 9, got 9"),
+            ('{"seizures": [], "events": []}', "events: unknown field"),
         ],
         ids=["json", "not_a_list", "not_an_object", "missing_end", "non_number", "nan", "infinite",
-             "boolean"],
+             "boolean", "negative_start", "empty_interval", "unknown_key"],
     )
     def test_malformed_file_names_file_and_field(self, tmp_path, text, message):
         p = tmp_path / "a.json"
@@ -148,6 +155,14 @@ class TestAnnotations:
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValueError, match="end"):
             AnnotationSet.from_intervals([(10.0, 5.0)])
+
+    def test_seizure_past_the_recording_names_file_and_field(self, tmp_path):
+        p = tmp_path / "a.json"
+        p.write_text('{"seizures": [{"start_s": 1, "end_s": 9}, {"start_s": 20, "end_s": 61}]}')
+        assert load_annotations(p, 61.0).intervals == ((1.0, 9.0), (20.0, 61.0))
+        with pytest.raises(ValueError) as exc:
+            load_annotations(p, 60.0)
+        assert str(exc.value) == f"{p}: seizures[1].end_s: must be <= the recording's 60 s, got 61"
 
     def test_round_trip(self, tmp_path):
         ann = AnnotationSet.from_intervals([(5.0, 40.0)])
