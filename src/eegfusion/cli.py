@@ -32,6 +32,7 @@ from .runner import (
 )
 from .signal_io import (
     load_annotations, load_recording, save_annotations, save_recording, train_test_split,
+    window_samples,
 )
 from .util import atomic_write_text, field_errors, from_json, read_json, to_json
 
@@ -107,15 +108,26 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _indexed_recordings(index_path: Path, cfg: RunConfig):
     """Load each indexed recording, checking the pipeline against it first.
-    A malformed index, or an entry whose files cannot be read, is an error
-    that names the index file and the entry."""
+    A malformed index, an entry whose files cannot be read or whose recording
+    is shorter than one window, and a pipeline the entry's rate or channel
+    count refuses, is an error that names the index file and the entry."""
     for k, entry in enumerate(read_json(RecordingsIndex, index_path).recordings):
+        where = f"{index_path}: recordings[{k}]"
         try:
             rec = load_recording(index_path.parent / entry.csv, fs=entry.fs)
             ann = load_annotations(index_path.parent / entry.annotations, rec.duration_s)
         except OSError as exc:
-            raise ValueError(f"{index_path}: recordings[{k}]: {exc}") from None
-        validate_pipeline(cfg.pipeline, rec.fs, rec.n_channels)
+            raise ValueError(f"{where}: {exc}") from None
+        try:
+            validate_pipeline(cfg.pipeline, rec.fs, rec.n_channels)
+            window_samples(rec)
+        except ConfigError as exc:  # still exit 2, naming the entry that decided it
+            detail = str(exc).removeprefix(f"{exc.field}: ")
+            raise ConfigError(
+                exc.field, f"{detail}, for {where} ({rec.fs:g} Hz, {rec.n_channels} channels)"
+            ) from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         yield rec, ann
 
 

@@ -14,7 +14,7 @@ per-frequency matrices used by every spectral connectivity measure:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -68,10 +68,6 @@ class FitDiagnostics:
     sigma_jitter_events: int = 0
     #: AIC order searches whose choice is the cap ``aic_max``.
     order_cap_hits: int = 0
-
-    def merge(self, other: "FitDiagnostics") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass

@@ -10,13 +10,11 @@ reproduces every output bit for bit.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import platform
 import time
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -163,19 +161,6 @@ def _synth_spec(s: SynthStudyConfig, kind: str, **extra) -> SynthSpec:
     return SynthSpec(kind=kind, **{**shared, **extra})
 
 
-def _extraction_workers() -> int:
-    """Extraction worker processes: EEGFUSION_WORKERS, at most the CPUs we may run on."""
-    raw = os.environ.get("EEGFUSION_WORKERS", "1") or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError("EEGFUSION_WORKERS", f"must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigError("EEGFUSION_WORKERS", f"must be >= 1, got {workers}")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(workers, cpus or 1)
-
-
 def _check_design(band, fs: float, filter_order: int, path: str) -> None:
     """Design ``band``'s filter; a refused band names ``path`` or its field,
     and a design that overflows (orders of several hundred) names the order."""
@@ -225,7 +210,6 @@ def validate_run_config(cfg: RunConfig) -> None:
     reaches training without input-shape errors: the model dims come from the data.
     """
     s = cfg.synth
-    _extraction_workers()
     validate_pipeline(cfg.pipeline, s.fs, s.n_channels)
     n_class = s.n_per_class * s.windows_per_recording
     with field_errors("split.test_fraction"):
@@ -292,36 +276,20 @@ def study_windows(cfg: RunConfig) -> list[LabeledWindow]:
     return list(_study_stream(cfg))
 
 
-def _extract_chunk(chunk, pcfg):
-    diag = FitDiagnostics()
-    return build_feature_tensors(chunk, pcfg, diag), diag
-
-
 def stream_tensors(
     windows, pcfg: PipelineConfig, diagnostics: FitDiagnostics | None = None
 ) -> Iterator[WindowTensor]:
     """Feature tensors for every window, in input order, yielded chunk by chunk.
 
-    Windows are extracted in chunks (:func:`window_chunks`), in rounds of one
-    chunk per extraction worker; a round is cut from ``windows`` only when the
-    last round's tensors have been taken, so a lazy ``windows`` is held one
-    round at a time. Extraction is pure per chunk, so a round of several runs
-    over a process pool sized by the first round. Results keep the input
-    order, and each chunk's fit health is merged into ``diagnostics`` in order.
+    Windows are extracted in chunks (:func:`window_chunks`); a chunk is cut
+    from ``windows`` only when the last one's tensors have been taken, so a
+    lazy ``windows`` is held one chunk at a time. Each chunk's fit health is
+    counted into ``diagnostics`` when one is given.
     """
-    diagnostics = FitDiagnostics() if diagnostics is None else diagnostics
-    chunks = window_chunks(windows)
-    workers = _extraction_workers()
-    rounds = iter(lambda: list(itertools.islice(chunks, workers)), [])
-    first = next(rounds, [])  # short of `workers` only when it holds every chunk
-    with ProcessPoolExecutor(len(first)) if len(first) > 1 else contextlib.nullcontext() as pool:
-        run = pool.map if pool else map
-        for jobs in itertools.chain([first], rounds):
-            results = list(run(_extract_chunk, jobs, itertools.repeat(pcfg)))
-            jobs.clear()  # the round's windows are not held while its tensors are taken
-            for chunk_tensors, diag in results:
-                diagnostics.merge(diag)
-                yield from chunk_tensors
+    for chunk in window_chunks(windows):
+        tensors = build_feature_tensors(chunk, pcfg, diagnostics)
+        del chunk  # the chunk's windows are not held while its tensors are taken
+        yield from tensors
 
 
 def extract_tensors(

@@ -255,6 +255,14 @@ def has_nonseizure_span(rec: Recording, ann: AnnotationSet, guard_s: float = 60.
     return bool(_free_start_ranges(rec, ann, guard_s))
 
 
+def window_samples(rec: Recording) -> int:
+    """Samples in one window of ``rec``; a recording shorter than one window is refused."""
+    w_len = int(round(WINDOW_S * rec.fs))
+    if rec.n_samples < w_len:
+        raise ValueError(f"recording {rec.id!r} shorter than one {WINDOW_S:.0f} s window")
+    return w_len
+
+
 def extract_labeled_windows(
     rec: Recording,
     ann: AnnotationSet,
@@ -272,11 +280,7 @@ def extract_labeled_windows(
     """
     if n_nonseizure < 0:
         raise ValueError(f"n_nonseizure must be >= 0, got {n_nonseizure}")
-    w_len = int(round(WINDOW_S * rec.fs))
-    if rec.n_samples < w_len:
-        raise ValueError(
-            f"recording {rec.id!r} shorter than one {WINDOW_S:.0f} s window"
-        )
+    w_len = window_samples(rec)
     ann.validate_for(rec)
 
     windows: list[LabeledWindow] = []

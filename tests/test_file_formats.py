@@ -164,8 +164,10 @@ def check(chain, tmp_path_factory, command, file, doc):
     message = err.getvalue()
     assert [name for name in outputs if (d / name).exists()] == []
     # the recording's rate is checked against the run config: a config error
+    # that names the field, then the index file and the entry
     if code == 2 and file.endswith("recordings.json"):
         assert message.startswith("config error: pipeline."), message
+        assert re.search(rf", for {re.escape(str(d / file))}: recordings\[\d+\] \(", message), message
         return
     assert code == 1, message
     head = f"error: {d / file}: "
@@ -196,3 +198,26 @@ def test_a_malformed_file_exits_1_naming_it_before_any_output_or_completes(
         check(chain, tmp_path_factory, command, file, edited)
 
     run()
+
+
+@pytest.mark.parametrize("k, fs, n_freqs, code, message", [
+    (0, 1000.0, 512, 1, "error: {index}: recordings[0]: recording 'uncoupled-00' shorter "
+     "than one 20 s window"),
+    (2, 64.0, 32, 2, "config error: pipeline.bands[4].high_hz: must be below the Nyquist "
+     "frequency 32.0 Hz, got 45.0 in band 'gamma', for {index}: recordings[2] (64 Hz, 2 channels)"),
+], ids=["shorter-than-a-window", "past-nyquist"])
+def test_an_entry_the_pipeline_cannot_window_names_the_index_and_entry(
+    chain, tmp_path, capsys, k, fs, n_freqs, code, message
+):
+    # at 1000 Hz the entry's 12,800 rows last 12.8 s; at 64 Hz gamma's 45 Hz is past Nyquist
+    shutil.copytree(chain / "rec", tmp_path / "rec")
+    index = tmp_path / "rec" / "recordings.json"
+    doc = json.loads(index.read_text())
+    doc["recordings"][k]["fs"] = fs
+    index.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "pipeline": {"n_freqs": n_freqs}}))
+    argv = ["extract", "--config", str(cfg), "--recordings", str(index), "--out", f"{tmp_path}/out"]
+    assert main(argv) == code
+    assert capsys.readouterr().err == message.format(index=index) + "\n"
+    assert not (tmp_path / "out").exists()

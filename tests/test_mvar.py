@@ -5,7 +5,6 @@ simulations of the same process, and the algebraic identity S(f) P(f) = I that
 must hold for any model by construction.
 """
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -555,12 +554,6 @@ class TestSpectralDecomposition:
         sd = spectral_decomposition(m, n_freqs=64, keep=keep)
         assert np.array_equal(sd.freqs, np.arange(2.0, 45.0))
         assert np.isfinite(sd.S).all()
-
-    def test_diagnostics_merge(self):
-        names = [f.name for f in dataclasses.fields(FitDiagnostics)]
-        a = FitDiagnostics(**{name: i + 1 for i, name in enumerate(names)})
-        a.merge(FitDiagnostics(**{name: 10 * (i + 1) for i, name in enumerate(names)}))
-        assert [getattr(a, name) for name in names] == [11 * (i + 1) for i in range(len(names))]
 
 
 class TestSimulateVar:

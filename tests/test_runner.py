@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from test_dataset import staged_files
 
-from eegfusion.connectivity import PipelineConfig, normalize_features, window_chunks
+from eegfusion.connectivity import (
+    PipelineConfig, build_feature_tensors, normalize_features, window_chunks,
+)
 from eegfusion.dataset import read_dataset, split_dataset, write_dataset
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec
 from eegfusion.model import THRESHOLD, ArchConfig, ModelConfig, TrainConfig, evaluate, load_model
@@ -284,14 +286,11 @@ class TestValidation:
         assert exc.value.field == "pipeline.filter_order"
         runner.validate_pipeline(replace(slow, filter_order=6), 1.0, 2)  # pads 18
 
-    def test_non_integer_workers(self, monkeypatch):
-        monkeypatch.setenv("EEGFUSION_WORKERS", "abc")
-        assert self.field_of(fast_config()) == "EEGFUSION_WORKERS"
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_nonpositive_workers(self, monkeypatch, workers):
-        monkeypatch.setenv("EEGFUSION_WORKERS", workers)
-        assert self.field_of(fast_config()) == "EEGFUSION_WORKERS"
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_workers_variable_is_not_read(self, monkeypatch, value):
+        # extraction has one path; the environment selects nothing
+        monkeypatch.setenv("EEGFUSION_WORKERS", value)
+        validate_run_config(fast_config())
 
     def test_degenerate_split(self):
         for fraction in (0.0, 0.05):
@@ -326,112 +325,79 @@ class TestStudyWindows:
             assert np.array_equal(wa.samples, wb.samples)
 
 
-class TestExtractTensors:
-    def test_parallel_matches_sequential(self, monkeypatch):
-        # 13 desk-size windows (C=4, fs=128) form chunks of 6, 6 and 1, so
-        # the workers get whole chunks, the last one short
-        synth = SynthStudyConfig(n_per_class=1, windows_per_recording=7)
-        windows = study_windows(RunConfig(synth=synth))[:13]
-        assert [len(chunk) for chunk in window_chunks(windows)] == [6, 6, 1]
-        fixed = PipelineConfig()
-        for pcfg in (fixed, replace(fixed, aic=True, aic_max=3)):
-            monkeypatch.delenv("EEGFUSION_WORKERS", raising=False)
-            seq_diag, par_diag = FitDiagnostics(), FitDiagnostics()
-            seq = extract_tensors(windows, pcfg, seq_diag)
-            monkeypatch.setenv("EEGFUSION_WORKERS", "2")
-            par = extract_tensors(windows, pcfg, par_diag)
-            assert [t.source_id for t in seq] == [t.source_id for t in par]
-            for a, b in zip(seq, par):
-                assert np.array_equal(a.values, b.values)
-                assert a.label == b.label
-            assert par_diag == seq_diag
-            assert (seq_diag.order_cap_hits > 0) == pcfg.aic
+def thirteen_desk_windows():
+    """13 desk-size windows (C=4, fs=128): chunks of 6, 6 and 1."""
+    windows = study_windows(RunConfig(synth=SynthStudyConfig(
+        n_per_class=1, windows_per_recording=7)))[:13]
+    assert [len(chunk) for chunk in window_chunks(windows)] == [6, 6, 1]
+    return windows
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_diagnostics_do_not_change_the_tensors(self, monkeypatch, workers):
-        # 7 windows form chunks of 6 and 1; the counters are merged per chunk
+
+class TestExtractTensors:
+    def test_diagnostics_do_not_change_the_tensors(self):
+        # 7 windows form chunks of 6 and 1; the counters run across chunks
         synth = SynthStudyConfig(n_per_class=1, windows_per_recording=7)
         windows = study_windows(RunConfig(synth=synth))[:7]
         pcfg = PipelineConfig(aic=True, aic_max=3)
-        monkeypatch.setenv("EEGFUSION_WORKERS", workers)
         diag = FitDiagnostics()
         with_diag = extract_tensors(windows, pcfg, diag)
         without = extract_tensors(windows, pcfg)
         assert diag.order_cap_hits > 0
         assert [t.values.tobytes() for t in with_diag] == [t.values.tobytes() for t in without]
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_flat_channel_is_refused_in_each_path(self, monkeypatch, workers):
-        # window 8 sits in the second chunk, which the second worker extracts
+    def test_flat_channel_in_a_later_chunk_is_refused(self):
+        # window 8 sits in the second chunk
         windows = thirteen_desk_windows()
         samples = windows[8].samples.copy()
         samples[:, 3] = -1.5
         windows[8] = replace(windows[8], samples=samples)
-        monkeypatch.setenv("EEGFUSION_WORKERS", workers)
         with pytest.raises(ValueError) as exc:
             extract_tensors(windows, PipelineConfig())
         assert str(exc.value) == (
             f"window {windows[8].source_id!r}, sub-window 0: channel 3 is flat (every sample is -1.5)"
         )
 
-
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    sizes: list[int] = []
-    rounds: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        jobs = list(zip(*iterables))
-        self.rounds.append(len(jobs))
-        return (fn(*job) for job in jobs)
-
-
-def fake_pool(monkeypatch, workers: str, cpus: int) -> None:
-    """RecordingExecutor for the pool, on a process that may run on ``cpus`` CPUs."""
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "sizes", [])
-    monkeypatch.setattr(RecordingExecutor, "rounds", [])
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setenv("EEGFUSION_WORKERS", workers)
-
-
-def thirteen_desk_windows():
-    """13 desk-size windows (C=4, fs=128): chunks of 6, 6 and 1."""
-    return study_windows(RunConfig(synth=SynthStudyConfig(
-        n_per_class=1, windows_per_recording=7)))[:13]
-
-
-class TestExtractionPool:
-    @pytest.mark.parametrize("workers, size", [("2", 2), ("8", 3), ("64", 3)])
-    def test_pool_is_no_larger_than_the_chunk_count(self, monkeypatch, workers, size):
-        # 3 chunks; a larger pool would idle
+    @pytest.mark.parametrize("aic", [False, True], ids=["fixed", "aic"])
+    @pytest.mark.parametrize("per_chunk", [1, 2, 5])
+    def test_chunked_stream_matches_one_call(self, monkeypatch, per_chunk, aic):
+        # chunks bound memory only: the tensors and the fit counters equal
+        # those of one call over every window, whatever the chunk size
         windows = thirteen_desk_windows()
-        fake_pool(monkeypatch, workers, cpus=64)
-        tensors = extract_tensors(windows, PipelineConfig())
-        assert RecordingExecutor.sizes == [size]
-        assert [t.source_id for t in tensors] == [w.source_id for w in windows]
+        pcfg = replace(PipelineConfig(), aic=True, aic_max=3) if aic else PipelineConfig()
+        whole_diag, diag = FitDiagnostics(), FitDiagnostics()
+        whole = build_feature_tensors(windows, pcfg, whole_diag)
+        monkeypatch.setattr(
+            connectivity, "_WINDOW_CHUNK_SAMPLES", per_chunk * windows[0].samples.size
+        )
+        assert len(next(window_chunks(windows))) == per_chunk
+        streamed = list(stream_tensors(windows, pcfg, diag))
+        assert [t.source_id for t in streamed] == [w.source_id for w in windows]
+        for a, b in zip(whole, streamed):
+            assert np.array_equal(a.values, b.values)
+            assert a.label == b.label
+        assert diag == whole_diag
+        assert (diag.order_cap_hits > 0) == aic
 
-    @pytest.mark.parametrize("workers, cpus, size", [("64", 2, 2), ("3", 2, 2), ("2", 1, None)])
-    def test_pool_is_no_larger_than_the_cpus(self, monkeypatch, workers, cpus, size):
-        windows = thirteen_desk_windows()
-        fake_pool(monkeypatch, workers, cpus)
-        tensors = extract_tensors(windows, PipelineConfig())
-        assert RecordingExecutor.sizes == ([size] if size else [])
-        assert RecordingExecutor.rounds == ([2, 1] if size else [])
-        assert [t.source_id for t in tensors] == [w.source_id for w in windows]
+    def test_no_windows_give_no_tensors(self):
+        diag = FitDiagnostics()
+        assert list(stream_tensors(iter([]), PipelineConfig(), diag)) == []
+        assert diag == FitDiagnostics()
 
-    def test_parent_holds_one_round_of_chunks(self, monkeypatch):
-        # a round is cut from the windows only when the last one's tensors are taken
+    def test_windows_of_two_rates_keep_their_order(self):
+        # a change of rate cuts a chunk: chunks of 3, 2 and 2 windows
+        at_128 = thirteen_desk_windows()[:5]
+        at_100 = study_windows(RunConfig(synth=SynthStudyConfig(
+            n_per_class=1, windows_per_recording=2, fs=100.0)))[:2]
+        windows = at_128[:3] + at_100 + at_128[3:]
+        assert [len(chunk) for chunk in window_chunks(windows)] == [3, 2, 2]
+        tensors = extract_tensors(windows, PipelineConfig())
+        assert [t.source_id for t in tensors] == [w.source_id for w in windows]
+        alone = extract_tensors(at_128, PipelineConfig()), extract_tensors(at_100, PipelineConfig())
+        expected = alone[0][:3] + alone[1] + alone[0][3:]
+        assert [t.values.tobytes() for t in tensors] == [t.values.tobytes() for t in expected]
+
+    def test_windows_are_read_one_chunk_at_a_time(self):
+        # a chunk is cut from the windows only when the last one's tensors are taken
         taken = []
 
         def counted(windows):
@@ -440,17 +406,10 @@ class TestExtractionPool:
                 yield w
 
         windows = thirteen_desk_windows()
-        fake_pool(monkeypatch, "2", cpus=2)
         tensors = stream_tensors(counted(windows), PipelineConfig())
-        first = [next(tensors) for _ in range(12)]
-        assert len(taken) == 12  # chunks 1 and 2, not chunk 3's window
+        first = [next(tensors) for _ in range(6)]
+        assert len(taken) == 6  # the first chunk, not the second's first window
         assert [t.source_id for t in first + list(tensors)] == [w.source_id for w in windows]
-        assert RecordingExecutor.rounds == [2, 1]
-
-    def test_nonpositive_workers_stop_extraction(self, monkeypatch):
-        monkeypatch.setenv("EEGFUSION_WORKERS", "0")
-        with pytest.raises(ConfigError, match="EEGFUSION_WORKERS"):
-            extract_tensors(study_windows(fast_config()), PipelineConfig())
 
 
 class TestPipelineRun:
@@ -569,12 +528,9 @@ def fail_second_chunk(monkeypatch, dataset: Path) -> list[list[str]]:
 class TestStreamedRun:
     """Synthesis, extraction and the dataset write run as one stream."""
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_traced_peak_does_not_grow_with_the_study(self, tmp_path, monkeypatch, workers):
+    def test_traced_peak_does_not_grow_with_the_study(self, tmp_path, monkeypatch):
         # at n_per_class=6, lists of the study's 120 windows and tensors
-        # would take 15 MB alone; a stream holds one recording and one round
-        # of chunks, one chunk per worker
-        monkeypatch.setenv("EEGFUSION_WORKERS", workers)
+        # would take 15 MB alone; a stream holds one recording and one chunk
         peaks = stop_before_training(monkeypatch)
         for n, traced in ((2, False), (2, True), (6, True)):  # the first designs the filters
             cfg = RunConfig(out_dir=str(tmp_path / f"run{n}"), synth=SynthStudyConfig(n_per_class=n))
@@ -629,19 +585,18 @@ class TestStreamedRun:
         assert not ds_dir.exists()
         assert not list(tmp_path.glob(".*"))
 
-    def test_parallel_run_writes_the_sequential_dataset(self, tmp_path, monkeypatch):
-        # chunks of two windows, so that the workers share the run's four chunks
-        monkeypatch.setattr(connectivity, "_WINDOW_CHUNK_SAMPLES", 2 * 640 * 2)
+    def test_chunk_size_does_not_change_the_dataset(self, tmp_path, monkeypatch):
+        # chunks of two windows cut the run's eight windows four ways
         stop_before_training(monkeypatch)
-        for workers in ("1", "2"):
-            monkeypatch.setenv("EEGFUSION_WORKERS", workers)
+        for name, chunk_samples in (("whole", 1 << 16), ("pairs", 2 * 640 * 2)):
+            monkeypatch.setattr(connectivity, "_WINDOW_CHUNK_SAMPLES", chunk_samples)
             with pytest.raises(RuntimeError, match="stage 'train' failed"):
-                pipeline_run(fast_config(tmp_path / workers))
-        files = sorted(p.name for p in (tmp_path / "1" / "dataset").iterdir())
+                pipeline_run(fast_config(tmp_path / name))
+        files = sorted(p.name for p in (tmp_path / "whole" / "dataset").iterdir())
         assert len(files) == 1 + 8
         for name in files:
-            assert (tmp_path / "1" / "dataset" / name).read_bytes() == (
-                tmp_path / "2" / "dataset" / name
+            assert (tmp_path / "whole" / "dataset" / name).read_bytes() == (
+                tmp_path / "pairs" / "dataset" / name
             ).read_bytes(), name
 
 

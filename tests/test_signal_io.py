@@ -25,6 +25,7 @@ from eegfusion.signal_io import (
     split_subwindows,
     synth_spectral_radius,
     train_test_split,
+    window_samples,
 )
 from eegfusion.signal_io import _innovations, _mean_std_in_place, _synth_coefficients
 
@@ -189,6 +190,28 @@ class TestExtractWindows:
         rec = make_recording(100.0)
         ann = AnnotationSet.from_intervals([(10.0, 25.0)])
         assert extract_labeled_windows(rec, ann, n_nonseizure=0) == []
+
+    @pytest.mark.parametrize("fs, n_samples, w_len", [
+        (128.0, 2560, 2560),
+        (100.03, 2001, 2001),  # 20 s at 100.03 Hz rounds to 2001 samples
+        (128.0, 2559, None),
+        (100.03, 2000, None),
+    ], ids=["one-window", "one-rounded-window", "one-sample-short", "rounded-one-short"])
+    def test_one_window_rule(self, fs, n_samples, w_len):
+        # one rule sizes a window and refuses a recording shorter than one
+        rec = make_recording(n_samples / fs, fs=fs, rec_id="short")
+        assert rec.n_samples == n_samples
+        ann = AnnotationSet.from_intervals([(0.0, WINDOW_S)])
+        if w_len is None:
+            with pytest.raises(ValueError) as exc:
+                window_samples(rec)
+            assert str(exc.value) == "recording 'short' shorter than one 20 s window"
+            with pytest.raises(ValueError, match=str(exc.value)):
+                extract_labeled_windows(rec, ann, n_nonseizure=0)
+            return
+        assert window_samples(rec) == w_len
+        [w] = extract_labeled_windows(rec, ann, n_nonseizure=0)
+        assert w.samples.shape == (w_len, 2)
 
     def test_exact_multiple_has_no_duplicate_tail(self):
         rec = make_recording(100.0)
