@@ -1,16 +1,16 @@
-"""Tensor dataset on disk: a manifest JSON plus one binary file per window.
+"""Tensor dataset on disk: a manifest JSON plus one binary tensor file.
 
-Each window file holds the (F, T, C, C, B) tensor as little-endian 32-bit
-floats in C order. The manifest records the shape, feature order, band
-table, extraction config (and its hash), the train/test split record, and
-per-window label/id/file, so a dataset directory is self-describing.
+The tensor file holds every window's (F, T, C, C, B) tensor as
+little-endian 32-bit floats in C order, back to back in manifest order. The
+manifest records the shape, feature order, extraction config (and its
+hash), the train/test split record, and each window's label and id, so a
+dataset directory is self-describing.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import shutil
 import tempfile
 from collections.abc import Iterable
@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
-from .dsp import BandSpec
 from .signal_io import _check_test_fraction, train_test_split
-from .util import check_format, config_hash, read_json, to_json
+from .util import config_hash, read_json, to_json
 
-__all__ = ["MANIFEST_NAME", "DatasetManifest", "write_dataset", "read_dataset", "split_dataset"]
+__all__ = ["MANIFEST_NAME", "TENSORS_NAME", "DatasetManifest", "write_dataset", "read_dataset", "split_dataset"]
 
 MANIFEST_NAME = "manifest.json"
+TENSORS_NAME = "tensors.bin"
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,8 @@ class SplitRecord:
 
 @dataclass(frozen=True)
 class WindowRecord:
-    """One window's tensor file (relative to the manifest), label and id."""
+    """One window's label and id; its tensor is the window's place in the tensor file."""
 
-    file: str
     label: int
     source_id: str
 
@@ -61,16 +60,14 @@ class DatasetManifest:
 
     shape: tuple[int, ...]
     feature_order: tuple[str, ...]
-    bands: tuple[BandSpec, ...]
     config: PipelineConfig
     config_hash: str
     split: SplitRecord
     windows: tuple[WindowRecord, ...]
     format: str = "eegfusion-dataset"
-    format_version: int = 2
+    format_version: int = 3
 
     def __post_init__(self) -> None:
-        check_format(self)
         if len(self.shape) != 5 or min(self.shape) < 1:
             raise ValueError(f"shape must be five positive integers, got {list(self.shape)}")
         if self.feature_order != FEATURE_ORDER:
@@ -86,8 +83,8 @@ def write_dataset(
 ) -> Path:
     """Write window tensors and return the manifest path.
 
-    ``tensors`` may be any iterable: each window file is written as its
-    tensor arrives, so a generator's tensors are never all held at once. The
+    ``tensors`` may be any iterable: each tensor is appended to the tensor
+    file as it arrives, so a generator's tensors are never all held at once. The
     manifest records ``test_fraction`` and ``seed`` as the train/test split
     that :func:`split_dataset` applies. The files go into a fresh hidden
     sibling of ``out_dir``, which replaces ``out_dir`` whole once the manifest
@@ -97,8 +94,7 @@ def write_dataset(
     out_dir = Path(out_dir)
     if out_dir.exists():  # it is replaced whole, so it may hold only a dataset's files
         for p in out_dir.iterdir():
-            ours = p.name == MANIFEST_NAME or re.fullmatch(r"w\d{5,}\.bin", p.name)
-            if not (ours and p.is_file()):
+            if not (p.name in (MANIFEST_NAME, TENSORS_NAME) and p.is_file()):
                 raise FileExistsError(f"{out_dir}: holds {p.name!r}, which is not a dataset "
                                       "file; refusing to replace the directory")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -107,21 +103,20 @@ def write_dataset(
     staging.mkdir()  # under the umask, as out_dir would be
     windows, shape = [], None
     try:
-        for i, t in enumerate(tensors):
-            shape = shape or t.values.shape
-            if t.values.shape != shape:
-                raise ValueError(
-                    f"window {t.source_id!r} has shape {t.values.shape}, expected {shape}"
-                )
-            fname = f"w{i:05d}.bin"
-            windows.append(WindowRecord(fname, int(t.label), t.source_id))
-            (staging / fname).write_bytes(np.ascontiguousarray(t.values, dtype="<f4").tobytes())
+        with open(staging / TENSORS_NAME, "wb") as f:
+            for t in tensors:
+                shape = shape or t.values.shape
+                if t.values.shape != shape:
+                    raise ValueError(
+                        f"window {t.source_id!r} has shape {t.values.shape}, expected {shape}"
+                    )
+                windows.append(WindowRecord(int(t.label), t.source_id))
+                np.ascontiguousarray(t.values, dtype="<f4").tofile(f)  # unbuffered, so in the file at once
         if not windows:
             raise ValueError("refusing to write an empty dataset")
         manifest = DatasetManifest(
             shape=shape,
             feature_order=FEATURE_ORDER,
-            bands=pipeline_cfg.bands,
             config=pipeline_cfg,
             config_hash=config_hash(to_json(pipeline_cfg)),
             split=SplitRecord(test_fraction, seed),
@@ -140,31 +135,29 @@ def write_dataset(
 
 
 def read_dataset(path) -> tuple[list[WindowTensor], DatasetManifest]:
-    """Load a dataset directory (or its manifest path) back into memory, the
-    values as the stored float32. A malformed manifest, or a window file
-    that cannot be read or holds the wrong size, is an error that names the
-    manifest and the field."""
+    """Load a dataset directory (or its manifest path) back into memory: the
+    windows' values are views of one array of the stored float32. A
+    malformed manifest, or a tensor file that cannot be read or holds the
+    wrong size, is an error that names the manifest and the field."""
     manifest_path = dataset_manifest(path)
     if not manifest_path.exists():
         raise FileNotFoundError(f"dataset manifest not found: {manifest_path}")
     manifest = read_json(DatasetManifest, manifest_path)
-    count = math.prod(manifest.shape)
-    tensors = []
-    for k, w in enumerate(manifest.windows):
-        field = f"{manifest_path}: windows[{k}].file"
-        try:
-            blob = (manifest_path.parent / w.file).read_bytes()
-        except OSError as exc:
-            raise ValueError(f"{field}: {exc}") from None
-        if len(blob) != 4 * count:
-            raise ValueError(
-                f"{field}: {w.file} has {len(blob) / 4:g} floats, "
-                f"expected {count} for shape {list(manifest.shape)}"
-            )
-        values = np.frombuffer(blob, dtype="<f4").reshape(manifest.shape)
-        tensors.append(  # a writable copy
-            WindowTensor(values=values.astype(np.float32), label=w.label, source_id=w.source_id)
-        )
+    values_path = manifest_path.parent / TENSORS_NAME
+    n, shape = len(manifest.windows), manifest.shape
+    count = n * math.prod(shape)
+    field = f"{manifest_path}: windows: {n} windows of shape {list(shape)} need {count} floats"
+    try:
+        size = values_path.stat().st_size
+        if size != 4 * count:
+            raise ValueError(f"{field}, {TENSORS_NAME} holds {size / 4:.12g}")
+        values = np.fromfile(values_path, dtype="<f4").astype(np.float32, copy=False)
+    except OSError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+    tensors = [
+        WindowTensor(values=v, label=w.label, source_id=w.source_id)
+        for v, w in zip(values.reshape(n, *shape), manifest.windows)
+    ]
     return tensors, manifest
 
 

@@ -38,7 +38,7 @@ from .layers import (
     LSTM,
     ParamRegistry,
 )
-from .util import ConfigError, atomic_write_bytes, check_format, read_json, to_json
+from .util import ConfigError, atomic_write_bytes, read_json, to_json
 
 __all__ = [
     "ArchConfig",
@@ -499,7 +499,6 @@ class ModelHeader:
     format_version: int = 1
 
     def __post_init__(self) -> None:
-        check_format(self)
         if self.feature_order != FEATURE_ORDER:
             raise ValueError(f"feature_order must be {list(FEATURE_ORDER)}")
         if self.norm_stats is not None:

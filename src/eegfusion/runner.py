@@ -480,7 +480,7 @@ def pipeline_run(cfg: RunConfig) -> RunManifest:
     tensors = clock.stream("extract", stream_tensors(windows, cfg.pipeline, diag))
     with clock.stage("write_dataset"):
         write_dataset(tensors, dataset, cfg.pipeline, cfg.split.test_fraction, cfg.seed)
-    files = sorted(f"dataset/{p.name}" for p in dataset.iterdir())  # the manifest, then w*.bin
+    files = sorted(f"dataset/{p.name}" for p in dataset.iterdir())  # manifest.json, then tensors.bin
 
     with clock.stage("train"):
         train_dataset(cfg, dataset, model_path, out / "history.json")

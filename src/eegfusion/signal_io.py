@@ -217,9 +217,13 @@ def load_annotations(path, duration_s: float = math.inf) -> AnnotationSet:
     return AnnotationSet.from_intervals((s.start_s, s.end_s) for s in seizures)
 
 
+def _first_sample(rec: Recording, offset_s: float, w_len: int) -> int:
+    """The first sample of the window at ``offset_s``, kept inside the recording."""
+    return min(max(int(round(offset_s * rec.fs)), 0), rec.n_samples - w_len)
+
+
 def _window(rec: Recording, offset_s: float, label: int, w_len: int) -> LabeledWindow:
-    idx = int(round(offset_s * rec.fs))
-    idx = min(max(idx, 0), rec.n_samples - w_len)
+    idx = _first_sample(rec, offset_s, w_len)
     return LabeledWindow(
         samples=rec.samples[idx : idx + w_len].copy(),
         label=label,
@@ -273,8 +277,9 @@ def extract_labeled_windows(
     """Cut seizure intervals into 20 s windows and sample non-seizure ones.
 
     Each seizure interval of duration d yields floor(d / 20) windows from its
-    start plus, when d is not a multiple of 20, one trailing window covering
-    the final 20 s; intervals shorter than 20 s are skipped. Non-seizure
+    start plus, when d is not a multiple of 20 and that window starts on a
+    later sample than the last of them, one trailing window covering the
+    final 20 s; intervals shorter than 20 s are skipped. Non-seizure
     window starts are drawn uniformly (seeded) from the spans lying at least
     ``guard_s`` away from every seizure interval.
     """
@@ -290,8 +295,11 @@ def extract_labeled_windows(
             continue
         k = int((d + _TOL_S) // WINDOW_S)
         offsets = [start + WINDOW_S * i for i in range(k)]
-        if d - WINDOW_S * k > _TOL_S:
-            offsets.append(end - WINDOW_S)
+        tail = end - WINDOW_S  # a tail on the last full window's first sample would repeat it
+        if d - WINDOW_S * k > _TOL_S and (
+            _first_sample(rec, tail, w_len) > _first_sample(rec, offsets[-1], w_len)
+        ):
+            offsets.append(tail)
         for off in offsets:
             windows.append(_window(rec, off, 1, w_len))
 

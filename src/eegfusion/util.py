@@ -24,7 +24,6 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "read_json",
-    "check_format",
     "to_json",
     "from_json",
     "field_errors",
@@ -73,15 +72,6 @@ def read_json(tp, path, text=None):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def check_format(doc) -> None:
-    """ValueError unless file document ``doc`` holds its class's defaults in
-    ``format`` and ``format_version``, the tags of the file's kind."""
-    for name in ("format", "format_version"):
-        want, got = getattr(type(doc), name), getattr(doc, name)
-        if got != want:
-            raise ValueError(f"{name} must be {want!r}, got {got!r}")
-
-
 def to_json(obj):
     """JSON form of a dataclass: nested dataclasses become objects keyed by
     field name, tuples become lists, dicts map their values, the rest stays."""
@@ -123,6 +113,9 @@ def from_json(tp, doc, path: str = ""):
         hints = _type_hints(tp)
         fields = {f.name: f for f in dataclasses.fields(tp) if f.init}
         prefix = f"{path}." if path else ""
+        for tag in ("format", "format_version"):  # a file of another kind or version: its tag first
+            if tag in fields and doc.get(tag, fields[tag].default) != fields[tag].default:
+                raise ConfigError(prefix + tag, f"must be {fields[tag].default!r}, got {doc[tag]!r}")
         for key in doc:
             if key not in fields:
                 raise ConfigError(prefix + key, "unknown field")

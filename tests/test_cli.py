@@ -4,12 +4,13 @@ import json
 from dataclasses import replace
 
 import pytest
+from test_dataset import make_tensors, write_format_2_dataset
 from test_runner import fast_config
 
 from eegfusion import runner
 from eegfusion.cli import main
 from eegfusion.connectivity import PipelineConfig
-from eegfusion.dataset import read_dataset, split_dataset
+from eegfusion.dataset import read_dataset, split_dataset, write_dataset
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec, design_bandpass
 from eegfusion.model import TrainConfig, evaluate, load_model
 from eegfusion.runner import RunConfig, SplitConfig, SynthStudyConfig, validate_run_config
@@ -59,7 +60,7 @@ class TestExitCodes:
 
     def test_manifest_without_shape_names_file_and_key(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"format": "eegfusion-dataset", "format_version": 2}))
+        manifest.write_text(json.dumps({"format": "eegfusion-dataset", "format_version": 3}))
         code = main(["train", "--dataset", str(tmp_path), "--model-out", str(tmp_path / "m.bin")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {manifest}: shape: required field is missing\n"
@@ -479,7 +480,7 @@ class TestSubcommandChain:
             (run / "metrics.json", tmp_path / "metrics.json"),
         ]
         pairs += [(p, ds_dir / p.name) for p in sorted((run / "dataset").iterdir())]
-        assert len(pairs) == 3 + 1 + 8
+        assert len(pairs) == 3 + 2  # the manifest and the tensor file
         for a, b in pairs:
             assert a.read_bytes() == b.read_bytes(), a.name
         classes = [json.loads(p.read_text())["classes"]
@@ -524,11 +525,11 @@ class TestSubcommandChain:
         assert set(doc["classes"]) == {"non_seizure", "seizure"}
 
 
-def dataset_files(ds_dir) -> tuple[list[str], list[str]]:
-    """The files in a dataset directory, and those its manifest names."""
-    manifest = json.loads((ds_dir / "manifest.json").read_text())
-    named = ["manifest.json"] + [w["file"] for w in manifest["windows"]]
-    return sorted(p.name for p in ds_dir.iterdir()), sorted(named)
+def dataset_windows(ds_dir) -> int:
+    """The windows of a dataset directory, which must hold only its manifest
+    and a tensor file of the size that the manifest gives."""
+    assert sorted(p.name for p in ds_dir.iterdir()) == ["manifest.json", "tensors.bin"]
+    return len(read_dataset(ds_dir)[0])
 
 
 def windows_per_recording(cfg: RunConfig, n: int) -> RunConfig:
@@ -543,8 +544,7 @@ class TestDatasetDirectory:
         for n, windows in ((3, 12), (2, 8)):
             cfg = windows_per_recording(fast_config(out), n)
             assert main(["run", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 0
-            on_disk, named = dataset_files(out / "dataset")
-            assert on_disk == named and len(named) == 1 + windows
+            assert dataset_windows(out / "dataset") == windows
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == sorted(
             manifest["files"] + ["run_manifest.json"]
@@ -561,8 +561,7 @@ class TestDatasetDirectory:
                 "extract", "--recordings", str(tmp_path / "rec" / "recordings.json"),
                 "--out", str(ds_dir), "--config", cfg_path,
             ]) == 0
-            on_disk, named = dataset_files(ds_dir)
-            assert on_disk == named and len(named) == 1 + windows
+            assert dataset_windows(ds_dir) == windows
         assert not list(tmp_path.glob(".*"))
         capsys.readouterr()
 
@@ -589,7 +588,7 @@ class TestDatasetDirectory:
         assert main(["synth", "--config", cfg_path]) == 0
         ds_dir = tmp_path / "ds"
         ds_dir.mkdir()
-        (ds_dir / "w00000.bin").write_bytes(b"")
+        (ds_dir / "tensors.bin").write_bytes(b"")
         (ds_dir / "notes.txt").write_text("mine")
         capsys.readouterr()
         monkeypatch.setattr(runner, "build_feature_tensors", None)  # any extraction fails
@@ -601,9 +600,46 @@ class TestDatasetDirectory:
             f"error: {ds_dir}: holds 'notes.txt', which is not a dataset file; "
             "refusing to replace the directory\n"
         )
-        assert sorted(p.name for p in ds_dir.iterdir()) == ["notes.txt", "w00000.bin"]
+        assert sorted(p.name for p in ds_dir.iterdir()) == ["notes.txt", "tensors.bin"]
         assert (ds_dir / "notes.txt").read_text() == "mine"
         assert not list(tmp_path.glob(".*"))
+
+
+class TestDatasetFiles:
+    """``train`` reads a dataset's tensor file by its manifest, before training."""
+
+    @pytest.mark.parametrize("change, found", [
+        (lambda b: b[:-4], ", tensors.bin holds 22399"),
+        (lambda b: b + b"\0" * 4, ", tensors.bin holds 22401"),
+        (None, ": [Errno 2] No such file or directory: '{path}'"),
+    ], ids=["one_float_short", "one_float_long", "missing"])
+    def test_tensor_file_of_the_wrong_size_exits_1_before_training(
+        self, tmp_path, capsys, monkeypatch, change, found
+    ):
+        ds_dir, model_path = tmp_path / "ds", tmp_path / "m.bin"
+        write_dataset(make_tensors(n=4), ds_dir, PipelineConfig())
+        tensors = ds_dir / "tensors.bin"
+        if change is None:
+            tensors.unlink()
+        else:
+            tensors.write_bytes(change(tensors.read_bytes()))
+        monkeypatch.setattr(runner, "train", None)  # any training fails
+        assert main(["train", "--dataset", str(ds_dir), "--model-out", str(model_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ds_dir / 'manifest.json'}: windows: 4 windows of shape [7, 10, 4, 4, 5] "
+            f"need 22400 floats{found.format(path=tensors)}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+    def test_format_2_dataset_exits_1_naming_format_version(self, tmp_path, capsys, monkeypatch):
+        write_format_2_dataset(make_tensors(n=4), tmp_path / "ds")
+        monkeypatch.setattr(runner, "train", None)  # any training fails
+        assert main(["train", "--dataset", str(tmp_path / "ds"),
+                     "--model-out", str(tmp_path / "m.bin")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'ds' / 'manifest.json'}: format_version: must be 3, got 2\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
 
 
 class TestRunCommand:

@@ -7,7 +7,7 @@ import pytest
 
 from eegfusion.connectivity import FEATURE_ORDER, PipelineConfig, WindowTensor
 from eegfusion.dataset import (
-    MANIFEST_NAME, SplitRecord, read_dataset, split_dataset, write_dataset,
+    MANIFEST_NAME, TENSORS_NAME, SplitRecord, read_dataset, split_dataset, write_dataset,
 )
 from eegfusion.signal_io import train_test_split
 from eegfusion.util import config_hash, to_json
@@ -23,9 +23,30 @@ def make_tensors(n=3, shape=(7, 10, 4, 4, 5), seed=0):
     return out
 
 
-def staged_files(out_dir) -> list[str]:
-    """The window files in the hidden staging sibling of ``out_dir``."""
-    return sorted(p.name for p in out_dir.parent.glob(f".{out_dir.name}.*/**/w*.bin"))
+def staged_files(out_dir) -> dict[str, int]:
+    """The size of each file in the hidden staging sibling of ``out_dir``."""
+    return {
+        p.name: p.stat().st_size
+        for p in out_dir.parent.glob(f".{out_dir.name}.*/**/*") if p.is_file()
+    }
+
+
+def tensor_bytes(tensors) -> bytes:
+    """The tensor file of ``tensors``: each one's little-endian float32, in order."""
+    return b"".join(np.asarray(t.values, dtype="<f4").tobytes() for t in tensors)
+
+
+def write_format_2_dataset(tensors, out_dir) -> None:
+    """A dataset as format 2 stored it: one file per window, each named in
+    the manifest, and the band table beside the config."""
+    write_dataset(tensors, out_dir, PipelineConfig())
+    manifest = json.loads((out_dir / MANIFEST_NAME).read_text())
+    manifest.update(format_version=2, bands=to_json(PipelineConfig().bands))
+    for k, (w, t) in enumerate(zip(manifest["windows"], tensors)):
+        w["file"] = f"w{k:05d}.bin"
+        (out_dir / w["file"]).write_bytes(tensor_bytes([t]))
+    (out_dir / TENSORS_NAME).unlink()
+    (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 class TestRoundTrip:
@@ -46,6 +67,19 @@ class TestRoundTrip:
         for orig, back in zip(tensors, loaded):
             assert back.values.dtype == np.float32 and back.values.flags.writeable
             assert back.values.tobytes() == orig.values.astype(np.float32).tobytes()
+        assert np.shares_memory(loaded[0].values.base, loaded[1].values)  # views of one array
+
+    def test_tensor_file_holds_the_windows_back_to_back(self, tmp_path):
+        tensors = make_tensors(n=3)
+        write_dataset(tensors, tmp_path, PipelineConfig())
+        assert (tmp_path / TENSORS_NAME).read_bytes() == tensor_bytes(tensors)
+
+    def test_write_read_write_is_byte_identical(self, tmp_path):
+        write_dataset(make_tensors(n=3), tmp_path / "a", PipelineConfig(), 0.25, 7)
+        loaded, manifest = read_dataset(tmp_path / "a")
+        write_dataset(loaded, tmp_path / "b", manifest.config, 0.25, 7)
+        for name in (MANIFEST_NAME, TENSORS_NAME):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_float64_values_quantized_to_f32(self, tmp_path):
         t = WindowTensor(
@@ -81,14 +115,16 @@ class TestManifest:
         assert manifest.split == SplitRecord(test_fraction=0.25, seed=7)
         assert manifest.config == cfg
         assert manifest.config_hash == config_hash(to_json(cfg))
-        assert manifest.bands == cfg.bands
 
-    def test_lists_every_window_file(self, tmp_path):
-        write_dataset(make_tensors(n=4), tmp_path, PipelineConfig())
+    def test_directory_is_the_manifest_and_one_tensor_file(self, tmp_path):
+        tensors = make_tensors(n=4)
+        write_dataset(tensors, tmp_path, PipelineConfig())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [MANIFEST_NAME, TENSORS_NAME]
         manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        listed = {w["file"] for w in manifest["windows"]}
-        on_disk = {p.name for p in tmp_path.iterdir()} - {MANIFEST_NAME}
-        assert listed == on_disk
+        assert manifest["format_version"] == 3 and "bands" not in manifest  # config holds them
+        assert manifest["windows"] == [
+            {"label": t.label, "source_id": t.source_id} for t in tensors
+        ]
 
     def test_config_hash_ignores_out_dir_location(self, tmp_path):
         tensors = make_tensors(n=2)
@@ -128,12 +164,12 @@ class TestWriteErrors:
         with pytest.raises(ValueError, match=r"shape must be five positive integers, got \[7, 4"):
             write_dataset([t], tmp_path, PipelineConfig())
 
-    def test_failing_iterable_leaves_no_window_files(self, tmp_path):
-        # each window file is written into the staging directory as its
-        # tensor arrives, and the staging directory is removed on failure
+    def test_failing_iterable_leaves_no_tensor_file(self, tmp_path):
+        # each tensor is appended to the staged tensor file as it arrives,
+        # and the staging directory is removed on failure
         def tensors():
             yield from make_tensors(n=2)
-            assert staged_files(out) == ["w00000.bin", "w00001.bin"]
+            assert staged_files(out) == {TENSORS_NAME: len(tensor_bytes(make_tensors(n=2)))}
             raise RuntimeError("extraction failed")
 
         out = tmp_path / "ds"
@@ -163,14 +199,13 @@ class TestWriteErrors:
 
     def test_smaller_rewrite_leaves_only_its_own_files(self, tmp_path):
         write_dataset(make_tensors(n=3), tmp_path / "ds", PipelineConfig())
-        manifest = write_dataset(make_tensors(n=2, seed=1), tmp_path / "ds", PipelineConfig())
-        named = [w["file"] for w in json.loads(manifest.read_text())["windows"]]
-        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [MANIFEST_NAME, *named]
-        assert named == ["w00000.bin", "w00001.bin"]
+        write_dataset(make_tensors(n=2, seed=1), tmp_path / "ds", PipelineConfig())
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [MANIFEST_NAME, TENSORS_NAME]
+        assert (tmp_path / "ds" / TENSORS_NAME).read_bytes() == tensor_bytes(make_tensors(n=2, seed=1))
         assert [p.name for p in tmp_path.iterdir()] == ["ds"]
 
     @pytest.mark.parametrize(
-        "name", ["notes.txt", "w00001.bin.bak", "manifest.json.tmp", "manifestXjson", "w1.bin", "sub"]
+        "name", ["notes.txt", "tensors.bin.bak", "manifest.json.tmp", "manifestXjson", "w00000.bin", "sub"]
     )
     def test_directory_holding_a_foreign_entry_is_refused(self, tmp_path, name):
         out = tmp_path / "ds"
@@ -215,9 +250,15 @@ class TestReadErrors:
         with pytest.raises(ValueError, match="99"):
             read_dataset(tmp_path)
 
+    def test_format_2_dataset_names_format_version(self, tmp_path):
+        write_format_2_dataset(make_tensors(n=2), tmp_path)
+        with pytest.raises(ValueError) as exc:
+            read_dataset(tmp_path)
+        assert str(exc.value) == f"{tmp_path / MANIFEST_NAME}: format_version: must be 3, got 2"
+
     @pytest.mark.parametrize("where,key", [
         (None, "shape"), (None, "windows"), (None, "split"),
-        (1, "file"), (1, "label"), (1, "source_id"),
+        (None, "config_hash"), (1, "label"), (1, "source_id"),
     ])
     def test_missing_manifest_key_names_manifest_and_key(self, tmp_path, where, key):
         write_dataset(make_tensors(n=2), tmp_path, PipelineConfig())
@@ -282,9 +323,24 @@ class TestReadErrors:
         with pytest.raises(ValueError, match="<root>: must be a JSON object"):
             read_dataset(tmp_path)
 
-    def test_truncated_window_file_detected(self, tmp_path):
+    @pytest.mark.parametrize("change, found", [
+        (lambda b: b[:-4], ", tensors.bin holds 11199"),
+        (lambda b: b + b"\0" * 4, ", tensors.bin holds 11201"),
+        (lambda b: b + b"\0" * 2, ", tensors.bin holds 11200.5"),
+        (None, ": [Errno 2] No such file or directory"),
+    ], ids=["one_float_short", "one_float_long", "half_a_float_long", "missing"])
+    def test_tensor_file_of_the_wrong_size_names_the_manifest_and_count(
+        self, tmp_path, change, found
+    ):
         write_dataset(make_tensors(n=2), tmp_path, PipelineConfig())
-        victim = tmp_path / "w00001.bin"
-        victim.write_bytes(victim.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="w00001.bin"):
+        victim = tmp_path / TENSORS_NAME
+        if change is None:
+            victim.unlink()
+        else:
+            victim.write_bytes(change(victim.read_bytes()))
+        with pytest.raises(ValueError) as exc:
             read_dataset(tmp_path)
+        assert str(exc.value).startswith(
+            f"{tmp_path / MANIFEST_NAME}: windows: 2 windows of shape [7, 10, 4, 4, 5] "
+            f"need 11200 floats{found}"
+        )

@@ -49,11 +49,12 @@ FORMATS = {
 }
 
 #: sha256 of each file (of the model file, its header line) as written for the
-#: tiny study before the writers serialized dataclasses
+#: tiny study before the writers serialized dataclasses; the manifest's is of
+#: format 3, which is format 2's document without `bands` and each window's `file`
 DIGESTS = {
     "rec/recordings.json": "5b3d772cea69d6ecdbafaebe4ab24ad8b04eea4dcd82290cf15c42b2ba54a33f",
     "rec/coupled-00.json": "60d79361ba42036a9005a5462a8f18ac66f6301035a642fc1ff1e66febb24864",
-    "ds/manifest.json": "85be93ba436bddb866c049e6b6d28620843aa336482c04a359b798b214df2cbe",
+    "ds/manifest.json": "070ffbb41e9d0debd3d4d7e2cd1666daa19843ca8c057c3e79c6dbbbc61560e1",
     "model.bin": "d5261a1211c117eecf28c8f02c86ce5c49ef76695654b0b2256a132109362d7c",
     "report.json": "7e6efbb4116a6d0446a2693b39407fa59ad66a4ab66bff579cb69b9ee33e2254",
 }
@@ -71,7 +72,7 @@ COMMANDS = {
     "plot": (["plot", "--report", "{d}/report.json", "--out", "{d}/out.svg"], ["out.svg"]),
 }
 
-#: A dotted field below a document's root, such as ``windows[0].file``.
+#: A dotted field below a document's root, such as ``windows[0].label``.
 FIELD = re.compile(r"[a-z_]+(\[\d+\]|\.[^\s.:\[]*)*")
 
 

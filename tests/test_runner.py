@@ -425,6 +425,9 @@ class TestPipelineRun:
             if p.is_file() and p.name != "run_manifest.json"
         }
         assert on_disk == set(manifest.files)
+        assert [f for f in manifest.files if f.startswith("dataset/")] == [
+            "dataset/manifest.json", "dataset/tensors.bin"
+        ]
         assert {"synthesize", "extract", "write_dataset", "train", "evaluate",
                 "explain"} <= set(manifest.timing_s)
         assert manifest.metrics["threshold"] == 0.5
@@ -509,9 +512,9 @@ def stop_before_training(monkeypatch) -> list[int]:
     return peaks
 
 
-def fail_second_chunk(monkeypatch, dataset: Path) -> list[list[str]]:
+def fail_second_chunk(monkeypatch, dataset: Path) -> list[dict[str, int]]:
     """Chunks of two windows, the second of which fails to extract; the
-    list gets the window files staged for ``dataset`` when each chunk starts."""
+    list gets the files staged for ``dataset``, with their sizes, when each chunk starts."""
     monkeypatch.setattr(connectivity, "_WINDOW_CHUNK_SAMPLES", 2 * 640 * 2)  # fast_config windows
     real, seen = runner.build_feature_tensors, []
 
@@ -566,7 +569,7 @@ class TestStreamedRun:
         seen = fail_second_chunk(monkeypatch, out / "dataset")
         with pytest.raises(RuntimeError, match="stage 'extract' failed: .*second chunk failed"):
             pipeline_run(fast_config(out))
-        assert seen == [[], ["w00000.bin", "w00001.bin"]]
+        assert seen == [{"tensors.bin": 0}, {"tensors.bin": 2 * 4 * 560}]  # (7, 10, 2, 2, 2)
         assert not (out / "dataset").exists()
         assert list(out.iterdir()) == []
 
@@ -581,7 +584,7 @@ class TestStreamedRun:
             "--out", str(ds_dir), "--config", str(cfg_path),
         ]) == 1
         assert capsys.readouterr().err == "error: second chunk failed\n"
-        assert seen == [[], ["w00000.bin", "w00001.bin"]]
+        assert seen == [{"tensors.bin": 0}, {"tensors.bin": 2 * 4 * 560}]  # (7, 10, 2, 2, 2)
         assert not ds_dir.exists()
         assert not list(tmp_path.glob(".*"))
 
@@ -593,7 +596,8 @@ class TestStreamedRun:
             with pytest.raises(RuntimeError, match="stage 'train' failed"):
                 pipeline_run(fast_config(tmp_path / name))
         files = sorted(p.name for p in (tmp_path / "whole" / "dataset").iterdir())
-        assert len(files) == 1 + 8
+        assert files == ["manifest.json", "tensors.bin"]
+        assert len(read_dataset(tmp_path / "whole" / "dataset")[0]) == 8
         for name in files:
             assert (tmp_path / "whole" / "dataset" / name).read_bytes() == (
                 tmp_path / "pairs" / "dataset" / name

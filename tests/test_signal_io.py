@@ -219,6 +219,22 @@ class TestExtractWindows:
         ws = extract_labeled_windows(rec, ann, n_nonseizure=0)
         assert [w.offset_s for w in ws] == [0.0, 20.0]
 
+    @pytest.mark.parametrize("fs, n_samples, interval, ids", [
+        # the tail at 30.001 s starts on sample 7680, as the window at 30 s does
+        (256.0, 25600, (10.0, 50.001), ["r@10.00s", "r@30.00s"]),
+        # 20 s is 2001 samples, so the tail at 0.004 s starts on sample 0
+        (100.03, 2001, (0.0, 2001 / 100.03), ["r@0.00s"]),
+        # one sample later is a window of its own
+        (256.0, 25600, (10.0, 50.004), ["r@10.00s", "r@30.00s", "r@30.00s"]),
+    ], ids=["tail-within-a-sample", "rounded-window-length", "tail-one-sample-later"])
+    def test_tail_is_kept_only_when_it_starts_on_a_later_sample(self, fs, n_samples, interval, ids):
+        rec = make_recording(n_samples / fs, fs=fs, rec_id="r")
+        assert rec.n_samples == n_samples
+        ws = extract_labeled_windows(rec, AnnotationSet.from_intervals([interval]), n_nonseizure=0)
+        assert [w.source_id for w in ws] == ids
+        starts = [int(np.flatnonzero((rec.samples == w.samples[0]).all(axis=1))[0]) for w in ws]
+        assert starts == sorted(set(starts))
+
     def test_window_sample_counts_and_bounds(self):
         rec = make_recording(150.0)
         ann = AnnotationSet.from_intervals([(30.0, 75.0)])
