@@ -512,18 +512,36 @@ class NormStats:
         return WindowTensor(values=values, label=t.label, source_id=t.source_id)
 
     def apply_many(self, tensors) -> list[WindowTensor]:
-        return [self.apply(t) for t in tensors]
+        """Each tensor z-scored as by :meth:`apply`, with the same bytes; the
+        windows' values are the rows, in order, of one array of the tensors'
+        shared shape and dtype."""
+        tensors = list(tensors)
+        if not tensors:
+            return []
+        out = np.empty((len(tensors),) + tensors[0].shape, dtype=tensors[0].values.dtype)
+        for row, t in zip(out, tensors):
+            row[...] = self.apply(t).values
+        return [
+            WindowTensor(values=row, label=t.label, source_id=t.source_id)
+            for row, t in zip(out, tensors)
+        ]
 
 
 def normalize_features(train: list[WindowTensor]) -> tuple[NormStats, list[WindowTensor]]:
     """Fit per-(feature, band) mean/std on training tensors and z-score them.
     Both run in float64 also for float32 tensors such as a stored dataset's;
-    each z-scored tensor keeps its input dtype. The statistics are the bytes
-    of ``mean`` and ``std`` of the float64 stack, computed in the stack."""
+    the z-scored tensors keep their input dtype, as the rows of one array
+    (:meth:`NormStats.apply_many`). The statistics are the bytes of ``mean``
+    and ``std`` of the whole float64 stack, reduced one feature at a time:
+    each feature's (N, T, C, C, B) float64 stack is one seventh of the
+    whole, and the reduction runs in it."""
     if not train:
         raise ValueError("cannot fit normalization on an empty training set")
-    stack = np.stack([t.values for t in train], dtype=float)
-    mean, std = _mean_std_in_place(stack, axis=(0, 2, 3, 4))
+    f, *_, b = train[0].shape
+    mean, std = np.empty((f, b)), np.empty((f, b))
+    for k in range(f):
+        stack = np.stack([t.values[k] for t in train], dtype=float)
+        mean[k], std[k] = _mean_std_in_place(stack, axis=(0, 1, 2, 3))
     del stack  # before the z-scored copies are made
     stats = NormStats(mean=mean, std=std)
     return stats, stats.apply_many(train)

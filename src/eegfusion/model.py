@@ -201,15 +201,22 @@ class FusionModel:
         return np.moveaxis(x, 1, 0)
 
     def forward_batch(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """Probabilities for a batch (M, F, T, C, C, B); train mode caches
-        activations for a following backward()."""
+        """Probabilities for a batch (M, F, T, C, C, B) or a sequence of
+        windows (:meth:`_forward`); train mode caches activations for a
+        following backward()."""
         return self._forward(x, train)[0]
 
     def _forward(self, x, train: bool) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities and the head's input vector (the concat embedding for
-        schemes 1-2); train mode caches activations for backward()."""
-        x = self._check_input(x)
-        m = x.shape[0]
+        schemes 1-2); train mode caches activations for backward(). ``x`` is
+        a batch (M, F, T, C, C, B), or a sequence of windows (or of their
+        values) stacked one slice at a time, with the bytes of its batch."""
+        if isinstance(x, np.ndarray):
+            x = self._check_input(x)
+            take = x.__getitem__
+        else:  # a slice's stack is the only copy of the windows held
+            take = lambda s: self._check_input(_feature_major(x[s], self.params.dtype))
+        m = len(x)
         theta = self.params
         cache: dict | None = {"stage": [], "trunk": [], "head": []} if train else None
 
@@ -233,7 +240,7 @@ class FusionModel:
         # which rounds differently from the gemm of a whole-batch pass.
         step = m if train else _EVAL_CHUNK
         starts = list(range(0, m - 1, step)) or [0]
-        v = np.concatenate([embed(x[i:j]) for i, j in zip(starts, starts[1:] + [m])])
+        v = np.concatenate([embed(take(slice(i, j))) for i, j in zip(starts, starts[1:] + [m])])
         z = run(self.head, v[None], "head")[0, :, 0]
         probs = _sigmoid(z)
         if cache is not None:
@@ -249,7 +256,8 @@ class FusionModel:
         return float(self.forward_batch(x[None])[0])
 
     def embed_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eval-mode probabilities plus the concat embedding (schemes 1-2)."""
+        """Eval-mode probabilities plus the concat embedding (schemes 1-2) of
+        a batch or a sequence of windows (:meth:`_forward`)."""
         if self.cfg.scheme not in (1, 2):
             raise ValueError(
                 f"scheme {self.cfg.scheme} fuses features before the trunk and has "
@@ -359,16 +367,48 @@ class _Adam:
         params -= m_hat
 
 
-def _stack_dataset(ds, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """The inputs stacked in ``dtype`` and the labels as floats. Each window
-    is cast on its own, so a float32 stack makes no float64 copy of the set."""
+def _feature_major(ds, dtype) -> np.ndarray:
+    """The windows' values (or the arrays themselves), each cast to ``dtype``
+    on its own, as an (M, F, T, C, C, B) view of an (F, M, ...) stack: the
+    branch stage of schemes 2-4 reads its (F, M, ...) input from it as is,
+    where a sample-major stack is copied once more."""
+    values = [np.asarray(getattr(t, "values", t), dtype=dtype) for t in ds]
+    return np.moveaxis(np.stack(values, axis=1), 0, 1)
+
+
+def _labels(ds) -> np.ndarray:
+    """The windows' labels as floats; an empty set or a label other than 0
+    or 1 is an error."""
     if not ds:
         raise ValueError("dataset is empty")
-    x = np.stack([np.asarray(t.values, dtype=dtype) for t in ds])
     y = np.array([t.label for t in ds], dtype=float)
     if not set(np.unique(y)) <= {0.0, 1.0}:
         raise ValueError("labels must be 0 or 1")
-    return x, y
+    return y
+
+
+def _stack_dataset(ds, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs stacked in ``dtype`` and the labels as floats. Each window
+    is cast on its own, so a float32 stack makes no float64 copy of the set;
+    windows that are already, in order, the rows of one array of ``dtype``
+    (:meth:`NormStats.apply_many`) give that array, not a copy."""
+    y = _labels(ds)
+    values = [t.values for t in ds]
+    base = values[0].base
+    if (
+        isinstance(base, np.ndarray)
+        and base.dtype == dtype
+        and base.shape[:1] == (len(values),)
+        and all(
+            v.base is base
+            and v.shape == base.shape[1:]
+            and v.strides == base.strides[1:]
+            and v.ctypes.data == base.ctypes.data + k * base.strides[0]
+            for k, v in enumerate(values)
+        )
+    ):
+        return base, y
+    return np.stack([np.asarray(v, dtype=dtype) for v in values]), y
 
 
 def train(m: FusionModel, train_ds, cfg: TrainConfig) -> tuple[FusionModel, list[dict]]:
@@ -468,10 +508,10 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> Metrics:
 
 
 def evaluate(m: FusionModel, ds) -> Metrics:
-    """Confusion metrics of eval-mode predictions at THRESHOLD."""
-    x, y = _stack_dataset(ds, m.params.dtype)
-    preds = m.forward_batch(x) >= THRESHOLD
-    actual = y.astype(bool)
+    """Confusion metrics of eval-mode predictions at THRESHOLD; the windows
+    are stacked one eval slice at a time (:meth:`FusionModel._forward`)."""
+    actual = _labels(ds).astype(bool)
+    preds = m.forward_batch(ds) >= THRESHOLD
     tp = int(np.sum(preds & actual))
     fp = int(np.sum(preds & ~actual))
     fn = int(np.sum(~preds & actual))

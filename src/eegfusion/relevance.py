@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import FEATURE_ORDER
-from .model import FusionModel, _stack_dataset
+from .model import FusionModel, _labels
 from .util import atomic_write_text, read_json, to_json
 
 __all__ = [
@@ -74,8 +74,10 @@ def collect_embeddings(m: FusionModel, ds, class_label: int) -> EmbeddingBatch:
 
 
 def _embed(m: FusionModel, ds) -> np.ndarray:
-    """Eval-mode concat embeddings of every sample in ds."""
-    return m.embed_batch(_stack_dataset(ds, m.params.dtype)[0])[1]
+    """Eval-mode concat embeddings of every sample in ds, stacked one eval
+    slice at a time (:meth:`FusionModel._forward`)."""
+    _labels(ds)
+    return m.embed_batch(ds)[1]
 
 
 def _class_batch(m, ds, v: np.ndarray, class_label: int) -> EmbeddingBatch:

@@ -315,6 +315,7 @@ def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dic
     tensors, manifest = read_dataset(dataset)
     train_ds, _ = _split(dataset, tensors, manifest)
     stats, normed = normalize_features(train_ds)
+    del tensors, train_ds  # training holds the z-scored side only
     f, t, c, _, b = manifest.shape
     mcfg = ModelConfig(**vars(cfg.model), n_features=f, subwindows=t, n_channels=c, n_bands=b)
     model, history = train(build_fusion_model(mcfg), normed, cfg.train)
@@ -324,8 +325,9 @@ def train_dataset(cfg: RunConfig, dataset, model_path, history_path) -> list[dic
 
 
 def _stored(model_path, dataset):
-    """A model file, and a dataset z-scored with the model's norm stats. A
-    model whose input shape is not the dataset's names the model file."""
+    """A model file, and a dataset z-scored with the model's norm stats in
+    the array it was read into, so one copy of the dataset is held. A model
+    whose input shape is not the dataset's names the model file."""
     model, stats = load_model(model_path)
     tensors, manifest = read_dataset(dataset)
     if model.cfg.tensor_shape != manifest.shape:
@@ -335,7 +337,8 @@ def _stored(model_path, dataset):
         )
     if stats is not None:
         with np.errstate(over="ignore"):
-            tensors = stats.apply_many(tensors)
+            for t in tensors:
+                t.values[...] = stats.apply(t).values
         if not all(np.isfinite(t.values).all() for t in tensors):
             raise ValueError(
                 f"{model_path}: norm_stats: z-score the dataset past the float32 range"

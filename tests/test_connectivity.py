@@ -37,7 +37,8 @@ from eegfusion.mvar import (
     spectral_decomposition,
 )
 from eegfusion.signal_io import (
-    LabeledWindow, SynthSpec, extract_labeled_windows, generate_synthetic, split_subwindows,
+    LabeledWindow, SynthSpec, _mean_std_in_place, extract_labeled_windows, generate_synthetic,
+    split_subwindows,
 )
 from eegfusion.runner import RunConfig, study_windows
 from eegfusion.util import ConfigError, from_json, one_blas_thread, to_json
@@ -1085,6 +1086,50 @@ class TestNormalizeFeatures:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalize_features([])
+
+    @pytest.mark.parametrize("n", [1, 2, 170])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_statistics_are_the_bytes_of_the_whole_float64_stack(self, n, dtype):
+        # one feature at a time, in an (N, T, C, C, B) float64 stack of it
+        rng = np.random.default_rng(n)
+        scale = rng.uniform(0.1, 50.0, (7, 1, 1, 1, 5))
+        tensors = [
+            WindowTensor(values=(rng.standard_normal((7, 10, 4, 4, 5)) * scale + 3.0).astype(dtype),
+                         label=i % 2, source_id=str(i))
+            for i in range(n)
+        ]
+        for t in tensors:
+            t.values[2, ..., 3] = 0.25  # one zero-spread (feature, band) cell
+        stats, normed = normalize_features(tensors)
+        stack = np.stack([t.values for t in tensors], dtype=float)
+        mean, std = _mean_std_in_place(stack, axis=(0, 2, 3, 4))
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.std.tobytes() == std.tobytes()
+        assert stats.std[2, 3] == 0.0
+        for t, z in zip(tensors, normed):
+            assert z.values.dtype == dtype
+            assert z.values.tobytes() == stats.apply(t).values.tobytes()
+            assert np.all(z.values[2, ..., 3] == np.asarray(0.25, dtype))
+
+    def test_z_scored_windows_are_rows_of_one_array(self):
+        rng = np.random.default_rng(5)
+        tensors = [WindowTensor(values=rng.standard_normal((7, 2, 3, 3, 5)).astype(np.float32),
+                                label=i % 2, source_id=str(i)) for i in range(6)]
+        stats, normed = normalize_features(tensors[:4])
+        applied = stats.apply_many(tensors[4:])
+        for windows in (normed, applied):
+            assert type(windows) is list
+            base = windows[0].values.base
+            assert base.shape == (len(windows),) + windows[0].shape
+            assert base.dtype == np.float32
+            for k, w in enumerate(windows):
+                assert np.shares_memory(w.values, base)
+                assert w.values.tobytes() == base[k].tobytes()
+        assert not np.shares_memory(normed[0].values, applied[0].values)
+        for t, w in zip(tensors[4:], applied):
+            assert (w.label, w.source_id) == (t.label, t.source_id)
+            assert w.values.tobytes() == stats.apply(t).values.tobytes()
+        assert stats.apply_many([]) == []
 
 
 def test_pipeline_config_json_round_trip():

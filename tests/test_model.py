@@ -6,6 +6,7 @@ each check first asserts kink_margin() clears the perturbation radius; the
 seeds below are pinned to configurations that satisfy it.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegfusion.connectivity import FEATURE_ORDER, NormStats, WindowTensor
+from eegfusion.connectivity import FEATURE_ORDER, NormStats, WindowTensor, normalize_features
 from eegfusion.layers import ContractRow
 from eegfusion.model import (
     Metrics,
     _Adam,
+    _stack_dataset,
     ModelConfig,
     TrainConfig,
     bce_loss,
@@ -29,6 +31,7 @@ from eegfusion.model import (
     save_model,
     train,
 )
+from eegfusion.relevance import relevance_report
 
 # small enough for coordinate-wise fd sweeps, still exercises 2-layer LSTMs
 SMALL = dict(
@@ -417,6 +420,56 @@ class TestFloat32:
         assert m.params.dtype == np.float64  # a fresh draw stays float64
         m, _ = train(m, make_dataset(cfg), TrainConfig(epochs=1, batch_size=4))
         assert m.params.dtype == np.float32
+
+
+class TestOneCopyOfTheDataset:
+    """Training reads z-scored windows from their one array; eval passes
+    stack one slice of the windows at a time."""
+
+    def z_scored(self, cfg, n_per_class=12):
+        raw = [dataclasses.replace(t, values=t.values.astype(np.float32))
+               for t in make_dataset(cfg, n_per_class)]
+        stats, train_side = normalize_features(raw[:16])
+        return train_side, stats.apply_many(raw[16:])
+
+    @pytest.mark.parametrize("scheme", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_windows_give_the_bytes_of_their_batch(self, scheme, dtype):
+        # up to 17 samples make one eval slice; 33 end in a one-sample tail,
+        # which joins the slice before it, and 40 in a tail of eight
+        cfg = ModelConfig(scheme=scheme, **SMALL)
+        m = build_fusion_model(cfg)
+        m.params = m.params.astype(dtype)
+        ds = make_dataset(cfg, n_per_class=20)
+        for n in (1, 2, 16, 17, 33, 40):
+            x = np.stack([t.values for t in ds[:n]])
+            assert m.forward_batch(ds[:n]).tobytes() == m.forward_batch(x).tobytes()
+            if scheme in (1, 2):
+                assert m.embed_batch(ds[:n])[1].tobytes() == m.embed_batch(x)[1].tobytes()
+
+    def test_training_stack_is_the_z_scored_array(self):
+        train_side, _ = self.z_scored(ModelConfig(scheme=2, **SMALL))
+        x, y = _stack_dataset(train_side, np.float32)
+        assert x is train_side[0].values.base
+        assert y.tolist() == [t.label for t in train_side]
+        for ds, dtype in ((train_side[::-1], np.float32), (train_side[1:], np.float32),
+                          (train_side, np.float64)):
+            copy, _ = _stack_dataset(ds, dtype)
+            assert not np.shares_memory(copy, x)
+            assert copy.tobytes() == np.stack([t.values for t in ds]).astype(dtype).tobytes()
+
+    @pytest.mark.parametrize("scheme", [1, 2])
+    def test_z_scored_windows_train_evaluate_and_explain_as_copies(self, scheme):
+        cfg = ModelConfig(scheme=scheme, **SMALL)
+        train_side, test_side = self.z_scored(cfg)
+        results = []
+        for ds in (train_side + test_side,
+                   [dataclasses.replace(t, values=t.values.copy())
+                    for t in train_side + test_side]):
+            m, history = train(build_fusion_model(cfg), ds[:16], TrainConfig(epochs=2, batch_size=4))
+            results.append((m.params.tobytes(), history, evaluate(m, ds[16:]),
+                            evaluate(m, ds[::2]), relevance_report(m, ds).to_dict()))
+        assert results[0] == results[1]
 
 
 class TestMetrics:

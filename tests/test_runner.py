@@ -13,7 +13,7 @@ import pytest
 from test_dataset import staged_files
 
 from eegfusion.connectivity import (
-    PipelineConfig, build_feature_tensors, normalize_features, window_chunks,
+    PipelineConfig, WindowTensor, build_feature_tensors, normalize_features, window_chunks,
 )
 from eegfusion.dataset import read_dataset, split_dataset, write_dataset
 from eegfusion.dsp import DEFAULT_BANDS, BandSpec
@@ -21,6 +21,7 @@ from eegfusion.model import THRESHOLD, ArchConfig, ModelConfig, TrainConfig, eva
 from eegfusion import connectivity, runner
 from eegfusion.cli import main
 from eegfusion.mvar import FitDiagnostics
+from eegfusion.relevance import relevance_report
 from eegfusion.runner import (
     ConfigError,
     RunConfig,
@@ -633,6 +634,43 @@ class TestStoredModel:
             "threshold": THRESHOLD,
         }
         assert runner.evaluate_stored(model_path, dataset) == in_memory
+
+
+class TestStageMemory:
+    """After the dataset write, each stage holds one float32 copy of its windows."""
+
+    def test_traced_peaks_grow_by_about_one_copy_per_window(self, tmp_path):
+        # windows of the default study's shape, w = 22,400 float32 bytes each;
+        # the training side's float64 stack alone took 1.7 w per window
+        cfg = RunConfig(train=TrainConfig(epochs=1))
+        rng = np.random.default_rng(0)
+        peaks = {}
+        for n in (120, 200):
+            dataset, model_path = tmp_path / f"ds{n}", tmp_path / f"model{n}.bin"
+            write_dataset(
+                (WindowTensor(values=rng.standard_normal((7, 10, 4, 4, 5)).astype(np.float32),
+                              label=i % 2, source_id=f"w{i}") for i in range(n)),
+                dataset, cfg.pipeline, cfg.split.test_fraction, cfg.seed,
+            )
+            tracemalloc.start()
+            try:
+                runner.train_dataset(cfg, dataset, model_path, tmp_path / "history.json")
+                train_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                model, tensors, manifest = runner._stored(model_path, dataset)
+                runner._metrics(dataset, model, tensors, manifest)
+                relevance_report(model, tensors)
+                peaks[n] = train_peak, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        w = 4 * 7 * 10 * 4 * 4 * 5
+        train_growth, eval_growth = ((b - a) / 80 / w for a, b in zip(peaks[120], peaks[200]))
+        # at most the read set beside its z-scored training side, 1.85 w
+        # (1.7 measured); a float64 stack of the training side made it 2.7 w
+        assert train_growth < 2.2
+        # the z-scored set (1 w) beside relevance's per-sample activation
+        # potentials (0.64 w); a second z-scored copy of the set made it 2.0 w
+        assert eval_growth < 1.85
 
 
 class TestRunManifest:
